@@ -58,10 +58,6 @@ type Options struct {
 	Omega bool `json:"omega,omitempty"`
 	// Parallelism bounds the job's worker pool; capped by the daemon.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Sched selects the reachability scheduler: "steal" (the default
-	// deterministic work-stealing pool) or "level" (level-synchronous).
-	// Empty keeps the daemon default.
-	Sched string `json:"sched,omitempty"`
 	// Triage disables ("off") or forces ("on") the static triage stage.
 	// Empty keeps the default (on).
 	Triage string `json:"triage,omitempty"`
@@ -233,12 +229,11 @@ type Stats struct {
 }
 
 // BuildInfo identifies the running daemon: library version, Go
-// toolchain, default scheduler, and GOMAXPROCS. The same labels back the
+// toolchain, and GOMAXPROCS. The same labels back the
 // circ_build_info gauge in /metrics.
 type BuildInfo struct {
 	Version    string `json:"version"`
 	GoVersion  string `json:"go_version"`
-	Sched      string `json:"sched"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 }
 
@@ -267,16 +262,12 @@ type ArenaStats struct {
 	Compactions int64 `json:"compactions"`
 }
 
-// SMTStats describes the shared SMT verdict cache and the
-// learned-clause portfolio layered on it.
+// SMTStats describes the shared SMT verdict cache.
 type SMTStats struct {
 	Hits     int64   `json:"hits"`
 	Misses   int64   `json:"misses"`
 	FastPath int64   `json:"fast_path"`
 	HitRate  float64 `json:"hit_rate"`
-	// ClausesShared counts learned clauses replayed into a session from
-	// another session's conflict analysis over the same formula.
-	ClausesShared int64 `json:"clauses_shared"`
 	// SlowQueries counts solves that exceeded the -smt-slowlog threshold;
 	// SlowLogThresholdMS is the active threshold (0: capture disabled).
 	// The entries themselves are served at /debug/circ/slowlog.
@@ -372,16 +363,14 @@ type SlowLog struct {
 
 // SlowQueryEntry is one captured slow SMT solve.
 type SlowQueryEntry struct {
-	Seq             int64     `json:"seq"`
-	At              time.Time `json:"at"`
-	FormulaID       uint64    `json:"formula_id"`
-	Kind            string    `json:"kind"`
-	CubeKey         string    `json:"cube_key,omitempty"`
-	DurationMS      float64   `json:"duration_ms"`
-	Result          string    `json:"result"`
-	ClausesReplayed int       `json:"clauses_replayed,omitempty"`
-	ClausesLearned  int       `json:"clauses_learned,omitempty"`
-	TraceID         string    `json:"trace_id,omitempty"`
+	Seq        int64     `json:"seq"`
+	At         time.Time `json:"at"`
+	FormulaID  uint64    `json:"formula_id"`
+	Kind       string    `json:"kind"`
+	CubeKey    string    `json:"cube_key,omitempty"`
+	DurationMS float64   `json:"duration_ms"`
+	Result     string    `json:"result"`
+	TraceID    string    `json:"trace_id,omitempty"`
 }
 
 // Error is the JSON error body accompanying every non-2xx response.

@@ -56,7 +56,6 @@ import (
 	"circ/internal/lang"
 	"circ/internal/lockset"
 	"circ/internal/param"
-	"circ/internal/reach"
 	"circ/internal/refine"
 	"circ/internal/smt"
 	"circ/internal/store"
@@ -225,7 +224,6 @@ type Checker struct {
 	tracer      *telemetry.Tracer
 	registry    *telemetry.Registry
 	parallelism int
-	sched       Sched
 	maxRounds   int
 	maxInner    int
 	maxStates   int
@@ -300,45 +298,11 @@ func (c *Checker) SlowQueries() []SlowQuery { return c.solver.SlowQueries() }
 // capture is disabled).
 func (c *Checker) SMTSlowLogThreshold() time.Duration { return c.solver.SlowQueryThreshold() }
 
-// Scheduler returns the configured reachability scheduler.
-func (c *Checker) Scheduler() Sched { return c.sched }
-
 // WithParallelism bounds the worker pool: frontier states of one
 // reachability run and (thread, variable) pairs of a batch run are
 // expanded by at most n workers. n <= 0 selects GOMAXPROCS (the default).
 // Verdicts are identical at any parallelism.
 func WithParallelism(n int) Option { return func(c *Checker) { c.parallelism = n } }
-
-// Sched selects the reachability scheduler; see SchedSteal and
-// SchedLevel. Both produce identical verdicts, race traces, and
-// journals at any parallelism.
-type Sched = reach.Sched
-
-// Scheduler choices for WithScheduler.
-const (
-	// SchedSteal (the default) is the deterministic work-stealing pool:
-	// workers expand outstanding states from per-worker deques with no
-	// level barrier, while a sequential merger pins discovery order.
-	SchedSteal = reach.SchedSteal
-	// SchedLevel is the level-synchronous scheduler: expand one BFS
-	// level in parallel, merge, repeat. Kept for comparison.
-	SchedLevel = reach.SchedLevel
-)
-
-// WithScheduler selects the reachability scheduler (default SchedSteal).
-func WithScheduler(s Sched) Option { return func(c *Checker) { c.sched = s } }
-
-// ParseSched maps a scheduler name — "steal" or "level" — onto its
-// Sched value, for flag and wire-option parsing.
-func ParseSched(name string) (Sched, error) {
-	switch name {
-	case "steal":
-		return SchedSteal, nil
-	case "level":
-		return SchedLevel, nil
-	}
-	return SchedSteal, fmt.Errorf("unknown scheduler %q (want \"steal\" or \"level\")", name)
-}
 
 // WithJournal attaches a flight recorder: every analysis run through the
 // Checker emits its inference events (one case per (thread, variable)
@@ -463,16 +427,15 @@ func (c *Checker) options(logger *slog.Logger, parallelism int) icirc.Options {
 		MaxInner:    c.maxInner,
 		MaxStates:   c.maxStates,
 		Parallelism: parallelism,
-		Sched:       c.sched,
 	}
 }
 
 // CompactArena sweeps the process-wide expression-interning arena,
 // tombstoning every formula not reachable from the Checker's live
 // roots — the certificate store's context models, predicate sets, and
-// trace formulas — and then drops SMT verdict-cache entries and
-// learned-clause pools referring to swept formulas. Live IDs keep their
-// identity; dead IDs are never reused.
+// trace formulas — and then drops SMT verdict-cache entries referring
+// to swept formulas. Live IDs keep their identity; dead IDs are never
+// reused.
 //
 // It must only be called with no analyses in flight on this Checker (or
 // any Checker derived from it — they share the solver and store): the
@@ -553,7 +516,7 @@ func (c *Checker) prepareUnit(g *cfa.CFA, variable string, s *journal.Stream, re
 // Check runs CIRC on the named thread of p (empty: the single thread),
 // verifying that arbitrarily many copies running concurrently are free of
 // data races on variable. The context cancels the analysis between
-// iterations and reachability levels.
+// iterations and between merged reachability states.
 //
 // Unless disabled with WithTriage/WithSlicing, a static triage stage
 // runs first (discharged pairs return a Report with Triage set and never
@@ -658,81 +621,6 @@ func Check(ctx context.Context, src string, opts ...Option) (*Report, error) {
 		variable = p.ast.Globals[0].Name
 	}
 	return c.Check(ctx, p, thread, variable)
-}
-
-// CheckOptions configures the deprecated one-shot entry points. It is a
-// thin shim: Options translates it into the equivalent functional
-// options, and every deprecated entry point is a wrapper over the
-// Checker API.
-//
-// Deprecated: use Check (one-shot), or NewChecker with functional
-// options (WithTarget, WithK, WithOmega, WithLog, WithParallelism,
-// WithBudgets) and the Checker methods; they add context cancellation,
-// frontier-parallel analysis, and a shared SMT cache across calls.
-type CheckOptions struct {
-	// Variable is the global to check for races (required).
-	Variable string
-	// Thread selects the thread template; may be empty for single-thread
-	// programs. The checker verifies unboundedly many copies of it.
-	Thread string
-	// K is the initial counter parameter (default 1).
-	K int
-	// Omega selects the omega-CIRC variant (Section 5): exact-k
-	// reachability plus the good-location generalisation check.
-	Omega bool
-	// Log, when non-nil, receives a narration of every iteration.
-	Log io.Writer
-	// MaxRounds/MaxInner/MaxStates bound the analysis (defaults apply).
-	MaxRounds, MaxInner, MaxStates int
-}
-
-// Options translates the legacy struct into the equivalent functional
-// options (sequential, fresh SMT cache — the historical behaviour).
-func (o CheckOptions) Options() []Option {
-	opts := []Option{
-		WithTarget(o.Thread, o.Variable),
-		WithK(o.K),
-		WithOmega(o.Omega),
-		WithParallelism(1),
-		WithBudgets(o.MaxRounds, o.MaxInner, o.MaxStates),
-	}
-	if o.Log != nil {
-		opts = append(opts, WithLog(o.Log))
-	}
-	return opts
-}
-
-// checker builds the equivalent Checker for the deprecated options.
-func (o CheckOptions) checker() *Checker { return NewChecker(o.Options()...) }
-
-// CheckRace runs CIRC on the program denoted by src: it verifies that
-// arbitrarily many copies of the thread running concurrently are free of
-// data races on the given variable, or returns a genuine interleaved race
-// trace.
-//
-// Deprecated: use Check with WithTarget. CheckRace remains as a thin
-// compatibility wrapper.
-func CheckRace(src string, opts CheckOptions) (*Report, error) {
-	return Check(context.Background(), src, opts.Options()...)
-}
-
-// CheckProgram is CheckRace for an already-parsed program.
-//
-// Deprecated: use NewChecker(...).Check, which adds context cancellation
-// and parallel analysis. CheckProgram remains as a thin compatibility
-// wrapper.
-func CheckProgram(p *Program, opts CheckOptions) (*Report, error) {
-	return opts.checker().Check(context.Background(), p, opts.Thread, opts.Variable)
-}
-
-// VerifyCertificate re-checks a Safe verdict's evidence; see
-// Checker.VerifyCertificate. It returns nil for a valid certificate and a
-// *CertificateError naming the failed obligation otherwise.
-//
-// Deprecated: use Checker.VerifyCertificate, which shares the Checker's
-// SMT cache with the run that produced the certificate.
-func VerifyCertificate(ctx context.Context, p *Program, opts CheckOptions, rep *Report) error {
-	return opts.checker().VerifyCertificate(ctx, p, opts.Thread, opts.Variable, rep)
 }
 
 // LocksetReport is the Eraser-style baseline's output.

@@ -266,14 +266,17 @@ func TestVerifyCertificatePublicAPI(t *testing.T) {
 	if err != nil || rep.Verdict != Safe {
 		t.Fatalf("setup: %v %v", err, rep.Verdict)
 	}
-	if err := VerifyCertificate(context.Background(), p, CheckOptions{Variable: "x"}, rep); err != nil {
+	// A fresh Checker re-checks the certificate: no verdict cache is
+	// carried over from the run that produced it.
+	vc := NewChecker(WithParallelism(1))
+	if err := vc.VerifyCertificate(context.Background(), p, "", "x", rep); err != nil {
 		t.Fatalf("certificate rejected: %v", err)
 	}
 	// Missing variable and missing ACFA error paths.
-	if err := VerifyCertificate(context.Background(), p, CheckOptions{}, rep); !errors.Is(err, ErrNoVariable) {
+	if err := vc.VerifyCertificate(context.Background(), p, "", "", rep); !errors.Is(err, ErrNoVariable) {
 		t.Errorf("missing variable: got %v, want ErrNoVariable", err)
 	}
-	if err := VerifyCertificate(context.Background(), p, CheckOptions{Variable: "x"}, &Report{}); err == nil {
+	if err := vc.VerifyCertificate(context.Background(), p, "", "x", &Report{}); err == nil {
 		t.Errorf("report without ACFA accepted")
 	}
 }

@@ -109,7 +109,6 @@ func run(args []string) int {
 		omega     = fs.Bool("omega", false, "use the omega-CIRC variant (Section 5)")
 		k         = fs.Int("k", 1, "initial counter parameter")
 		parallel  = fs.Int("parallel", 0, "analysis worker pool size (0: GOMAXPROCS)")
-		schedName = fs.String("sched", "steal", "reachability scheduler: steal (work-stealing) or level (level-synchronous)")
 		verbose   = fs.Bool("v", false, "narrate every CIRC iteration")
 		baselines = fs.Bool("baselines", false, "also run the lockset and flow-based baselines")
 		all       = fs.Bool("all", false, "check every global variable (ignores -var)")
@@ -154,14 +153,8 @@ func run(args []string) int {
 		cliErr(err)
 		return 3
 	}
-	sched, err := circ.ParseSched(*schedName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "circ: -sched: %v\n", err)
-		return 3
-	}
 	opts := []circ.Option{
 		circ.WithK(*k), circ.WithOmega(*omega), circ.WithParallelism(*parallel),
-		circ.WithScheduler(sched),
 		circ.WithTriage(bool(triage)), circ.WithSlicing(bool(slice)),
 		circ.WithSeedPredicates(bool(seedPreds)),
 	}

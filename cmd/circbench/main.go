@@ -45,7 +45,6 @@ import (
 
 var (
 	parallel   = flag.Int("parallel", 0, "analysis worker pool size (0: GOMAXPROCS)")
-	schedName  = flag.String("sched", "steal", "reachability scheduler for every phase: steal or level")
 	benchOut   = flag.String("benchout", "BENCH_parallel.json", "output path for the -bench report")
 	programDir = flag.String("programs", "examples/programs", "directory of .mn programs to include in -bench (skipped when missing)")
 	traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON span trace to this file")
@@ -126,9 +125,6 @@ func parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// sched is the parsed -sched value, applied to every public-API run.
-var sched circ.Sched
-
 func main() {
 	var (
 		table1  = flag.Bool("table1", false, "reproduce Table 1")
@@ -138,11 +134,6 @@ func main() {
 		bench   = flag.Bool("bench", false, "run the parallel-engine benchmark and write "+*benchOut)
 	)
 	flag.Parse()
-	var err error
-	if sched, err = circ.ParseSched(*schedName); err != nil {
-		fmt.Fprintln(os.Stderr, "circbench: -sched:", err)
-		os.Exit(3)
-	}
 	if *traceOut != "" {
 		tracer = telemetry.NewTracer()
 		baseCtx = telemetry.NewContext(baseCtx, tracer)
@@ -313,7 +304,7 @@ func check(app benchapps.App) (*icirc.Report, *cfa.CFA, time.Duration) {
 	ctx, s := journalCtx(phaseCtx, app.Key())
 	start := time.Now()
 	rep, err := icirc.Check(ctx, c, app.Variable,
-		icirc.Options{Parallelism: parallelism(), Sched: sched, Metrics: reg}, chk)
+		icirc.Options{Parallelism: parallelism(), Metrics: reg}, chk)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "circbench:", err)
 		os.Exit(1)
@@ -422,7 +413,7 @@ func runFigures() {
 	fmt.Println("-- Figures 2-4: CIRC iterations (ARGs, minimised ACFAs, refinements) --")
 	fctx, s := journalCtx(phaseCtx, "testandset/x")
 	rep, err := icirc.Check(fctx, c, "x",
-		icirc.Options{Logger: telemetry.NarrationLogger(os.Stdout), Sched: sched, Metrics: reg}, chk)
+		icirc.Options{Logger: telemetry.NarrationLogger(os.Stdout), Metrics: reg}, chk)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "circbench:", err)
 		os.Exit(1)
@@ -489,16 +480,14 @@ type benchRow struct {
 	ParIterations    int64 `json:"par_iterations"`
 	NoSeedIterations int64 `json:"noseed_iterations"`
 	SeedIterDelta    int64 `json:"seed_iter_delta"`
-	// Scheduler behaviour of the parallel run: slots stolen from another
-	// worker's deque, cumulative worker idle wall time, and learned SMT
-	// clauses replayed across sessions by the portfolio.
-	Steals        int64   `json:"steals"`
-	IdleMillis    float64 `json:"idle_ms"`
-	ClausesShared int64   `json:"clauses_shared"`
+	// Worker-pool behaviour of the parallel run: slots stolen from
+	// another worker's deque and cumulative worker idle wall time.
+	Steals     int64   `json:"steals"`
+	IdleMillis float64 `json:"idle_ms"`
 	// Per-worker idle distribution of the parallel run, from the scheduler
 	// timeline: the busiest-waiting worker's idle total and the median
-	// worker's, in milliseconds. A large max/p50 gap means the steal
-	// scheduler left some workers starved.
+	// worker's, in milliseconds. A large max/p50 gap means the pool left
+	// some workers starved.
 	IdleMaxMillis float64 `json:"idle_ms_max"`
 	IdleP50Millis float64 `json:"idle_ms_p50"`
 	// SlowQueries counts the parallel run's SMT solves at or above the
@@ -508,8 +497,8 @@ type benchRow struct {
 
 type benchReport struct {
 	GOMAXPROCS  int        `json:"gomaxprocs"`
+	NumCPU      int        `json:"num_cpu"`
 	Parallelism int        `json:"parallelism"`
-	Sched       string     `json:"sched"`
 	Rows        []benchRow `json:"benchmarks"`
 	TotalSeqMs  float64    `json:"total_seq_ms"`
 	TotalParMs  float64    `json:"total_par_ms"`
@@ -531,8 +520,10 @@ type benchReport struct {
 	// -smt-slowlog threshold.
 	SlowQueries int64 `json:"slow_queries"`
 	// Metrics is the merged telemetry snapshot of every parallel run:
-	// engine counters (reach.*, bisim.*, refine.*, smt.*) summed across
-	// benchmark cases.
+	// engine counters (reach.*, bisim.*, refine.*, triage.*) and duration
+	// histograms summed across benchmark cases. Gauges (the smt.* solver
+	// totals among them) are point-in-time values that do not sum; each
+	// row carries its own case's.
 	Metrics telemetry.Metrics `json:"metrics"`
 }
 
@@ -614,7 +605,7 @@ func runOnce(src string, par int, seed bool) (*circ.BatchReport, *telemetry.Time
 	tl := telemetry.NewTimeline(telemetry.DefaultTimelineCap)
 	ctx := telemetry.WithTimeline(context.Background(), tl)
 	rep, err := circ.CheckAllRaces(ctx, src,
-		circ.WithParallelism(par), circ.WithScheduler(sched), circ.WithTracer(tracer),
+		circ.WithParallelism(par), circ.WithTracer(tracer),
 		circ.WithTriage(bool(triageFlag)), circ.WithSlicing(bool(sliceFlag)),
 		circ.WithSeedPredicates(seed), circ.WithSMTSlowLog(*smtSlowLog))
 	return rep, tl, err
@@ -627,7 +618,7 @@ func runOnce(src string, par int, seed bool) (*circ.BatchReport, *telemetry.Time
 func runWarm(src string, par int) (warm *circ.BatchReport, reused int, err error) {
 	chk := circ.NewChecker(
 		circ.WithCertStore(circ.NewCertStore()),
-		circ.WithParallelism(par), circ.WithScheduler(sched), circ.WithTracer(tracer),
+		circ.WithParallelism(par), circ.WithTracer(tracer),
 		circ.WithTriage(bool(triageFlag)), circ.WithSlicing(bool(sliceFlag)),
 		circ.WithSeedPredicates(bool(seedFlag)))
 	prog, err := circ.Parse(src)
@@ -674,10 +665,10 @@ func runBench() {
 	if par > runtime.GOMAXPROCS(0) {
 		runtime.GOMAXPROCS(par)
 	}
-	fmt.Printf("== Parallel engine benchmark: sequential vs %d workers (%s scheduler) ==\n", par, sched)
-	fmt.Printf("%-28s %7s %6s %5s %5s %9s %9s %9s %8s %7s %9s %11s %7s %8s %7s\n",
-		"benchmark", "targets", "disch", "seeds", "dIter", "seq", "par", "warm", "speedup", "reuse", "hit-rate", "allocs/q", "steals", "idle", "shared")
-	report := benchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), Parallelism: par, Sched: sched.String()}
+	fmt.Printf("== Parallel engine benchmark: sequential vs %d workers ==\n", par)
+	fmt.Printf("%-28s %7s %6s %5s %5s %9s %9s %9s %8s %7s %9s %11s %7s %8s\n",
+		"benchmark", "targets", "disch", "seeds", "dIter", "seq", "par", "warm", "speedup", "reuse", "hit-rate", "allocs/q", "steals", "idle")
+	report := benchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Parallelism: par}
 	// Each runOnce uses a fresh checker (and so a fresh registry); merge
 	// the per-run snapshots into a bench-level child of the process
 	// registry so BENCH_parallel.json carries the aggregate.
@@ -736,7 +727,6 @@ func runBench() {
 			NoSeedIterations:   noSeedIters,
 			Steals:             parRep.Metrics.Counter("reach.steal.count"),
 			IdleMillis:         float64(parRep.Metrics.Histograms["reach.worker.idle"].SumNanos) / 1e6,
-			ClausesShared:      parRep.Metrics.Counter("smt.portfolio.clauses_shared"),
 			SlowQueries:        parRep.SMT.SlowQueries,
 		}
 		row.IdleMaxMillis, row.IdleP50Millis = idleSpread(parTL)
@@ -771,7 +761,7 @@ func runBench() {
 				report.SeedCasesImproved++
 			}
 		}
-		breg.Merge(parRep.Metrics)
+		breg.Merge(telemetry.Metrics{Counters: parRep.Metrics.Counters, Histograms: parRep.Metrics.Histograms})
 		report.Rows = append(report.Rows, row)
 		report.TotalSeqMs += row.SeqMillis
 		report.TotalParMs += row.ParMillis
@@ -779,11 +769,11 @@ func runBench() {
 		if !row.VerdictsAgree {
 			agree = "  VERDICT MISMATCH"
 		}
-		fmt.Printf("%-28s %7d %6d %5d %+5d %8.0fms %8.0fms %8.0fms %7.2fx %6.0f%% %8.1f%% %11.0f %7d %6.0fms %7d%s\n",
+		fmt.Printf("%-28s %7d %6d %5d %+5d %8.0fms %8.0fms %8.0fms %7.2fx %6.0f%% %8.1f%% %11.0f %7d %6.0fms%s\n",
 			bc.Name, row.Targets, row.TriageDischarged, row.SeededPredicates, row.SeedIterDelta,
 			row.SeqMillis, row.ParMillis, row.WarmMillis,
 			row.Speedup, 100*row.ReuseHitRate, 100*row.HitRate, row.AllocsPerQuery,
-			row.Steals, row.IdleMillis, row.ClausesShared, agree)
+			row.Steals, row.IdleMillis, agree)
 	}
 	if report.TotalParMs > 0 {
 		report.Speedup = report.TotalSeqMs / report.TotalParMs

@@ -5,7 +5,7 @@
 //
 //	circd [-addr :8723] [-jobs N] [-parallel N] [-job-timeout 5m]
 //	      [-drain-timeout 30s] [-store-max-entries N] [-k N] [-omega]
-//	      [-sched steal|level] [-compact-arena] [-triage on|off] [-slice on|off]
+//	      [-compact-arena] [-triage on|off] [-slice on|off]
 //	      [-smt-slowlog 100ms]
 //
 // One process holds the hash-consing arena, the shared SMT verdict
@@ -88,7 +88,6 @@ func run(args []string) int {
 		storeMax     = fs.Int("store-max-entries", 0, "certificate store LRU bound (0: unbounded)")
 		k            = fs.Int("k", 1, "default initial counter parameter")
 		omega        = fs.Bool("omega", false, "default to the omega-CIRC variant")
-		schedName    = fs.String("sched", "steal", "default reachability scheduler: steal or level")
 		compactArena = fs.Bool("compact-arena", false, "compact the expression arena whenever the daemon goes idle")
 		smtSlowLog   = fs.Duration("smt-slowlog", 100*time.Millisecond, "log SMT solves at or above this duration to /debug/circ/slowlog (0: disable)")
 		quiet        = fs.Bool("quiet", false, "suppress request and job logs")
@@ -112,22 +111,16 @@ func run(args []string) int {
 	if *quiet {
 		logger = nil
 	}
-	sched, err := circ.ParseSched(*schedName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "circd: -sched:", err)
-		return 3
-	}
 	chk := circ.NewChecker(
 		circ.WithCertStore(circ.NewCertStoreLRU(*storeMax)),
 		circ.WithK(*k), circ.WithOmega(*omega), circ.WithParallelism(*parallel),
-		circ.WithScheduler(sched),
 		circ.WithTriage(bool(triage)), circ.WithSlicing(bool(slice)),
 		circ.WithSMTSlowLog(*smtSlowLog),
 	)
 	if logger != nil {
 		logger.Info("circd starting",
 			"version", circ.Version, "go", runtime.Version(),
-			"sched", sched.String(), "gomaxprocs", runtime.GOMAXPROCS(0),
+			"gomaxprocs", runtime.GOMAXPROCS(0),
 			"smt_slowlog", smtSlowLog.String())
 	}
 	srv := server.New(server.Config{

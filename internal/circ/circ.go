@@ -93,8 +93,6 @@ type Options struct {
 	// parallelism; values > 1 require chk to be safe for concurrent use
 	// (smt.CachedChecker).
 	Parallelism int
-	// Sched selects the reachability scheduler (default: work-stealing).
-	Sched reach.Sched
 }
 
 func (o Options) k() int {
@@ -220,7 +218,7 @@ func (r *Report) metricsSuffix() string {
 
 // Check runs CIRC on thread CFA c, verifying the absence of races on
 // raceVar (a global of c). The context cancels the analysis between
-// iterations and between reachability frontier levels; cancellation
+// iterations and between merged reachability states; cancellation
 // surfaces as a non-nil error wrapping ctx.Err().
 //
 // Check wraps the core loop with the per-analysis telemetry: a
@@ -370,7 +368,6 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 				MaxStates:   opts.MaxStates,
 				MaxRaces:    opts.MaxRaces,
 				Parallelism: opts.Parallelism,
-				Sched:       opts.Sched,
 				Metrics:     opts.Metrics,
 			})
 			reachDone()

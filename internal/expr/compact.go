@@ -111,13 +111,3 @@ func Live(id ID) bool {
 	ar.mu.RUnlock()
 	return ok
 }
-
-// Generation returns the number of Compact passes completed so far.
-// ID-keyed structures outside the arena (learned-clause pools, verdict
-// caches) stamp themselves with this and invalidate when it moves.
-func Generation() uint64 {
-	ar.mu.RLock()
-	g := ar.gen
-	ar.mu.RUnlock()
-	return g
-}

@@ -99,9 +99,6 @@ func TestCompactPreservesLiveLookups(t *testing.T) {
 	if post.Compactions != preStats.Compactions+1 || st.Generation != post.Compactions {
 		t.Fatalf("generation bookkeeping: pre=%d post=%d stat=%d", preStats.Compactions, post.Compactions, st.Generation)
 	}
-	if Generation() != st.Generation {
-		t.Fatalf("Generation() = %d, want %d", Generation(), st.Generation)
-	}
 	if post.NodesHighWater < preStats.NodesHighWater || post.BytesHighWater < preStats.BytesHighWater {
 		t.Fatalf("high-water marks regressed after Compact: %+v -> %+v", preStats, post)
 	}

@@ -109,8 +109,7 @@ type arena struct {
 	nodesHW int
 	bytesHW int64
 	// live counts non-tombstoned nodes; it equals len(nodes) until the
-	// first Compact. gen increments on every Compact so ID-keyed caches
-	// outside the arena can detect that a sweep happened.
+	// first Compact. gen counts Compact passes.
 	live int
 	gen  uint64
 }

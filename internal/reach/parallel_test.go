@@ -10,7 +10,7 @@ import (
 	"circ/internal/smt"
 )
 
-// TestReachParallelDeterminism: the level-synchronous engine must produce
+// TestReachParallelDeterminism: the engine must produce
 // the same races, state count, and ARG shape at every parallelism.
 func TestReachParallelDeterminism(t *testing.T) {
 	c := buildCFA(t, `
@@ -70,7 +70,7 @@ thread T {
 }
 
 // TestReachCancellation: a cancelled context stops exploration between
-// levels with the context's error.
+// merged states with the context's error.
 func TestReachCancellation(t *testing.T) {
 	c := buildCFA(t, `
 global int x;

@@ -2,7 +2,6 @@ package reach
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"circ/internal/acfa"
@@ -14,30 +13,14 @@ import (
 	"circ/internal/telemetry"
 )
 
-// Sched selects the exploration scheduler. Both schedulers produce
-// identical verdicts, race lists, ARGs, and journals at any parallelism;
-// they differ only in how expansion work is distributed across workers.
-type Sched int
-
-const (
-	// SchedSteal (the default) runs the deterministic work-stealing pool:
-	// a sequential merger walks states in discovery order while workers
-	// race ahead expanding outstanding states from per-worker deques. No
-	// level barrier — workers stay busy as long as any work is
-	// outstanding. See steal.go for the determinism argument.
-	SchedSteal Sched = iota
-	// SchedLevel runs the original level-synchronous BFS: each frontier
-	// level is expanded by a worker pool, then merged sequentially before
-	// the next level starts. Kept for comparison (-sched level).
-	SchedLevel
-)
-
-func (s Sched) String() string {
-	if s == SchedLevel {
-		return "level"
-	}
-	return "steal"
-}
+// Exploration is one breadth-first search over abstract states. The
+// calling goroutine merges states strictly in FIFO discovery order —
+// budget accounting, race recording, ARG edges, deduplication, journal
+// events — so every verdict-relevant result is that of a sequential
+// worklist. Expanding a state (its successors and the race check) is a
+// pure function of the state, touching only the concurrent post cache
+// and the concurrency-safe solver; with Parallelism > 1 a worker pool
+// (steal.go) runs those expansions ahead of the merger.
 
 // Options configures ReachAndBuild.
 type Options struct {
@@ -51,16 +34,14 @@ type Options struct {
 	// MaxRaces caps how many distinct race traces are collected; 0 means
 	// the default (64).
 	MaxRaces int
-	// Parallelism is the number of workers expanding frontier states
+	// Parallelism is the number of goroutines expanding states
 	// concurrently; 0 or 1 runs sequentially. Results are identical at any
 	// parallelism: successors are computed in parallel but merged in
 	// deterministic BFS order. Parallelism > 1 requires the abstractor's
 	// solver to be safe for concurrent use (smt.CachedChecker).
 	Parallelism int
-	// Sched selects the scheduler; the zero value is SchedSteal.
-	Sched Sched
 	// Metrics, when non-nil, receives exploration counters (states,
-	// levels, frontier high-water mark, post-cache effectiveness, races,
+	// outstanding-work high-water mark, post-cache effectiveness, races,
 	// steals, worker idle time). Telemetry never affects the verdict,
 	// only observes it.
 	Metrics *telemetry.Registry
@@ -117,7 +98,7 @@ type parentInfo struct {
 // ReachAndBuild explores the abstract multithreaded program ((C,P),(A,k)),
 // checking for races on raceVar, and builds the ARG. abs carries the
 // predicate set P and the SMT solver. The context cancels long runs
-// between frontier levels.
+// between merged states.
 func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options) (*Result, error) {
 	e := &explorer{C: C, A: A, abs: abs, raceVar: raceVar, opts: opts}
 	for i := range e.posts.shards {
@@ -127,7 +108,6 @@ func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abst
 	// and every update on the hot path degrades to a nil check.
 	if reg := opts.Metrics; reg != nil {
 		e.cStates = reg.Counter("reach.states")
-		e.cLevels = reg.Counter("reach.levels")
 		e.cRaces = reg.Counter("reach.races")
 		e.cPostHits = reg.Counter("reach.post.cache.hits")
 		e.cPostMisses = reg.Counter("reach.post.cache.misses")
@@ -225,11 +205,11 @@ type explorer struct {
 
 	// Telemetry handles, nil when no registry is configured (each update
 	// is then a single nil check — see BenchmarkReachTelemetry).
-	cStates, cLevels, cRaces *telemetry.Counter
-	cPostHits, cPostMisses   *telemetry.Counter
-	cSteals                  *telemetry.Counter
-	gFrontier                *telemetry.Gauge
-	hIdle                    *telemetry.Histogram
+	cStates, cRaces        *telemetry.Counter
+	cPostHits, cPostMisses *telemetry.Counter
+	cSteals                *telemetry.Counter
+	gFrontier              *telemetry.Gauge
+	hIdle                  *telemetry.Histogram
 
 	// tl, when a flight-deck timeline rides in on the context, receives
 	// per-worker busy/idle/steal segments from the steal scheduler. Like
@@ -253,16 +233,7 @@ func (e *explorer) cachedPost(key postKey, compute func() *pred.Cube) *pred.Cube
 	return c
 }
 
-// run dispatches to the configured scheduler. Both produce identical
-// results; see the Sched constants.
-func (e *explorer) run(ctx context.Context) (*Result, error) {
-	if e.opts.Sched == SchedLevel {
-		return e.runLevel(ctx)
-	}
-	return e.runSteal(ctx)
-}
-
-// seed builds the ARG and the initial state shared by both schedulers.
+// seed builds the ARG and the initial exploration state.
 func (e *explorer) seed() (*ARG, *State) {
 	arg := NewARG(e.C, e.abs.Set)
 	allVars := append(append([]string(nil), e.C.Globals...), e.C.Locals...)
@@ -298,126 +269,6 @@ func (e *explorer) emitWidened(widened map[acfa.Loc]bool, parent, child *State) 
 			})
 		}
 	}
-}
-
-// runLevel is a level-synchronous BFS. Each level's states are expanded
-// by a worker pool (the expansion is pure: abstract posts and SMT
-// queries, no shared mutable state beyond the concurrent caches); the
-// results are then merged sequentially in frontier order, which
-// reproduces the exact dequeue order, race list, ARG, and budget
-// accounting of a sequential FIFO worklist — verdicts are bit-identical
-// at any parallelism.
-func (e *explorer) runLevel(ctx context.Context) (*Result, error) {
-	arg, init := e.seed()
-
-	seen := make(map[string]*parentInfo)
-	seen[init.Key()] = &parentInfo{state: init}
-	frontier := []*State{init}
-	numStates := 0
-	var races []*Trace
-	// widened tracks which context locations have already been journalled
-	// as saturating their counter to omega (reported once per run).
-	var widened map[acfa.Loc]bool
-	if e.j.Enabled() {
-		widened = make(map[acfa.Loc]bool)
-	}
-
-levels:
-	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		e.cLevels.Inc()
-		e.gFrontier.Max(int64(len(frontier)))
-		recs := e.expandLevel(frontier)
-
-		var next []*State
-		for i, s := range frontier {
-			numStates++
-			e.cStates.Inc()
-			if numStates > e.opts.maxStates() {
-				return nil, fmt.Errorf("reach: state budget exceeded (%d states)", e.opts.maxStates())
-			}
-			if e.isRace(s) {
-				e.cRaces.Inc()
-				races = append(races, e.buildTrace(seen, s))
-				if len(races) >= e.opts.maxRaces() {
-					// Enough counterexamples for this refinement round; the
-					// ARG is partial but unused on the error path.
-					break levels
-				}
-			}
-			dedup := make(map[string]bool)
-			for _, rec := range recs[i] {
-				// ARG bookkeeping happens here, in deterministic order, not
-				// in the parallel expansion phase.
-				if rec.op.IsEnv() {
-					arg.ConnectEnv(s.TS, rec.state.TS)
-				} else {
-					arg.ConnectMain(s.TS, rec.op.MainEdge, rec.state.TS)
-				}
-				k := rec.state.Key()
-				if dedup[k] {
-					continue
-				}
-				dedup[k] = true
-				if _, ok := seen[k]; ok {
-					continue
-				}
-				seen[k] = &parentInfo{parentKey: s.Key(), op: rec.op, state: rec.state}
-				next = append(next, rec.state)
-				e.emitWidened(widened, s, rec.state)
-			}
-		}
-		frontier = next
-	}
-	return &Result{Races: races, ARG: arg, NumStates: numStates}, nil
-}
-
-// minParallelFrontier is the frontier size below which SchedLevel
-// expansion runs sequentially even when a worker pool is configured.
-// Small levels — common in the narrow early and late phases of a run,
-// and throughout programs whose frontier never widens — cost more in
-// goroutine spawn and channel handoff than their (mostly post-cache-hit)
-// expansions save; this cutover is what fixed the table1/surge parallel
-// regression. It keys on frontier length because that IS the outstanding
-// work of a level-synchronous round; the work-stealing scheduler has no
-// levels and uses the (smaller) outstanding-work cutover
-// minStealOutstanding in steal.go instead.
-const minParallelFrontier = 8
-
-// expandLevel computes the successor records of every frontier state,
-// fanning the states out over the configured worker pool once the level
-// is large enough to amortise the handoff.
-func (e *explorer) expandLevel(frontier []*State) [][]succRecord {
-	recs := make([][]succRecord, len(frontier))
-	workers := e.opts.parallelism()
-	if workers > len(frontier) {
-		workers = len(frontier)
-	}
-	if workers <= 1 || len(frontier) < minParallelFrontier {
-		for i, s := range frontier {
-			recs[i] = e.successors(s)
-		}
-		return recs
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				recs[i] = e.successors(frontier[i])
-			}
-		}()
-	}
-	for i := range frontier {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	return recs
 }
 
 // atomicOccupancy classifies the scheduling state: which ops are enabled.

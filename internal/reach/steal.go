@@ -11,13 +11,12 @@ import (
 	"circ/internal/telemetry"
 )
 
-// Deterministic work-stealing scheduler.
+// Worker pool for the BFS in reach.go.
 //
-// The level-synchronous scheduler (runLevel) alternates a parallel
-// expand phase with a sequential merge phase, so workers idle at the
-// level barrier whenever expansion times are uneven — and they always
-// are: a state whose posts hit the cache costs microseconds, one that
-// misses costs SMT solves. This scheduler removes the barrier.
+// Expansion costs are uneven — a state whose posts hit the cache costs
+// microseconds, one that misses costs SMT solves — so workers pull
+// individual states rather than fixed batches, and nothing waits at a
+// level barrier.
 //
 // Shape: the merger (the calling goroutine) walks a global `order` list
 // of discovered states — strictly in discovery order, exactly the FIFO
@@ -54,13 +53,10 @@ import (
 // minStealOutstanding is the outstanding-work cutover: fresh slots are
 // handed to workers only while at least this many states are already
 // outstanding (discovered but unmerged). Below it the merger expands
-// inline — a wakeup round-trip costs more than a (mostly
-// post-cache-hit) expansion saves. Unlike SchedLevel's
-// minParallelFrontier (= 8, a per-level width test), this keys on
-// outstanding work items, which is what actually bounds how far a
-// worker could run ahead; it is lower (4) because the steal handoff —
-// a mutex push plus one broadcast onto an already-running pool — is far
-// cheaper than spawning a per-level goroutine pool.
+// inline — a wakeup round-trip (a mutex push plus one broadcast onto the
+// running pool) costs more than a mostly post-cache-hit expansion saves.
+// Keying on outstanding work items bounds how far a worker could run
+// ahead of the merger.
 const minStealOutstanding = 4
 
 const (
@@ -294,11 +290,10 @@ func (p *stealPool) shutdown() {
 	p.wg.Wait()
 }
 
-// runSteal is the work-stealing exploration loop. It reproduces
-// runLevel's results exactly: the merged order is the same FIFO BFS
+// run is the exploration loop: the merged order is the FIFO BFS
 // discovery order, and all verdict-relevant bookkeeping happens here,
-// sequentially.
-func (e *explorer) runSteal(ctx context.Context) (*Result, error) {
+// sequentially, while the pool expands outstanding states.
+func (e *explorer) run(ctx context.Context) (*Result, error) {
 	arg, init := e.seed()
 	seen := make(map[string]*parentInfo)
 	seen[init.Key()] = &parentInfo{state: init}

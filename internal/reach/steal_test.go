@@ -12,7 +12,7 @@ import (
 	"circ/internal/telemetry"
 )
 
-// stealFixture builds the CFA/ACFA/abstractor used by the scheduler
+// stealFixture builds the CFA/ACFA/abstractor used by the worker-pool
 // determinism tests (the testandset-style program from
 // TestReachParallelDeterminism, which explores a few hundred states and
 // finds races).
@@ -52,17 +52,16 @@ type fixtureParts struct {
 	abs *pred.Abstractor
 }
 
-// runFixture runs ReachAndBuild on the fixture with the given scheduler
-// and parallelism.
-func (f *fixtureParts) run(t *testing.T, sched Sched, par int, extra func(*Options)) *Result {
+// run runs ReachAndBuild on the fixture at the given parallelism.
+func (f *fixtureParts) run(t *testing.T, par int, extra func(*Options)) *Result {
 	t.Helper()
-	opts := Options{K: 2, Parallelism: par, Sched: sched}
+	opts := Options{K: 2, Parallelism: par}
 	if extra != nil {
 		extra(&opts)
 	}
 	res, err := ReachAndBuild(context.Background(), f.c, f.a, f.abs, "x", opts)
 	if err != nil {
-		t.Fatalf("sched=%v par=%d: %v", sched, par, err)
+		t.Fatalf("par=%d: %v", par, err)
 	}
 	return res
 }
@@ -77,23 +76,21 @@ func fingerprint(r *Result) string {
 	return b.String()
 }
 
-// TestStealMatchesLevel: both schedulers agree on states, races, and
-// ARG shape at every parallelism.
-func TestStealMatchesLevel(t *testing.T) {
+// TestStealMatchesSequential: the worker pool agrees with the
+// sequential run on states, races, and ARG shape at every parallelism.
+func TestStealMatchesSequential(t *testing.T) {
 	f := stealFixture(t)
-	base := f.run(t, SchedLevel, 1, nil)
-	for _, sched := range []Sched{SchedSteal, SchedLevel} {
-		for _, par := range []int{1, 2, 4, 8} {
-			got := f.run(t, sched, par, nil)
-			if got.NumStates != base.NumStates {
-				t.Fatalf("sched=%v par=%d: NumStates = %d, want %d", sched, par, got.NumStates, base.NumStates)
-			}
-			if fingerprint(got) != fingerprint(base) {
-				t.Fatalf("sched=%v par=%d: race traces differ from level/seq baseline", sched, par)
-			}
-			if len(got.ARG.Roots()) != len(base.ARG.Roots()) {
-				t.Fatalf("sched=%v par=%d: %d ARG roots, want %d", sched, par, len(got.ARG.Roots()), len(base.ARG.Roots()))
-			}
+	base := f.run(t, 1, nil)
+	for _, par := range []int{1, 2, 4, 8} {
+		got := f.run(t, par, nil)
+		if got.NumStates != base.NumStates {
+			t.Fatalf("par=%d: NumStates = %d, want %d", par, got.NumStates, base.NumStates)
+		}
+		if fingerprint(got) != fingerprint(base) {
+			t.Fatalf("par=%d: race traces differ from sequential baseline", par)
+		}
+		if len(got.ARG.Roots()) != len(base.ARG.Roots()) {
+			t.Fatalf("par=%d: %d ARG roots, want %d", par, len(got.ARG.Roots()), len(base.ARG.Roots()))
 		}
 	}
 }
@@ -103,12 +100,12 @@ func TestStealMatchesLevel(t *testing.T) {
 // at every parallelism.
 func TestStealRaceCapDeterminism(t *testing.T) {
 	f := stealFixture(t)
-	cap1 := f.run(t, SchedSteal, 1, func(o *Options) { o.MaxRaces = 2 })
+	cap1 := f.run(t, 1, func(o *Options) { o.MaxRaces = 2 })
 	if len(cap1.Races) != 2 {
 		t.Fatalf("race cap ignored: %d races", len(cap1.Races))
 	}
 	for _, par := range []int{2, 4, 8} {
-		got := f.run(t, SchedSteal, par, func(o *Options) { o.MaxRaces = 2 })
+		got := f.run(t, par, func(o *Options) { o.MaxRaces = 2 })
 		if fingerprint(got) != fingerprint(cap1) {
 			t.Fatalf("par=%d: capped race traces differ from sequential", par)
 		}
@@ -119,25 +116,25 @@ func TestStealRaceCapDeterminism(t *testing.T) {
 }
 
 // TestStealBudgetExceeded: the state-budget error fires identically
-// under stealing.
+// with and without the worker pool.
 func TestStealBudgetExceeded(t *testing.T) {
 	f := stealFixture(t)
 	for _, par := range []int{1, 4} {
 		_, err := ReachAndBuild(context.Background(), f.c, f.a, f.abs, "x",
-			Options{K: 2, Parallelism: par, Sched: SchedSteal, MaxStates: 10})
+			Options{K: 2, Parallelism: par, MaxStates: 10})
 		if err == nil || !strings.Contains(err.Error(), "state budget exceeded") {
 			t.Fatalf("par=%d: err = %v, want state budget exceeded", par, err)
 		}
 	}
 }
 
-// TestStealCounters: parallel steal runs record scheduler telemetry
+// TestStealCounters: parallel runs record worker-pool telemetry
 // (steals and/or idle observations are plausible but load-dependent;
 // states and races must be exact).
 func TestStealCounters(t *testing.T) {
 	f := stealFixture(t)
 	reg := telemetry.NewRegistry()
-	res := f.run(t, SchedSteal, 4, func(o *Options) { o.Metrics = reg })
+	res := f.run(t, 4, func(o *Options) { o.Metrics = reg })
 	snap := reg.Snapshot()
 	if snap.Counters["reach.states"] != int64(res.NumStates) {
 		t.Fatalf("reach.states = %d, want %d", snap.Counters["reach.states"], res.NumStates)

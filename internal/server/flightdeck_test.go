@@ -172,7 +172,7 @@ func TestTracePropagation(t *testing.T) {
 	if stats.SMT.SlowQueries == 0 {
 		t.Fatal("stats.smt.slow_queries = 0")
 	}
-	if stats.Build.Version == "" || stats.Build.GoVersion == "" || stats.Build.Sched == "" || stats.Build.GOMAXPROCS < 1 {
+	if stats.Build.Version == "" || stats.Build.GoVersion == "" || stats.Build.GOMAXPROCS < 1 {
 		t.Fatalf("stats.build = %+v", stats.Build)
 	}
 
@@ -229,7 +229,7 @@ func TestJobsPaginationEdges(t *testing.T) {
 }
 
 // TestBuildInfoMetric: /metrics exposes the circ_build_info gauge with
-// version and scheduler labels.
+// version and GOMAXPROCS labels.
 func TestBuildInfoMetric(t *testing.T) {
 	_, ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/metrics")
@@ -246,7 +246,7 @@ func TestBuildInfoMetric(t *testing.T) {
 	}
 	for _, line := range strings.Split(body, "\n") {
 		if strings.HasPrefix(line, "circ_build_info{") {
-			if !strings.Contains(line, `sched="`) || !strings.HasSuffix(strings.TrimSpace(line), " 1") {
+			if !strings.Contains(line, `gomaxprocs="`) || !strings.HasSuffix(strings.TrimSpace(line), " 1") {
 				t.Fatalf("build_info line malformed: %q", line)
 			}
 			return

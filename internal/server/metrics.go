@@ -76,8 +76,8 @@ func (s *Server) snapshotMetrics() telemetry.Metrics {
 	// Build identity: the standard constant-1 gauge whose labels say what
 	// is running. Dashboards join it against everything else by instance.
 	bi := s.buildInfo()
-	m.Gauges[fmt.Sprintf(`build_info{version=%q,go=%q,sched=%q,gomaxprocs="%d"}`,
-		bi.Version, bi.GoVersion, bi.Sched, bi.GOMAXPROCS)] = 1
+	m.Gauges[fmt.Sprintf(`build_info{version=%q,go=%q,gomaxprocs="%d"}`,
+		bi.Version, bi.GoVersion, bi.GOMAXPROCS)] = 1
 
 	// Job ledger. "submitted" counts accepted jobs; active is derived.
 	sub, done := s.nJobs[cSubmitted].Load(), s.nJobs[cDone].Load()
@@ -119,9 +119,8 @@ func (s *Server) snapshotMetrics() telemetry.Metrics {
 
 	// The shared SMT verdict cache and the reach scheduler need no
 	// injection: the solver and engine are instrumented against this
-	// registry, so "smt.cache.*", "smt.portfolio.clauses_shared",
-	// "reach.steal.count", and the "reach.worker.idle" histogram are
-	// already in the snapshot.
+	// registry, so "smt.cache.*", "reach.steal.count", and the
+	// "reach.worker.idle" histogram are already in the snapshot.
 
 	m.Gauges["uptime_seconds"] = int64(time.Since(s.start).Seconds())
 	return m

@@ -70,8 +70,6 @@ type slowRow struct {
 	FormulaID  uint64
 	DurationMS float64
 	Result     string
-	Replayed   int
-	Learned    int
 	CubeKey    string
 }
 
@@ -139,8 +137,7 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	st := s.base.SMTStats()
 	m.SMT = apiv1.SMTStats{
 		Hits: st.Hits, Misses: st.Misses, FastPath: st.FastPath,
-		HitRate: st.HitRate(), ClausesShared: st.ClausesShared,
-		SlowQueries: st.SlowQueries,
+		HitRate: st.HitRate(), SlowQueries: st.SlowQueries,
 	}
 
 	// Flight deck: the latest parallel job's worker lanes and the SMT
@@ -157,7 +154,6 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		m.Slow = append(m.Slow, slowRow{
 			Seq: q.Seq, Kind: q.Kind, FormulaID: q.FormulaID,
 			DurationMS: q.DurationMS, Result: q.Result,
-			Replayed: q.ClausesReplayed, Learned: q.ClausesLearned,
 			CubeKey: q.CubeKey,
 		})
 	}
@@ -323,7 +319,6 @@ p99 {{printf "%.3fs" .Lifetime.CheckLatency.P99Seconds}}.</p>
 {{.Arena.Compactions}} compactions).
 SMT cache: {{.SMT.Hits}} hits, {{.SMT.Misses}} misses, {{.SMT.FastPath}} fast-path
 (hit rate {{printf "%.0f%%" (mulf .SMT.HitRate 100.0)}});
-{{.SMT.ClausesShared}} learned clauses shared across sessions;
 {{.SMT.SlowQueries}} slow queries logged.
 Scheduler: {{.Scheduler.Steals}} steals,
 {{printf "%.3fs" .Scheduler.WorkerIdleSeconds}} cumulative worker idle.</p>
@@ -351,11 +346,10 @@ Scheduler: {{.Scheduler.Steals}} steals,
 {{if .Slow}}
 <p>{{.SlowTotal}} logged since start; newest first.</p>
 <table>
-<tr><th>#</th><th>kind</th><th>formula</th><th>result</th><th>ms</th><th>replayed</th><th>learned</th><th>cube</th></tr>
+<tr><th>#</th><th>kind</th><th>formula</th><th>result</th><th>ms</th><th>cube</th></tr>
 {{range .Slow}}
 <tr><td class="num">{{.Seq}}</td><td>{{.Kind}}</td><td class="num">{{.FormulaID}}</td>
 <td>{{.Result}}</td><td class="num">{{printf "%.2f" .DurationMS}}</td>
-<td class="num">{{.Replayed}}</td><td class="num">{{.Learned}}</td>
 <td><code>{{.CubeKey}}</code></td></tr>
 {{end}}
 </table>

@@ -490,13 +490,6 @@ func requestOptions(o *apiv1.Options) ([]circ.Option, time.Duration, error) {
 	if o.Parallelism > 0 {
 		opts = append(opts, circ.WithParallelism(o.Parallelism))
 	}
-	if o.Sched != "" {
-		sched, err := circ.ParseSched(o.Sched)
-		if err != nil {
-			return nil, 0, fmt.Errorf("options.sched: %v", err)
-		}
-		opts = append(opts, circ.WithScheduler(sched))
-	}
 	onoff := func(name, v string) (bool, bool, error) {
 		switch v {
 		case "":
@@ -750,7 +743,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Misses:             smtStats.Misses,
 			FastPath:           smtStats.FastPath,
 			HitRate:            smtStats.HitRate(),
-			ClausesShared:      smtStats.ClausesShared,
 			SlowQueries:        smtStats.SlowQueries,
 			SlowLogThresholdMS: float64(s.base.SMTSlowLogThreshold()) / 1e6,
 		},

@@ -584,3 +584,46 @@ func TestIdleCompaction(t *testing.T) {
 		t.Fatalf("compaction broke stored certificates: %+v", st)
 	}
 }
+
+// TestLegacySchedOptionAccepted: requests from clients that still send
+// the retired options.sched field are accepted (the decoder ignores
+// unknown fields) and produce the same verdicts as the request without
+// it.
+func TestLegacySchedOptionAccepted(t *testing.T) {
+	run := func(body string) apiv1.Job {
+		t.Helper()
+		_, ts := newTestServer(t)
+		resp, err := http.Post(ts.URL+"/v1/check", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("status %d, want 202", resp.StatusCode)
+		}
+		var ack apiv1.SubmitResponse
+		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+			t.Fatal(err)
+		}
+		job := await(t, ts, ack.JobURL)
+		if job.State != apiv1.StateDone {
+			t.Fatalf("job state %s (%s)", job.State, job.Error)
+		}
+		return job
+	}
+	prog, err := json.Marshal(tasSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := run(`{"program":` + string(prog) + `,"options":{"sched":"level","triage":"off"}}`)
+	plain := run(`{"program":` + string(prog) + `,"options":{"triage":"off"}}`)
+	if len(legacy.Results) != len(plain.Results) || len(plain.Results) == 0 {
+		t.Fatalf("results: %d with sched vs %d without", len(legacy.Results), len(plain.Results))
+	}
+	for i, p := range plain.Results {
+		l := legacy.Results[i]
+		if l.Thread != p.Thread || l.Variable != p.Variable || l.Verdict != p.Verdict || l.Preds != p.Preds {
+			t.Errorf("target %d: with sched %+v, without %+v", i, l, p)
+		}
+	}
+}

@@ -42,16 +42,14 @@ func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
 	}
 	for _, q := range queries {
 		out.Entries = append(out.Entries, apiv1.SlowQueryEntry{
-			Seq:             q.Seq,
-			At:              q.At,
-			FormulaID:       q.FormulaID,
-			Kind:            q.Kind,
-			CubeKey:         q.CubeKey,
-			DurationMS:      q.DurationMS,
-			Result:          q.Result,
-			ClausesReplayed: q.ClausesReplayed,
-			ClausesLearned:  q.ClausesLearned,
-			TraceID:         q.TraceID,
+			Seq:        q.Seq,
+			At:         q.At,
+			FormulaID:  q.FormulaID,
+			Kind:       q.Kind,
+			CubeKey:    q.CubeKey,
+			DurationMS: q.DurationMS,
+			Result:     q.Result,
+			TraceID:    q.TraceID,
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -63,7 +61,6 @@ func (s *Server) buildInfo() apiv1.BuildInfo {
 	return apiv1.BuildInfo{
 		Version:    circ.Version,
 		GoVersion:  runtime.Version(),
-		Sched:      s.base.Scheduler().String(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 }

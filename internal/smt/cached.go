@@ -18,16 +18,6 @@ const numShards = 64
 type cacheShard struct {
 	mu sync.RWMutex
 	m  map[expr.ID]Result
-	// inflight single-flights concurrent misses on the same formula:
-	// the first goroutine solves, the rest wait on done and read r — the
-	// "solved once and broadcast" half of the SMT portfolio. r is written
-	// before done is closed, so waiters read it race-free.
-	inflight map[expr.ID]*inflightSolve
-}
-
-type inflightSolve struct {
-	done chan struct{}
-	r    Result
 }
 
 // CachedChecker is a process-wide memoising SMT layer that is safe for
@@ -46,7 +36,7 @@ type inflightSolve struct {
 // path a single RLock with no per-key latching.
 //
 // The struct is split in two: cacheCore owns the shared mutable state
-// (shards, counters, pools, the slow-query log) and is held by pointer,
+// (shards, counters, the slow-query log) and is held by pointer,
 // while CachedChecker itself is a cheap copyable *view* that adds
 // telemetry bindings. WithTracer derives a view with a different span
 // sink over the same core, which is how the daemon gives every job its
@@ -57,12 +47,6 @@ type cacheCore struct {
 	hits     atomic.Int64
 	misses   atomic.Int64
 	fastpath atomic.Int64 // queries folded to constants at intern time
-	shared   atomic.Int64 // pooled clauses replayed into sessions
-
-	// Shared-learning portfolio: per-formula learned-clause pools (see
-	// portfolio.go).
-	poolMu sync.Mutex
-	pools  map[expr.ID]*clausePool
 
 	// Slow-query log (see slowlog.go). Threshold zero disables capture.
 	slow slowLog
@@ -76,7 +60,7 @@ type CachedChecker struct {
 	// uninstrumented checker pays only nil checks.
 	cHits, cMisses, cFast  *telemetry.Counter
 	cSat, cUnsat, cUnknown *telemetry.Counter
-	cShared, cSlow         *telemetry.Counter
+	cSlow                  *telemetry.Counter
 	hSolve                 *telemetry.Histogram
 	tracer                 *telemetry.Tracer
 }
@@ -93,7 +77,6 @@ func (c *CachedChecker) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer
 	c.cSat = reg.Counter("smt.sat")
 	c.cUnsat = reg.Counter("smt.unsat")
 	c.cUnknown = reg.Counter("smt.unknown")
-	c.cShared = reg.Counter("smt.portfolio.clauses_shared")
 	c.cSlow = reg.Counter("smt.slow_queries")
 	if reg != nil {
 		c.hSolve = reg.Histogram("smt.solve")
@@ -102,8 +85,8 @@ func (c *CachedChecker) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer
 }
 
 // WithTracer returns a view over the same cache core whose solve spans
-// and slow-query attribution go to tr. Counters, the verdict cache, the
-// clause pools, and the slow-query log stay shared with the parent view,
+// and slow-query attribution go to tr. Counters, the verdict cache, and
+// the slow-query log stay shared with the parent view,
 // so deriving a per-job view costs one small allocation and changes no
 // cache behavior.
 func (c *CachedChecker) WithTracer(tr *telemetry.Tracer) *CachedChecker {
@@ -117,17 +100,13 @@ func (c *CachedChecker) WithTracer(tr *telemetry.Tracer) *CachedChecker {
 // (cache misses are the only real solver work, so the trace stays
 // proportionate to where time goes), and — past the configured threshold
 // — a slow-query log entry. sess is non-nil for incremental session
-// queries and supplies the cube key and clause-sharing deltas.
+// queries and supplies the cube key.
 func (c *CachedChecker) instrumented(qid expr.ID, sess *Session, solve func() Result) Result {
 	slowNS := c.core.slow.threshold.Load()
 	if c.hSolve == nil && c.tracer == nil && slowNS == 0 {
 		return solve()
 	}
 	sp := c.tracer.StartDetached("smt.solve", "smt")
-	var replayedBefore, learnedBefore int
-	if sess != nil {
-		replayedBefore, learnedBefore = sess.replayed, sess.learned
-	}
 	start := time.Now()
 	r := solve()
 	dur := time.Since(start)
@@ -154,8 +133,6 @@ func (c *CachedChecker) instrumented(qid expr.ID, sess *Session, solve func() Re
 		if sess != nil {
 			q.Kind = "session"
 			q.CubeKey = truncateKey(expr.IDKey(sess.phi))
-			q.ClausesReplayed = sess.replayed - replayedBefore
-			q.ClausesLearned = sess.learned - learnedBefore
 		}
 		c.core.slow.record(q)
 		c.cSlow.Inc()
@@ -165,12 +142,11 @@ func (c *CachedChecker) instrumented(qid expr.ID, sess *Session, solve func() Re
 
 // CacheStats is a point-in-time view of a CachedChecker's counters.
 type CacheStats struct {
-	Hits          int64
-	Misses        int64
-	FastPath      int64 // queries answered syntactically at intern time
-	ClausesShared int64 // pooled lemmas replayed into incremental sessions
-	SlowQueries   int64 // solves that exceeded the slow-query threshold
-	Solver        Stats // underlying solve-path work (queries, theory checks)
+	Hits        int64
+	Misses      int64
+	FastPath    int64 // queries answered syntactically at intern time
+	SlowQueries int64 // solves that exceeded the slow-query threshold
+	Solver      Stats // underlying solve-path work (queries, theory checks)
 }
 
 // HitRate returns the fraction of cache-consulting queries answered from
@@ -197,12 +173,11 @@ func NewCachedChecker() *CachedChecker {
 // Stats returns a snapshot of the cache and solver counters.
 func (c *CachedChecker) Stats() CacheStats {
 	return CacheStats{
-		Hits:          c.core.hits.Load(),
-		Misses:        c.core.misses.Load(),
-		FastPath:      c.core.fastpath.Load(),
-		ClausesShared: c.core.shared.Load(),
-		SlowQueries:   c.core.slow.total.Load(),
-		Solver:        c.core.inner.Snapshot(),
+		Hits:        c.core.hits.Load(),
+		Misses:      c.core.misses.Load(),
+		FastPath:    c.core.fastpath.Load(),
+		SlowQueries: c.core.slow.total.Load(),
+		Solver:      c.core.inner.Snapshot(),
 	}
 }
 
@@ -233,7 +208,6 @@ func (c *CachedChecker) PublishStats(reg *telemetry.Registry) {
 	reg.Gauge("smt.cache.misses").Set(st.Misses)
 	reg.Gauge("smt.cache.fastpath").Set(st.FastPath)
 	reg.Gauge("smt.cache.size").Set(int64(c.CacheSize()))
-	reg.Gauge("smt.portfolio.clauses_shared").Set(st.ClausesShared)
 	reg.Gauge("smt.queries").Set(st.Solver.Queries)
 	reg.Gauge("smt.solver.cache_hits").Set(st.Solver.CacheHits)
 	reg.Gauge("smt.theory.checks").Set(st.Solver.TheoryChecks)
@@ -278,41 +252,15 @@ func (c *CachedChecker) SatID(id expr.ID) Result {
 		c.cHits.Inc()
 		return r
 	}
-	// Miss: single-flight the solve. Re-check under the write lock, then
-	// either join an in-flight solve of the same formula or become its
-	// leader. Followers count as hits — they do no solver work.
-	sh.mu.Lock()
-	if r, ok := sh.m[id]; ok {
-		sh.mu.Unlock()
-		c.core.hits.Add(1)
-		c.cHits.Inc()
-		return r
-	}
-	if f, ok := sh.inflight[id]; ok {
-		sh.mu.Unlock()
-		<-f.done
-		c.core.hits.Add(1)
-		c.cHits.Inc()
-		return f.r
-	}
-	f := &inflightSolve{done: make(chan struct{})}
-	if sh.inflight == nil {
-		sh.inflight = make(map[expr.ID]*inflightSolve)
-	}
-	sh.inflight[id] = f
-	sh.mu.Unlock()
 	c.core.misses.Add(1)
 	c.cMisses.Inc()
 	r = c.instrumented(id, nil, func() Result {
 		r, _ := c.core.inner.solve(id, false)
 		return r
 	})
-	f.r = r
 	sh.mu.Lock()
 	sh.m[id] = r
-	delete(sh.inflight, id)
 	sh.mu.Unlock()
-	close(f.done)
 	return r
 }
 
@@ -393,12 +341,25 @@ func (c *CachedChecker) NewSession(phi expr.ID) *Session {
 			r, _ := c.core.inner.solve(id, false)
 			return r
 		},
-		getPool: func() *clausePool { return c.pool(phi) },
-		onShared: func(n int) {
-			c.core.shared.Add(int64(n))
-			c.cShared.Add(int64(n))
-		},
 	}
+}
+
+// SweepDead drops cached verdicts for tombstoned formulas after an
+// arena compaction. The daemon calls this right after expr.Compact, with
+// no analyses in flight. It returns the number of cache entries removed.
+func (c *CachedChecker) SweepDead() (removed int) {
+	for i := range c.core.shards {
+		sh := &c.core.shards[i]
+		sh.mu.Lock()
+		for id := range sh.m {
+			if !expr.Live(id) {
+				delete(sh.m, id)
+				removed++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return removed
 }
 
 // Compile-time interface checks.

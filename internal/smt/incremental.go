@@ -39,32 +39,16 @@ type Session struct {
 	onFast func()
 	// run wraps each incremental miss-solve, for instrumentation. It
 	// receives the full query ID and the session itself so the slow-query
-	// log can attribute cube key and clause-sharing deltas.
+	// log can attribute the cube key.
 	run func(expr.ID, *Session, func() Result) Result
 	// solveFresh performs an uninstrumented from-scratch solve (the
-	// deterministic fallback for incremental Unknowns). It never sees the
-	// clause pool: Unknown re-derivation opts out of the portfolio so the
-	// cached verdict stays a pure function of the formula.
+	// deterministic fallback for incremental Unknowns).
 	solveFresh func(expr.ID) Result
-	// getPool, when set, returns the shared learned-clause pool for phi
-	// (see portfolio.go). Resolved lazily on first real solve so sessions
-	// that are answered entirely from the cache never allocate a pool.
-	getPool func() *clausePool
-	// onShared observes the number of pooled clauses replayed into this
-	// session's solver.
-	onShared func(n int)
 
 	q       *query
 	started bool
 	baseBad bool // phi's clause database is unsatisfiable outright
 	broken  bool // phi failed to encode; degrade to from-scratch solving
-
-	// Clause-sharing traffic, maintained on the session goroutine:
-	// lemmas replayed from the pool at first start, and conflicts this
-	// session's DPLL(T) loop captured into the pool. The instrumentation
-	// wrapper reads deltas across one solve for slow-query attribution.
-	replayed int
-	learned  int
 }
 
 // Phi returns the fixed conjunct of the session.
@@ -144,28 +128,6 @@ func (s *Session) solveAssuming(lit expr.ID) Result {
 			return Unknown
 		} else if !ok {
 			s.baseBad = true
-		}
-		if !s.baseBad && s.getPool != nil {
-			// Portfolio attach: replay the lemmas earlier sessions on this
-			// phi learned, then capture our own conflicts into the pool.
-			pool := s.getPool()
-			replayed := 0
-			for _, cl := range pool.snapshot() {
-				if !s.q.replayClause(cl) {
-					// Valid lemmas made the database unsat: phi is unsat.
-					s.baseBad = true
-					break
-				}
-				replayed++
-			}
-			s.replayed += replayed
-			if replayed > 0 && s.onShared != nil {
-				s.onShared(replayed)
-			}
-			s.q.learnSink = func(conflict []assertedAtom) {
-				s.learned++
-				pool.add(conflict)
-			}
 		}
 	}
 	// Count the assumption query before any short-circuit: a baseBad

@@ -25,16 +25,14 @@ const cubeKeyMax = 160
 // full query formula (φ ∧ lit for session queries); CubeKey is the
 // canonical key of the session's fixed cube φ, truncated for display.
 type SlowQuery struct {
-	Seq             int64     `json:"seq"`
-	At              time.Time `json:"at"`
-	FormulaID       uint64    `json:"formula_id"`
-	Kind            string    `json:"kind"` // "direct" or "session"
-	CubeKey         string    `json:"cube_key,omitempty"`
-	DurationMS      float64   `json:"duration_ms"`
-	Result          string    `json:"result"`
-	ClausesReplayed int       `json:"clauses_replayed,omitempty"`
-	ClausesLearned  int       `json:"clauses_learned,omitempty"`
-	TraceID         string    `json:"trace_id,omitempty"`
+	Seq        int64     `json:"seq"`
+	At         time.Time `json:"at"`
+	FormulaID  uint64    `json:"formula_id"`
+	Kind       string    `json:"kind"` // "direct" or "session"
+	CubeKey    string    `json:"cube_key,omitempty"`
+	DurationMS float64   `json:"duration_ms"`
+	Result     string    `json:"result"`
+	TraceID    string    `json:"trace_id,omitempty"`
 }
 
 // slowLog is the bounded ring plus its configuration. Threshold zero

@@ -268,10 +268,6 @@ type query struct {
 	enc    map[expr.ID]sat.Lit // Tseitin memo by interned formula ID
 	nlName map[expr.ID]string  // nonlinear subterm ID -> fresh var name
 	nlList []expr.ID           // abstracted products, for Ackermann lemmas
-	// learnSink, when set, receives every minimised theory conflict the
-	// DPLL(T) loop blocks — the capture side of the shared-learning
-	// portfolio (see portfolio.go). The slice is not retained.
-	learnSink func(conflict []assertedAtom)
 }
 
 func (c *Checker) newQuery() *query {
@@ -515,9 +511,6 @@ func (c *Checker) dpll(q *query, assumptions []sat.Lit, wantModel bool) (Result,
 		}
 		// Infeasible: minimise the conflicting literal set, then block it.
 		conflict := c.minimizeConflict(lits)
-		if q.learnSink != nil {
-			q.learnSink(conflict)
-		}
 		block := make([]sat.Lit, 0, len(conflict))
 		for _, tl := range conflict {
 			v := q.atomV[q.atomID[tl.a.key]]

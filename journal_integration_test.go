@@ -32,20 +32,18 @@ func checkWithJournal(t *testing.T, parallel int, opts ...Option) (*Report, []by
 }
 
 // TestJournalDeterministic is the headline determinism guarantee: the
-// serialized journal is byte-identical at every parallelism, under both
-// the work-stealing and the level-synchronous scheduler.
+// serialized journal is byte-identical at every parallelism. Triage is
+// off so the engine, not the flag-guard rule, produces the verdict.
 func TestJournalDeterministic(t *testing.T) {
-	_, base, _ := checkWithJournal(t, 1)
+	_, base, _ := checkWithJournal(t, 1, WithTriage(false))
 	if _, err := journal.Validate(bytes.NewReader(base)); err != nil {
 		t.Fatal(err)
 	}
-	for _, sched := range []Sched{SchedSteal, SchedLevel} {
-		for _, parallel := range []int{1, 2, 4, 8} {
-			_, got, _ := checkWithJournal(t, parallel, WithScheduler(sched))
-			if !bytes.Equal(base, got) {
-				t.Fatalf("journal differs: sched=%v parallel=%d vs sequential baseline:\n--- baseline ---\n%s--- sched=%v parallel=%d ---\n%s",
-					sched, parallel, base, sched, parallel, got)
-			}
+	for _, parallel := range []int{1, 2, 4, 8} {
+		_, got, _ := checkWithJournal(t, parallel, WithTriage(false))
+		if !bytes.Equal(base, got) {
+			t.Fatalf("journal differs: parallel=%d vs sequential baseline:\n--- baseline ---\n%s--- parallel=%d ---\n%s",
+				parallel, base, parallel, got)
 		}
 	}
 }

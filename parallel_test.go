@@ -242,10 +242,10 @@ func TestSMTCacheSharing(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersStillWork: the legacy entry points behave as
-// before (sequential, fresh cache) and agree with the new API.
-func TestDeprecatedWrappersStillWork(t *testing.T) {
-	old, err := CheckRace(tasSrc, CheckOptions{Variable: "x"})
+// TestCheckMatchesChecker: the one-shot Check and a constructed
+// Checker's Check agree on the same target.
+func TestCheckMatchesChecker(t *testing.T) {
+	once, err := Check(context.Background(), tasSrc, WithTarget("", "x"), WithTriage(false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,12 +253,12 @@ func TestDeprecatedWrappersStillWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	now, err := NewChecker().Check(context.Background(), p, "", "x")
+	now, err := NewChecker(WithTriage(false)).Check(context.Background(), p, "", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old.Verdict != now.Verdict || len(old.Preds) != len(now.Preds) {
-		t.Fatalf("wrapper %s/%d preds vs checker %s/%d preds",
-			old.Verdict, len(old.Preds), now.Verdict, len(now.Preds))
+	if once.Verdict != now.Verdict || len(once.Preds) != len(now.Preds) {
+		t.Fatalf("Check %s/%d preds vs Checker.Check %s/%d preds",
+			once.Verdict, len(once.Preds), now.Verdict, len(now.Preds))
 	}
 }
