@@ -118,7 +118,7 @@ func contextReach(a *acfa.ACFA, k int, c *cfa.CFA, abs *pred.Abstractor) ([]ctxC
 		}
 		for _, src := range sources {
 			for _, e := range a.OutEdges(src) {
-				ctx2 := cur.ctx.Dec(e.Src).Inc(e.Dst, k)
+				ctx2 := cur.ctx.Move(e.Src, e.Dst, k)
 				for _, tc := range a.Label(e.Dst).Cubes() {
 					next := abs.PostHavoc(cur.cube, e.Havoc, tc.Formula(), expr.TrueExpr)
 					if next == nil {

@@ -238,7 +238,7 @@ type succ struct {
 // apply executes edge e by one thread at e.Src.
 func apply(s *cstate, e *cfa.Edge, k int, opts Options) []succ {
 	move := func(st *cstate) {
-		st.ctx = st.ctx.Dec(acfa.Loc(e.Src)).Inc(acfa.Loc(e.Dst), k)
+		st.ctx = st.ctx.Move(acfa.Loc(e.Src), acfa.Loc(e.Dst), k)
 	}
 	switch e.Op.Kind {
 	case cfa.OpAssume:

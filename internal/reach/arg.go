@@ -15,49 +15,44 @@ import (
 // labelled with the written variables; environment moves identify source
 // and target locations (ARG condition (4)), implemented with a union-find.
 //
-// The ARG also records the underlying program-operation transitions
-// between thread states, which the refiner uses to concretise abstract
-// context paths into CFA paths.
+// Every thread state gets a raw location id on first sight; the id never
+// changes, and Find maps it to its canonical (merged) location. The ARG
+// records each distinct program-op transition between thread states once,
+// in first-occurrence order: the same (thread state, edge, thread state)
+// triple recurs once per context variant during exploration. The refiner
+// walks these transitions to concretise abstract context paths into CFA
+// paths; ToACFA groups them into the ARG's edges.
 type ARG struct {
 	C   *cfa.CFA
 	Set *pred.Set
 
-	parent  []int          // union-find over location ids
-	region  []*pred.Region // per root: union of member cubes
-	cfaLoc  []cfa.Loc      // per location: the shared CFA location
-	members [][]ThreadState
+	parent []int          // union-find over raw ids
+	region []*pred.Region // per root: union of member cubes
+	states []ThreadState  // per raw id: its thread state
 
-	stateLoc map[string]int // thread-state key -> location id
+	stateLoc map[threadKey]int // thread-state identity -> raw id
 
-	edges []argEdge // program-op edges (raw ids; canonicalise via Find)
+	out [][]OpTransition // per raw id: outgoing program transitions
 
-	// opEdges records program transitions at thread-state granularity for
-	// trace concretisation.
-	opEdges map[string][]OpTransition
-
-	entryKey string
+	entry int // raw id of the initial thread state, -1 before setEntry
 }
 
-type argEdge struct {
-	src, dst int
-	havoc    map[string]bool // written variables (possibly empty: assume)
+// threadKey is a thread state's identity: its location and its cube's
+// memoised canonical key.
+type threadKey struct {
+	loc  cfa.Loc
+	cube string
 }
 
-// OpTransition is a program-op move between two abstract thread states.
+// OpTransition is a program-op move out of an abstract thread state into
+// the thread state with raw id Dst.
 type OpTransition struct {
-	SrcKey string
-	Edge   *cfa.Edge
-	Dst    ThreadState
+	Edge *cfa.Edge
+	Dst  int
 }
 
-// NewARG returns an empty ARG for thread C over predicate set s.
-func NewARG(c *cfa.CFA, s *pred.Set) *ARG {
-	return &ARG{
-		C:        c,
-		Set:      s,
-		stateLoc: make(map[string]int),
-		opEdges:  make(map[string][]OpTransition),
-	}
+func newARG(c *cfa.CFA, s *pred.Set) *ARG {
+	return &ARG{C: c, Set: s, stateLoc: make(map[threadKey]int), entry: -1}
 }
 
 // Find returns the canonical location id for id.
@@ -69,90 +64,68 @@ func (g *ARG) Find(id int) int {
 	return id
 }
 
-// FindState returns the canonical location id holding thread state key, or
-// -1.
-func (g *ARG) FindState(key string) int {
-	id, ok := g.stateLoc[key]
-	if !ok {
-		return -1
-	}
-	return g.Find(id)
-}
+// EntryState returns the raw id of the initial thread state.
+func (g *ARG) EntryState() int { return g.entry }
 
-// EntryLoc returns the location of the initial thread state.
-func (g *ARG) EntryLoc() int { return g.FindState(g.entryKey) }
+// State returns the thread state with raw id id.
+func (g *ARG) State(id int) ThreadState { return g.states[id] }
 
-// EntryKey returns the initial thread state's key.
-func (g *ARG) EntryKey() string { return g.entryKey }
-
-// NumRawLocs returns the number of allocated (pre-union) location ids.
-func (g *ARG) NumRawLocs() int { return len(g.parent) }
-
-// register ensures thread state r has a location (paper Algorithm 3,
-// Find). It returns the canonical location id.
-func (g *ARG) register(r ThreadState) int {
-	key := r.Key()
+// intern returns the raw id of thread state r, allocating a location for
+// it on first sight (paper Algorithm 3, Find).
+func (g *ARG) intern(r ThreadState) int {
+	key := threadKey{r.Loc, r.Cube.Key()}
 	if id, ok := g.stateLoc[key]; ok {
-		return g.Find(id)
+		return id
 	}
 	id := len(g.parent)
 	g.parent = append(g.parent, id)
 	reg := pred.NewRegion(g.Set)
 	reg.Add(r.Cube)
 	g.region = append(g.region, reg)
-	g.cfaLoc = append(g.cfaLoc, r.Loc)
-	g.members = append(g.members, []ThreadState{r})
+	g.states = append(g.states, r)
+	g.out = append(g.out, nil)
 	g.stateLoc[key] = id
 	return id
 }
 
-// SetEntry records the initial thread state.
-func (g *ARG) SetEntry(r ThreadState) {
-	g.entryKey = r.Key()
-	g.register(r)
+// setEntry records the initial thread state and returns its raw id.
+func (g *ARG) setEntry(r ThreadState) int {
+	g.entry = g.intern(r)
+	return g.entry
 }
 
-// ConnectMain records a program-op transition r --edge--> r2 (paper
-// Algorithm 2).
-func (g *ARG) ConnectMain(r ThreadState, edge *cfa.Edge, r2 ThreadState) {
-	src := g.register(r)
-	dst := g.register(r2)
-	havoc := map[string]bool{}
-	if w := edge.Op.WritesVar(); w != "" {
-		havoc[w] = true
+// connectMain records the program-op transition src --edge--> dst between
+// raw ids (paper Algorithm 2), once per distinct triple. The abstract post
+// is a function of the source thread state and the edge, so the scan is
+// never longer than the CFA location's out-degree.
+func (g *ARG) connectMain(src int, edge *cfa.Edge, dst int) {
+	for _, tr := range g.out[src] {
+		if tr.Edge == edge && tr.Dst == dst {
+			return
+		}
 	}
-	g.edges = append(g.edges, argEdge{src: src, dst: dst, havoc: havoc})
-	g.opEdges[r.Key()] = append(g.opEdges[r.Key()], OpTransition{SrcKey: r.Key(), Edge: edge, Dst: r2})
+	g.out[src] = append(g.out[src], OpTransition{Edge: edge, Dst: dst})
 }
 
-// ConnectEnv records an environment move from r to r2: both thread states
-// are identified into a single location (ARG condition (4), the paper's
-// Union for context edges).
-func (g *ARG) ConnectEnv(r ThreadState, r2 ThreadState) {
-	a := g.register(r)
-	b := g.register(r2)
-	g.union(a, b)
-}
-
-// union merges two locations (paper Algorithm 4).
+// union merges two locations (paper Algorithm 4). An environment move
+// identifies its source and target thread states this way (ARG condition
+// (4), the paper's Union for context edges).
 func (g *ARG) union(a, b int) {
 	ra, rb := g.Find(a), g.Find(b)
 	if ra == rb {
 		return
 	}
-	if g.cfaLoc[ra] != g.cfaLoc[rb] {
-		panic(fmt.Sprintf("reach: union across CFA locations %d and %d", g.cfaLoc[ra], g.cfaLoc[rb]))
+	if la, lb := g.states[ra].Loc, g.states[rb].Loc; la != lb {
+		panic(fmt.Sprintf("reach: union across CFA locations %d and %d", la, lb))
 	}
 	g.parent[rb] = ra
 	g.region[ra].AddRegion(g.region[rb])
-	g.members[ra] = append(g.members[ra], g.members[rb]...)
 	g.region[rb] = nil
-	g.members[rb] = nil
 }
 
 // OpTransitionsFrom returns the recorded program transitions out of the
-// thread state with the given key.
-func (g *ARG) OpTransitionsFrom(key string) []OpTransition { return g.opEdges[key] }
+// thread state with raw id id, in first-occurrence order.
+func (g *ARG) OpTransitionsFrom(id int) []OpTransition { return g.out[id] }
 
 // Roots returns the canonical location ids in ascending order.
 func (g *ARG) Roots() []int {
@@ -169,11 +142,18 @@ func (g *ARG) Roots() []int {
 // Region returns the label region of canonical location id.
 func (g *ARG) Region(id int) *pred.Region { return g.region[g.Find(id)] }
 
-// CFALoc returns the CFA location shared by the states of location id.
-func (g *ARG) CFALoc(id int) cfa.Loc { return g.cfaLoc[g.Find(id)] }
-
-// Members returns the thread states grouped at canonical location id.
-func (g *ARG) Members(id int) []ThreadState { return g.members[g.Find(id)] }
+// Members returns the thread states grouped at location id, in raw-id
+// order.
+func (g *ARG) Members(id int) []ThreadState {
+	root := g.Find(id)
+	var out []ThreadState
+	for raw, r := range g.states {
+		if g.Find(raw) == root {
+			out = append(out, r)
+		}
+	}
+	return out
+}
 
 // ToACFA converts the ARG into an ACFA whose labels are the location
 // regions projected to global variables and whose edge havoc sets are
@@ -185,22 +165,21 @@ func (g *ARG) ToACFA() (*acfa.ACFA, map[int]acfa.Loc) {
 	roots := g.Roots()
 	for _, r := range roots {
 		label := g.region[r].ProjectLocals(g.C.IsGlobal)
-		locMap[r] = a.AddLoc(label, g.C.IsAtomic(g.cfaLoc[r]))
+		locMap[r] = a.AddLoc(label, g.C.IsAtomic(g.states[r].Loc))
 	}
-	// Group edges by canonical endpoints, union havoc sets.
+	// Group transitions by canonical endpoints, collecting the written
+	// globals (AddEdge sorts and deduplicates them).
 	type pair struct{ s, d acfa.Loc }
-	grouped := make(map[pair]map[string]bool)
-	for _, e := range g.edges {
-		p := pair{locMap[g.Find(e.src)], locMap[g.Find(e.dst)]}
-		hs, ok := grouped[p]
-		if !ok {
-			hs = make(map[string]bool)
-			grouped[p] = hs
-		}
-		for v := range e.havoc {
-			if g.C.IsGlobal(v) {
-				hs[v] = true
+	grouped := make(map[pair][]string)
+	for src, trs := range g.out {
+		s := locMap[g.Find(src)]
+		for _, tr := range trs {
+			p := pair{s, locMap[g.Find(tr.Dst)]}
+			hs := grouped[p]
+			if w := tr.Edge.Op.WritesVar(); w != "" && g.C.IsGlobal(w) {
+				hs = append(hs, w)
 			}
+			grouped[p] = hs
 		}
 	}
 	pairs := make([]pair, 0, len(grouped))
@@ -214,15 +193,10 @@ func (g *ARG) ToACFA() (*acfa.ACFA, map[int]acfa.Loc) {
 		return pairs[i].d < pairs[j].d
 	})
 	for _, p := range pairs {
-		hs := grouped[p]
-		havoc := make([]string, 0, len(hs))
-		for v := range hs {
-			havoc = append(havoc, v)
-		}
-		a.AddEdge(p.s, p.d, havoc)
+		a.AddEdge(p.s, p.d, grouped[p])
 	}
-	if g.entryKey != "" {
-		a.Entry = locMap[g.EntryLoc()]
+	if g.entry >= 0 {
+		a.Entry = locMap[g.Find(g.entry)]
 	}
 	a.Finish()
 	return a, locMap

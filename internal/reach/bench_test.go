@@ -43,6 +43,7 @@ thread T {
 	a.Finish()
 	ctx := context.Background()
 
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReachAndBuild(ctx, c, a, abs, "x",

@@ -89,12 +89,6 @@ func (r *Result) Race() *Trace {
 	return r.Races[0]
 }
 
-type parentInfo struct {
-	parentKey string
-	op        Op
-	state     *State
-}
-
 // ReachAndBuild explores the abstract multithreaded program ((C,P),(A,k)),
 // checking for races on raceVar, and builds the ARG. abs carries the
 // predicate set P and the SMT solver. The context cancels long runs
@@ -202,6 +196,7 @@ type explorer struct {
 	opts    Options
 
 	posts postCache
+	ctxs  ctxTable // merge phase only
 
 	// Telemetry handles, nil when no registry is configured (each update
 	// is then a single nil check — see BenchmarkReachTelemetry).
@@ -233,9 +228,9 @@ func (e *explorer) cachedPost(key postKey, compute func() *pred.Cube) *pred.Cube
 	return c
 }
 
-// seed builds the ARG and the initial exploration state.
-func (e *explorer) seed() (*ARG, *State) {
-	arg := NewARG(e.C, e.abs.Set)
+// seed builds the ARG and the initial exploration state's slot.
+func (e *explorer) seed() (*ARG, *slot) {
+	arg := newARG(e.C, e.abs.Set)
 	allVars := append(append([]string(nil), e.C.Globals...), e.C.Locals...)
 	cube0 := e.abs.InitialCube(allVars)
 	ctx0 := make(Ctx, e.A.NumLocs())
@@ -244,9 +239,10 @@ func (e *explorer) seed() (*ARG, *State) {
 	} else {
 		ctx0[e.A.Entry] = Omega
 	}
-	init := &State{TS: ThreadState{Loc: e.C.Entry, Cube: cube0}, Ctx: ctx0}
-	arg.SetEntry(init.TS)
-	return arg, init
+	ts := ThreadState{Loc: e.C.Entry, Cube: cube0}
+	id := stateID{ts: arg.setEntry(ts)}
+	id.ctx, ctx0 = e.ctxs.intern(ctx0)
+	return arg, &slot{state: State{TS: ts, Ctx: ctx0}, id: id}
 }
 
 // emitWidened journals context locations whose counter just saturated to
@@ -271,44 +267,44 @@ func (e *explorer) emitWidened(widened map[acfa.Loc]bool, parent, child *State) 
 	}
 }
 
-// atomicOccupancy classifies the scheduling state: which ops are enabled.
-func (e *explorer) atomicOccupancy(s *State) (mainEnabled bool, envLocs []acfa.Loc) {
+// atomicOccupancy classifies the scheduling state: whether the main
+// thread may move, and which context locations may: every occupied one
+// (envAll) or only envOnly (-1: none).
+func (e *explorer) atomicOccupancy(s *State) (mainEnabled, envAll bool, envOnly acfa.Loc) {
 	mainAtomic := e.C.IsAtomic(s.TS.Loc)
-	var atomicEnv []acfa.Loc
-	for n := 0; n < e.A.NumLocs(); n++ {
-		if e.A.IsAtomic(acfa.Loc(n)) && s.Ctx.Occupied(acfa.Loc(n)) {
-			atomicEnv = append(atomicEnv, acfa.Loc(n))
-		}
-	}
-	total := len(atomicEnv)
+	total := 0
 	if mainAtomic {
 		total++
+	}
+	envOnly = -1
+	for n := 0; n < e.A.NumLocs(); n++ {
+		if e.A.IsAtomic(acfa.Loc(n)) && s.Ctx.Occupied(acfa.Loc(n)) {
+			total++
+			envOnly = acfa.Loc(n)
+		}
 	}
 	switch {
 	case total == 0:
 		// Everything runs.
-		for n := 0; n < e.A.NumLocs(); n++ {
-			if s.Ctx.Occupied(acfa.Loc(n)) {
-				envLocs = append(envLocs, acfa.Loc(n))
-			}
-		}
-		return true, envLocs
+		return true, true, -1
 	case total == 1 && mainAtomic:
-		return true, nil
+		return true, false, -1
 	case total == 1:
-		return false, atomicEnv
+		return false, false, envOnly
 	default:
 		// Multiple atomic occupants: nothing is enabled (cannot arise when
 		// the initial location is non-atomic; kept for soundness).
-		return false, nil
+		return false, false, -1
 	}
 }
 
-// succRecord is one computed successor, carrying what the merge phase
-// needs to record the ARG transition (op) and enqueue the state.
+// succRecord is one computed successor: the main thread's next state and
+// the op taken. The merge phase derives the successor's context from the
+// op (unchanged for a main move), records the ARG transition and enqueues
+// the state.
 type succRecord struct {
-	state *State
-	op    Op
+	ts ThreadState
+	op Op
 }
 
 // successors expands a state. It is pure with respect to the explorer —
@@ -316,12 +312,18 @@ type succRecord struct {
 // post cache and the (concurrency-safe) solver; ARG recording and
 // deduplication happen later in the sequential merge.
 func (e *explorer) successors(s *State) []succRecord {
-	var out []succRecord
-	add := func(st *State, op Op) {
-		out = append(out, succRecord{state: st, op: op})
+	mainEnabled, envAll, envOnly := e.atomicOccupancy(s)
+	// Room for one successor per enabled edge, the common case.
+	size := 0
+	if mainEnabled {
+		size = len(e.C.OutEdges(s.TS.Loc))
 	}
-
-	mainEnabled, envLocs := e.atomicOccupancy(s)
+	for n := 0; n < e.A.NumLocs(); n++ {
+		if envAll && s.Ctx.Occupied(acfa.Loc(n)) || acfa.Loc(n) == envOnly {
+			size += len(e.A.OutEdges(acfa.Loc(n)))
+		}
+	}
+	out := make([]succRecord, 0, size)
 
 	// Note on the paper's Lambda-G conjunct: the abstract post in the
 	// paper additionally conjoins the labels of all occupied context
@@ -351,15 +353,16 @@ func (e *explorer) successors(s *State) []succRecord {
 			if next == nil {
 				continue
 			}
-			ts2 := ThreadState{Loc: edge.Dst, Cube: next}
-			add(&State{TS: ts2, Ctx: s.Ctx}, Op{MainEdge: edge})
+			out = append(out, succRecord{ThreadState{Loc: edge.Dst, Cube: next}, Op{MainEdge: edge}})
 		}
 	}
 
-	for _, n := range envLocs {
+	for n := acfa.Loc(0); int(n) < e.A.NumLocs(); n++ {
+		if !(envAll && s.Ctx.Occupied(n) || n == envOnly) {
+			continue
+		}
 		for ai, aedge := range e.A.OutEdges(n) {
 			aedge := aedge
-			ctx2 := s.Ctx.Dec(n).Inc(aedge.Dst, e.opts.K)
 			targets := e.A.Label(aedge.Dst)
 			for ti, tc := range targets.Cubes() {
 				tc := tc
@@ -369,29 +372,25 @@ func (e *explorer) successors(s *State) []succRecord {
 				if next == nil {
 					continue
 				}
-				ts2 := ThreadState{Loc: s.TS.Loc, Cube: next}
-				add(&State{TS: ts2, Ctx: ctx2}, Op{EnvEdge: aedge})
+				out = append(out, succRecord{ThreadState{Loc: s.TS.Loc, Cube: next}, Op{EnvEdge: aedge}})
 			}
 		}
 	}
 	return out
 }
 
-func (e *explorer) buildTrace(seen map[string]*parentInfo, last *State) *Trace {
-	var rev []*parentInfo
-	cur := seen[last.Key()]
-	for {
-		rev = append(rev, cur)
-		if cur.parentKey == "" {
-			break
-		}
-		cur = seen[cur.parentKey]
+// buildTrace walks the BFS tree from last back to the initial state.
+func buildTrace(last *slot) *Trace {
+	n := 0
+	for sl := last; sl != nil; sl = sl.parent {
+		n++
 	}
-	t := &Trace{}
-	for i := len(rev) - 1; i >= 0; i-- {
-		t.States = append(t.States, rev[i].state)
-		if i > 0 {
-			t.Steps = append(t.Steps, rev[i-1].op)
+	t := &Trace{States: make([]*State, n), Steps: make([]Op, n-1)}
+	for sl := last; sl != nil; sl = sl.parent {
+		n--
+		t.States[n] = &sl.state
+		if n > 0 {
+			t.Steps[n-1] = sl.op
 		}
 	}
 	return t

@@ -33,23 +33,23 @@ func TestCtxCounters(t *testing.T) {
 	if c.AtLeastTwo(1) || !c.AtLeastTwo(2) {
 		t.Fatalf("AtLeastTwo broken")
 	}
-	// Inc saturates above k.
-	d := c.Inc(1, 1)
-	if d[1] != Omega {
-		t.Fatalf("Inc(1,k=1) = %v", d)
+	// A move into a location saturates its counter above k; the source
+	// counter of an omega location stays omega.
+	d := c.Move(2, 1, 1)
+	if d[1] != Omega || d[2] != Omega {
+		t.Fatalf("Move(2,1,k=1) = %v", d)
 	}
-	d = c.Inc(0, 2)
+	d = c.Move(2, 0, 2)
 	if d[0] != 1 {
-		t.Fatalf("Inc = %v", d)
+		t.Fatalf("Move(2,0,k=2) = %v", d)
 	}
-	// Dec of omega stays omega; of 1 goes to 0.
-	d = c.Dec(2)
-	if d[2] != Omega {
-		t.Fatalf("Dec(omega) = %v", d)
+	// The source counter of a finite location drops by one.
+	d = c.Move(1, 0, 2)
+	if d[1] != 0 || d[0] != 1 {
+		t.Fatalf("Move(1,0,k=2) = %v", d)
 	}
-	d = c.Dec(1)
-	if d[1] != 0 {
-		t.Fatalf("Dec(1) = %v", d)
+	if c[0] != 0 || c[1] != 1 || c[2] != Omega {
+		t.Fatalf("Move aliased its receiver: %v", c)
 	}
 	if c.Key() != "0,1,w" {
 		t.Fatalf("Key = %q", c.Key())

@@ -7,6 +7,7 @@
 package reach
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strconv"
 	"strings"
@@ -50,28 +51,73 @@ func (c Ctx) Occupied(n acfa.Loc) bool { return c[n] != 0 }
 // AtLeastTwo reports whether location n holds two or more threads.
 func (c Ctx) AtLeastTwo(n acfa.Loc) bool { return c[n] == Omega || c[n] >= 2 }
 
-// Inc returns the counter map with location n incremented under the
-// k-counter abstraction (values above k saturate to Omega).
-func (c Ctx) Inc(n acfa.Loc, k int) Ctx {
+// Move returns the counter map after one thread moves from location from
+// to location to under the k-counter abstraction: the source counter drops
+// by one (Omega-1 = Omega: an arbitrary number of threads remain) and the
+// target counter rises by one, saturating to Omega above k.
+func (c Ctx) Move(from, to acfa.Loc, k int) Ctx {
 	out := c.CloneCtx()
-	switch {
-	case out[n] == Omega:
-	case out[n]+1 > k:
-		out[n] = Omega
-	default:
-		out[n]++
-	}
+	out.dec(from)
+	out.inc(to, k)
 	return out
 }
 
-// Dec returns the counter map with location n decremented; Omega-1 = Omega
-// (an arbitrary number of threads remain).
-func (c Ctx) Dec(n acfa.Loc) Ctx {
-	out := c.CloneCtx()
-	if out[n] != Omega && out[n] > 0 {
-		out[n]--
+// inc increments location n's counter in place, saturating above k.
+func (c Ctx) inc(n acfa.Loc, k int) {
+	switch {
+	case c[n] == Omega:
+	case c[n]+1 > k:
+		c[n] = Omega
+	default:
+		c[n]++
 	}
-	return out
+}
+
+// dec decrements location n's counter in place; Omega stays Omega.
+func (c Ctx) dec(n acfa.Loc) {
+	if c[n] != Omega && c[n] > 0 {
+		c[n]--
+	}
+}
+
+// ctxTable interns the context states of one exploration: each distinct
+// counter map gets a dense id and one shared copy, so a state's identity
+// is a pair of small integers and successors that revisit a context
+// allocate nothing. Only the sequential merge phase touches it.
+type ctxTable struct {
+	ids     map[string]int // encoded counter map -> id
+	ctxs    []Ctx          // id -> the shared counter map
+	buf     []byte         // encoding scratch
+	scratch Ctx            // Move scratch
+}
+
+// intern returns the id and shared copy of counter map c (which the table
+// copies on first sight, so c may be scratch).
+func (t *ctxTable) intern(c Ctx) (int, Ctx) {
+	t.buf = t.buf[:0]
+	for _, v := range c {
+		t.buf = binary.AppendUvarint(t.buf, uint64(v+1)) // Omega encodes as 0
+	}
+	if id, ok := t.ids[string(t.buf)]; ok {
+		return id, t.ctxs[id]
+	}
+	if t.ids == nil {
+		t.ids = make(map[string]int)
+	}
+	id := len(t.ctxs)
+	shared := c.CloneCtx()
+	t.ids[string(t.buf)] = id
+	t.ctxs = append(t.ctxs, shared)
+	return id, shared
+}
+
+// move interns c.Move(from, to, k) without allocating when the result is
+// already known.
+func (t *ctxTable) move(c Ctx, from, to acfa.Loc, k int) (int, Ctx) {
+	t.scratch = append(t.scratch[:0], c...)
+	t.scratch.dec(from)
+	t.scratch.inc(to, k)
+	return t.intern(t.scratch)
 }
 
 // ThreadState is an abstract state of the main thread: control location
@@ -79,11 +125,6 @@ func (c Ctx) Dec(n acfa.Loc) Ctx {
 type ThreadState struct {
 	Loc  cfa.Loc
 	Cube *pred.Cube
-}
-
-// Key returns a canonical key.
-func (t ThreadState) Key() string {
-	return strconv.Itoa(int(t.Loc)) + "|" + t.Cube.Key()
 }
 
 func (t ThreadState) String() string {
@@ -95,18 +136,6 @@ func (t ThreadState) String() string {
 type State struct {
 	TS  ThreadState
 	Ctx Ctx
-
-	key string // lazily memoised Key; safe because Key is only called
-	// from the sequential merge phase (workers hand states over a
-	// happens-before edge before anyone asks for a key)
-}
-
-// Key returns a canonical key, memoised on first call.
-func (s *State) Key() string {
-	if s.key == "" {
-		s.key = s.TS.Key() + "#" + s.Ctx.Key()
-	}
-	return s.key
 }
 
 func (s *State) String() string {

@@ -65,15 +65,27 @@ const (
 	slotDone
 )
 
-// slot is one discovered state and its expansion result. status guards
-// recs/race: they are written before status is atomically set to
-// slotDone and read only after observing slotDone.
+// slot is one discovered state, its place in the BFS tree, and its
+// expansion result. The merger writes state, id, parent and op before the
+// slot is published to a deque (a mutex release) or expanded inline;
+// workers read only state. status guards recs/race: they are written
+// before status is atomically set to slotDone and read only after
+// observing slotDone.
 type slot struct {
-	state  *State
+	state  State
+	id     stateID
+	parent *slot // the state that discovered this one; nil for the initial state
+	op     Op    // the step from parent
 	status int32
 	recs   []succRecord
 	race   bool
 }
+
+// stateID is an abstract state's identity within one exploration: the
+// ARG's raw id of its thread state and the interned id of its context.
+// Two states are the same exactly when their CFA locations, cube keys and
+// counter maps agree.
+type stateID struct{ ts, ctx int }
 
 // deque is a mutex-guarded work deque of slots. The owning worker pops
 // the tail (newest, LIFO); thieves and the merger push/steal at the
@@ -145,8 +157,8 @@ func newStealPool(e *explorer, workers int) *stealPool {
 // expand computes a claimed slot's result and publishes it. The status
 // store is the release point for recs/race.
 func (p *stealPool) expand(sl *slot) {
-	sl.recs = p.e.successors(sl.state)
-	sl.race = p.e.isRace(sl.state)
+	sl.recs = p.e.successors(&sl.state)
+	sl.race = p.e.isRace(&sl.state)
 	atomic.StoreInt32(&sl.status, slotDone)
 }
 
@@ -295,10 +307,9 @@ func (p *stealPool) shutdown() {
 // sequentially, while the pool expands outstanding states.
 func (e *explorer) run(ctx context.Context) (*Result, error) {
 	arg, init := e.seed()
-	seen := make(map[string]*parentInfo)
-	seen[init.Key()] = &parentInfo{state: init}
+	seen := map[stateID]struct{}{init.id: {}}
 
-	order := []*slot{{state: init}}
+	order := []*slot{init}
 	numStates := 0
 	var races []*Trace
 	var widened map[acfa.Loc]bool
@@ -311,6 +322,7 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 
 	var retErr error
 	breakAt := -1
+	var fresh []*slot
 merge:
 	for i := 0; i < len(order); i++ {
 		if err := ctx.Err(); err != nil {
@@ -329,7 +341,7 @@ merge:
 		}
 		if isRace {
 			e.cRaces.Inc()
-			races = append(races, e.buildTrace(seen, sl.state))
+			races = append(races, buildTrace(sl))
 			if len(races) >= e.opts.maxRaces() {
 				// Enough counterexamples for this refinement round; the
 				// ARG is partial but unused on the error path.
@@ -337,30 +349,29 @@ merge:
 				break merge
 			}
 		}
-		var fresh []*slot
-		dedup := make(map[string]bool)
+		fresh = fresh[:0]
 		for _, rec := range recs {
 			// ARG bookkeeping happens here, in deterministic order, not
-			// in the parallel expansion phase.
-			if rec.op.IsEnv() {
-				arg.ConnectEnv(sl.state.TS, rec.state.TS)
+			// in the parallel expansion phase. A main move keeps the
+			// context (and its id); an env move interns the moved one.
+			id := stateID{ts: arg.intern(rec.ts), ctx: sl.id.ctx}
+			c := sl.state.Ctx
+			if env := rec.op.EnvEdge; env != nil {
+				arg.union(sl.id.ts, id.ts)
+				id.ctx, c = e.ctxs.move(c, env.Src, env.Dst, e.opts.K)
 			} else {
-				arg.ConnectMain(sl.state.TS, rec.op.MainEdge, rec.state.TS)
+				arg.connectMain(sl.id.ts, rec.op.MainEdge, id.ts)
 			}
-			k := rec.state.Key()
-			if dedup[k] {
+			if _, ok := seen[id]; ok {
 				continue
 			}
-			dedup[k] = true
-			if _, ok := seen[k]; ok {
-				continue
-			}
-			seen[k] = &parentInfo{parentKey: sl.state.Key(), op: rec.op, state: rec.state}
-			ns := &slot{state: rec.state}
+			seen[id] = struct{}{}
+			ns := &slot{state: State{TS: rec.ts, Ctx: c}, id: id, parent: sl, op: rec.op}
 			order = append(order, ns)
 			fresh = append(fresh, ns)
-			e.emitWidened(widened, sl.state, rec.state)
+			e.emitWidened(widened, &sl.state, &ns.state)
 		}
+		sl.recs = nil // merged; nothing reads them again
 		p.publish(fresh, len(order)-(i+1))
 	}
 	if breakAt >= 0 {

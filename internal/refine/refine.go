@@ -383,17 +383,8 @@ func realizePath(in Input, t *ctxThread) ([]segment, segment, error) {
 		}
 		return nil, nil, nil
 	}
-	classOfKey := func(key string) (acfa.Loc, bool) {
-		root := in.ARG.FindState(key)
-		if root < 0 {
-			return 0, false
-		}
-		c, ok := in.Mu[root]
-		return c, ok
-	}
-
-	start := visit{key: in.ARG.EntryKey()}
-	startClass, ok := classOfKey(start.key)
+	start := visit{state: in.ARG.EntryState()}
+	startClass, ok := in.Mu[in.ARG.Find(start.state)]
 	if !ok || startClass != in.A.Entry {
 		return nil, nil, fmt.Errorf("refine: ARG entry not mapped to ACFA entry")
 	}
@@ -401,10 +392,7 @@ func realizePath(in Input, t *ctxThread) ([]segment, segment, error) {
 		if v.i != len(t.path) {
 			return false
 		}
-		st, ok := threadStateOf(in.ARG, v.key)
-		if !ok {
-			return false
-		}
+		st := in.ARG.State(v.state)
 		if !t.needGoal {
 			// Resting position between/after moves must respect the
 			// abstract location's atomicity (a thread parked inside an
@@ -417,10 +405,12 @@ func realizePath(in Input, t *ctxThread) ([]segment, segment, error) {
 		// section).
 		return !in.C.IsAtomic(st.Loc) && in.C.WritesVarAt(st.Loc, in.RaceVar)
 	}
-	seen := map[string]bool{fmt.Sprintf("%s/%d", start.key, 0): true}
+	// A BFS node is identified by its thread state and progress.
+	type visitKey struct{ state, i int }
+	seen := map[visitKey]bool{{start.state, 0}: true}
 	queue := []*visit{&start}
 	push := func(v *visit) {
-		k := fmt.Sprintf("%s/%d", v.key, v.i)
+		k := visitKey{v.state, v.i}
 		if seen[k] {
 			return
 		}
@@ -435,8 +425,7 @@ func realizePath(in Input, t *ctxThread) ([]segment, segment, error) {
 			goal = v
 			break
 		}
-		for _, tr := range in.ARG.OpTransitionsFrom(v.key) {
-			dstKey := tr.Dst.Key()
+		for _, tr := range in.ARG.OpTransitionsFrom(v.state) {
 			w := tr.Edge.Op.WritesVar()
 			wGlobal := w != "" && in.C.IsGlobal(w)
 			// tau move: writes no global. Weak-transition semantics places
@@ -444,7 +433,7 @@ func realizePath(in Input, t *ctxThread) ([]segment, segment, error) {
 			// through other classes, e.g. straight through an atomic
 			// block).
 			if !wGlobal {
-				push(&visit{key: dstKey, i: v.i, parent: v, edge: tr.Edge})
+				push(&visit{state: tr.Dst, i: v.i, parent: v, edge: tr.Edge})
 			}
 			// Consuming the next abstract edge: the op's written global
 			// must be covered by the edge's havoc set and the landing
@@ -452,9 +441,8 @@ func realizePath(in Input, t *ctxThread) ([]segment, segment, error) {
 			// thread rests there until its next abstract move, so a
 			// mismatch would break the interleaving's scheduling).
 			if v.i < len(t.path) && havocAllows(t.path[v.i], w, wGlobal) {
-				if st, ok := threadStateOf(in.ARG, dstKey); ok &&
-					in.C.IsAtomic(st.Loc) == in.A.IsAtomic(t.path[v.i].Dst) {
-					push(&visit{key: dstKey, i: v.i + 1, parent: v, edge: tr.Edge, boundary: true})
+				if in.C.IsAtomic(in.ARG.State(tr.Dst).Loc) == in.A.IsAtomic(t.path[v.i].Dst) {
+					push(&visit{state: tr.Dst, i: v.i + 1, parent: v, edge: tr.Edge, boundary: true})
 				}
 			}
 		}
@@ -490,11 +478,11 @@ func realizePath(in Input, t *ctxThread) ([]segment, segment, error) {
 	return segs, tail, nil
 }
 
-// visit is a BFS node of the path realisation: an ARG thread state plus
-// the number of abstract edges consumed so far. boundary marks that the
-// incoming edge consumed abstract step i-1.
+// visit is a BFS node of the path realisation: an ARG thread state (its
+// raw id) plus the number of abstract edges consumed so far. boundary
+// marks that the incoming edge consumed abstract step i-1.
 type visit struct {
-	key      string
+	state    int
 	i        int
 	parent   *visit
 	edge     *cfa.Edge
@@ -513,18 +501,4 @@ func havocAllows(ae *acfa.Edge, w string, wGlobal bool) bool {
 		}
 	}
 	return false
-}
-
-// threadStateOf recovers the thread state stored under key in the ARG.
-func threadStateOf(g *reach.ARG, key string) (reach.ThreadState, bool) {
-	root := g.FindState(key)
-	if root < 0 {
-		return reach.ThreadState{}, false
-	}
-	for _, m := range g.Members(root) {
-		if m.Key() == key {
-			return m, true
-		}
-	}
-	return reach.ThreadState{}, false
 }

@@ -7,21 +7,36 @@ package simrel
 
 import (
 	"circ/internal/acfa"
+	"circ/internal/expr"
 	"circ/internal/smt"
 )
 
 // Simulates reports whether a simulates g (g \preceq a): there is a weak
 // simulation relating g's entry to a's entry.
 func Simulates(g, a *acfa.ACFA, chk smt.Solver) bool {
-	rel := Relation(g, a, chk)
-	return rel[pairKey(g.Entry, a.Entry)]
+	r := relation(g, a, chk)
+	return r.holds(g.Entry, a.Entry)
 }
 
-// Relation computes the largest weak simulation between g and a as a set
-// of related pairs keyed by pairKey.
-func Relation(g, a *acfa.ACFA, chk smt.Solver) map[string]bool {
+// rel is a relation between g's and a's locations as a row-major
+// ng x na matrix.
+type rel struct {
+	na    int
+	pairs []bool
+}
+
+func (r rel) holds(x, y acfa.Loc) bool { return r.pairs[int(x)*r.na+int(y)] }
+
+// relation computes the largest weak simulation between g and a.
+func relation(g, a *acfa.ACFA, chk smt.Solver) rel {
 	ng, na := g.NumLocs(), a.NumLocs()
-	rel := make(map[string]bool)
+	r := rel{na: na, pairs: make([]bool, ng*na)}
+	// Each label is interned once, on first use: g's as is, a's negated.
+	// A pair's label implication g_x => a_y is then sat(g_x & !a_y), the
+	// formula Solver.Implies builds, so the verdict cache sees the same
+	// keys.
+	gl := make([]expr.ID, ng)
+	notAl := make([]expr.ID, na)
 	// Initialise with the static conditions: label implication and equal
 	// atomicity.
 	for x := 0; x < ng; x++ {
@@ -29,10 +44,13 @@ func Relation(g, a *acfa.ACFA, chk smt.Solver) map[string]bool {
 			if g.IsAtomic(acfa.Loc(x)) != a.IsAtomic(acfa.Loc(y)) {
 				continue
 			}
-			if !chk.Implies(g.Label(acfa.Loc(x)).Formula(), a.Label(acfa.Loc(y)).Formula()) {
-				continue
+			if gl[x] == expr.NoID {
+				gl[x] = expr.Intern(g.Label(acfa.Loc(x)).Formula())
 			}
-			rel[pairKey(acfa.Loc(x), acfa.Loc(y))] = true
+			if notAl[y] == expr.NoID {
+				notAl[y] = expr.InternNot(expr.Intern(a.Label(acfa.Loc(y)).Formula()))
+			}
+			r.pairs[x*na+y] = chk.SatID(expr.IDConj(gl[x], notAl[y])) == smt.Unsat
 		}
 	}
 	weakA := acfa.WeakMoves(a)
@@ -41,32 +59,31 @@ func Relation(g, a *acfa.ACFA, chk smt.Solver) map[string]bool {
 		changed := false
 		for x := 0; x < ng; x++ {
 			for y := 0; y < na; y++ {
-				key := pairKey(acfa.Loc(x), acfa.Loc(y))
-				if !rel[key] {
+				if !r.pairs[x*na+y] {
 					continue
 				}
-				if !movesMatched(g, acfa.Loc(x), acfa.Loc(y), weakA, rel) {
-					delete(rel, key)
+				if !movesMatched(g, acfa.Loc(x), acfa.Loc(y), weakA, r) {
+					r.pairs[x*na+y] = false
 					changed = true
 				}
 			}
 		}
 		if !changed {
-			return rel
+			return r
 		}
 	}
 }
 
 // movesMatched checks that every strong move of g from x is matched by a
 // weak move of a from y landing in a related pair.
-func movesMatched(g *acfa.ACFA, x, y acfa.Loc, weakA [][]acfa.WeakMove, rel map[string]bool) bool {
+func movesMatched(g *acfa.ACFA, x, y acfa.Loc, weakA [][]acfa.WeakMove, r rel) bool {
 	for _, e := range g.OutEdges(x) {
 		matched := false
 		for _, m := range weakA[y] {
 			if !havocCovers(m.Havoc, e.Havoc) {
 				continue
 			}
-			if rel[pairKey(e.Dst, m.Dst)] {
+			if r.holds(e.Dst, m.Dst) {
 				matched = true
 				break
 			}
@@ -80,40 +97,22 @@ func movesMatched(g *acfa.ACFA, x, y acfa.Loc, weakA [][]acfa.WeakMove, rel map[
 
 // havocCovers reports whether sup (a weak move's havoc, possibly empty for
 // pure tau) covers sub: sub must be a subset of sup, with the pure-tau
-// move covering only empty sub.
+// move covering only empty sub. Havoc sets hold a handful of globals, so
+// a scan beats building a set.
 func havocCovers(sup, sub []string) bool {
-	if len(sub) == 0 {
-		return true // a tau move of g is matched by any weak move ending related; prefer tau
-	}
-	if len(sup) == 0 {
-		return false
-	}
-	set := make(map[string]bool, len(sup))
-	for _, v := range sup {
-		set[v] = true
-	}
 	for _, v := range sub {
-		if !set[v] {
+		if !contains(sup, v) {
 			return false
 		}
 	}
 	return true
 }
 
-func pairKey(x, y acfa.Loc) string {
-	return itoa(int(x)) + "," + itoa(int(y))
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
+func contains(vs []string, v string) bool {
+	for _, w := range vs {
+		if w == v {
+			return true
+		}
 	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
+	return false
 }
