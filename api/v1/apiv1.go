@@ -56,7 +56,8 @@ type Options struct {
 	K int `json:"k,omitempty"`
 	// Omega selects the omega-CIRC variant (counter widening to ω).
 	Omega bool `json:"omega,omitempty"`
-	// Parallelism bounds the job's worker pool; capped by the daemon.
+	// Parallelism bounds the job's worker pool, which checks targets
+	// concurrently; capped at the daemon's own parallelism.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Triage disables ("off") or forces ("on") the static triage stage.
 	// Empty keeps the default (on).
@@ -201,9 +202,6 @@ type JobSummary struct {
 	// TraceID is the job's W3C trace ID, correlating the ring record with
 	// logs, spans, and any caller-side distributed trace.
 	TraceID string `json:"trace_id,omitempty"`
-	// TimelineSegments counts the scheduler timeline segments the job
-	// recorded (busy/idle/steal intervals across its worker lanes).
-	TimelineSegments int `json:"timeline_segments,omitempty"`
 }
 
 // JobList answers GET /v1/jobs: a page of the completed-job ring, newest
@@ -218,14 +216,13 @@ type JobList struct {
 
 // Stats is the daemon-wide /v1/stats snapshot.
 type Stats struct {
-	Build     BuildInfo      `json:"build"`
-	Jobs      JobStats       `json:"jobs"`
-	Arena     ArenaStats     `json:"arena"`
-	SMT       SMTStats       `json:"smt"`
-	Store     StoreStats     `json:"store"`
-	Scheduler SchedulerStats `json:"scheduler"`
-	Triage    TriageStats    `json:"triage"`
-	Lifetime  LifetimeStats  `json:"lifetime"`
+	Build    BuildInfo     `json:"build"`
+	Jobs     JobStats      `json:"jobs"`
+	Arena    ArenaStats    `json:"arena"`
+	SMT      SMTStats      `json:"smt"`
+	Store    StoreStats    `json:"store"`
+	Triage   TriageStats   `json:"triage"`
+	Lifetime LifetimeStats `json:"lifetime"`
 }
 
 // BuildInfo identifies the running daemon: library version, Go
@@ -273,16 +270,6 @@ type SMTStats struct {
 	// The entries themselves are served at /debug/circ/slowlog.
 	SlowQueries        int64   `json:"slow_queries"`
 	SlowLogThresholdMS float64 `json:"slowlog_threshold_ms,omitempty"`
-}
-
-// SchedulerStats describes the work-stealing reachability scheduler,
-// aggregated over every analysis the daemon has run.
-type SchedulerStats struct {
-	// Steals counts slots taken from another worker's deque.
-	Steals int64 `json:"steals"`
-	// WorkerIdleSeconds is the cumulative wall time expansion workers
-	// spent parked waiting for work.
-	WorkerIdleSeconds float64 `json:"worker_idle_seconds"`
 }
 
 // StoreStats describes the certificate store, including its LRU bound

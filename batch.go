@@ -106,10 +106,9 @@ func (b *BatchReport) Summary() string {
 // triage.discharged{reason=...} labelled family), seed.predicates, and
 // slice.edges_removed / slice.locs_removed totals.
 //
-// When more than one unit runs concurrently, each unit's reachability runs
-// sequentially (the pool is the parallelism); a single-unit batch uses
-// frontier-parallel reachability instead. Verdicts are identical either
-// way.
+// The pool is the only parallelism: each unit's reachability runs on its
+// worker's goroutine. Verdicts and journals are identical at any worker
+// count.
 func (c *Checker) CheckAll(ctx context.Context, p *Program) (*BatchReport, error) {
 	return c.CheckTargets(ctx, p, nil)
 }
@@ -155,12 +154,6 @@ func (c *Checker) CheckTargets(ctx context.Context, p *Program, targets []Target
 	}
 	if workers < 1 {
 		workers = 1
-	}
-	// Inner frontier parallelism: when the pool itself is the parallelism,
-	// each unit runs sequentially; a lone unit gets the whole budget.
-	inner := 1
-	if len(targets) == 1 {
-		inner = c.parallelism
 	}
 	// Interleaved narration from concurrent units would be unreadable;
 	// only pass the log through when a single analysis runs at a time.
@@ -233,7 +226,7 @@ func (c *Checker) CheckTargets(ctx context.Context, p *Program, targets []Target
 						// slice. Every stage is deterministic per case, so
 						// the journal stays independent of the worker
 						// count.
-						o := c.options(logger, inner)
+						o := c.options(logger)
 						o.Metrics = breg
 						rep, err = c.checkUnit(uctx, cfas[i], t.Variable, s, o)
 					}

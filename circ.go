@@ -215,8 +215,8 @@ func (p *Program) checkThread(thread string) error {
 // safe CIRC engine configured with functional options. All analyses run
 // through one Checker share a process-wide memoising SMT cache, so
 // predicate-abstraction cubes and validity queries discharged once are
-// never re-solved — across refinement rounds, across frontier workers,
-// and across the (thread, variable) pairs of a batch run.
+// never re-solved — across refinement rounds and across the (thread,
+// variable) pairs of a batch run.
 type Checker struct {
 	k           int
 	omega       bool
@@ -298,11 +298,15 @@ func (c *Checker) SlowQueries() []SlowQuery { return c.solver.SlowQueries() }
 // capture is disabled).
 func (c *Checker) SMTSlowLogThreshold() time.Duration { return c.solver.SlowQueryThreshold() }
 
-// WithParallelism bounds the worker pool: frontier states of one
-// reachability run and (thread, variable) pairs of a batch run are
-// expanded by at most n workers. n <= 0 selects GOMAXPROCS (the default).
-// Verdicts are identical at any parallelism.
+// WithParallelism bounds the worker pool of a batch run: at most n
+// (thread, variable) units are analysed concurrently, each on one
+// goroutine. n <= 0 selects GOMAXPROCS (the default). Verdicts and
+// journals are identical at any parallelism.
 func WithParallelism(n int) Option { return func(c *Checker) { c.parallelism = n } }
+
+// Parallelism returns the batch worker-pool bound set by WithParallelism
+// (GOMAXPROCS when n <= 0 was given).
+func (c *Checker) Parallelism() int { return c.parallelism }
 
 // WithJournal attaches a flight recorder: every analysis run through the
 // Checker emits its inference events (one case per (thread, variable)
@@ -417,16 +421,15 @@ func (c *Checker) SMTStats() smt.CacheStats { return c.solver.Stats() }
 func (c *Checker) Metrics() *MetricsRegistry { return c.registry }
 
 // options assembles the internal engine options for one analysis.
-func (c *Checker) options(logger *slog.Logger, parallelism int) icirc.Options {
+func (c *Checker) options(logger *slog.Logger) icirc.Options {
 	return icirc.Options{
-		K:           c.k,
-		Omega:       c.omega,
-		Logger:      logger,
-		Metrics:     c.registry,
-		MaxRounds:   c.maxRounds,
-		MaxInner:    c.maxInner,
-		MaxStates:   c.maxStates,
-		Parallelism: parallelism,
+		K:         c.k,
+		Omega:     c.omega,
+		Logger:    logger,
+		Metrics:   c.registry,
+		MaxRounds: c.maxRounds,
+		MaxInner:  c.maxInner,
+		MaxStates: c.maxStates,
 	}
 }
 
@@ -540,7 +543,7 @@ func (c *Checker) Check(ctx context.Context, p *Program, thread, variable string
 	if c.journal != nil {
 		s = c.journal.Stream(journalCase(thread, variable))
 	}
-	return c.checkUnit(ctx, g, variable, s, c.options(c.logger, c.parallelism))
+	return c.checkUnit(ctx, g, variable, s, c.options(c.logger))
 }
 
 // journalCase names the journal case of one (thread, variable) analysis;

@@ -16,8 +16,7 @@
 // warnings versus proved verdicts.
 //
 // Observability flags: -trace out.json writes a Chrome trace_event
-// trace — the analysis span tree plus per-worker scheduler lanes showing
-// busy/idle/steal segments (open in chrome://tracing or Perfetto),
+// trace — the analysis span tree (open in chrome://tracing or Perfetto),
 // -metrics out.json writes a
 // metrics-registry snapshot, -journal out.jsonl writes the structured
 // inference journal (one JSON event per line, byte-identical at any
@@ -44,7 +43,6 @@ import (
 	"circ"
 	"circ/internal/journal"
 	"circ/internal/refine"
-	"circ/internal/telemetry"
 )
 
 func main() {
@@ -76,19 +74,6 @@ func (o *onoff) Set(s string) error {
 
 // IsBoolFlag lets a bare -triage mean -triage=on.
 func (o *onoff) IsBoolFlag() bool { return true }
-
-// writeTraceFile exports the merged flight-deck trace to path.
-func writeTraceFile(path string, tracer *circ.Tracer, tl *telemetry.Timeline) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := telemetry.WriteTrace(f, tracer, tl); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
 
 // cliErr prints an error without duplicating the "circ:" prefix that
 // library errors already carry.
@@ -161,17 +146,10 @@ func run(args []string) int {
 	if *verbose {
 		opts = append(opts, circ.WithLog(os.Stderr))
 	}
-	// The trace carries two recorders sharing one timebase: the span
-	// tracer (attached to the checker) and the scheduler timeline
-	// (attached to each Check's context), merged at export.
 	var tracer *circ.Tracer
-	var timeline *telemetry.Timeline
-	ctx := context.Background()
 	if *traceOut != "" {
 		tracer = circ.NewTracer()
 		opts = append(opts, circ.WithTracer(tracer))
-		timeline = telemetry.NewTimelineAt(tracer.StartTime(), telemetry.DefaultTimelineCap)
-		ctx = telemetry.WithTimeline(ctx, timeline)
 	}
 	// The flight recorder backs -journal, -report, and the live /debug/circ
 	// endpoints; it is created whenever any of the three wants it.
@@ -201,7 +179,7 @@ func run(args []string) int {
 	var sections []journal.CaseSection
 	counts := map[string]int{}
 	for _, v := range vars {
-		code, sec := checkOne(ctx, chk, prog, string(src), v, *thread, *verbose, *baselines, *dotOut, *verify)
+		code, sec := checkOne(context.Background(), chk, prog, string(src), v, *thread, *verbose, *baselines, *dotOut, *verify)
 		if code > worst {
 			worst = code
 		}
@@ -212,12 +190,11 @@ func run(args []string) int {
 		printBaselineComparison(string(src), *thread, *baseline, vars, sections)
 	}
 	if *traceOut != "" {
-		if err := writeTraceFile(*traceOut, tracer, timeline); err != nil {
+		if err := tracer.ExportFile(*traceOut); err != nil {
 			cliErr(err)
 			return 3
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d spans, %d scheduler segments)\n",
-			*traceOut, tracer.NumSpans(), timeline.Len())
+		fmt.Fprintf(os.Stderr, "wrote %s (%d spans)\n", *traceOut, tracer.NumSpans())
 	}
 	if *metrics != "" {
 		data, err := json.MarshalIndent(chk.Metrics().Snapshot(), "", "  ")

@@ -116,11 +116,9 @@ func TestRunBaselineFlagguard(t *testing.T) {
 }
 
 // TestRunTraceOutput checks that -trace writes valid Chrome trace_event
-// JSON whose spans cover the analysis. The file may hold complete events
-// ("ph":"X"), instant marks ("i"), and thread_name metadata ("M") for
-// the worker lanes; the span checks apply to the complete events, which
-// must carry timestamps and durations and include the top-level
-// circ.check span.
+// JSON whose spans cover the analysis. The span checks apply to the
+// complete events ("ph":"X"), which must carry timestamps and durations
+// and include the top-level circ.check span.
 func TestRunTraceOutput(t *testing.T) {
 	path := writeProg(t, safeSrc)
 	traceFile := filepath.Join(t.TempDir(), "trace.json")

@@ -304,7 +304,7 @@ func check(app benchapps.App) (*icirc.Report, *cfa.CFA, time.Duration) {
 	ctx, s := journalCtx(phaseCtx, app.Key())
 	start := time.Now()
 	rep, err := icirc.Check(ctx, c, app.Variable,
-		icirc.Options{Parallelism: parallelism(), Metrics: reg}, chk)
+		icirc.Options{Metrics: reg}, chk)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "circbench:", err)
 		os.Exit(1)
@@ -480,16 +480,6 @@ type benchRow struct {
 	ParIterations    int64 `json:"par_iterations"`
 	NoSeedIterations int64 `json:"noseed_iterations"`
 	SeedIterDelta    int64 `json:"seed_iter_delta"`
-	// Worker-pool behaviour of the parallel run: slots stolen from
-	// another worker's deque and cumulative worker idle wall time.
-	Steals     int64   `json:"steals"`
-	IdleMillis float64 `json:"idle_ms"`
-	// Per-worker idle distribution of the parallel run, from the scheduler
-	// timeline: the busiest-waiting worker's idle total and the median
-	// worker's, in milliseconds. A large max/p50 gap means the pool left
-	// some workers starved.
-	IdleMaxMillis float64 `json:"idle_ms_max"`
-	IdleP50Millis float64 `json:"idle_ms_p50"`
 	// SlowQueries counts the parallel run's SMT solves at or above the
 	// -smt-slowlog threshold.
 	SlowQueries int64 `json:"slow_queries"`
@@ -503,8 +493,11 @@ type benchReport struct {
 	TotalSeqMs  float64    `json:"total_seq_ms"`
 	TotalParMs  float64    `json:"total_par_ms"`
 	Speedup     float64    `json:"speedup"`
-	// GeomeanSpeedup is the geometric mean of the per-case speedups —
+	// GeomeanSpeedup is the geometric mean of the per-case speedups over
+	// the cases whose sequential leg takes at least headlineMinSeqMs —
 	// the scale-free figure the CI bench-smoke floor is checked against.
+	// Shorter cases stay in Rows but are kept out of the headline, where
+	// timer noise would dominate their ratios.
 	GeomeanSpeedup float64 `json:"geomean_speedup"`
 	// ReuseHitRate aggregates the warm legs: certificates reused over
 	// all warm targets.
@@ -527,22 +520,9 @@ type benchReport struct {
 	Metrics telemetry.Metrics `json:"metrics"`
 }
 
-// idleSpread reduces a run's scheduler timeline to the per-worker idle
-// distribution: the maximum and median of each lane's idle total, in
-// milliseconds. Zero lanes (a sequential run records no timeline
-// segments) yields zeros.
-func idleSpread(tl *telemetry.Timeline) (maxMs, p50Ms float64) {
-	byLane := tl.IdleByLane()
-	if len(byLane) == 0 {
-		return 0, 0
-	}
-	totals := make([]float64, 0, len(byLane))
-	for _, d := range byLane {
-		totals = append(totals, float64(d)/1e6)
-	}
-	sort.Float64s(totals)
-	return totals[len(totals)-1], totals[len(totals)/2]
-}
+// headlineMinSeqMs is the sequential time below which a case is reported
+// but kept out of GeomeanSpeedup.
+const headlineMinSeqMs = 1
 
 // quantilesMs renders one histogram's latency quantiles in milliseconds.
 type quantilesMs struct {
@@ -599,16 +579,12 @@ func benchCases() []benchCase {
 
 // runOnce batch-checks src with the given parallelism on a fresh checker
 // (fresh SMT cache, so sequential and parallel runs measure the same
-// work). The returned timeline carries the run's per-worker
-// busy/idle/steal segments.
-func runOnce(src string, par int, seed bool) (*circ.BatchReport, *telemetry.Timeline, error) {
-	tl := telemetry.NewTimeline(telemetry.DefaultTimelineCap)
-	ctx := telemetry.WithTimeline(context.Background(), tl)
-	rep, err := circ.CheckAllRaces(ctx, src,
+// work).
+func runOnce(src string, par int, seed bool) (*circ.BatchReport, error) {
+	return circ.CheckAllRaces(context.Background(), src,
 		circ.WithParallelism(par), circ.WithTracer(tracer),
 		circ.WithTriage(bool(triageFlag)), circ.WithSlicing(bool(sliceFlag)),
 		circ.WithSeedPredicates(seed), circ.WithSMTSlowLog(*smtSlowLog))
-	return rep, tl, err
 }
 
 // runWarm measures incremental re-checking: the same program is checked
@@ -666,22 +642,22 @@ func runBench() {
 		runtime.GOMAXPROCS(par)
 	}
 	fmt.Printf("== Parallel engine benchmark: sequential vs %d workers ==\n", par)
-	fmt.Printf("%-28s %7s %6s %5s %5s %9s %9s %9s %8s %7s %9s %11s %7s %8s\n",
-		"benchmark", "targets", "disch", "seeds", "dIter", "seq", "par", "warm", "speedup", "reuse", "hit-rate", "allocs/q", "steals", "idle")
+	fmt.Printf("%-28s %7s %6s %5s %5s %9s %9s %9s %8s %7s %9s %11s\n",
+		"benchmark", "targets", "disch", "seeds", "dIter", "seq", "par", "warm", "speedup", "reuse", "hit-rate", "allocs/q")
 	report := benchReport{GOMAXPROCS: runtime.GOMAXPROCS(0), NumCPU: runtime.NumCPU(), Parallelism: par}
 	// Each runOnce uses a fresh checker (and so a fresh registry); merge
 	// the per-run snapshots into a bench-level child of the process
 	// registry so BENCH_parallel.json carries the aggregate.
 	breg := telemetry.ChildOf(reg)
 	for _, bc := range benchCases() {
-		seq, _, err := runOnce(bc.Source, 1, bool(seedFlag))
+		seq, err := runOnce(bc.Source, 1, bool(seedFlag))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(sequential):", err)
 			os.Exit(1)
 		}
 		var msBefore, msAfter runtime.MemStats
 		runtime.ReadMemStats(&msBefore)
-		parRep, parTL, err := runOnce(bc.Source, par, bool(seedFlag))
+		parRep, err := runOnce(bc.Source, par, bool(seedFlag))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(parallel):", err)
 			os.Exit(1)
@@ -697,7 +673,7 @@ func runBench() {
 		// iterations the exported guard predicates saved on this case.
 		var noSeedIters int64
 		if bool(seedFlag) {
-			noSeed, _, err := runOnce(bc.Source, par, false)
+			noSeed, err := runOnce(bc.Source, par, false)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(no-seed):", err)
 				os.Exit(1)
@@ -725,11 +701,8 @@ func runBench() {
 			SeededPredicates:   parRep.Metrics.Counter("seed.predicates"),
 			ParIterations:      parRep.Metrics.Counter("circ.iterations"),
 			NoSeedIterations:   noSeedIters,
-			Steals:             parRep.Metrics.Counter("reach.steal.count"),
-			IdleMillis:         float64(parRep.Metrics.Histograms["reach.worker.idle"].SumNanos) / 1e6,
 			SlowQueries:        parRep.SMT.SlowQueries,
 		}
-		row.IdleMaxMillis, row.IdleP50Millis = idleSpread(parTL)
 		report.SlowQueries += row.SlowQueries
 		if queries := row.CacheHits + row.CacheMisses + row.FastPath; queries > 0 {
 			row.AllocsPerQuery = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(queries)
@@ -769,21 +742,20 @@ func runBench() {
 		if !row.VerdictsAgree {
 			agree = "  VERDICT MISMATCH"
 		}
-		fmt.Printf("%-28s %7d %6d %5d %+5d %8.0fms %8.0fms %8.0fms %7.2fx %6.0f%% %8.1f%% %11.0f %7d %6.0fms%s\n",
+		fmt.Printf("%-28s %7d %6d %5d %+5d %8.0fms %8.0fms %8.0fms %7.2fx %6.0f%% %8.1f%% %11.0f%s\n",
 			bc.Name, row.Targets, row.TriageDischarged, row.SeededPredicates, row.SeedIterDelta,
 			row.SeqMillis, row.ParMillis, row.WarmMillis,
-			row.Speedup, 100*row.ReuseHitRate, 100*row.HitRate, row.AllocsPerQuery,
-			row.Steals, row.IdleMillis, agree)
+			row.Speedup, 100*row.ReuseHitRate, 100*row.HitRate, row.AllocsPerQuery, agree)
 	}
 	if report.TotalParMs > 0 {
 		report.Speedup = report.TotalSeqMs / report.TotalParMs
 	}
-	// Geometric mean of the per-case speedups: each case contributes
-	// equally regardless of its absolute runtime.
+	// Geometric mean of the per-case speedups: each headline case
+	// contributes equally regardless of its absolute runtime.
 	var logSum float64
 	var nSpeedups int
 	for _, row := range report.Rows {
-		if row.Speedup > 0 {
+		if row.Speedup > 0 && row.SeqMillis >= headlineMinSeqMs {
 			logSum += math.Log(row.Speedup)
 			nSpeedups++
 		}

@@ -88,11 +88,6 @@ type Options struct {
 	// collects (0 = default). MaxRaces = 1 reproduces the paper's
 	// first-trace-only behaviour, as an ablation.
 	MaxRaces int
-	// Parallelism is the number of workers used for frontier-parallel
-	// reachability (0 or 1: sequential). Verdicts are identical at any
-	// parallelism; values > 1 require chk to be safe for concurrent use
-	// (smt.CachedChecker).
-	Parallelism int
 }
 
 func (o Options) k() int {
@@ -293,9 +288,8 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 	// beginPhase opens a per-phase solver-work measurement for the journal
 	// and returns the closure that emits it. Full smt.Stats deltas are only
 	// attributable (and only deterministic) when this analysis has
-	// exclusive use of the solver and the phase runs sequentially; the
-	// frontier-parallel reach phase passes cachedOnly, reporting just the
-	// cache-content growth, which stays deterministic under racing workers.
+	// exclusive use of the solver; the reach phase passes cachedOnly,
+	// reporting just the cache-content growth.
 	var solver interface {
 		Stats() smt.CacheStats
 		CacheSize() int
@@ -363,12 +357,11 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 			isp.Annotate("inner", inner)
 			reachDone := beginPhase("reach", true)
 			res, err := reach.ReachAndBuild(ictx, c, A, abs, raceVar, reach.Options{
-				K:           k,
-				ExactSeed:   opts.Omega,
-				MaxStates:   opts.MaxStates,
-				MaxRaces:    opts.MaxRaces,
-				Parallelism: opts.Parallelism,
-				Metrics:     opts.Metrics,
+				K:         k,
+				ExactSeed: opts.Omega,
+				MaxStates: opts.MaxStates,
+				MaxRaces:  opts.MaxRaces,
+				Metrics:   opts.Metrics,
 			})
 			reachDone()
 			if err != nil {

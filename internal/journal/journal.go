@@ -67,10 +67,8 @@ const (
 	EvACFACollapsed = "acfa_collapsed"
 	// EvSMTPhaseStats: solver-work deltas for one engine phase. Sequential
 	// phases (refine, simcheck, collapse, goodloc) carry the full
-	// smt.Stats delta; the frontier-parallel reach phase carries only
-	// new_cached (the cache-content delta), because hit/miss splits under
-	// racing workers are scheduling-dependent while the set of cached
-	// formulas is not. The event is suppressed entirely when the solver is
+	// smt.Stats delta; the reach phase carries only new_cached (the
+	// cache-content delta). The event is suppressed entirely when the solver is
 	// shared with concurrently-running analyses (batch mode), where no
 	// delta is attributable. These rules keep the journal byte-identical
 	// at any parallelism.

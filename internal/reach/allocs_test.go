@@ -17,10 +17,10 @@ const maxAllocsPerState = 2 * 12.15
 // The solver's verdict cache stays warm across runs, so the count is the
 // exploration's own.
 func TestReachAllocsPerState(t *testing.T) {
-	f := stealFixture(t)
-	states := f.run(t, 1, nil).NumStates
+	f := tasFixture(t)
+	states := f.run(t, nil).NumStates
 	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := ReachAndBuild(context.Background(), f.c, f.a, f.abs, "x", Options{K: 2, Parallelism: 1}); err != nil {
+		if _, err := ReachAndBuild(context.Background(), f.c, f.a, f.abs, "x", Options{K: 2}); err != nil {
 			t.Fatal(err)
 		}
 	})

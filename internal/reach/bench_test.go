@@ -47,7 +47,7 @@ thread T {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ReachAndBuild(ctx, c, a, abs, "x",
-			Options{K: 2, Parallelism: 1, Metrics: reg}); err != nil {
+			Options{K: 2, Metrics: reg}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,7 +2,7 @@ package reach
 
 import (
 	"context"
-	"sync"
+	"fmt"
 
 	"circ/internal/acfa"
 	"circ/internal/cfa"
@@ -13,14 +13,12 @@ import (
 	"circ/internal/telemetry"
 )
 
-// Exploration is one breadth-first search over abstract states. The
-// calling goroutine merges states strictly in FIFO discovery order —
-// budget accounting, race recording, ARG edges, deduplication, journal
-// events — so every verdict-relevant result is that of a sequential
-// worklist. Expanding a state (its successors and the race check) is a
-// pure function of the state, touching only the concurrent post cache
-// and the concurrency-safe solver; with Parallelism > 1 a worker pool
-// (steal.go) runs those expansions ahead of the merger.
+// Exploration is one breadth-first search over abstract states on the
+// calling goroutine, the worklist of the paper's Algorithm 1: states are
+// expanded (successors and the race check) and merged (budget accounting,
+// race recording, ARG edges, deduplication, journal events) strictly in
+// FIFO discovery order. Parallelism lives above this package, across the
+// (thread, variable) units of a batch and the jobs of the daemon.
 
 // Options configures ReachAndBuild.
 type Options struct {
@@ -34,16 +32,9 @@ type Options struct {
 	// MaxRaces caps how many distinct race traces are collected; 0 means
 	// the default (64).
 	MaxRaces int
-	// Parallelism is the number of goroutines expanding states
-	// concurrently; 0 or 1 runs sequentially. Results are identical at any
-	// parallelism: successors are computed in parallel but merged in
-	// deterministic BFS order. Parallelism > 1 requires the abstractor's
-	// solver to be safe for concurrent use (smt.CachedChecker).
-	Parallelism int
 	// Metrics, when non-nil, receives exploration counters (states,
-	// outstanding-work high-water mark, post-cache effectiveness, races,
-	// steals, worker idle time). Telemetry never affects the verdict,
-	// only observes it.
+	// worklist high-water mark, post-cache effectiveness, races).
+	// Telemetry never affects the verdict, only observes it.
 	Metrics *telemetry.Registry
 }
 
@@ -59,13 +50,6 @@ func (o Options) maxRaces() int {
 		return o.MaxRaces
 	}
 	return 64
-}
-
-func (o Options) parallelism() int {
-	if o.Parallelism > 1 {
-		return o.Parallelism
-	}
-	return 1
 }
 
 // Result is the outcome of ReachAndBuild.
@@ -94,10 +78,8 @@ func (r *Result) Race() *Trace {
 // predicate set P and the SMT solver. The context cancels long runs
 // between merged states.
 func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options) (*Result, error) {
-	e := &explorer{C: C, A: A, abs: abs, raceVar: raceVar, opts: opts}
-	for i := range e.posts.shards {
-		e.posts.shards[i].m = make(map[postKey]*pred.Cube)
-	}
+	e := &explorer{C: C, A: A, abs: abs, raceVar: raceVar, opts: opts,
+		posts: make(map[postKey]*pred.Cube)}
 	// Instrument handles are fetched once; with a nil registry they are nil
 	// and every update on the hot path degrades to a nil check.
 	if reg := opts.Metrics; reg != nil {
@@ -105,14 +87,9 @@ func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abst
 		e.cRaces = reg.Counter("reach.races")
 		e.cPostHits = reg.Counter("reach.post.cache.hits")
 		e.cPostMisses = reg.Counter("reach.post.cache.misses")
-		e.cSteals = reg.Counter("reach.steal.count")
 		e.gFrontier = reg.Gauge("reach.frontier.max")
-		// Exported to Prometheus as circ_reach_worker_idle_seconds (the
-		// exporter appends the unit suffix to histogram families).
-		e.hIdle = reg.Histogram("reach.worker.idle")
 	}
 	e.j = journal.FromContext(ctx)
-	e.tl = telemetry.TimelineFromContext(ctx)
 	ctx, sp := telemetry.StartSpan(ctx, "reach")
 	res, err := e.run(ctx)
 	if res != nil {
@@ -122,11 +99,6 @@ func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abst
 	sp.End()
 	return res, err
 }
-
-// postShardCount shards the abstract-post cache; frontier workers hit it
-// on every expansion, so it is the engine's hottest shared structure after
-// the SMT cache.
-const postShardCount = 32
 
 // postKey identifies an abstract-post computation. Posts are a pure
 // function of the source cube's canonical formula (its interned ID) and
@@ -150,44 +122,6 @@ func envPostKey(fid expr.ID, n acfa.Loc, ai, ti int) postKey {
 	return postKey{fid: fid, kind: 'e', a: int32(n), b: int32(ai), c: int32(ti)}
 }
 
-// shard mixes the key fields into a shard index with one multiply-fold.
-func (k postKey) shard() uint32 {
-	h := uint64(k.fid) ^ uint64(k.kind)<<56 ^
-		uint64(uint32(k.a))<<8 ^ uint64(uint32(k.b))<<24 ^ uint64(uint32(k.c))<<40
-	h *= 0x9E3779B97F4A7C15
-	return uint32(h>>32) % postShardCount
-}
-
-type postShard struct {
-	mu sync.RWMutex
-	m  map[postKey]*pred.Cube // nil values record bottom
-}
-
-// postCache memoises abstract posts behind sharded RW mutexes: states
-// sharing a cube formula but differing in counters or spelling would
-// otherwise recompute identical SMT-heavy posts, and concurrent frontier
-// workers share each other's results.
-type postCache struct {
-	shards [postShardCount]postShard
-}
-
-func (p *postCache) get(key postKey, compute func() *pred.Cube) (*pred.Cube, bool) {
-	sh := &p.shards[key.shard()]
-	sh.mu.RLock()
-	c, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		return c, true
-	}
-	// Compute outside the lock; a concurrent duplicate computes the same
-	// deterministic cube, so last-write-wins is harmless.
-	c = compute()
-	sh.mu.Lock()
-	sh.m[key] = c
-	sh.mu.Unlock()
-	return c, false
-}
-
 type explorer struct {
 	C       *cfa.CFA
 	A       *acfa.ACFA
@@ -195,37 +129,116 @@ type explorer struct {
 	raceVar string
 	opts    Options
 
-	posts postCache
-	ctxs  ctxTable // merge phase only
+	// posts memoises abstract posts for this run: states sharing a cube
+	// formula but differing in counters or spelling would otherwise
+	// recompute identical SMT-heavy posts. Nil values record bottom.
+	posts map[postKey]*pred.Cube
+	ctxs  ctxTable
 
 	// Telemetry handles, nil when no registry is configured (each update
 	// is then a single nil check — see BenchmarkReachTelemetry).
 	cStates, cRaces        *telemetry.Counter
 	cPostHits, cPostMisses *telemetry.Counter
-	cSteals                *telemetry.Counter
 	gFrontier              *telemetry.Gauge
-	hIdle                  *telemetry.Histogram
 
-	// tl, when a flight-deck timeline rides in on the context, receives
-	// per-worker busy/idle/steal segments from the steal scheduler. Like
-	// the journal it is carried alongside the verdict path: segments are
-	// wall-clock observations and never feed back into exploration.
-	tl *telemetry.Timeline
-
-	// j records counter-widening events; emission happens only in the
-	// sequential merge phase, so the journal stays deterministic at any
-	// parallelism.
+	// j records counter-widening events in merge order.
 	j *journal.Stream
 }
 
 func (e *explorer) cachedPost(key postKey, compute func() *pred.Cube) *pred.Cube {
-	c, hit := e.posts.get(key, compute)
-	if hit {
+	if c, ok := e.posts[key]; ok {
 		e.cPostHits.Inc()
-	} else {
-		e.cPostMisses.Inc()
+		return c
 	}
+	c := compute()
+	e.posts[key] = c
+	e.cPostMisses.Inc()
 	return c
+}
+
+// slot is one discovered state and its place in the BFS tree.
+type slot struct {
+	state  State
+	id     stateID
+	parent *slot // the state that discovered this one; nil for the initial state
+	op     Op    // the step from parent
+}
+
+// stateID is an abstract state's identity within one exploration: the
+// ARG's raw id of its thread state and the interned id of its context.
+// Two states are the same exactly when their CFA locations, cube keys and
+// counter maps agree.
+type stateID struct{ ts, ctx int }
+
+// run is the exploration loop over the FIFO discovery order.
+func (e *explorer) run(ctx context.Context) (*Result, error) {
+	arg, init := e.seed()
+	seen := map[stateID]struct{}{init.id: {}}
+	order := []*slot{init}
+	var races []*Trace
+	var widened map[acfa.Loc]bool
+	if e.j.Enabled() {
+		widened = make(map[acfa.Loc]bool)
+	}
+
+	for i := 0; i < len(order); i++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sl := order[i]
+		recs := e.successors(&sl.state)
+		isRace := e.isRace(&sl.state)
+		numStates := i + 1
+		e.cStates.Inc()
+		if numStates > e.opts.maxStates() {
+			e.drain(order[i+1:])
+			return nil, fmt.Errorf("reach: state budget exceeded (%d states)", e.opts.maxStates())
+		}
+		if isRace {
+			e.cRaces.Inc()
+			races = append(races, buildTrace(sl))
+			if len(races) >= e.opts.maxRaces() {
+				// Enough counterexamples for this refinement round; the
+				// ARG is partial but unused on the error path.
+				e.drain(order[i+1:])
+				return &Result{Races: races, ARG: arg, NumStates: numStates}, nil
+			}
+		}
+		for _, rec := range recs {
+			// A main move keeps the context (and its id); an env move
+			// interns the moved one.
+			id := stateID{ts: arg.intern(rec.ts), ctx: sl.id.ctx}
+			c := sl.state.Ctx
+			if env := rec.op.EnvEdge; env != nil {
+				arg.union(sl.id.ts, id.ts)
+				id.ctx, c = e.ctxs.move(c, env.Src, env.Dst, e.opts.K)
+			} else {
+				arg.connectMain(sl.id.ts, rec.op.MainEdge, id.ts)
+			}
+			if _, ok := seen[id]; ok {
+				continue
+			}
+			seen[id] = struct{}{}
+			ns := &slot{state: State{TS: rec.ts, Ctx: c}, id: id, parent: sl, op: rec.op}
+			order = append(order, ns)
+			e.emitWidened(widened, &sl.state, &ns.state)
+		}
+		e.gFrontier.Max(int64(len(order) - numStates))
+	}
+	return &Result{Races: races, ARG: arg, NumStates: len(order)}, nil
+}
+
+// drain expands the discovered but unmerged states after an early break
+// (state budget or race cap), in order, and discards the results. The
+// journal's smt_phase_stats new_cached counts the solver cache entries the
+// reach phase adds, so it depends on which states were expanded; the
+// drain makes that every discovered state, and dropping it would change
+// the journal's bytes.
+func (e *explorer) drain(rest []*slot) {
+	for _, sl := range rest {
+		e.successors(&sl.state)
+		e.isRace(&sl.state)
+	}
 }
 
 // seed builds the ARG and the initial exploration state's slot.
@@ -246,8 +259,7 @@ func (e *explorer) seed() (*ARG, *slot) {
 }
 
 // emitWidened journals context locations whose counter just saturated to
-// omega on the parent→child transition, once per run. Called only from
-// sequential merge phases, so emission order is deterministic.
+// omega on the parent→child transition, once per run.
 func (e *explorer) emitWidened(widened map[acfa.Loc]bool, parent, child *State) {
 	if widened == nil {
 		return
@@ -299,18 +311,16 @@ func (e *explorer) atomicOccupancy(s *State) (mainEnabled, envAll bool, envOnly 
 }
 
 // succRecord is one computed successor: the main thread's next state and
-// the op taken. The merge phase derives the successor's context from the
-// op (unchanged for a main move), records the ARG transition and enqueues
+// the op taken. The merge derives the successor's context from the op
+// (unchanged for a main move), records the ARG transition and enqueues
 // the state.
 type succRecord struct {
 	ts ThreadState
 	op Op
 }
 
-// successors expands a state. It is pure with respect to the explorer —
-// safe to call from concurrent workers — touching only the concurrent
-// post cache and the (concurrency-safe) solver; ARG recording and
-// deduplication happen later in the sequential merge.
+// successors expands a state, touching only the post cache and the
+// solver; ARG recording and deduplication happen in the merge.
 func (e *explorer) successors(s *State) []succRecord {
 	mainEnabled, envAll, envOnly := e.atomicOccupancy(s)
 	// Room for one successor per enabled edge, the common case.

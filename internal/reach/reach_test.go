@@ -2,6 +2,8 @@ package reach
 
 import (
 	"context"
+	"errors"
+	"strings"
 	"testing"
 
 	"circ/internal/acfa"
@@ -10,6 +12,7 @@ import (
 	"circ/internal/lang"
 	"circ/internal/pred"
 	"circ/internal/smt"
+	"circ/internal/telemetry"
 )
 
 func buildCFA(t testing.TB, src string) *cfa.CFA {
@@ -156,10 +159,8 @@ thread T {
 	l1 := a.AddLoc(pred.TrueRegion(set), false)
 	a.AddEdge(a.Entry, l1, []string{"x"})
 	a.Finish()
-	e := &explorer{C: c, A: a, abs: abs, raceVar: "x", opts: Options{K: 1}}
-	for i := range e.posts.shards {
-		e.posts.shards[i].m = make(map[postKey]*pred.Cube)
-	}
+	e := &explorer{C: c, A: a, abs: abs, raceVar: "x", opts: Options{K: 1},
+		posts: make(map[postKey]*pred.Cube)}
 	// Find an atomic main location.
 	var atomicLoc cfa.Loc = -1
 	for l := 0; l < c.NumLocs(); l++ {
@@ -355,5 +356,127 @@ thread T {
 		if s.String() == "" {
 			t.Fatalf("empty op render")
 		}
+	}
+}
+
+// tasFixture builds the test-and-set program under a havocking context,
+// which explores a few hundred states and finds races.
+func tasFixture(t *testing.T) *fixtureParts {
+	t.Helper()
+	c := buildCFA(t, `
+global int x;
+global int state;
+thread T {
+  local int old;
+  while (1) {
+    atomic {
+      old = state;
+      if (state == 0) { state = 1; }
+    }
+    if (old == 0) {
+      x = x + 1;
+      state = 0;
+    }
+  }
+}
+`)
+	chk := smt.NewCachedChecker()
+	set := pred.NewSet()
+	abs := pred.NewAbstractor(chk, set)
+	a := acfa.Empty(set)
+	l1 := a.AddLoc(pred.TrueRegion(set), false)
+	a.AddEdge(a.Entry, l1, []string{"x", "state"})
+	a.AddEdge(l1, a.Entry, []string{"x", "state"})
+	a.Finish()
+	return &fixtureParts{c: c, a: a, abs: abs}
+}
+
+type fixtureParts struct {
+	c   *cfa.CFA
+	a   *acfa.ACFA
+	abs *pred.Abstractor
+}
+
+// run runs ReachAndBuild on the fixture with K = 2.
+func (f *fixtureParts) run(t *testing.T, extra func(*Options)) *Result {
+	t.Helper()
+	opts := Options{K: 2}
+	if extra != nil {
+		extra(&opts)
+	}
+	res, err := ReachAndBuild(context.Background(), f.c, f.a, f.abs, "x", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestStealRaceCapDeterminism: hitting the race cap (the early-break
+// path, which drains the unmerged states) stops at exactly the cap, and a
+// rerun over the now-warm solver cache yields the same races and state
+// count.
+func TestStealRaceCapDeterminism(t *testing.T) {
+	f := tasFixture(t)
+	capped := func(o *Options) { o.MaxRaces = 2 }
+	first := f.run(t, capped)
+	if len(first.Races) != 2 {
+		t.Fatalf("race cap ignored: %d races", len(first.Races))
+	}
+	again := f.run(t, capped)
+	if again.NumStates != first.NumStates {
+		t.Fatalf("rerun NumStates = %d, want %d", again.NumStates, first.NumStates)
+	}
+	for i := range first.Races {
+		if again.Races[i].String() != first.Races[i].String() {
+			t.Fatalf("rerun race %d differs:\n%s\nvs\n%s", i, again.Races[i], first.Races[i])
+		}
+	}
+}
+
+// TestStealBudgetExceeded: exploring past the state budget fails with the
+// budget error.
+func TestStealBudgetExceeded(t *testing.T) {
+	f := tasFixture(t)
+	_, err := ReachAndBuild(context.Background(), f.c, f.a, f.abs, "x", Options{K: 2, MaxStates: 10})
+	if err == nil || !strings.Contains(err.Error(), "state budget exceeded") {
+		t.Fatalf("err = %v, want state budget exceeded", err)
+	}
+}
+
+// TestStealCounters: the exploration counters are exact.
+func TestStealCounters(t *testing.T) {
+	f := tasFixture(t)
+	reg := telemetry.NewRegistry()
+	res := f.run(t, func(o *Options) { o.Metrics = reg })
+	snap := reg.Snapshot()
+	if snap.Counters["reach.states"] != int64(res.NumStates) {
+		t.Fatalf("reach.states = %d, want %d", snap.Counters["reach.states"], res.NumStates)
+	}
+	if snap.Counters["reach.races"] != int64(len(res.Races)) {
+		t.Fatalf("reach.races = %d, want %d", snap.Counters["reach.races"], len(res.Races))
+	}
+}
+
+// TestReachCancellation: a cancelled context stops exploration between
+// merged states with the context's error.
+func TestReachCancellation(t *testing.T) {
+	c := buildCFA(t, `
+global int x;
+thread T {
+  while (1) { x = x + 1; }
+}
+`)
+	chk := smt.NewChecker()
+	set := pred.NewSet()
+	abs := pred.NewAbstractor(chk, set)
+	a := acfa.Empty(set)
+	l1 := a.AddLoc(pred.TrueRegion(set), false)
+	a.AddEdge(a.Entry, l1, []string{"x"})
+	a.Finish()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := ReachAndBuild(ctx, c, a, abs, "x", Options{K: 1})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got %v, want context.Canceled", err)
 	}
 }

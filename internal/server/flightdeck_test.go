@@ -65,16 +65,14 @@ func submitTraced(t *testing.T, ts *httptest.Server, req apiv1.CheckRequest, tra
 
 // TestTracePropagation is the end-to-end flight-deck check: a submit
 // carrying a W3C traceparent yields a job whose Chrome trace export has
-// per-worker scheduler lanes and SMT spans stamped with the caller's
-// trace ID, a non-empty slow-query log attributed to the same trace, and
-// stats/ring entries that surface the identity.
+// reach and SMT spans stamped with the caller's trace ID, a non-empty
+// slow-query log attributed to the same trace, and stats/ring entries
+// that surface the identity.
 func TestTracePropagation(t *testing.T) {
 	_, ts := newFlightDeckServer(t)
 	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
 	const parent = "00-" + traceID + "-00f067aa0ba902b7-01"
 
-	// A single target with parallelism > 1 exercises the work-stealing
-	// pool, which is what populates the worker timeline lanes.
 	ack, echoed := submitTraced(t, ts, apiv1.CheckRequest{
 		Program: tasSrc,
 		Targets: []apiv1.Target{{Variable: "x"}},
@@ -99,7 +97,7 @@ func TestTracePropagation(t *testing.T) {
 	}
 
 	// The trace export must validate, carry the caller's trace ID, and
-	// include worker lanes and SMT spans.
+	// include reach and SMT spans.
 	resp, err := http.Get(ts.URL + ack.TraceURL)
 	if err != nil {
 		t.Fatal(err)
@@ -129,20 +127,17 @@ func TestTracePropagation(t *testing.T) {
 	if file.OtherData["trace_id"] != traceID {
 		t.Fatalf("trace otherData = %v", file.OtherData)
 	}
-	var lanes, smtSpans int
+	var reachSpans, smtSpans int
 	for _, ev := range file.TraceEvents {
-		if ev.Ph == "M" {
-			if name, _ := ev.Args["name"].(string); strings.HasPrefix(name, "reach.worker.") {
-				lanes++
-			}
-			continue
+		if ev.Ph == "X" && ev.Name == "reach" && ev.Args["trace_id"] == traceID {
+			reachSpans++
 		}
 		if strings.HasPrefix(ev.Name, "smt.") {
 			smtSpans++
 		}
 	}
-	if lanes < 2 {
-		t.Fatalf("trace has %d worker lanes, want >= 2", lanes)
+	if reachSpans == 0 {
+		t.Fatal("trace has no reach span stamped with the trace ID")
 	}
 	if smtSpans == 0 {
 		t.Fatal("trace has no SMT spans")
@@ -176,13 +171,13 @@ func TestTracePropagation(t *testing.T) {
 		t.Fatalf("stats.build = %+v", stats.Build)
 	}
 
-	// The job ring records the trace identity and timeline size.
+	// The job ring records the trace identity.
 	var list apiv1.JobList
 	getJSON(t, ts, "/v1/jobs", &list)
 	if len(list.Jobs) != 1 {
 		t.Fatalf("ring has %d jobs", len(list.Jobs))
 	}
-	if list.Jobs[0].TraceID != traceID || list.Jobs[0].TimelineSegments == 0 {
+	if list.Jobs[0].TraceID != traceID {
 		t.Fatalf("ring summary = %+v", list.Jobs[0])
 	}
 }

@@ -117,10 +117,10 @@ func (s *Server) snapshotMetrics() telemetry.Metrics {
 	m.Gauges["arena.bytes_high_water"] = as.BytesHighWater
 	m.Counters["arena.compactions"] = int64(as.Compactions)
 
-	// The shared SMT verdict cache and the reach scheduler need no
+	// The shared SMT verdict cache and the reach engine need no
 	// injection: the solver and engine are instrumented against this
-	// registry, so "smt.cache.*", "reach.steal.count", and the
-	// "reach.worker.idle" histogram are already in the snapshot.
+	// registry, so "smt.cache.*" and "reach.*" are already in the
+	// snapshot.
 
 	m.Gauges["uptime_seconds"] = int64(time.Since(s.start).Seconds())
 	return m

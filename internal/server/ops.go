@@ -22,45 +22,15 @@ type opsModel struct {
 	Store     apiv1.StoreStats
 	Arena     apiv1.ArenaStats
 	SMT       apiv1.SMTStats
-	Scheduler apiv1.SchedulerStats
 	Endpoints []endpointRow
 	Ring      []ringRow
 	Evicted   int64
 	Trend     []trendBar
-	// Lanes is the worker-lane view of the most recent completed job that
-	// ran parallel workers: one row per scheduler worker, busy/idle/steal
-	// segments as positioned spans.
-	LaneJob     string
-	LaneTraceID string
-	Lanes       []laneRow
-	LaneDropped int64
 	// SlowLog mirrors /debug/circ/slowlog, newest first, truncated for
 	// the dashboard.
 	SlowThresholdMS float64
 	SlowTotal       int64
 	Slow            []slowRow
-}
-
-// laneRow is one scheduler worker's timeline: positioned busy/idle spans
-// and instantaneous steal marks, plus per-lane totals.
-type laneRow struct {
-	Name      string
-	Spans     []laneSpan
-	Busy      time.Duration
-	Idle      time.Duration
-	BusyText  string
-	IdleText  string
-	Steals    int
-	Truncated bool
-}
-
-// laneSpan is one positioned segment in a lane row, in percent of the
-// job's timeline extent.
-type laneSpan struct {
-	Kind     string
-	LeftPct  float64
-	WidthPct float64
-	Title    string
 }
 
 // slowRow is one slow-query line on the dashboard.
@@ -140,11 +110,7 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		HitRate: st.HitRate(), SlowQueries: st.SlowQueries,
 	}
 
-	// Flight deck: the latest parallel job's worker lanes and the SMT
-	// slow-query log's most recent entries.
-	laneJob, laneTrace, laneSegs, laneDropped := s.lanes.get()
-	m.LaneJob, m.LaneTraceID, m.LaneDropped = laneJob, laneTrace, laneDropped
-	m.Lanes = laneRowsOf(laneSegs)
+	// Flight deck: the SMT slow-query log's most recent entries.
 	m.SlowThresholdMS = float64(s.base.SMTSlowLogThreshold()) / 1e6
 	m.SlowTotal = st.SlowQueries
 	for _, q := range s.base.SlowQueries() {
@@ -160,10 +126,6 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 
 	// Per-endpoint HTTP latency, from the middleware's histograms.
 	snap := s.reg.Snapshot()
-	m.Scheduler = apiv1.SchedulerStats{
-		Steals:            snap.Counters["reach.steal.count"],
-		WorkerIdleSeconds: float64(snap.Histograms["reach.worker.idle"].SumNanos) / 1e9,
-	}
 	for _, ep := range []string{
 		"/v1/check", "/v1/jobs", "/v1/jobs/{id}", "/v1/jobs/{id}/events",
 		"/v1/jobs/{id}/report", "/v1/jobs/{id}/trace", "/v1/stats",
@@ -259,12 +221,6 @@ td.num { text-align: right; font-variant-numeric: tabular-nums; }
 .bar-store { background: #7aa6d9; }
 .bar-arena { background: #a3c293; }
 .barcell { width: 14rem; }
-.lanecell { width: 34rem; }
-.lane { position: relative; height: 0.9rem; background: #f6f6f6; border-radius: 2px; overflow: hidden; }
-.seg { position: absolute; top: 0; height: 100%; }
-.seg-busy { background: #5a9e6f; }
-.seg-idle { background: #d9d9d9; }
-.seg-steal { background: #c4483a; z-index: 1; }
 </style>
 </head>
 <body>
@@ -312,33 +268,14 @@ p99 {{printf "%.3fs" .Lifetime.CheckLatency.P99Seconds}}.</p>
 </table>
 </div>
 
-<h2>Expression arena, SMT cache &amp; scheduler</h2>
+<h2>Expression arena &amp; SMT cache</h2>
 <div class="panel">
 <p>Arena: {{.Arena.Nodes}} live nodes, {{bytes .Arena.Bytes}}
 (high water {{.Arena.NodesHighWater}} nodes / {{bytes .Arena.BytesHighWater}};
 {{.Arena.Compactions}} compactions).
 SMT cache: {{.SMT.Hits}} hits, {{.SMT.Misses}} misses, {{.SMT.FastPath}} fast-path
 (hit rate {{printf "%.0f%%" (mulf .SMT.HitRate 100.0)}});
-{{.SMT.SlowQueries}} slow queries logged.
-Scheduler: {{.Scheduler.Steals}} steals,
-{{printf "%.3fs" .Scheduler.WorkerIdleSeconds}} cumulative worker idle.</p>
-</div>
-
-<h2>Worker lanes{{if .LaneJob}} ({{.LaneJob}}, trace {{.LaneTraceID}}){{end}}</h2>
-<div class="panel">
-{{if .Lanes}}
-<table>
-<tr><th>lane</th><th class="lanecell">timeline (busy / idle / steal)</th><th>busy</th><th>idle</th><th>steals</th></tr>
-{{range .Lanes}}
-<tr><td>{{.Name}}</td>
-<td class="lanecell"><div class="lane">{{range .Spans}}<span class="seg seg-{{.Kind}}" style="left: {{printf "%.2f" .LeftPct}}%; width: {{printf "%.2f" .WidthPct}}%" title="{{.Title}}"></span>{{end}}</div>{{if .Truncated}}<small>&hellip; truncated</small>{{end}}</td>
-<td class="num">{{.BusyText}}</td><td class="num">{{.IdleText}}</td><td class="num">{{.Steals}}</td></tr>
-{{end}}
-</table>
-{{if .LaneDropped}}<p><small>{{.LaneDropped}} segments dropped at the timeline cap.</small></p>{{end}}
-{{else}}
-<p>No parallel job has completed yet &mdash; lanes appear once a job runs with parallelism &ge; 2.</p>
-{{end}}
+{{.SMT.SlowQueries}} slow queries logged.</p>
 </div>
 
 <h2>SMT slow queries{{if .SlowThresholdMS}} (&ge; {{printf "%.1f" .SlowThresholdMS}} ms){{end}}</h2>

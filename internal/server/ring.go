@@ -127,7 +127,6 @@ func summarizeJob(j *job) apiv1.JobSummary {
 		Summary:     j.summary,
 		TraceID:     j.tc.TraceID,
 	}
-	rec.TimelineSegments = j.timeline.Len()
 	if j.done != nil {
 		rec.FinishedAt = *j.done
 	}

@@ -87,10 +87,7 @@ type Server struct {
 	// gate excludes arena compaction from running jobs: every job holds
 	// the read side for the duration of CheckTargets, and the sweeper
 	// takes the write side (TryLock — skipped, not queued, while busy).
-	gate sync.RWMutex
-	// lanes retains the most recent completed job's scheduler timeline
-	// for the ops dashboard's worker-lane view.
-	lanes  laneView
+	gate   sync.RWMutex
 	nextID atomic.Int64
 	mu     sync.Mutex
 	jobs   map[string]*job
@@ -108,26 +105,25 @@ const (
 
 // job is one submission's full state. All mutable fields are guarded by
 // mu; the journal is internally synchronised and is read concurrently by
-// the SSE endpoint while the job runs. The tracer, timeline, and trace
-// context are set once at submission and internally synchronised, so the
-// trace endpoint reads them without j.mu.
+// the SSE endpoint while the job runs. The tracer and trace context are
+// set once at submission and the tracer is internally synchronised, so
+// the trace endpoint reads them without j.mu.
 type job struct {
-	id       string
-	tc       telemetry.TraceContext
-	tracer   *telemetry.Tracer
-	timeline *telemetry.Timeline
-	mu       sync.Mutex
-	state    string
-	errMsg   string
-	sub      time.Time
-	started  *time.Time
-	done     *time.Time
-	elapsed  time.Duration
-	results  []apiv1.TargetResult
-	summary  string
-	batch    *circ.BatchReport
-	prog     *circ.Program
-	journal  *circ.Journal
+	id      string
+	tc      telemetry.TraceContext
+	tracer  *telemetry.Tracer
+	mu      sync.Mutex
+	state   string
+	errMsg  string
+	sub     time.Time
+	started *time.Time
+	done    *time.Time
+	elapsed time.Duration
+	results []apiv1.TargetResult
+	summary string
+	batch   *circ.BatchReport
+	prog    *circ.Program
+	journal *circ.Journal
 }
 
 // maxTraceSpans bounds each job's recorded spans so a pathological job
@@ -262,7 +258,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "unknown_target", err.Error())
 		return
 	}
-	opts, timeout, err := requestOptions(req.Options)
+	opts, timeout, err := requestOptions(req.Options, s.base.Parallelism())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_request", err.Error())
 		return
@@ -279,19 +275,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	tr := telemetry.NewTracer()
 	tr.SetTraceContext(tc)
 	tr.SetMaxSpans(maxTraceSpans)
-	tl := telemetry.NewTimelineAt(tr.StartTime(), telemetry.DefaultTimelineCap)
 
 	jr := circ.NewJournal()
 	chk := s.base.Derive(append(opts, circ.WithJournal(jr), circ.WithTracer(tr))...)
 	j := &job{
-		id:       fmt.Sprintf("j%06d", s.nextID.Add(1)),
-		tc:       tc,
-		tracer:   tr,
-		timeline: tl,
-		state:    apiv1.StateQueued,
-		sub:      time.Now(),
-		prog:     prog,
-		journal:  jr,
+		id:      fmt.Sprintf("j%06d", s.nextID.Add(1)),
+		tc:      tc,
+		tracer:  tr,
+		state:   apiv1.StateQueued,
+		sub:     time.Now(),
+		prog:    prog,
+		journal: jr,
 	}
 	s.register(j)
 	s.nJobs[cSubmitted].Add(1)
@@ -356,10 +350,6 @@ func (s *Server) run(j *job, chk *circ.Checker, targets []circ.Target, timeout t
 
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	// The scheduler timeline rides the context, alongside — never inside —
-	// the byte-deterministic journal: workers record busy/idle/steal
-	// segments into it whenever one is attached.
-	ctx = telemetry.WithTimeline(ctx, j.timeline)
 	s.gate.RLock()
 	batch, err := chk.CheckTargets(ctx, j.prog, targets)
 	s.gate.RUnlock()
@@ -438,10 +428,8 @@ func (s *Server) complete(j *job, batch *circ.BatchReport, err error) {
 		}
 	}
 	s.reg.Counter("jobs.certs_reused").Add(int64(rec.CertificatesReused))
-	s.lanes.set(j.id, j.tc.TraceID, j.timeline)
 	s.log.Info("job finished", "job", j.id, "state", state,
-		"trace_id", j.tc.TraceID, "spans", j.tracer.NumSpans(),
-		"timeline_segments", j.timeline.Len())
+		"trace_id", j.tc.TraceID, "spans", j.tracer.NumSpans())
 }
 
 // resolveTargets validates the request's target list against the parsed
@@ -475,8 +463,9 @@ func resolveTargets(p *circ.Program, reqs []apiv1.Target) ([]circ.Target, error)
 }
 
 // requestOptions maps the wire options onto checker options plus the
-// per-job timeout. Zero-valued fields keep the daemon defaults.
-func requestOptions(o *apiv1.Options) ([]circ.Option, time.Duration, error) {
+// per-job timeout. Zero-valued fields keep the daemon defaults; a
+// requested parallelism is capped at maxParallelism, the daemon's own.
+func requestOptions(o *apiv1.Options, maxParallelism int) ([]circ.Option, time.Duration, error) {
 	if o == nil {
 		return nil, 0, nil
 	}
@@ -488,7 +477,7 @@ func requestOptions(o *apiv1.Options) ([]circ.Option, time.Duration, error) {
 		opts = append(opts, circ.WithOmega(true))
 	}
 	if o.Parallelism > 0 {
-		opts = append(opts, circ.WithParallelism(o.Parallelism))
+		opts = append(opts, circ.WithParallelism(min(o.Parallelism, maxParallelism)))
 	}
 	onoff := func(name, v string) (bool, bool, error) {
 		switch v {
@@ -745,10 +734,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			HitRate:            smtStats.HitRate(),
 			SlowQueries:        smtStats.SlowQueries,
 			SlowLogThresholdMS: float64(s.base.SMTSlowLogThreshold()) / 1e6,
-		},
-		Scheduler: apiv1.SchedulerStats{
-			Steals:            snap.Counters["reach.steal.count"],
-			WorkerIdleSeconds: float64(snap.Histograms["reach.worker.idle"].SumNanos) / 1e9,
 		},
 		Triage:   triageStats(snap),
 		Lifetime: s.lifetimeStats(),

@@ -507,18 +507,34 @@ func TestJobEviction(t *testing.T) {
 
 // TestRequestOptionsValidation rejects bad option spellings.
 func TestRequestOptionsValidation(t *testing.T) {
-	if _, _, err := requestOptions(&apiv1.Options{Triage: "maybe"}); err == nil {
+	if _, _, err := requestOptions(&apiv1.Options{Triage: "maybe"}, 1); err == nil {
 		t.Fatalf("bad triage spelling accepted")
 	}
-	if _, _, err := requestOptions(&apiv1.Options{SeedPreds: "sometimes"}); err == nil {
+	if _, _, err := requestOptions(&apiv1.Options{SeedPreds: "sometimes"}, 1); err == nil {
 		t.Fatalf("bad seed_preds spelling accepted")
 	}
-	if _, _, err := requestOptions(&apiv1.Options{TimeoutSeconds: -1}); err == nil {
+	if _, _, err := requestOptions(&apiv1.Options{TimeoutSeconds: -1}, 1); err == nil {
 		t.Fatalf("negative timeout accepted")
 	}
-	opts, timeout, err := requestOptions(&apiv1.Options{K: 2, Omega: true, Slicing: "off", SeedPreds: "off", TimeoutSeconds: 1.5})
+	opts, timeout, err := requestOptions(&apiv1.Options{K: 2, Omega: true, Slicing: "off", SeedPreds: "off", TimeoutSeconds: 1.5}, 1)
 	if err != nil || len(opts) != 4 || timeout != 1500*time.Millisecond {
 		t.Fatalf("opts=%d timeout=%v err=%v", len(opts), timeout, err)
+	}
+}
+
+// TestParallelismCapped: a request asking for more parallelism than the
+// daemon's runs its batch with no more workers than the daemon's setting.
+func TestParallelismCapped(t *testing.T) {
+	srv, ts := newTestServer(t) // daemon parallelism 1
+	ack := submit(t, ts, apiv1.CheckRequest{
+		Program: tasSrc, // two targets: Worker/x and Worker/state
+		Options: &apiv1.Options{Parallelism: 1000000, Triage: "off"},
+	})
+	if job := await(t, ts, ack.JobURL); job.State != apiv1.StateDone {
+		t.Fatalf("job state = %s", job.State)
+	}
+	if got := srv.base.Metrics().Snapshot().Gauges["batch.workers"]; got != 1 {
+		t.Fatalf("batch.workers = %d, want 1 (the daemon's parallelism)", got)
 	}
 }
 

@@ -99,71 +99,6 @@ func (t *Tracer) ExportFile(path string) error {
 	return f.Close()
 }
 
-// WriteTrace writes the full flight-deck trace for one job: the tracer's
-// spans plus the scheduler timeline rendered as named per-worker lanes,
-// every event stamped with the tracer's trace identity. Either recorder
-// may be nil; the other is still exported.
-func WriteTrace(w io.Writer, t *Tracer, tl *Timeline) error {
-	events := t.spanTraceEvents()
-	maxLane := int64(0)
-	for _, ev := range events {
-		if ev.TID > maxLane {
-			maxLane = ev.TID
-		}
-	}
-	events = append(events, timelineTraceEvents(tl, maxLane+1)...)
-	return writeTraceFile(w, events, t.TraceContext())
-}
-
-// timelineTraceEvents renders timeline segments as trace events on lanes
-// numbered from firstLane, one lane per distinct segment lane name (in
-// sorted order, so worker lanes come out in index order), each announced
-// with a thread_name metadata record.
-func timelineTraceEvents(tl *Timeline, firstLane int64) []traceEvent {
-	segs := tl.Segments()
-	if len(segs) == 0 {
-		return nil
-	}
-	laneIDs := make(map[string]int64)
-	var names []string
-	for _, s := range segs {
-		if _, ok := laneIDs[s.Lane]; !ok {
-			laneIDs[s.Lane] = 0
-			names = append(names, s.Lane)
-		}
-	}
-	sort.Strings(names)
-	out := make([]traceEvent, 0, len(segs)+len(names))
-	for i, name := range names {
-		laneIDs[name] = firstLane + int64(i)
-		out = append(out, traceEvent{
-			Name: "thread_name",
-			Ph:   "M",
-			PID:  1,
-			TID:  laneIDs[name],
-			Args: map[string]any{"name": name},
-		})
-	}
-	for _, s := range segs {
-		te := traceEvent{
-			Name: s.Kind,
-			Cat:  "sched",
-			Ph:   "X",
-			TS:   micros(s.Start),
-			Dur:  micros(s.Dur),
-			PID:  1,
-			TID:  laneIDs[s.Lane],
-		}
-		if s.Dur == 0 {
-			// Steals are instantaneous marks; a zero-width complete event
-			// is invisible in viewers, an instant event is not.
-			te.Ph, te.S = "i", "t"
-		}
-		out = append(out, te)
-	}
-	return out
-}
-
 // writeTraceFile stamps the trace identity onto every event and encodes
 // the file. With a zero identity the output is byte-identical to the
 // historical exporter format.

@@ -55,15 +55,6 @@ func NewTracer() *Tracer {
 	return &Tracer{start: time.Now(), now: time.Now}
 }
 
-// StartTime returns the tracer's timebase origin, so sibling recorders
-// (the scheduler Timeline) can share it and export aligned offsets.
-func (t *Tracer) StartTime() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // SetTraceContext attaches a W3C trace identity to the tracer. The
 // exporter stamps it on every span so a per-job trace carries the
 // caller-supplied (or daemon-minted) trace ID end to end.

@@ -101,8 +101,8 @@ func TestCheckAllRacesBenchSuite(t *testing.T) {
 	}
 }
 
-// TestCheckerParallelMatchesSequential: a single-target Check (which uses
-// frontier-parallel reachability) agrees with the sequential engine.
+// TestCheckerParallelMatchesSequential: a single-target Check agrees at
+// parallelism 1 and 8.
 func TestCheckerParallelMatchesSequential(t *testing.T) {
 	p, err := Parse(tasSrc)
 	if err != nil {

@@ -26,8 +26,8 @@ func verdictKey(rep *Report) string {
 }
 
 // TestTracingPreservesVerdicts: enabling the tracer and the metrics
-// registry must leave analysis results byte-identical, including under
-// frontier-parallel reachability at GOMAXPROCS.
+// registry must leave analysis results byte-identical, at parallelism 1
+// and at GOMAXPROCS.
 func TestTracingPreservesVerdicts(t *testing.T) {
 	for _, src := range []string{tasSrc, `
 global int x;
