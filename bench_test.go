@@ -454,7 +454,7 @@ func BenchmarkSMTCacheEffect(b *testing.B) {
 				b.Fatalf("%v %v", rep.Verdict, err)
 			}
 		}
-		b.ReportMetric(float64(chk.Stats.CacheHits), "cache-hits")
+		b.ReportMetric(float64(chk.Stats().Hits), "cache-hits")
 	})
 	b.Run("fresh-checker", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

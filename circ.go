@@ -230,7 +230,7 @@ type Checker struct {
 	triage      bool
 	slicing     bool
 	seedPreds   bool
-	solver      *smt.CachedChecker
+	solver      *smt.Checker
 	journal     *journal.Recorder
 	store       *store.Store
 	// thread/variable are the default target of the package-level Check
@@ -279,10 +279,10 @@ func WithLogger(h slog.Handler) Option {
 func WithTracer(tr *Tracer) Option { return func(c *Checker) { c.tracer = tr } }
 
 // WithSMTSlowLog enables the SMT slow-query log: solver misses taking at
-// least threshold are captured — formula ID, cube key, duration, result,
-// clauses replayed/learned — into a bounded ring shared by every Checker
-// derived from this one, readable with SlowQueries. Zero (the default)
-// disables capture.
+// least threshold are captured — formula ID, query kind, cube key,
+// duration, result, trace ID — into a bounded ring shared by every
+// Checker derived from this one, readable with SlowQueries. Zero (the
+// default) disables capture.
 func WithSMTSlowLog(threshold time.Duration) Option {
 	return func(c *Checker) { c.solver.SetSlowQueryThreshold(threshold) }
 }
@@ -370,7 +370,7 @@ func WithTarget(thread, variable string) Option {
 // NewChecker returns a Checker with the given options applied.
 func NewChecker(opts ...Option) *Checker {
 	c := &Checker{
-		solver:    smt.NewCachedChecker(),
+		solver:    smt.NewChecker(),
 		registry:  telemetry.NewRegistry(),
 		triage:    true,
 		slicing:   true,

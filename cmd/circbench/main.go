@@ -55,52 +55,9 @@ var (
 	smtSlowLog = flag.Duration("smt-slowlog", 100*time.Millisecond, "SMT slow-query threshold for the -bench legs (0: disable)")
 )
 
-// triageFlag/sliceFlag/seedFlag are the -bench escape hatches for the
-// engine's static pre-analysis: -triage=off and -slice=off run the batch
-// phases with the full CEGAR loop on every pair and unsliced CFAs, and
-// -seed-preds=off withholds the flag-guard analysis' exported initial
-// predicates so inference starts from the empty abstraction.
-var (
-	triageFlag onoff = true
-	sliceFlag  onoff = true
-	seedFlag   onoff = true
-)
-
-func init() {
-	flag.Var(&triageFlag, "triage", "static triage stage that discharges pairs before CIRC runs: on or off")
-	flag.Var(&sliceFlag, "slice", "per-target cone-of-influence slicing of the thread CFA: on or off")
-	flag.Var(&seedFlag, "seed-preds", "seed inference with guard predicates from the flag-guard analysis: on or off")
-}
-
-// onoff is a boolean flag.Value that also accepts the spellings "on" and
-// "off", so -triage=off / -slice=off parse.
-type onoff bool
-
-func (o *onoff) String() string {
-	if o == nil || bool(*o) {
-		return "on"
-	}
-	return "off"
-}
-
-func (o *onoff) Set(s string) error {
-	switch strings.ToLower(s) {
-	case "on", "true", "1", "t", "yes":
-		*o = true
-	case "off", "false", "0", "f", "no":
-		*o = false
-	default:
-		return fmt.Errorf("invalid value %q (want on or off)", s)
-	}
-	return nil
-}
-
-// IsBoolFlag lets a bare -triage mean -triage=on.
-func (o *onoff) IsBoolFlag() bool { return true }
-
 // chk is the process-wide SMT layer: every phase shares it, so the
 // per-phase hit rates below show cross-phase reuse too.
-var chk = smt.NewCachedChecker()
+var chk = smt.NewChecker()
 
 // reg aggregates every phase's engine metrics; tracer is non-nil only
 // under -trace, and baseCtx carries it to the analyses.
@@ -474,9 +431,8 @@ type benchRow struct {
 	SlicedEdgesRemoved int64            `json:"sliced_edges_removed"`
 	SeededPredicates   int64            `json:"seeded_predicates"`
 	// Seeding effect on inference depth: total CEGAR iterations of the
-	// parallel run, the same run re-measured with -seed-preds=off, and
-	// their difference (positive: seeding saved iterations). All zero
-	// when -seed-preds=off disables the comparison leg.
+	// parallel run, the same run re-measured without predicate seeding,
+	// and their difference (positive: seeding saved iterations).
 	ParIterations    int64 `json:"par_iterations"`
 	NoSeedIterations int64 `json:"noseed_iterations"`
 	SeedIterDelta    int64 `json:"seed_iter_delta"`
@@ -583,7 +539,6 @@ func benchCases() []benchCase {
 func runOnce(src string, par int, seed bool) (*circ.BatchReport, error) {
 	return circ.CheckAllRaces(context.Background(), src,
 		circ.WithParallelism(par), circ.WithTracer(tracer),
-		circ.WithTriage(bool(triageFlag)), circ.WithSlicing(bool(sliceFlag)),
 		circ.WithSeedPredicates(seed), circ.WithSMTSlowLog(*smtSlowLog))
 }
 
@@ -594,9 +549,7 @@ func runOnce(src string, par int, seed bool) (*circ.BatchReport, error) {
 func runWarm(src string, par int) (warm *circ.BatchReport, reused int, err error) {
 	chk := circ.NewChecker(
 		circ.WithCertStore(circ.NewCertStore()),
-		circ.WithParallelism(par), circ.WithTracer(tracer),
-		circ.WithTriage(bool(triageFlag)), circ.WithSlicing(bool(sliceFlag)),
-		circ.WithSeedPredicates(bool(seedFlag)))
+		circ.WithParallelism(par), circ.WithTracer(tracer))
 	prog, err := circ.Parse(src)
 	if err != nil {
 		return nil, 0, err
@@ -650,14 +603,14 @@ func runBench() {
 	// registry so BENCH_parallel.json carries the aggregate.
 	breg := telemetry.ChildOf(reg)
 	for _, bc := range benchCases() {
-		seq, err := runOnce(bc.Source, 1, bool(seedFlag))
+		seq, err := runOnce(bc.Source, 1, true)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(sequential):", err)
 			os.Exit(1)
 		}
 		var msBefore, msAfter runtime.MemStats
 		runtime.ReadMemStats(&msBefore)
-		parRep, err := runOnce(bc.Source, par, bool(seedFlag))
+		parRep, err := runOnce(bc.Source, par, true)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(parallel):", err)
 			os.Exit(1)
@@ -671,14 +624,10 @@ func runBench() {
 		// Seeding-effect leg: re-run the parallel batch with predicate
 		// seeding withheld, so seed_iter_delta records how many CEGAR
 		// iterations the exported guard predicates saved on this case.
-		var noSeedIters int64
-		if bool(seedFlag) {
-			noSeed, err := runOnce(bc.Source, par, false)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(no-seed):", err)
-				os.Exit(1)
-			}
-			noSeedIters = noSeed.Metrics.Counter("circ.iterations")
+		noSeed, err := runOnce(bc.Source, par, false)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(no-seed):", err)
+			os.Exit(1)
 		}
 		row := benchRow{
 			Name:          bc.Name,
@@ -700,7 +649,7 @@ func runBench() {
 			SlicedEdgesRemoved: parRep.Metrics.Counter("slice.edges_removed"),
 			SeededPredicates:   parRep.Metrics.Counter("seed.predicates"),
 			ParIterations:      parRep.Metrics.Counter("circ.iterations"),
-			NoSeedIterations:   noSeedIters,
+			NoSeedIterations:   noSeed.Metrics.Counter("circ.iterations"),
 			SlowQueries:        parRep.SMT.SlowQueries,
 		}
 		report.SlowQueries += row.SlowQueries
@@ -728,11 +677,9 @@ func runBench() {
 		if row.Targets > 0 {
 			row.ReuseHitRate = float64(row.CertsReused) / float64(row.Targets)
 		}
-		if bool(seedFlag) {
-			row.SeedIterDelta = row.NoSeedIterations - row.ParIterations
-			if row.SeedIterDelta > 0 {
-				report.SeedCasesImproved++
-			}
+		row.SeedIterDelta = row.NoSeedIterations - row.ParIterations
+		if row.SeedIterDelta > 0 {
+			report.SeedCasesImproved++
 		}
 		breg.Merge(telemetry.Metrics{Counters: parRep.Metrics.Counters, Histograms: parRep.Metrics.Histograms})
 		report.Rows = append(report.Rows, row)

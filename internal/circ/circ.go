@@ -220,7 +220,7 @@ func (r *Report) metricsSuffix() string {
 // "circ.check" root span (when ctx carries a telemetry.Tracer), a child
 // metrics registry aggregating into opts.Metrics when one is set, and the
 // Report.Metrics snapshot, which also records the solver's cumulative
-// cache counters when chk exposes them.
+// cache counters when chk is an *smt.Checker.
 func Check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk smt.Solver) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -233,13 +233,8 @@ func Check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 	if rep != nil {
 		unit.Gauge("circ.k").Set(int64(rep.K))
 		unit.Gauge("circ.preds").Set(int64(len(rep.Preds)))
-		if pc, ok := chk.(interface{ PublishStats(*telemetry.Registry) }); ok {
-			pc.PublishStats(unit)
-		} else if sc, ok := chk.(interface{ Stats() smt.CacheStats }); ok {
-			st := sc.Stats()
-			unit.Gauge("smt.cache.hits").Set(st.Hits)
-			unit.Gauge("smt.cache.misses").Set(st.Misses)
-			unit.Gauge("smt.queries").Set(st.Solver.Queries)
+		if sc, ok := chk.(*smt.Checker); ok {
+			sc.PublishStats(unit)
 		}
 		rep.Metrics = unit.Snapshot()
 		sp.Annotate("verdict", rep.Verdict.String())
@@ -290,15 +285,9 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 	// attributable (and only deterministic) when this analysis has
 	// exclusive use of the solver; the reach phase passes cachedOnly,
 	// reporting just the cache-content growth.
-	var solver interface {
-		Stats() smt.CacheStats
-		CacheSize() int
-	}
+	var solver *smt.Checker
 	if j.ExclusiveSolver() {
-		solver, _ = chk.(interface {
-			Stats() smt.CacheStats
-			CacheSize() int
-		})
+		solver, _ = chk.(*smt.Checker)
 	}
 	beginPhase := func(phase string, cachedOnly bool) func() {
 		if solver == nil {

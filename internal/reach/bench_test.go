@@ -33,7 +33,7 @@ thread T {
   }
 }
 `)
-	chk := smt.NewCachedChecker()
+	chk := smt.NewChecker()
 	set := pred.NewSet()
 	abs := pred.NewAbstractor(chk, set)
 	a := acfa.Empty(set)

@@ -380,7 +380,7 @@ thread T {
   }
 }
 `)
-	chk := smt.NewCachedChecker()
+	chk := smt.NewChecker()
 	set := pred.NewSet()
 	abs := pred.NewAbstractor(chk, set)
 	a := acfa.Empty(set)

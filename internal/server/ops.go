@@ -7,7 +7,6 @@ import (
 	"time"
 
 	apiv1 "circ/api/v1"
-	"circ/internal/expr"
 )
 
 // opsModel is the dashboard template's root object: the daemon's live
@@ -16,21 +15,15 @@ import (
 // server-side; the page is plain HTML and CSS, no scripts, so it can be
 // archived as a CI artifact and read offline.
 type opsModel struct {
-	Uptime    string
-	Jobs      apiv1.JobStats
-	Lifetime  apiv1.LifetimeStats
-	Store     apiv1.StoreStats
-	Arena     apiv1.ArenaStats
-	SMT       apiv1.SMTStats
-	Endpoints []endpointRow
-	Ring      []ringRow
-	Evicted   int64
-	Trend     []trendBar
-	// SlowLog mirrors /debug/circ/slowlog, newest first, truncated for
-	// the dashboard.
-	SlowThresholdMS float64
-	SlowTotal       int64
-	Slow            []slowRow
+	apiv1.Stats // the /v1/stats document
+	Uptime      string
+	Endpoints   []endpointRow
+	Ring        []ringRow
+	Evicted     int64
+	Trend       []trendBar
+	// Slow mirrors /debug/circ/slowlog, newest first, truncated for the
+	// dashboard.
+	Slow []slowRow
 }
 
 // slowRow is one slow-query line on the dashboard.
@@ -75,44 +68,12 @@ type trendBar struct {
 // handleOps renders the ops dashboard.
 func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	m := opsModel{
-		Uptime:   time.Since(s.start).Round(time.Second).String(),
-		Lifetime: s.lifetimeStats(),
-		Evicted:  s.ring.evicted(),
-	}
-	m.Jobs = apiv1.JobStats{
-		Submitted: s.nJobs[cSubmitted].Load(),
-		Done:      s.nJobs[cDone].Load(),
-		Failed:    s.nJobs[cFailed].Load(),
-		Cancelled: s.nJobs[cCancelled].Load(),
-	}
-	m.Jobs.Active = m.Jobs.Submitted - m.Jobs.Done - m.Jobs.Failed - m.Jobs.Cancelled
-
-	if cs := s.base.CertStore(); cs != nil {
-		ss := cs.Stats()
-		m.Store = apiv1.StoreStats{
-			Entries: ss.Entries, Hits: ss.Hits, Misses: ss.Misses,
-			Writes: ss.Writes, Revalidations: ss.Revalidations,
-			RevalidationFailures: ss.RevalidationFailures,
-			HitRatio:             ss.HitRatio(), Evictions: ss.Evictions,
-			MaxEntries: ss.MaxEntries, Bytes: ss.Bytes,
-			BytesHighWater: ss.BytesHighWater, EntriesHighWater: ss.EntriesHighWater,
-		}
-	}
-	as := expr.Stats()
-	m.Arena = apiv1.ArenaStats{
-		Nodes: int64(as.Nodes), Bytes: as.Bytes,
-		NodesHighWater: int64(as.NodesHighWater), BytesHighWater: as.BytesHighWater,
-		Compactions: int64(as.Compactions),
-	}
-	st := s.base.SMTStats()
-	m.SMT = apiv1.SMTStats{
-		Hits: st.Hits, Misses: st.Misses, FastPath: st.FastPath,
-		HitRate: st.HitRate(), SlowQueries: st.SlowQueries,
+		Stats:   s.stats(),
+		Uptime:  time.Since(s.start).Round(time.Second).String(),
+		Evicted: s.ring.evicted(),
 	}
 
 	// Flight deck: the SMT slow-query log's most recent entries.
-	m.SlowThresholdMS = float64(s.base.SMTSlowLogThreshold()) / 1e6
-	m.SlowTotal = st.SlowQueries
 	for _, q := range s.base.SlowQueries() {
 		if len(m.Slow) >= 20 {
 			break
@@ -278,10 +239,10 @@ SMT cache: {{.SMT.Hits}} hits, {{.SMT.Misses}} misses, {{.SMT.FastPath}} fast-pa
 {{.SMT.SlowQueries}} slow queries logged.</p>
 </div>
 
-<h2>SMT slow queries{{if .SlowThresholdMS}} (&ge; {{printf "%.1f" .SlowThresholdMS}} ms){{end}}</h2>
+<h2>SMT slow queries{{if .SMT.SlowLogThresholdMS}} (&ge; {{printf "%.1f" .SMT.SlowLogThresholdMS}} ms){{end}}</h2>
 <div class="panel">
 {{if .Slow}}
-<p>{{.SlowTotal}} logged since start; newest first.</p>
+<p>{{.SMT.SlowQueries}} logged since start; newest first.</p>
 <table>
 <tr><th>#</th><th>kind</th><th>formula</th><th>result</th><th>ms</th><th>cube</th></tr>
 {{range .Slow}}
@@ -290,7 +251,7 @@ SMT cache: {{.SMT.Hits}} hits, {{.SMT.Misses}} misses, {{.SMT.FastPath}} fast-pa
 <td><code>{{.CubeKey}}</code></td></tr>
 {{end}}
 </table>
-{{else if .SlowThresholdMS}}
+{{else if .SMT.SlowLogThresholdMS}}
 <p>No solve has exceeded the threshold.</p>
 {{else}}
 <p>Slow-query capture is off &mdash; start circd with <code>-smt-slowlog</code> to enable it.</p>

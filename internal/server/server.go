@@ -709,9 +709,14 @@ func summaryOf(counts map[string]int) string {
 
 // handleStats answers the daemon-wide cache and job telemetry.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	writeJSON(w, http.StatusOK, s.stats())
+}
+
+// stats assembles the daemon-wide telemetry behind /v1/stats and the ops
+// dashboard.
+func (s *Server) stats() apiv1.Stats {
 	smtStats := s.base.SMTStats()
 	as := expr.Stats()
-	snap := s.reg.Snapshot()
 	st := apiv1.Stats{
 		Build: s.buildInfo(),
 		Jobs: apiv1.JobStats{
@@ -735,7 +740,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SlowQueries:        smtStats.SlowQueries,
 			SlowLogThresholdMS: float64(s.base.SMTSlowLogThreshold()) / 1e6,
 		},
-		Triage:   triageStats(snap),
+		Triage:   triageStats(s.reg.Snapshot()),
 		Lifetime: s.lifetimeStats(),
 	}
 	st.Jobs.Active = st.Jobs.Submitted - st.Jobs.Done - st.Jobs.Failed - st.Jobs.Cancelled
@@ -756,7 +761,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			EntriesHighWater:     ss.EntriesHighWater,
 		}
 	}
-	writeJSON(w, http.StatusOK, st)
+	return st
 }
 
 // triageStats derives the static-analysis aggregates from a registry

@@ -1,8 +1,6 @@
 package smt
 
 import (
-	"sync/atomic"
-
 	"circ/internal/expr"
 	"circ/internal/smt/sat"
 )
@@ -25,25 +23,11 @@ import (
 // parallelism.
 //
 // A Session is single-goroutine, like the query it wraps. Concurrent
-// callers each open their own session (the caches behind lookup/store are
+// callers each open their own session (the checker's cache behind it is
 // the concurrency-safe layer).
 type Session struct {
-	core *Checker
-	phi  expr.ID
-
-	// Cache plumbing, provided by the owning checker.
-	lookup func(expr.ID) (Result, bool)
-	store  func(expr.ID, Result)
-	onHit  func()
-	onMiss func()
-	onFast func()
-	// run wraps each incremental miss-solve, for instrumentation. It
-	// receives the full query ID and the session itself so the slow-query
-	// log can attribute the cube key.
-	run func(expr.ID, *Session, func() Result) Result
-	// solveFresh performs an uninstrumented from-scratch solve (the
-	// deterministic fallback for incremental Unknowns).
-	solveFresh func(expr.ID) Result
+	chk *Checker
+	phi expr.ID
 
 	q       *query
 	started bool
@@ -59,42 +43,25 @@ func (s *Session) Phi() expr.ID { return s.phi }
 // without touching cache or solver; cached verdicts return without
 // solving; everything else is one assumption-based incremental solve.
 func (s *Session) SatConj(lit expr.ID) Result {
+	c := s.chk
 	qid := expr.IDConj(s.phi, lit)
-	if v, ok := expr.IDBoolValue(qid); ok {
-		if s.onFast != nil {
-			s.onFast()
-		}
-		if v {
-			return Sat
-		}
-		return Unsat
-	}
-	if r, ok := s.lookup(qid); ok {
-		if s.onHit != nil {
-			s.onHit()
-		}
+	if r, ok := c.constant(qid); ok {
 		return r
 	}
-	if s.onMiss != nil {
-		s.onMiss()
+	if r, ok := c.cached(qid); ok {
+		return r
 	}
-	solve := func() Result {
+	r := c.instrumented(qid, s, func() Result {
 		r := s.solveAssuming(lit)
 		if r == Unknown {
 			// Unknown is the one verdict that can depend on session
 			// history (shared budgets, learned-clause order). Re-derive it
 			// from scratch so the cached result is a pure function of qid.
-			r = s.solveFresh(qid)
+			r, _ = c.core.solve(qid, false)
 		}
 		return r
-	}
-	var r Result
-	if s.run != nil {
-		r = s.run(qid, s, solve)
-	} else {
-		r = solve()
-	}
-	s.store(qid, r)
+	})
+	c.store(qid, r)
 	return r
 }
 
@@ -112,10 +79,10 @@ func (s *Session) solveAssuming(lit expr.ID) Result {
 	if s.broken {
 		return Unknown
 	}
-	c := s.core
+	c := s.chk.core
 	if !s.started {
 		s.started = true
-		s.q = c.newQuery()
+		s.q = newQuery()
 		root, err := s.q.encodeID(s.phi)
 		if err != nil {
 			s.broken = true
@@ -135,7 +102,7 @@ func (s *Session) solveAssuming(lit expr.ID) Result {
 	// those from Stats.Queries would understate solver traffic in metrics
 	// snapshots (the session-vs-direct counts are asserted by
 	// TestSessionStatsCounted).
-	atomic.AddInt64(&c.Stats.Queries, 1)
+	c.queries.Add(1)
 	if s.baseBad {
 		// phi alone is unsatisfiable, so every conjunction is.
 		return Unsat

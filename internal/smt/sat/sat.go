@@ -530,6 +530,10 @@ func (s *Solver) FailedAssumptions() []Lit {
 // Index by variable (1-based); unassigned variables read as false.
 func (s *Solver) Model() []bool { return s.model }
 
+// Conflicts returns the number of conflicts Solve has analysed over the
+// solver's lifetime, summed across calls.
+func (s *Solver) Conflicts() int64 { return s.conflicts }
+
 // Okay reports whether the clause database is still possibly satisfiable
 // (no top-level conflict has been derived).
 func (s *Solver) Okay() bool { return s.okay }

@@ -83,7 +83,7 @@ func (l *slowLog) snapshot() []SlowQuery {
 // SetSlowQueryThreshold enables slow-query capture for solves at or above
 // d. Zero or negative disables capture. The threshold is process-wide:
 // every view over the same cache core shares it.
-func (c *CachedChecker) SetSlowQueryThreshold(d time.Duration) {
+func (c *Checker) SetSlowQueryThreshold(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -91,19 +91,13 @@ func (c *CachedChecker) SetSlowQueryThreshold(d time.Duration) {
 }
 
 // SlowQueryThreshold returns the active capture threshold (0: disabled).
-func (c *CachedChecker) SlowQueryThreshold() time.Duration {
+func (c *Checker) SlowQueryThreshold() time.Duration {
 	return time.Duration(c.core.slow.threshold.Load())
 }
 
 // SlowQueries returns the retained slow-query entries, newest first.
-func (c *CachedChecker) SlowQueries() []SlowQuery {
+func (c *Checker) SlowQueries() []SlowQuery {
 	return c.core.slow.snapshot()
-}
-
-// SlowQueryCount returns how many slow queries were ever recorded,
-// including entries the bounded ring has since overwritten.
-func (c *CachedChecker) SlowQueryCount() int64 {
-	return c.core.slow.total.Load()
 }
 
 // truncateKey bounds a canonical formula key for display.

@@ -12,7 +12,7 @@ import (
 // TestSlowLogDisabledByDefault: with no threshold set, nothing is
 // captured regardless of solve durations.
 func TestSlowLogDisabledByDefault(t *testing.T) {
-	c := NewCachedChecker()
+	c := NewChecker()
 	for _, f := range queryMix(5) {
 		c.Sat(f)
 	}
@@ -27,7 +27,7 @@ func TestSlowLogDisabledByDefault(t *testing.T) {
 // TestSlowLogCapture: a 1ns threshold makes every miss-solve slow; the
 // log records direct and session queries newest first with attribution.
 func TestSlowLogCapture(t *testing.T) {
-	c := NewCachedChecker()
+	c := NewChecker()
 	c.SetSlowQueryThreshold(time.Nanosecond)
 	if c.SlowQueryThreshold() != time.Nanosecond {
 		t.Fatalf("threshold = %v, want 1ns", c.SlowQueryThreshold())
@@ -86,7 +86,7 @@ func TestSlowLogCapture(t *testing.T) {
 // TestSlowLogConcurrent hammers the slow log from concurrent solvers and
 // readers — the -race guard for record-vs-snapshot interleavings.
 func TestSlowLogConcurrent(t *testing.T) {
-	c := NewCachedChecker()
+	c := NewChecker()
 	c.SetSlowQueryThreshold(time.Nanosecond)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {

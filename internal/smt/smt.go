@@ -8,10 +8,11 @@
 // integers), so the theory solver only deals with <=-bounds plus equality
 // case splits for disequalities.
 //
-// The package-level entry points (Sat, Valid, Implies, UnsatCore, ...) are
-// methods on Checker, which memoises results by formula key; predicate
-// abstraction issues many repeated implication queries and the cache is the
-// difference between seconds and minutes on the evaluation suite.
+// The entry points (Sat, Valid, Implies, UnsatCore, ...) are methods on
+// Checker, a concurrency-safe verdict cache keyed by interned formula ID
+// in front of the solver; predicate abstraction issues many repeated
+// implication queries and the cache is the difference between seconds
+// and minutes on the evaluation suite.
 package smt
 
 import (
@@ -19,7 +20,6 @@ import (
 	"math/big"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"circ/internal/expr"
 	"circ/internal/smt/sat"
@@ -46,23 +46,19 @@ func (r Result) String() string {
 	return "unknown"
 }
 
-// Stats counts solver work, for the benchmark harness. Counters are
-// updated with atomic operations so the underlying solve path can be
-// shared by concurrent goroutines (see CachedChecker); read them through
-// Snapshot when other goroutines may be solving.
+// Stats counts solve-path work: a snapshot of the Checker's atomic
+// counters, read through Checker.Stats.
 type Stats struct {
-	Queries      int64 // top-level Sat queries (cache misses)
-	CacheHits    int64
+	Queries      int64 // top-level solves: cache misses and SatModel calls
 	TheoryChecks int64
-	SatConflicts int64
+	SatConflicts int64 // CDCL conflicts across every SAT Solve call
 }
 
-// Solver is the query interface shared by Checker (single-goroutine,
-// simple memoisation) and CachedChecker (concurrency-safe, sharded
-// memoisation). All analysis layers — predicate abstraction, bisimulation
-// minimisation, simulation checking, refinement — are written against this
-// interface so one process-wide memoising instance can be threaded through
-// an entire batch of analyses.
+// Solver is the query interface *Checker implements. All analysis layers
+// — predicate abstraction, bisimulation minimisation, simulation
+// checking, refinement — are written against it, so one process-wide
+// memoising Checker can be threaded through an entire batch of analyses
+// and a test can wrap it (for example to inject solver faults).
 type Solver interface {
 	// Sat reports the satisfiability of f.
 	Sat(f expr.Expr) Result
@@ -86,149 +82,13 @@ type Solver interface {
 	NewSession(phi expr.ID) *Session
 }
 
-// Checker is a memoising SMT front door. The zero value is not usable;
-// call NewChecker. A Checker's cache is not safe for concurrent use; for
-// concurrent callers use CachedChecker, which shares the same solving core
-// behind a sharded concurrent cache.
-type Checker struct {
-	cache map[expr.ID]Result
-	// Budgets; zero selects a sensible default.
-	MaxPivots int // simplex pivots per theory check
-	MaxNodes  int // branch-and-bound nodes per theory check
-	MaxLoops  int // lazy-loop iterations per query
-	Stats     Stats
-}
-
-// NewChecker returns a Checker with default budgets.
-func NewChecker() *Checker {
-	return &Checker{
-		cache:     make(map[expr.ID]Result),
-		MaxPivots: 200000,
-		MaxNodes:  400,
-		MaxLoops:  20000,
-	}
-}
-
-// Snapshot returns an atomically-read copy of the stats, safe to call
-// while other goroutines are solving.
-func (c *Checker) Snapshot() Stats {
-	return Stats{
-		Queries:      atomic.LoadInt64(&c.Stats.Queries),
-		CacheHits:    atomic.LoadInt64(&c.Stats.CacheHits),
-		TheoryChecks: atomic.LoadInt64(&c.Stats.TheoryChecks),
-		SatConflicts: atomic.LoadInt64(&c.Stats.SatConflicts),
-	}
-}
-
-// Sat reports the satisfiability of formula f. Interning canonicalises f
-// (a superset of Simplify), so logically-trivial formulas resolve without
-// touching the cache or the solver.
-func (c *Checker) Sat(f expr.Expr) Result {
-	if id, ok := expr.LookupID(f); ok {
-		return c.SatID(id)
-	}
-	return c.SatID(expr.Intern(f))
-}
-
-// SatID reports the satisfiability of the interned formula id.
-func (c *Checker) SatID(id expr.ID) Result {
-	if v, ok := expr.IDBoolValue(id); ok {
-		if v {
-			return Sat
-		}
-		return Unsat
-	}
-	if r, ok := c.cache[id]; ok {
-		atomic.AddInt64(&c.Stats.CacheHits, 1)
-		return r
-	}
-	r, _ := c.solve(id, false)
-	c.cache[id] = r
-	return r
-}
-
-// SatModel reports satisfiability and, when Sat, an integer model.
-func (c *Checker) SatModel(f expr.Expr) (Result, map[string]int64) {
-	id := expr.Intern(f)
-	r, m := c.solve(id, true)
-	c.cache[id] = r
-	return r, m
-}
-
-// Valid reports whether f is valid. Unknown degrades to false ("cannot
-// prove"), which is the sound direction for abstraction.
-func (c *Checker) Valid(f expr.Expr) bool {
-	return c.SatID(expr.InternNot(expr.Intern(f))) == Unsat
-}
-
-// Implies reports whether a entails b.
-func (c *Checker) Implies(a, b expr.Expr) bool {
-	return c.SatID(expr.IDConj(expr.Intern(a), expr.InternNot(expr.Intern(b)))) == Unsat
-}
-
-// Equivalent reports whether a and b are logically equivalent.
-func (c *Checker) Equivalent(a, b expr.Expr) bool {
-	return c.Implies(a, b) && c.Implies(b, a)
-}
-
-// NewSession opens an incremental session for conjunctions with phi,
-// backed by this checker's cache. Not safe for concurrent use, matching
-// Checker itself.
-func (c *Checker) NewSession(phi expr.ID) *Session {
-	return &Session{
-		core: c,
-		phi:  phi,
-		lookup: func(id expr.ID) (Result, bool) {
-			r, ok := c.cache[id]
-			return r, ok
-		},
-		store: func(id expr.ID, r Result) { c.cache[id] = r },
-		onHit: func() { atomic.AddInt64(&c.Stats.CacheHits, 1) },
-		solveFresh: func(id expr.ID) Result {
-			r, _ := c.solve(id, false)
-			return r
-		},
-	}
-}
-
-// UnsatCore returns the indices of a minimal (irreducible) subset of parts
-// whose conjunction is unsatisfiable. ok is false when the conjunction is
-// satisfiable or unknown.
-func (c *Checker) UnsatCore(parts []expr.Expr) (core []int, ok bool) {
-	return unsatCore(c, parts)
-}
-
-// unsatCore is the deletion-based core minimisation, shared by Checker and
-// CachedChecker (both route the Sat queries through their own caches).
-func unsatCore(s Solver, parts []expr.Expr) (core []int, ok bool) {
-	all := make([]int, len(parts))
-	for i := range parts {
-		all[i] = i
-	}
-	conj := func(idx []int) expr.Expr {
-		fs := make([]expr.Expr, len(idx))
-		for i, j := range idx {
-			fs[i] = parts[j]
-		}
-		return expr.Conj(fs...)
-	}
-	if s.Sat(conj(all)) != Unsat {
-		return nil, false
-	}
-	// Deletion-based minimisation.
-	cur := all
-	for i := 0; i < len(cur); {
-		trial := make([]int, 0, len(cur)-1)
-		trial = append(trial, cur[:i]...)
-		trial = append(trial, cur[i+1:]...)
-		if s.Sat(conj(trial)) == Unsat {
-			cur = trial
-		} else {
-			i++
-		}
-	}
-	return cur, true
-}
+// Solver budgets. They bound Unknown, so they are fixed: a cached
+// verdict must be a pure function of the formula.
+const (
+	maxPivots = 200000 // simplex pivots per theory check
+	maxNodes  = 400    // branch-and-bound nodes per theory check
+	maxLoops  = 20000  // lazy-loop iterations per query
+)
 
 // --- query encoding ---
 
@@ -260,7 +120,6 @@ func atomKey(coeffs map[string]int64, rhs int64, eq bool) string {
 }
 
 type query struct {
-	chk    *Checker
 	solver *sat.Solver
 	atoms  []*tAtom            // indexed by atom id
 	atomID map[string]int      // atom key -> id
@@ -270,9 +129,8 @@ type query struct {
 	nlList []expr.ID           // abstracted products, for Ackermann lemmas
 }
 
-func (c *Checker) newQuery() *query {
+func newQuery() *query {
 	return &query{
-		chk:    c,
 		solver: sat.New(),
 		atomID: make(map[string]int),
 		atomV:  make(map[int]int),
@@ -454,15 +312,15 @@ func (q *query) addAckermann() (bool, error) {
 }
 
 // solve runs the lazy DPLL(T) loop on a fresh solver instance.
-func (c *Checker) solve(id expr.ID, wantModel bool) (Result, map[string]int64) {
-	atomic.AddInt64(&c.Stats.Queries, 1)
+func (c *cacheCore) solve(id expr.ID, wantModel bool) (Result, map[string]int64) {
+	c.queries.Add(1)
 	if v, ok := expr.IDBoolValue(id); ok {
 		if v {
 			return Sat, map[string]int64{}
 		}
 		return Unsat, nil
 	}
-	q := c.newQuery()
+	q := newQuery()
 	root, err := q.encodeID(id)
 	if err != nil {
 		return Unknown, nil
@@ -484,9 +342,12 @@ func (c *Checker) solve(id expr.ID, wantModel bool) (Result, map[string]int64) {
 // and the solver's learned clauses — remain sound for later queries
 // against the same clause database, which is what makes incremental
 // sessions possible.
-func (c *Checker) dpll(q *query, assumptions []sat.Lit, wantModel bool) (Result, map[string]int64) {
-	for iter := 0; iter < c.MaxLoops; iter++ {
-		switch q.solver.Solve(assumptions...) {
+func (c *cacheCore) dpll(q *query, assumptions []sat.Lit, wantModel bool) (Result, map[string]int64) {
+	for iter := 0; iter < maxLoops; iter++ {
+		conflicts := q.solver.Conflicts()
+		st := q.solver.Solve(assumptions...)
+		c.satConflicts.Add(q.solver.Conflicts() - conflicts)
+		switch st {
 		case sat.Unsat:
 			return Unsat, nil
 		case sat.Unknown:
@@ -530,7 +391,7 @@ type assertedAtom struct {
 
 // minimizeConflict greedily deletes literals while the set stays
 // theory-infeasible, yielding an irreducible conflict.
-func (c *Checker) minimizeConflict(lits []assertedAtom) []assertedAtom {
+func (c *cacheCore) minimizeConflict(lits []assertedAtom) []assertedAtom {
 	cur := lits
 	for i := 0; i < len(cur); {
 		trial := make([]assertedAtom, 0, len(cur)-1)
@@ -548,8 +409,8 @@ func (c *Checker) minimizeConflict(lits []assertedAtom) []assertedAtom {
 
 // theoryCheck decides the conjunction of asserted atoms over the integers.
 // On feasibility it returns an integer model for the structural variables.
-func (c *Checker) theoryCheck(lits []assertedAtom) (simplex.Result, map[string]int64) {
-	atomic.AddInt64(&c.Stats.TheoryChecks, 1)
+func (c *cacheCore) theoryCheck(lits []assertedAtom) (simplex.Result, map[string]int64) {
+	c.theoryChecks.Add(1)
 	type diseq struct {
 		slack int
 		rhs   *big.Rat
@@ -620,23 +481,26 @@ func (c *Checker) theoryCheck(lits []assertedAtom) (simplex.Result, map[string]i
 		if early == simplex.Infeasible {
 			return simplex.Infeasible, nil
 		}
-		res := t.CheckInt(c.MaxPivots, c.MaxNodes)
+		res := t.CheckInt(maxPivots, maxNodes)
 		if res != simplex.Feasible {
 			return res, nil
 		}
 		// Check disequalities against the model.
 		for _, d := range diseqs {
 			if t.Value(d.slack).Cmp(d.rhs) == 0 {
-				// Violated: split into < and >.
-				slackCoeffs := d.slack
+				// Violated: split into < and >. The closures capture a
+				// slack index of this tableau; slack indices are
+				// deterministic given the same build order, so the index
+				// is valid in the rebuilt tableau too.
+				slack := d.slack
 				rhs := d.rhs
 				lo := func(tt *simplex.Tableau, _ map[string]int, _ map[string]int) bool {
 					up := new(big.Rat).Sub(rhs, big.NewRat(1, 1))
-					return tt.AssertUpper(slackVarIn(tt, slackCoeffs), up)
+					return tt.AssertUpper(slack, up)
 				}
 				hi := func(tt *simplex.Tableau, _ map[string]int, _ map[string]int) bool {
 					lb := new(big.Rat).Add(rhs, big.NewRat(1, 1))
-					return tt.AssertLower(slackVarIn(tt, slackCoeffs), lb)
+					return tt.AssertLower(slack, lb)
 				}
 				r1, m1 := rec(append(append([]func(*simplex.Tableau, map[string]int, map[string]int) bool{}, extra...), lo), depth+1)
 				if r1 == simplex.Feasible {
@@ -665,11 +529,6 @@ func (c *Checker) theoryCheck(lits []assertedAtom) (simplex.Result, map[string]i
 	}
 	return rec(nil, 0)
 }
-
-// slackVarIn exists because split closures capture slack indices created in
-// a previous tableau; slack variable indices are deterministic given the
-// same build order, so the captured index is valid in the rebuilt tableau.
-func slackVarIn(_ *simplex.Tableau, idx int) int { return idx }
 
 func coeffKey(m map[string]int64) string {
 	names := make([]string, 0, len(m))

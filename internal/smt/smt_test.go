@@ -125,9 +125,9 @@ func TestCacheHits(t *testing.T) {
 	c := NewChecker()
 	f := expr.Eq(expr.V("x"), expr.Num(1))
 	c.Sat(f)
-	before := c.Stats.CacheHits
+	before := c.Stats().Hits
 	c.Sat(f)
-	if c.Stats.CacheHits != before+1 {
+	if c.Stats().Hits != before+1 {
 		t.Fatalf("second identical query did not hit the cache")
 	}
 }
@@ -290,12 +290,12 @@ func TestValidTautologies(t *testing.T) {
 
 func TestStatsCount(t *testing.T) {
 	c := NewChecker()
-	before := c.Stats.Queries
+	before := c.Stats().Solver.Queries
 	c.Sat(expr.Eq(expr.V("q"), expr.Num(3)))
-	if c.Stats.Queries != before+1 {
+	if c.Stats().Solver.Queries != before+1 {
 		t.Errorf("query not counted")
 	}
-	if c.Stats.TheoryChecks == 0 {
+	if c.Stats().Solver.TheoryChecks == 0 {
 		t.Errorf("theory checks not counted")
 	}
 }
@@ -330,11 +330,11 @@ func TestSessionStatsCounted(t *testing.T) {
 
 	c := NewChecker()
 	sess := c.NewSession(expr.Intern(expr.Ge(x, expr.Num(0))))
-	before := c.Stats.Queries
+	before := c.Stats().Solver.Queries
 	if r := sess.SatConj(lits[0]); r != Sat {
 		t.Fatalf("SatConj = %v, want Sat", r)
 	}
-	if got := c.Stats.Queries - before; got != 1 {
+	if got := c.Stats().Solver.Queries - before; got != 1 {
 		t.Errorf("session query counted %d times, want 1", got)
 	}
 
@@ -347,24 +347,35 @@ func TestSessionStatsCounted(t *testing.T) {
 		expr.Intern(expr.Gt(x, expr.Num(0))),
 	)
 	bsess := bad.NewSession(badPhi)
-	before = bad.Stats.Queries
+	before = bad.Stats().Solver.Queries
 	for _, l := range lits {
 		if r := bsess.SatConj(l); r != Unsat {
 			t.Fatalf("SatConj under unsat phi = %v, want Unsat", r)
 		}
 	}
-	if got := bad.Stats.Queries - before; got != 2 {
+	if got := bad.Stats().Solver.Queries - before; got != 2 {
 		t.Errorf("baseBad session queries counted %d times, want 2", got)
 	}
+}
 
-	// The cached wrapper routes session queries to the same counter,
-	// surfaced through CacheStats.Solver.
-	cc := NewCachedChecker()
-	csess := cc.NewSession(expr.Intern(expr.Ge(x, expr.Num(0))))
-	if r := csess.SatConj(lits[0]); r != Sat {
-		t.Fatalf("cached SatConj = %v, want Sat", r)
+// TestSatConflictsCounted: a query whose Boolean skeleton is
+// unsatisfiable — every assignment to its two theory atoms falsifies one
+// of the four clauses — is refuted by CDCL search, and the conflicts that
+// search analysed land in Stats.Solver.SatConflicts.
+func TestSatConflictsCounted(t *testing.T) {
+	a := expr.Eq(expr.V("x"), expr.Num(1))
+	b := expr.Eq(expr.V("y"), expr.Num(2))
+	skeleton := expr.Conj(
+		expr.Disj(a, b),
+		expr.Disj(expr.Negate(a), b),
+		expr.Disj(a, expr.Negate(b)),
+		expr.Disj(expr.Negate(a), expr.Negate(b)),
+	)
+	c := NewChecker()
+	if r := c.Sat(skeleton); r != Unsat {
+		t.Fatalf("Sat = %v, want unsat", r)
 	}
-	if got := cc.Stats().Solver.Queries; got != 1 {
-		t.Errorf("cached session queries = %d, want 1", got)
+	if got := c.Stats().Solver.SatConflicts; got == 0 {
+		t.Fatalf("SatConflicts = 0 after a propositionally refuted query")
 	}
 }
