@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"circ/internal/cfa"
+	"circ/internal/dataflow"
 	"circ/internal/journal"
 	"circ/internal/smt"
 	"circ/internal/telemetry"
@@ -129,14 +130,17 @@ func (c *Checker) CheckTargets(ctx context.Context, p *Program, targets []Target
 			}
 		}
 	}
-	// Pre-build the CFAs sequentially: construction is cheap relative to
-	// analysis and keeps the AST access single-threaded.
+	// Pre-build each thread's CFA and static facts once, sequentially:
+	// construction is cheap relative to analysis and keeps the AST access
+	// single-threaded. Every unit of a thread triages against the same
+	// facts, which live only as long as this batch.
 	cfas := make([]*cfa.CFA, len(targets))
+	facts := make([]*dataflow.ThreadFacts, len(targets))
 	prebuildErr := make([]error, len(targets))
-	built := make(map[string]*cfa.CFA, len(p.ThreadNames()))
+	built := make(map[string]int, len(p.ThreadNames()))
 	for i, t := range targets {
-		if g, ok := built[t.Thread]; ok {
-			cfas[i] = g
+		if j, ok := built[t.Thread]; ok {
+			cfas[i], facts[i] = cfas[j], facts[j]
 			continue
 		}
 		g, err := p.CFA(t.Thread)
@@ -144,8 +148,8 @@ func (c *Checker) CheckTargets(ctx context.Context, p *Program, targets []Target
 			prebuildErr[i] = err
 			continue
 		}
-		built[t.Thread] = g
-		cfas[i] = g
+		built[t.Thread] = i
+		cfas[i], facts[i] = g, dataflow.NewThreadFacts(g)
 	}
 
 	workers := c.parallelism
@@ -228,7 +232,7 @@ func (c *Checker) CheckTargets(ctx context.Context, p *Program, targets []Target
 						// count.
 						o := c.options(logger)
 						o.Metrics = breg
-						rep, err = c.checkUnit(uctx, cfas[i], t.Variable, s, o)
+						rep, err = c.checkUnit(uctx, cfas[i], facts[i], t.Variable, s, o)
 					}
 				}
 				done := journal.Event{Type: journal.EvCaseDone}

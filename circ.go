@@ -463,7 +463,8 @@ type ArenaStats = expr.ArenaStats
 func CurrentArenaStats() ArenaStats { return expr.Stats() }
 
 // prepareUnit runs the static pre-analysis for one (thread CFA,
-// variable) unit: the triage rules first, then cone-of-influence
+// variable) unit: the triage rules first, read from the thread's static
+// facts (built once per thread by the caller), then cone-of-influence
 // slicing for the survivors, then predicate seeding from the flag-guard
 // analysis's facts. It returns either a discharged Safe report (the
 // engine need not run) or the CFA CIRC should analyse — the slice when
@@ -473,9 +474,9 @@ func CurrentArenaStats() ArenaStats { return expr.Stats() }
 // telemetry counters are emitted through s and reg; discharge reasons
 // ride as a label on the triage.discharged{reason=...} counter family,
 // which /metrics exposes as circ_triage_discharged_total{reason=...}.
-func (c *Checker) prepareUnit(g *cfa.CFA, variable string, s *journal.Stream, reg *telemetry.Registry) (*cfa.CFA, []expr.Expr, *Report) {
+func (c *Checker) prepareUnit(g *cfa.CFA, facts *dataflow.ThreadFacts, variable string, s *journal.Stream, reg *telemetry.Registry) (*cfa.CFA, []expr.Expr, *Report) {
 	if c.triage {
-		if d, ok := dataflow.Triage(g, variable); ok {
+		if d, ok := facts.Triage(variable); ok {
 			unit := telemetry.ChildOf(reg)
 			unit.Counter("triage.discharged").Inc()
 			unit.Counter(`triage.discharged{reason="` + d.Reason + `"}`).Inc()
@@ -543,7 +544,7 @@ func (c *Checker) Check(ctx context.Context, p *Program, thread, variable string
 	if c.journal != nil {
 		s = c.journal.Stream(journalCase(thread, variable))
 	}
-	return c.checkUnit(ctx, g, variable, s, c.options(c.logger))
+	return c.checkUnit(ctx, g, dataflow.NewThreadFacts(g), variable, s, c.options(c.logger))
 }
 
 // journalCase names the journal case of one (thread, variable) analysis;
@@ -682,10 +683,10 @@ func (r *FlagguardReport) Racy(v string) bool {
 }
 
 // Flagguard runs the static triage pipeline (including the flag-guard
-// must-analysis) on the program's thread as a baseline analyzer: every
-// global it discharges is proved race-free without SMT or inference,
-// and every residue global is a warning the CIRC engine would have to
-// resolve.
+// must-analysis, once for the thread) on the program's thread as a
+// baseline analyzer: every global it discharges is proved race-free
+// without SMT or inference, and every residue global is a warning the
+// CIRC engine would have to resolve.
 func Flagguard(src string, thread string) (*FlagguardReport, error) {
 	p, err := Parse(src)
 	if err != nil {
@@ -699,8 +700,9 @@ func Flagguard(src string, thread string) (*FlagguardReport, error) {
 		Discharged: make(map[string]string),
 		Details:    make(map[string]string),
 	}
+	facts := dataflow.NewThreadFacts(c)
 	for _, g := range p.Globals() {
-		if d, ok := dataflow.Triage(c, g); ok {
+		if d, ok := facts.Triage(g); ok {
 			rep.Discharged[g] = d.Reason
 			rep.Details[g] = d.Detail
 		}

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"sync"
 
 	"circ/internal/cfa"
 )
@@ -53,53 +54,99 @@ func CounterKey(reason string) string {
 	return string(out)
 }
 
-// Triage attempts to discharge the race question for global g on thread
-// template c without running the inference engine. Each rule is a sound
-// under the engine's race definition (see the Reason* constants): a
-// discharge means no reachable state of "unboundedly many copies of c"
-// is a race state on g. Unreachable code (locations with no path from
-// the entry) is ignored — accesses there cannot occur.
-func Triage(c *cfa.CFA, g string) (Discharge, bool) {
+// ThreadFacts holds the static facts of one thread template that triage
+// reads: how often each variable is read, written, and accessed from a
+// non-atomic location on the reachable edges, counted in one pass, and the
+// flag-guard analysis, run on first need. None of them depends on the
+// global being triaged, so a batch builds one ThreadFacts per thread and
+// triages every global of that thread against it. A ThreadFacts is safe
+// for concurrent use; it keeps its CFA and flag-guard solution alive, so
+// scope it to the batch that built it.
+type ThreadFacts struct {
+	c      *cfa.CFA
+	access map[string]accessCount
+
+	guardOnce sync.Once
+	guard     *FlagGuardResult
+}
+
+// accessCount counts one variable's accesses on reachable edges. An edge
+// that both reads and writes the variable is one uncovered access.
+type accessCount struct {
+	reads, writes, uncovered int
+}
+
+// NewThreadFacts counts the accesses of every variable of c. Unreachable
+// code (locations with no path from the entry) is ignored: accesses
+// there cannot occur.
+func NewThreadFacts(c *cfa.CFA) *ThreadFacts {
+	f := &ThreadFacts{c: c, access: make(map[string]accessCount)}
 	reach := c.ReachableLocs()
-	var reads, writes, uncovered int
 	for _, e := range c.Edges {
 		if !reach[e.Src] {
 			continue
 		}
-		w := e.Writes() == g
-		r := e.Reads()[g]
-		if !w && !r {
-			continue
-		}
-		if w {
-			writes++
-		}
-		if r {
-			reads++
-		}
+		uncovered := 0
 		if !c.IsAtomic(e.Src) {
-			uncovered++
+			uncovered = 1
+		}
+		w := e.Writes()
+		if w != "" {
+			n := f.access[w]
+			n.writes++
+			n.uncovered += uncovered
+			f.access[w] = n
+		}
+		for r := range e.Reads() {
+			n := f.access[r]
+			n.reads++
+			if r != w {
+				n.uncovered += uncovered
+			}
+			f.access[r] = n
 		}
 	}
+	return f
+}
+
+// flagGuard returns the flag-guard analysis of the thread, running it on
+// the first call.
+func (f *ThreadFacts) flagGuard() *FlagGuardResult {
+	f.guardOnce.Do(func() { f.guard = FlagGuard(f.c) })
+	return f.guard
+}
+
+// Triage attempts to discharge the race question for global g on the
+// thread without running the inference engine. Each rule is sound under
+// the engine's race definition (see the Reason* constants): a discharge
+// means no reachable state of "unboundedly many copies of the thread" is
+// a race state on g.
+func (f *ThreadFacts) Triage(g string) (Discharge, bool) {
+	n := f.access[g]
 	switch {
-	case reads == 0 && writes == 0:
+	case n.reads == 0 && n.writes == 0:
 		return Discharge{
 			Reason: ReasonThreadLocal,
-			Detail: fmt.Sprintf("no reachable edge of %s accesses %s", c.Name, g),
+			Detail: fmt.Sprintf("no reachable edge of %s accesses %s", f.c.Name, g),
 		}, true
-	case writes == 0:
+	case n.writes == 0:
 		return Discharge{
 			Reason: ReasonReadOnly,
-			Detail: fmt.Sprintf("%s reads %s on %d edge(s) but never writes it", c.Name, g, reads),
+			Detail: fmt.Sprintf("%s reads %s on %d edge(s) but never writes it", f.c.Name, g, n.reads),
 		}, true
-	case uncovered == 0:
+	case n.uncovered == 0:
 		return Discharge{
 			Reason: ReasonAtomicCovered,
-			Detail: fmt.Sprintf("all %d access(es) to %s leave atomic locations", reads+writes, g),
+			Detail: fmt.Sprintf("all %d access(es) to %s leave atomic locations", n.reads+n.writes, g),
 		}, true
 	}
 	// The syntactic rules failed: some uncovered write exists. Run the
 	// flag-guard must-analysis before conceding the pair to the
 	// inference engine.
-	return FlagGuard(c).Discharge(g)
+	return f.flagGuard().Discharge(g)
+}
+
+// Triage is ThreadFacts.Triage for a single (thread, global) pair.
+func Triage(c *cfa.CFA, g string) (Discharge, bool) {
+	return NewThreadFacts(c).Triage(g)
 }

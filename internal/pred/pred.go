@@ -432,8 +432,20 @@ func (a *Abstractor) PostHavoc(c *Cube, ys []string, target expr.Expr, extra exp
 	return a.Abstract(expr.Conj(phi, target, extra))
 }
 
-// InitialCube abstracts the initial state where all listed variables are 0.
+// InitialCube abstracts the initial state where all listed variables are
+// 0. That state is a single point, so its strongest cube holds each
+// predicate's truth value there, and the cube is computed by evaluating
+// the predicates instead of solving. The whole cube falls back to the
+// solver, Abstract(∧ v = 0), when some predicate is outside the fragment
+// where evaluation and solver agree: it mentions a variable not in vars
+// (the variable is unconstrained), multiplies two non-constant terms (the
+// solver over-approximates such products), or has a subterm beyond
+// ±zeroBound (the solver's int64 linear forms could wrap).
 func (a *Abstractor) InitialCube(vars []string) *Cube {
+	if c := a.evalAtZero(vars); c != nil {
+		a.cCalls.Inc()
+		return c
+	}
 	parts := make([]expr.Expr, len(vars))
 	for i, v := range vars {
 		parts[i] = expr.Eq(expr.V(v), expr.Num(0))
@@ -443,4 +455,116 @@ func (a *Abstractor) InitialCube(vars []string) *Cube {
 		panic(fmt.Sprintf("pred: initial state unsatisfiable for vars %v", vars))
 	}
 	return cube
+}
+
+// evalAtZero evaluates every predicate at the point where each variable
+// in vars is 0. It returns nil when some predicate cannot be evaluated
+// (see InitialCube).
+func (a *Abstractor) evalAtZero(vars []string) *Cube {
+	in := make(map[string]bool, len(vars))
+	for _, v := range vars {
+		in[v] = true
+	}
+	c := TopCube(a.Set)
+	for i := range c.tv {
+		holds, ok := zeroFormula(a.Set.At(i), in)
+		if !ok {
+			return nil
+		}
+		if holds {
+			c.tv[i] = True
+		} else {
+			c.tv[i] = False
+		}
+	}
+	return c
+}
+
+// zeroBound bounds every value evalAtZero computes. Two bounded values
+// sum, subtract and negate within int64, which covers the arithmetic the
+// solver applies to a comparison's constant when it normalises the atom.
+const zeroBound = 1 << 61
+
+// zeroFormula evaluates predicate e at the all-zero point over the
+// variables in in. Boolean constants never reach it: Set.Add simplifies
+// them out of every predicate.
+func zeroFormula(e expr.Expr, in map[string]bool) (holds, ok bool) {
+	switch g := e.(type) {
+	case expr.Cmp:
+		x, _, okx := zeroTerm(g.X, in)
+		y, _, oky := zeroTerm(g.Y, in)
+		if !okx || !oky {
+			return false, false
+		}
+		holds, err := expr.EvalFormula(expr.Compare(g.Op, expr.Num(x), expr.Num(y)), nil)
+		return holds, err == nil
+	case expr.Not:
+		holds, ok := zeroFormula(g.X, in)
+		return !holds, ok
+	case expr.And:
+		return zeroJunction(g.Xs, true, in)
+	case expr.Or:
+		return zeroJunction(g.Xs, false, in)
+	}
+	return false, false
+}
+
+// zeroJunction evaluates the conjunction (and) or disjunction of xs. Every
+// operand must evaluate, so the verdict never rests on one the solver
+// could read differently.
+func zeroJunction(xs []expr.Expr, and bool, in map[string]bool) (holds, ok bool) {
+	holds = and
+	for _, x := range xs {
+		h, ok := zeroFormula(x, in)
+		if !ok {
+			return false, false
+		}
+		if h != and {
+			holds = h
+		}
+	}
+	return holds, true
+}
+
+// zeroTerm evaluates term e at the all-zero point over the variables in
+// in, reporting whether e is ground (mentions no variable) and whether
+// the evaluation is exact.
+func zeroTerm(e expr.Expr, in map[string]bool) (v int64, ground, ok bool) {
+	switch g := e.(type) {
+	case expr.Int:
+		return g.Value, true, -zeroBound <= g.Value && g.Value <= zeroBound
+	case expr.Var:
+		return 0, false, in[g.Name]
+	case expr.Bin:
+		x, gx, okx := zeroTerm(g.X, in)
+		y, gy, oky := zeroTerm(g.Y, in)
+		if !okx || !oky {
+			return 0, false, false
+		}
+		switch g.Op {
+		case expr.OpAdd:
+			v = x + y
+		case expr.OpSub:
+			v = x - y
+		case expr.OpMul:
+			if !gx && !gy {
+				return 0, false, false
+			}
+			if x != 0 && abs(y) > zeroBound/abs(x) {
+				return 0, false, false
+			}
+			v = x * y
+		default:
+			return 0, false, false
+		}
+		return v, gx && gy, -zeroBound <= v && v <= zeroBound
+	}
+	return 0, false, false
+}
+
+func abs(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }

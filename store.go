@@ -6,6 +6,7 @@ import (
 
 	"circ/internal/cfa"
 	icirc "circ/internal/circ"
+	"circ/internal/dataflow"
 	"circ/internal/expr"
 	"circ/internal/journal"
 	"circ/internal/smt"
@@ -137,12 +138,13 @@ func storeEntry(canon []byte, rep *Report) *store.Entry {
 }
 
 // checkUnit runs one (thread CFA, variable) unit end to end: static
-// triage, cone-of-influence slicing, then — when a certificate store is
-// attached — the incremental path (probe, re-validate, reuse) with a full
-// CIRC run as the fallback and store writer. It is the single analysis
-// path shared by Checker.Check and Checker.CheckAll.
-func (c *Checker) checkUnit(ctx context.Context, g *cfa.CFA, variable string, s *journal.Stream, o icirc.Options) (*Report, error) {
-	g, seeds, rep := c.prepareUnit(g, variable, s, o.Metrics)
+// triage against the thread's facts, cone-of-influence slicing, then —
+// when a certificate store is attached — the incremental path (probe,
+// re-validate, reuse) with a full CIRC run as the fallback and store
+// writer. It is the single analysis path shared by Checker.Check and
+// Checker.CheckAll.
+func (c *Checker) checkUnit(ctx context.Context, g *cfa.CFA, facts *dataflow.ThreadFacts, variable string, s *journal.Stream, o icirc.Options) (*Report, error) {
+	g, seeds, rep := c.prepareUnit(g, facts, variable, s, o.Metrics)
 	if rep != nil {
 		return rep, nil
 	}
