@@ -1,8 +1,10 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 )
 
@@ -30,11 +32,14 @@ import (
 // anything order-sensitive; the codebase only uses them as cache keys.
 //
 // The arena is append-only and guarded by a single RWMutex: reads (the
-// overwhelming majority — hash/kind lookups and re-interning of existing
-// structure) take the read lock, inserts double-check under the write
-// lock. Memory is monotonic for the process lifetime, which is the right
-// trade for an analysis engine that re-queries the same predicate cubes
-// thousands of times.
+// overwhelming majority — lookups and re-interning of existing structure)
+// take the read lock, inserts double-check under the write lock. Every
+// lock operation is shared-memory traffic between concurrent jobs, so a
+// constructor reads what it needs in one locked pass: an And/Or is
+// canonicalised from a single read of its children's hashes and memoised
+// negations (see internNary). Memory is monotonic for the process
+// lifetime, which is the right trade for an analysis engine that
+// re-queries the same predicate cubes thousands of times.
 
 // ID is the arena identity of a canonical interned expression. The zero
 // ID is invalid (NoID); valid IDs start at 1.
@@ -553,83 +558,117 @@ func idLess(a, b ID) bool {
 	return IDKey(a) < IDKey(b)
 }
 
+// naryKid is one child of an And/Or being canonicalised, with what
+// internNary reads of it from the arena: its hash, and its memoised
+// negation (NoID until first computed) with that negation's hash.
+type naryKid struct {
+	hash    uint64
+	id      ID
+	neg     ID
+	negHash uint64
+}
+
+// naryKidLocked reads child id. Caller holds at least the read lock.
+func (a *arena) naryKidLocked(id ID) naryKid {
+	n := &a.nodes[id-1]
+	k := naryKid{hash: n.hash, id: id, neg: n.neg}
+	if k.neg != NoID {
+		k.negHash = a.nodes[k.neg-1].hash
+	}
+	return k
+}
+
 // internNary builds a canonical And/Or: flatten same-kind children, drop
 // identity constants, collapse on absorbing constants, deduplicate,
 // detect complementary children (x and ¬x), and sort. For KindAnd a
 // complementary pair collapses to false; for KindOr to true.
+//
+// Every child's hash and memoised negation is read under one read lock;
+// sorting, deduplication and the complement check then run on that local
+// copy. Only hash ties between distinct children (vanishingly rare) and
+// negations not yet memoised go back to the arena, after the lock is
+// released: FromID and InternNot lock it themselves, and a read lock
+// taken twice deadlocks once a writer is waiting.
 func internNary(kind Kind, xs []ID) ID {
 	identity, absorb := trueID, falseID
 	if kind == KindOr {
 		identity, absorb = falseID, trueID
 	}
-	kids := make([]ID, 0, len(xs)+4)
+	var buf [16]naryKid
+	kids := buf[:0]
 	ar.mu.RLock()
 	for _, x := range xs {
-		n := &ar.nodes[x-1]
-		if n.kind == kind {
-			kids = append(kids, n.kids...)
+		if x == absorb {
+			ar.mu.RUnlock()
+			return absorb
+		}
+		if x == identity {
 			continue
 		}
-		kids = append(kids, x)
+		// A same-kind child's own children are canonical: never a
+		// constant, never of this kind.
+		if n := &ar.nodes[x-1]; n.kind == kind {
+			for _, k := range n.kids {
+				kids = append(kids, ar.naryKidLocked(k))
+			}
+			continue
+		}
+		kids = append(kids, ar.naryKidLocked(x))
 	}
 	ar.mu.RUnlock()
+
+	slices.SortFunc(kids, func(a, b naryKid) int { return cmp.Compare(a.hash, b.hash) })
+	// Within a run of equal hashes, order by canonical key (idLess).
+	for i := 0; i < len(kids); {
+		j := i + 1
+		mixed := false
+		for ; j < len(kids) && kids[j].hash == kids[i].hash; j++ {
+			mixed = mixed || kids[j].id != kids[i].id
+		}
+		if mixed {
+			slices.SortFunc(kids[i:j], func(a, b naryKid) int {
+				if a.id == b.id {
+					return 0
+				}
+				return strings.Compare(IDKey(a.id), IDKey(b.id))
+			})
+		}
+		i = j
+	}
+	// Dedup adjacent (sorted ⇒ equal IDs adjacent).
 	out := kids[:0]
 	for _, k := range kids {
-		if k == identity {
+		if len(out) > 0 && out[len(out)-1].id == k.id {
 			continue
-		}
-		if k == absorb {
-			return absorb
 		}
 		out = append(out, k)
 	}
 	kids = out
-	sort.Slice(kids, func(i, j int) bool { return idLess(kids[i], kids[j]) })
-	// Dedup adjacent (sorted ⇒ equal IDs adjacent).
-	out = kids[:0]
-	var prev ID
+	// Complementary pair ⇒ the absorbing constant.
 	for _, k := range kids {
-		if k == prev {
-			continue
+		if k.neg == NoID {
+			k.neg = InternNot(k.id)
+			k.negHash = IDHash(k.neg)
 		}
-		out = append(out, k)
-		prev = k
-	}
-	kids = out
-	// Complementary pair ⇒ the absorbing constant. Negations are memoised
-	// on the nodes, so this is n hash lookups, not n interns after warmup.
-	for _, k := range kids {
-		if containsID(kids, InternNot(k)) {
-			return absorb
+		lo, _ := slices.BinarySearchFunc(kids, k.negHash, func(c naryKid, h uint64) int { return cmp.Compare(c.hash, h) })
+		for ; lo < len(kids) && kids[lo].hash == k.negHash; lo++ {
+			if kids[lo].id == k.neg {
+				return absorb
+			}
 		}
 	}
 	switch len(kids) {
 	case 0:
 		return identity
 	case 1:
-		return kids[0]
+		return kids[0].id
 	}
-	return internComposite(kind, 0, kids)
-}
-
-// containsID reports membership via binary search over the hash order.
-func containsID(sorted []ID, want ID) bool {
-	wh := IDHash(want)
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if IDHash(sorted[mid]) < wh {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	var idBuf [16]ID
+	ids := idBuf[:0]
+	for _, k := range kids {
+		ids = append(ids, k.id)
 	}
-	for ; lo < len(sorted) && IDHash(sorted[lo]) == wh; lo++ {
-		if sorted[lo] == want {
-			return true
-		}
-	}
-	return false
+	return internComposite(kind, 0, ids)
 }
 
 // IDConj interns the canonical conjunction of xs (see internNary).

@@ -3,6 +3,7 @@ package reach
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"circ/internal/acfa"
 	"circ/internal/cfa"
@@ -19,6 +20,13 @@ import (
 // race recording, ARG edges, deduplication, journal events) strictly in
 // FIFO discovery order. Parallelism lives above this package, across the
 // (thread, variable) units of a batch and the jobs of the daemon.
+//
+// A state's successors split along the state: main-thread moves depend
+// only on its thread state (location and cube), and the moves of the
+// context threads at one ACFA location on the thread state and that
+// location. Each thread state is therefore expanded once per run: its
+// successor lists are memoised by ARG raw id, and the counter map only
+// selects which lists a state merges.
 
 // Options configures ReachAndBuild.
 type Options struct {
@@ -92,6 +100,7 @@ func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abst
 	e.j = journal.FromContext(ctx)
 	ctx, sp := telemetry.StartSpan(ctx, "reach")
 	res, err := e.run(ctx)
+	e.publish()
 	if res != nil {
 		sp.Annotate("states", res.NumStates)
 		sp.Annotate("races", len(res.Races))
@@ -129,31 +138,82 @@ type explorer struct {
 	raceVar string
 	opts    Options
 
-	// posts memoises abstract posts for this run: states sharing a cube
-	// formula but differing in counters or spelling would otherwise
-	// recompute identical SMT-heavy posts. Nil values record bottom.
+	// memo holds each thread state's successor lists, indexed by ARG raw
+	// id, so a thread state is expanded once however many counter maps it
+	// pairs with.
+	memo []tsMemo
+	// lists is expand's scratch: the lists one state merges.
+	lists []*succList
+	// posts memoises abstract posts for this run, behind the lists: thread
+	// states sharing a cube formula at different locations share env
+	// posts, and thread states differing only in spelling share every
+	// post. Nil values record bottom.
 	posts map[postKey]*pred.Cube
 	ctxs  ctxTable
 
-	// Telemetry handles, nil when no registry is configured (each update
-	// is then a single nil check — see BenchmarkReachTelemetry).
+	// Telemetry handles, nil when no registry is configured, and the
+	// run's counts, which publish hands to them once per run.
 	cStates, cRaces        *telemetry.Counter
 	cPostHits, cPostMisses *telemetry.Counter
 	gFrontier              *telemetry.Gauge
+	nStates, nRaces        int64
+	nPostHits, nPostMisses int64
+	maxFrontier            int64
 
 	// j records counter-widening events in merge order.
 	j *journal.Stream
 }
 
+// publish adds the run's counts to the registry.
+func (e *explorer) publish() {
+	e.cStates.Add(e.nStates)
+	e.cRaces.Add(e.nRaces)
+	e.cPostHits.Add(e.nPostHits)
+	e.cPostMisses.Add(e.nPostMisses)
+	e.gFrontier.Max(e.maxFrontier)
+}
+
 func (e *explorer) cachedPost(key postKey, compute func() *pred.Cube) *pred.Cube {
 	if c, ok := e.posts[key]; ok {
-		e.cPostHits.Inc()
+		e.nPostHits++
 		return c
 	}
 	c := compute()
 	e.posts[key] = c
-	e.cPostMisses.Inc()
+	e.nPostMisses++
 	return c
+}
+
+// succ is one successor of a thread state: the next thread state, the op
+// taken, and the next thread state's ARG raw id, -1 until a merge first
+// takes the step. Filling the id lazily keeps ARG interning and
+// transition recording in merge order, so raw ids, and everything
+// numbered by them, do not depend on which states were expanded.
+type succ struct {
+	ts ThreadState
+	op Op
+	id int
+}
+
+// succList holds one thread state's successors along its main edges, or
+// along the out-edges of one ACFA location, in expansion order.
+type succList struct {
+	succs []succ
+	// lookups counts the post lookups one expansion makes, one per edge or
+	// target cube, bottoms included; a reuse counts as that many hits.
+	lookups int64
+	// writes records, for an env list, that some successor's edge havocs
+	// the race variable (isRace's context write capability).
+	writes bool
+	done   bool
+}
+
+// tsMemo is what expansion learns about one thread state.
+type tsMemo struct {
+	main succList
+	env  []succList // by ACFA location; nil until one is enabled
+	// reads caches mainReadEnabled once readsDone is set.
+	reads, readsDone bool
 }
 
 // slot is one discovered state and its place in the BFS tree.
@@ -186,16 +246,16 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		sl := order[i]
-		recs := e.successors(&sl.state)
-		isRace := e.isRace(&sl.state)
+		m, lists := e.expand(sl)
+		isRace := e.isRace(&sl.state, m)
 		numStates := i + 1
-		e.cStates.Inc()
+		e.nStates++
 		if numStates > e.opts.maxStates() {
 			e.drain(order[i+1:])
 			return nil, fmt.Errorf("reach: state budget exceeded (%d states)", e.opts.maxStates())
 		}
 		if isRace {
-			e.cRaces.Inc()
+			e.nRaces++
 			races = append(races, buildTrace(sl))
 			if len(races) >= e.opts.maxRaces() {
 				// Enough counterexamples for this refinement round; the
@@ -204,26 +264,37 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 				return &Result{Races: races, ARG: arg, NumStates: numStates}, nil
 			}
 		}
-		for _, rec := range recs {
-			// A main move keeps the context (and its id); an env move
-			// interns the moved one.
-			id := stateID{ts: arg.intern(rec.ts), ctx: sl.id.ctx}
-			c := sl.state.Ctx
-			if env := rec.op.EnvEdge; env != nil {
-				arg.union(sl.id.ts, id.ts)
-				id.ctx, c = e.ctxs.move(c, env.Src, env.Dst, e.opts.K)
-			} else {
-				arg.connectMain(sl.id.ts, rec.op.MainEdge, id.ts)
+		for _, l := range lists {
+			for k := range l.succs {
+				r := &l.succs[k]
+				// The first merge of a step interns its target and records
+				// the ARG transition; later ones would repeat both.
+				first := r.id < 0
+				if first {
+					r.id = arg.intern(r.ts)
+				}
+				// A main move keeps the context (and its id); an env move
+				// interns the moved one.
+				id := stateID{ts: r.id, ctx: sl.id.ctx}
+				c := sl.state.Ctx
+				if env := r.op.EnvEdge; env != nil {
+					if first {
+						arg.union(sl.id.ts, r.id)
+					}
+					id.ctx, c = e.ctxs.move(c, env.Src, env.Dst, e.opts.K)
+				} else if first {
+					arg.connectMain(sl.id.ts, r.op.MainEdge, r.id)
+				}
+				if _, ok := seen[id]; ok {
+					continue
+				}
+				seen[id] = struct{}{}
+				ns := &slot{state: State{TS: r.ts, Ctx: c}, id: id, parent: sl, op: r.op}
+				order = append(order, ns)
+				e.emitWidened(widened, &sl.state, &ns.state)
 			}
-			if _, ok := seen[id]; ok {
-				continue
-			}
-			seen[id] = struct{}{}
-			ns := &slot{state: State{TS: rec.ts, Ctx: c}, id: id, parent: sl, op: rec.op}
-			order = append(order, ns)
-			e.emitWidened(widened, &sl.state, &ns.state)
 		}
-		e.gFrontier.Max(int64(len(order) - numStates))
+		e.maxFrontier = max(e.maxFrontier, int64(len(order)-numStates))
 	}
 	return &Result{Races: races, ARG: arg, NumStates: len(order)}, nil
 }
@@ -236,8 +307,8 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 // the journal's bytes.
 func (e *explorer) drain(rest []*slot) {
 	for _, sl := range rest {
-		e.successors(&sl.state)
-		e.isRace(&sl.state)
+		m, _ := e.expand(sl)
+		e.isRace(&sl.state, m)
 	}
 }
 
@@ -310,83 +381,110 @@ func (e *explorer) atomicOccupancy(s *State) (mainEnabled, envAll bool, envOnly 
 	}
 }
 
-// succRecord is one computed successor: the main thread's next state and
-// the op taken. The merge derives the successor's context from the op
-// (unchanged for a main move), records the ARG transition and enqueues
-// the state.
-type succRecord struct {
-	ts ThreadState
-	op Op
-}
-
-// successors expands a state, touching only the post cache and the
-// solver; ARG recording and deduplication happen in the merge.
-func (e *explorer) successors(s *State) []succRecord {
-	mainEnabled, envAll, envOnly := e.atomicOccupancy(s)
-	// Room for one successor per enabled edge, the common case.
-	size := 0
-	if mainEnabled {
-		size = len(e.C.OutEdges(s.TS.Loc))
+// expand returns the memo entry of sl's thread state and the successor
+// lists of the state's enabled moves in merge order: the main edges, then
+// each enabled ACFA location in ascending order. A list is computed on its
+// thread state's first need of it and reused after that. The returned
+// slice is scratch, valid until the next call.
+//
+// Note on the paper's Lambda-G conjunct: the abstract post in the paper
+// additionally conjoins the labels of all occupied context locations.
+// Taken literally this is unsound in combination with the omega-seeded
+// entry location: the entry label would become a permanent
+// pseudo-invariant pruning the main thread's own writes (a non-moving
+// context thread's label is not an invariant — other threads may break
+// it, leaving that thread stuck but the state reachable). We therefore
+// constrain only by the moving thread's target label (part of the ACFA
+// transition semantics), which the worked example's proof actually relies
+// on.
+func (e *explorer) expand(sl *slot) (*tsMemo, []*succList) {
+	for len(e.memo) <= sl.id.ts {
+		e.memo = append(e.memo, tsMemo{})
 	}
-	for n := 0; n < e.A.NumLocs(); n++ {
-		if envAll && s.Ctx.Occupied(acfa.Loc(n)) || acfa.Loc(n) == envOnly {
-			size += len(e.A.OutEdges(acfa.Loc(n)))
+	m := &e.memo[sl.id.ts]
+	s := &sl.state
+	mainEnabled, envAll, envOnly := e.atomicOccupancy(s)
+	e.lists = e.lists[:0]
+	if mainEnabled {
+		e.lists = append(e.lists, e.countReuse(e.mainSuccs(s, m)))
+	}
+	for n := acfa.Loc(0); int(n) < e.A.NumLocs(); n++ {
+		if envAll && s.Ctx.Occupied(n) || n == envOnly {
+			e.lists = append(e.lists, e.countReuse(e.envSuccs(s, m, n)))
 		}
 	}
-	out := make([]succRecord, 0, size)
+	return m, e.lists
+}
 
-	// Note on the paper's Lambda-G conjunct: the abstract post in the
-	// paper additionally conjoins the labels of all occupied context
-	// locations. Taken literally this is unsound in combination with the
-	// omega-seeded entry location: the entry label would become a
-	// permanent pseudo-invariant pruning the main thread's own writes (a
-	// non-moving context thread's label is not an invariant — other
-	// threads may break it, leaving that thread stuck but the state
-	// reachable). We therefore constrain only by the moving thread's
-	// target label (part of the ACFA transition semantics), which the
-	// worked example's proof actually relies on.
+// countReuse counts a reused list's post lookups as post-cache hits, the
+// lookups a fresh expansion would have made.
+func (e *explorer) countReuse(l *succList, reused bool) *succList {
+	if reused {
+		e.nPostHits += l.lookups
+	}
+	return l
+}
+
+// mainSuccs returns the successors of s's thread state along the main
+// thread's out-edges, expanding them on first use; reused reports that
+// they were already expanded.
+func (e *explorer) mainSuccs(s *State, m *tsMemo) (l *succList, reused bool) {
+	l = &m.main
+	if l.done {
+		return l, true
+	}
 	fid := s.TS.Cube.FormulaID()
-	if mainEnabled {
-		for ei, edge := range e.C.OutEdges(s.TS.Loc) {
-			edge := edge
-			next := e.cachedPost(mainPostKey(fid, s.TS.Loc, ei), func() *pred.Cube {
-				switch edge.Op.Kind {
-				case cfa.OpAssign:
-					return e.abs.PostAssign(s.TS.Cube, edge.Op.LHS, edge.Op.RHS, expr.TrueExpr)
-				case cfa.OpAssume:
-					return e.abs.PostAssume(s.TS.Cube, edge.Op.Pred, expr.TrueExpr)
-				case cfa.OpHavoc:
-					return e.abs.PostHavoc(s.TS.Cube, []string{edge.Op.LHS}, expr.TrueExpr, expr.TrueExpr)
-				}
-				return nil
+	edges := e.C.OutEdges(s.TS.Loc)
+	l.succs = make([]succ, 0, len(edges))
+	for ei, edge := range edges {
+		l.lookups++
+		next := e.cachedPost(mainPostKey(fid, s.TS.Loc, ei), func() *pred.Cube {
+			switch edge.Op.Kind {
+			case cfa.OpAssign:
+				return e.abs.PostAssign(s.TS.Cube, edge.Op.LHS, edge.Op.RHS, expr.TrueExpr)
+			case cfa.OpAssume:
+				return e.abs.PostAssume(s.TS.Cube, edge.Op.Pred, expr.TrueExpr)
+			case cfa.OpHavoc:
+				return e.abs.PostHavoc(s.TS.Cube, []string{edge.Op.LHS}, expr.TrueExpr, expr.TrueExpr)
+			}
+			return nil
+		})
+		if next != nil {
+			l.succs = append(l.succs, succ{ThreadState{Loc: edge.Dst, Cube: next}, Op{MainEdge: edge}, -1})
+		}
+	}
+	l.done = true
+	return l, false
+}
+
+// envSuccs returns the successors of s's thread state along the out-edges
+// of ACFA location n, expanding them on first use; reused reports that
+// they were already expanded.
+func (e *explorer) envSuccs(s *State, m *tsMemo, n acfa.Loc) (l *succList, reused bool) {
+	if m.env == nil {
+		m.env = make([]succList, e.A.NumLocs())
+	}
+	l = &m.env[n]
+	if l.done {
+		return l, true
+	}
+	fid := s.TS.Cube.FormulaID()
+	for ai, aedge := range e.A.OutEdges(n) {
+		writes := slices.Contains(aedge.Havoc, e.raceVar)
+		for ti, tc := range e.A.Label(aedge.Dst).Cubes() {
+			l.lookups++
+			next := e.cachedPost(envPostKey(fid, n, ai, ti), func() *pred.Cube {
+				return e.abs.PostHavoc(s.TS.Cube, aedge.Havoc, tc.Formula(), expr.TrueExpr)
 			})
 			if next == nil {
 				continue
 			}
-			out = append(out, succRecord{ThreadState{Loc: edge.Dst, Cube: next}, Op{MainEdge: edge}})
+			l.succs = append(l.succs, succ{ThreadState{Loc: s.TS.Loc, Cube: next}, Op{EnvEdge: aedge}, -1})
+			l.writes = l.writes || writes
 		}
 	}
-
-	for n := acfa.Loc(0); int(n) < e.A.NumLocs(); n++ {
-		if !(envAll && s.Ctx.Occupied(n) || n == envOnly) {
-			continue
-		}
-		for ai, aedge := range e.A.OutEdges(n) {
-			aedge := aedge
-			targets := e.A.Label(aedge.Dst)
-			for ti, tc := range targets.Cubes() {
-				tc := tc
-				next := e.cachedPost(envPostKey(fid, n, ai, ti), func() *pred.Cube {
-					return e.abs.PostHavoc(s.TS.Cube, aedge.Havoc, tc.Formula(), expr.TrueExpr)
-				})
-				if next == nil {
-					continue
-				}
-				out = append(out, succRecord{ThreadState{Loc: s.TS.Loc, Cube: next}, Op{EnvEdge: aedge}})
-			}
-		}
-	}
-	return out
+	l.done = true
+	return l, false
 }
 
 // buildTrace walks the BFS tree from last back to the initial state.
@@ -409,8 +507,8 @@ func buildTrace(last *slot) *Trace {
 // isRace reports whether s is a race state on e.raceVar: no occupied
 // atomic location, and two distinct threads with enabled accesses of which
 // at least one is a write (paper Section 4.1; abstract threads never
-// read).
-func (e *explorer) isRace(s *State) bool {
+// read). m is the memo entry of s's thread state.
+func (e *explorer) isRace(s *State, m *tsMemo) bool {
 	if e.C.IsAtomic(s.TS.Loc) {
 		return false
 	}
@@ -422,20 +520,24 @@ func (e *explorer) isRace(s *State) bool {
 	x := e.raceVar
 
 	mainWrites := e.C.WritesVarAt(s.TS.Loc, x)
-	mainReads := e.mainReadEnabled(s, x)
+	if !m.readsDone {
+		m.reads, m.readsDone = e.mainReadEnabled(s, x), true
+	}
+	mainReads := m.reads
 
-	// Context write capability, requiring a genuinely enabled havoc edge.
+	// Context write capability, requiring a genuinely enabled havoc edge:
+	// one with a non-bottom post from the current thread state.
 	writerLocs := 0
 	multiWriter := false
-	for n := 0; n < e.A.NumLocs(); n++ {
-		if !s.Ctx.Occupied(acfa.Loc(n)) {
+	for n := acfa.Loc(0); int(n) < e.A.NumLocs(); n++ {
+		if !s.Ctx.Occupied(n) {
 			continue
 		}
-		if !e.envWriteEnabled(s, acfa.Loc(n), x) {
+		if l, _ := e.envSuccs(s, m, n); !l.writes {
 			continue
 		}
 		writerLocs++
-		if s.Ctx.AtLeastTwo(acfa.Loc(n)) {
+		if s.Ctx.AtLeastTwo(n) {
 			multiWriter = true
 		}
 	}
@@ -470,35 +572,6 @@ func (e *explorer) mainReadEnabled(s *State, x string) bool {
 			// IDs so no formula tree is rebuilt.
 			if expr.Mentions(edge.Op.Pred, x) &&
 				e.abs.Chk.SatID(expr.IDConj(s.TS.Cube.FormulaID(), expr.Intern(edge.Op.Pred))) != smt.Unsat {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// envWriteEnabled reports whether some havoc edge out of n writes x and
-// has a non-empty abstract post from the current state. It shares the
-// explorer's post cache with successor expansion (identical computations).
-func (e *explorer) envWriteEnabled(s *State, n acfa.Loc, x string) bool {
-	fid := s.TS.Cube.FormulaID()
-	for ai, aedge := range e.A.OutEdges(n) {
-		aedge := aedge
-		writes := false
-		for _, v := range aedge.Havoc {
-			if v == x {
-				writes = true
-				break
-			}
-		}
-		if !writes {
-			continue
-		}
-		for ti, tc := range e.A.Label(aedge.Dst).Cubes() {
-			tc := tc
-			if e.cachedPost(envPostKey(fid, n, ai, ti), func() *pred.Cube {
-				return e.abs.PostHavoc(s.TS.Cube, aedge.Havoc, tc.Formula(), expr.TrueExpr)
-			}) != nil {
 				return true
 			}
 		}

@@ -174,14 +174,17 @@ thread T {
 	}
 	ctx := make(Ctx, a.NumLocs())
 	ctx[a.Entry] = Omega
-	st := &State{TS: ThreadState{Loc: atomicLoc, Cube: pred.TopCube(set)}, Ctx: ctx}
-	for _, s := range e.successors(st) {
-		if s.op.IsEnv() {
-			t.Fatalf("environment move fired while main is atomic: %v", s.op)
+	sl := &slot{state: State{TS: ThreadState{Loc: atomicLoc, Cube: pred.TopCube(set)}, Ctx: ctx}}
+	m, lists := e.expand(sl)
+	for _, l := range lists {
+		for _, s := range l.succs {
+			if s.op.IsEnv() {
+				t.Fatalf("environment move fired while main is atomic: %v", s.op)
+			}
 		}
 	}
 	// And a race must not be reported at an atomic state.
-	if e.isRace(st) {
+	if e.isRace(&sl.state, m) {
 		t.Fatalf("race reported while main is atomic")
 	}
 }
@@ -454,6 +457,59 @@ func TestStealCounters(t *testing.T) {
 	}
 	if snap.Counters["reach.races"] != int64(len(res.Races)) {
 		t.Fatalf("reach.races = %d, want %d", snap.Counters["reach.races"], len(res.Races))
+	}
+}
+
+// cancelAfter is a context that reports cancellation from its n+1st Err
+// call on, so a run stops after merging exactly n states.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n == 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// TestCountersPublishedOnEveryExit: a run publishes its exploration
+// counters however it ends: state budget, race cap or cancellation.
+func TestCountersPublishedOnEveryExit(t *testing.T) {
+	f := tasFixture(t)
+	for _, tc := range []struct {
+		name   string
+		ctx    context.Context
+		opts   Options
+		states int64 // 0: the result's NumStates
+		races  int64 // -1: not checked
+	}{
+		{"budget", context.Background(), Options{K: 2, MaxStates: 10}, 11, -1},
+		{"race cap", context.Background(), Options{K: 2, MaxRaces: 2}, 0, 2},
+		{"cancelled", &cancelAfter{Context: context.Background(), n: 7}, Options{K: 2}, 7, -1},
+	} {
+		reg := telemetry.NewRegistry()
+		tc.opts.Metrics = reg
+		res, err := ReachAndBuild(tc.ctx, f.c, f.a, f.abs, "x", tc.opts)
+		if (err == nil) != (tc.states == 0) {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		if tc.states == 0 {
+			tc.states = int64(res.NumStates)
+		}
+		snap := reg.Snapshot()
+		if got := snap.Counters["reach.states"]; got != tc.states {
+			t.Errorf("%s: reach.states = %d, want %d", tc.name, got, tc.states)
+		}
+		if got := snap.Counters["reach.races"]; tc.races >= 0 && got != tc.races {
+			t.Errorf("%s: reach.races = %d, want %d", tc.name, got, tc.races)
+		}
+		if snap.Counters["reach.post.cache.misses"] == 0 || snap.Counters["reach.post.cache.hits"] == 0 ||
+			snap.Gauges["reach.frontier.max"] == 0 {
+			t.Errorf("%s: post-cache counters or frontier gauge unpublished: %v %v", tc.name, snap.Counters, snap.Gauges)
+		}
 	}
 }
 
