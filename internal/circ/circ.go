@@ -504,7 +504,7 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 				if opts.Omega {
 					_, osp := telemetry.StartSpan(ictx, "goodloc")
 					glDone := beginPhase("goodloc", false)
-					ok, err := goodLocationCheck(ictx, c, A, res.ARG, mu, k, chk, opts.Metrics)
+					ok, err := goodLocationCheck(ictx, c, res.ARG, k, abs, opts.Metrics)
 					glDone()
 					osp.End()
 					if err != nil {

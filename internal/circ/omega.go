@@ -10,7 +10,6 @@ import (
 	"circ/internal/expr"
 	"circ/internal/pred"
 	"circ/internal/reach"
-	"circ/internal/smt"
 	"circ/internal/telemetry"
 )
 
@@ -33,14 +32,16 @@ import (
 // The data makes label-encoded mutual exclusion visible (e.g. two threads
 // can never both occupy the critical-section locations), without which the
 // check would fail spuriously and k would diverge.
-func goodLocationCheck(ctx context.Context, c *cfa.CFA, a *acfa.ACFA, g *reach.ARG, mu map[int]acfa.Loc, k int, chk smt.Solver, reg *telemetry.Registry) (bool, error) {
-	_, _, _ = c, a, mu
+//
+// abs is the round's Abstractor: g ranges over its predicate set, and the
+// context reach shares its post memo with the round's ReachAndBuild runs.
+func goodLocationCheck(ctx context.Context, c *cfa.CFA, g *reach.ARG, k int, abs *pred.Abstractor, reg *telemetry.Registry) (bool, error) {
+	chk := abs.Chk
 	// Re-collapse the final ARG so locations and classes line up.
 	quot, muq := bisim.Collapse(ctx, g, chk, reg)
 	if quot.IsEmpty() {
 		return true, nil // a do-nothing context trivially generalises
 	}
-	abs := pred.NewAbstractor(chk, g.Set)
 	configs, err := contextReach(quot, k, c, abs)
 	if err != nil {
 		return false, err
@@ -91,6 +92,10 @@ func contextReach(a *acfa.ACFA, k int, c *cfa.CFA, abs *pred.Abstractor) ([]ctxC
 	key := func(cf ctxConfig) string { return cf.ctx.Key() + "#" + cf.cube.Key() }
 	seen := map[string]bool{key(init): true}
 	queue := []ctxConfig{init}
+	havocs := make(map[*acfa.Edge]pred.Havoc, len(a.Edges))
+	for _, e := range a.Edges {
+		havocs[e] = abs.Havoc(e.Havoc)
+	}
 	var out []ctxConfig
 	const budget = 100000
 	for len(queue) > 0 {
@@ -120,7 +125,7 @@ func contextReach(a *acfa.ACFA, k int, c *cfa.CFA, abs *pred.Abstractor) ([]ctxC
 			for _, e := range a.OutEdges(src) {
 				ctx2 := cur.ctx.Move(e.Src, e.Dst, k)
 				for _, tc := range a.Label(e.Dst).Cubes() {
-					next := abs.PostHavoc(cur.cube, e.Havoc, tc.Formula(), expr.TrueExpr)
+					next, _ := abs.EnvPost(cur.cube, havocs[e], tc)
 					if next == nil {
 						continue
 					}

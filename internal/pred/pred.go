@@ -1,6 +1,7 @@
 // Package pred implements predicate abstraction: three-valued cubes over a
 // finite predicate set, DNF regions, and the cartesian abstract post
-// operators for assignment, assume, and havoc edges.
+// operators for assignment, assume, and havoc edges, memoised per
+// Abstractor.
 //
 // A cube assigns each predicate True, False, or Unknown and denotes the
 // conjunction of the decided literals; a region is a finite disjunction of
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"sync"
 
+	"circ/internal/cfa"
 	"circ/internal/expr"
 	"circ/internal/smt"
 	"circ/internal/telemetry"
@@ -109,7 +111,7 @@ func (v TV) String() string {
 // Cubes are mutated only inside this package, before they are handed to
 // callers; once published they are immutable. The canonical key and the
 // interned formula ID are therefore memoised lazily on first use — the
-// reachability engine keys states and post caches by them millions of
+// reachability engine keys states and the post memo by them millions of
 // times per run.
 type Cube struct {
 	set *Set
@@ -347,24 +349,58 @@ func TrueRegion(s *Set) *Region {
 	return r
 }
 
-// Abstractor computes cartesian predicate abstraction using an SMT checker.
+// Abstractor computes cartesian predicate abstraction using an SMT checker
+// and memoises the abstract posts it computes.
+//
+// An Abstractor lives for one CIRC round: one predicate set within one
+// analysis. Its memo therefore spans every ReachAndBuild of the round's
+// inner loop, whose context models differ but whose posts do not: a post
+// depends only on the source cube and the operation. Entries stay valid
+// for the Abstractor's life because a post is a pure function of its key
+// and interned IDs are stable within an analysis. An Abstractor is not
+// safe for concurrent use; each analysis builds its own.
 type Abstractor struct {
 	Chk smt.Solver
 	Set *Set
+
+	// posts memoises abstract posts by value; a nil value records bottom.
+	posts map[postKey]*Cube
+	// havocs interns havoc sets by their comma-joined names.
+	havocs map[string]int32
 
 	// Telemetry counters, attached with Instrument; nil handles are
 	// no-ops, so an uninstrumented abstractor pays only nil checks.
 	cCalls, cBottom *telemetry.Counter
 }
 
+// postKey names an abstract post by value: the source cube's formula and
+// either the CFA edge the main thread takes (whose operation never
+// changes) or, for a context move, the havoc set and the formula of the
+// target location's label cube. A context move's key names no ACFA
+// location, so it survives every renumbering by Collapse.
+type postKey struct {
+	src    expr.ID
+	edge   *cfa.Edge
+	havoc  int32
+	target expr.ID
+}
+
+// Havoc is a sorted havoc set interned in one Abstractor, so that a
+// context move's memo key compares it by a small id. Build it once per
+// ACFA edge with Abstractor.Havoc.
+type Havoc struct {
+	id   int32
+	vars []string
+}
+
 // NewAbstractor returns an abstractor over the given set.
 func NewAbstractor(chk smt.Solver, s *Set) *Abstractor {
-	return &Abstractor{Chk: chk, Set: s}
+	return &Abstractor{Chk: chk, Set: s,
+		posts: make(map[postKey]*Cube), havocs: make(map[string]int32)}
 }
 
 // Instrument attaches abstraction counters ("pred.abstract.calls",
-// "pred.abstract.bottom") to the registry. Call before sharing the
-// abstractor with concurrent workers.
+// "pred.abstract.bottom") to the registry.
 func (a *Abstractor) Instrument(reg *telemetry.Registry) {
 	a.cCalls = reg.Counter("pred.abstract.calls")
 	a.cBottom = reg.Counter("pred.abstract.bottom")
@@ -406,30 +442,74 @@ func oldName(v string) string { return v + "%old" }
 
 // PostAssign computes the abstract successor of cube c under x := rhs.
 // Returns nil for abstract bottom.
-func (a *Abstractor) PostAssign(c *Cube, x string, rhs expr.Expr, extra expr.Expr) *Cube {
+func (a *Abstractor) PostAssign(c *Cube, x string, rhs expr.Expr) *Cube {
 	old := expr.V(oldName(x))
 	phi := expr.SubstVar(c.Formula(), x, old)
 	eq := expr.Eq(expr.V(x), expr.SubstVar(rhs, x, old))
-	return a.Abstract(expr.Conj(phi, eq, extra))
+	return a.Abstract(expr.Conj(phi, eq))
 }
 
 // PostAssume computes the abstract successor of cube c under assume(p).
 // Returns nil when the guarded state is unsatisfiable.
-func (a *Abstractor) PostAssume(c *Cube, p expr.Expr, extra expr.Expr) *Cube {
-	return a.Abstract(expr.Conj(c.Formula(), p, extra))
+func (a *Abstractor) PostAssume(c *Cube, p expr.Expr) *Cube {
+	return a.Abstract(expr.Conj(c.Formula(), p))
 }
 
 // PostHavoc computes the abstract successor of cube c after the variables
 // in ys receive arbitrary values, constrained by target (the label of the
-// destination abstract location) and extra (the context invariant).
-func (a *Abstractor) PostHavoc(c *Cube, ys []string, target expr.Expr, extra expr.Expr) *Cube {
+// destination abstract location).
+func (a *Abstractor) PostHavoc(c *Cube, ys []string, target expr.Expr) *Cube {
 	phi := c.Formula()
 	m := make(map[string]expr.Expr, len(ys))
 	for _, y := range ys {
 		m[y] = expr.V(oldName(y))
 	}
 	phi = expr.Subst(phi, m)
-	return a.Abstract(expr.Conj(phi, target, extra))
+	return a.Abstract(expr.Conj(phi, target))
+}
+
+// EdgePost returns the abstract successor of cube c along CFA edge e (nil
+// for bottom) from the memo, computing it on a miss; hit reports a memo
+// hit.
+func (a *Abstractor) EdgePost(c *Cube, e *cfa.Edge) (next *Cube, hit bool) {
+	key := postKey{src: c.FormulaID(), edge: e}
+	if next, ok := a.posts[key]; ok {
+		return next, true
+	}
+	switch e.Op.Kind {
+	case cfa.OpAssign:
+		next = a.PostAssign(c, e.Op.LHS, e.Op.RHS)
+	case cfa.OpAssume:
+		next = a.PostAssume(c, e.Op.Pred)
+	case cfa.OpHavoc:
+		next = a.PostHavoc(c, []string{e.Op.LHS}, expr.TrueExpr)
+	}
+	a.posts[key] = next
+	return next, false
+}
+
+// Havoc interns the sorted havoc set ys.
+func (a *Abstractor) Havoc(ys []string) Havoc {
+	name := strings.Join(ys, ",")
+	id, ok := a.havocs[name]
+	if !ok {
+		id = int32(len(a.havocs))
+		a.havocs[name] = id
+	}
+	return Havoc{id: id, vars: ys}
+}
+
+// EnvPost returns the abstract successor of cube c when a context thread
+// havocs h and enters a location whose label holds cube target (nil for
+// bottom), from the memo, computing it on a miss; hit reports a memo hit.
+func (a *Abstractor) EnvPost(c *Cube, h Havoc, target *Cube) (next *Cube, hit bool) {
+	key := postKey{src: c.FormulaID(), havoc: h.id, target: target.FormulaID()}
+	if next, ok := a.posts[key]; ok {
+		return next, true
+	}
+	next = a.PostHavoc(c, h.vars, target.Formula())
+	a.posts[key] = next
+	return next, false
 }
 
 // InitialCube abstracts the initial state where all listed variables are

@@ -163,12 +163,12 @@ func TestPostAssign(t *testing.T) {
 	a := newAbs(t, expr.Eq(x, expr.Num(1)), expr.Eq(y, expr.Num(1)))
 	// From x==1 (y unknown), execute y := x. Expect y==1 and x==1.
 	c0 := a.Abstract(expr.Eq(x, expr.Num(1)))
-	c1 := a.PostAssign(c0, "y", x, expr.TrueExpr)
+	c1 := a.PostAssign(c0, "y", x)
 	if c1 == nil || c1.TV(0) != True || c1.TV(1) != True {
 		t.Fatalf("post = %v", c1)
 	}
 	// Self-referential update: x := x + 1 from x==1 gives x != 1.
-	c2 := a.PostAssign(c0, "x", expr.Add(x, expr.Num(1)), expr.TrueExpr)
+	c2 := a.PostAssign(c0, "x", expr.Add(x, expr.Num(1)))
 	if c2 == nil || c2.TV(0) != False {
 		t.Fatalf("post x:=x+1 = %v", c2)
 	}
@@ -178,12 +178,12 @@ func TestPostAssume(t *testing.T) {
 	x := expr.V("x")
 	a := newAbs(t, expr.Eq(x, expr.Num(0)))
 	top := TopCube(a.Set)
-	c := a.PostAssume(top, expr.Eq(x, expr.Num(0)), expr.TrueExpr)
+	c := a.PostAssume(top, expr.Eq(x, expr.Num(0)))
 	if c == nil || c.TV(0) != True {
 		t.Fatalf("assume post = %v", c)
 	}
 	c0 := a.Abstract(expr.Eq(x, expr.Num(0)))
-	if a.PostAssume(c0, expr.Ne(x, expr.Num(0)), expr.TrueExpr) != nil {
+	if a.PostAssume(c0, expr.Ne(x, expr.Num(0))) != nil {
 		t.Fatalf("contradictory assume should be bottom")
 	}
 }
@@ -194,16 +194,16 @@ func TestPostHavoc(t *testing.T) {
 	a := newAbs(t, expr.Eq(x, expr.Num(0)), expr.Eq(y, expr.Num(0)))
 	c0 := a.Abstract(expr.Conj(expr.Eq(x, expr.Num(0)), expr.Eq(y, expr.Num(0))))
 	// Havoc x constrained to x != 0: y's knowledge survives, x flips.
-	c1 := a.PostHavoc(c0, []string{"x"}, expr.Ne(x, expr.Num(0)), expr.TrueExpr)
+	c1 := a.PostHavoc(c0, []string{"x"}, expr.Ne(x, expr.Num(0)))
 	if c1 == nil || c1.TV(0) != False || c1.TV(1) != True {
 		t.Fatalf("havoc post = %v", c1)
 	}
 	// Havoc with unsatisfiable target is bottom.
-	if a.PostHavoc(c0, []string{"x"}, expr.FalseExpr, expr.TrueExpr) != nil {
+	if a.PostHavoc(c0, []string{"x"}, expr.FalseExpr) != nil {
 		t.Fatalf("bottom expected")
 	}
 	// Havoc everything with true target loses all knowledge.
-	c2 := a.PostHavoc(c0, []string{"x", "y"}, expr.TrueExpr, expr.TrueExpr)
+	c2 := a.PostHavoc(c0, []string{"x", "y"}, expr.TrueExpr)
 	if c2 == nil || c2.Key() != "??" {
 		t.Fatalf("total havoc = %v", c2)
 	}

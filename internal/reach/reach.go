@@ -3,6 +3,7 @@ package reach
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"circ/internal/acfa"
@@ -86,8 +87,7 @@ func (r *Result) Race() *Trace {
 // predicate set P and the SMT solver. The context cancels long runs
 // between merged states.
 func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options) (*Result, error) {
-	e := &explorer{C: C, A: A, abs: abs, raceVar: raceVar, opts: opts,
-		posts: make(map[postKey]*pred.Cube)}
+	e := newExplorer(C, A, abs, raceVar, opts)
 	// Instrument handles are fetched once; with a nil registry they are nil
 	// and every update on the hot path degrades to a nil check.
 	if reg := opts.Metrics; reg != nil {
@@ -109,28 +109,6 @@ func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abst
 	return res, err
 }
 
-// postKey identifies an abstract-post computation. Posts are a pure
-// function of the source cube's canonical formula (its interned ID) and
-// the edge being taken, so the key is a small comparable struct — no
-// string is built on the cache path, and states whose cubes differ only
-// in spelling share entries. Main edges are identified by (source
-// location, edge index); env moves by (ACFA location, edge index, target
-// cube index) — the main-thread location is irrelevant to an env post,
-// which widens sharing further.
-type postKey struct {
-	fid     expr.ID
-	kind    byte // 'm' main edge, 'e' env move
-	a, b, c int32
-}
-
-func mainPostKey(fid expr.ID, loc cfa.Loc, ei int) postKey {
-	return postKey{fid: fid, kind: 'm', a: int32(loc), b: int32(ei)}
-}
-
-func envPostKey(fid expr.ID, n acfa.Loc, ai, ti int) postKey {
-	return postKey{fid: fid, kind: 'e', a: int32(n), b: int32(ai), c: int32(ti)}
-}
-
 type explorer struct {
 	C       *cfa.CFA
 	A       *acfa.ACFA
@@ -144,12 +122,11 @@ type explorer struct {
 	memo []tsMemo
 	// lists is expand's scratch: the lists one state merges.
 	lists []*succList
-	// posts memoises abstract posts for this run, behind the lists: thread
-	// states sharing a cube formula at different locations share env
-	// posts, and thread states differing only in spelling share every
-	// post. Nil values record bottom.
-	posts map[postKey]*pred.Cube
-	ctxs  ctxTable
+	// havocs holds the interned havoc set of each ACFA edge, parallel to
+	// A.OutEdges, for the abstractor's post memo.
+	havocs [][]pred.Havoc
+	ctxs   ctxTable
+	slots  slotChunks
 
 	// Telemetry handles, nil when no registry is configured, and the
 	// run's counts, which publish hands to them once per run.
@@ -164,6 +141,19 @@ type explorer struct {
 	j *journal.Stream
 }
 
+// newExplorer prepares one run, interning the havoc set of each of A's
+// edges in abs once.
+func newExplorer(C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options) *explorer {
+	e := &explorer{C: C, A: A, abs: abs, raceVar: raceVar, opts: opts,
+		havocs: make([][]pred.Havoc, A.NumLocs())}
+	for n := range e.havocs {
+		for _, ae := range A.OutEdges(acfa.Loc(n)) {
+			e.havocs[n] = append(e.havocs[n], abs.Havoc(ae.Havoc))
+		}
+	}
+	return e
+}
+
 // publish adds the run's counts to the registry.
 func (e *explorer) publish() {
 	e.cStates.Add(e.nStates)
@@ -173,14 +163,13 @@ func (e *explorer) publish() {
 	e.gFrontier.Max(e.maxFrontier)
 }
 
-func (e *explorer) cachedPost(key postKey, compute func() *pred.Cube) *pred.Cube {
-	if c, ok := e.posts[key]; ok {
+// countPost counts one post lookup in the abstractor's memo.
+func (e *explorer) countPost(c *pred.Cube, hit bool) *pred.Cube {
+	if hit {
 		e.nPostHits++
-		return c
+	} else {
+		e.nPostMisses++
 	}
-	c := compute()
-	e.posts[key] = c
-	e.nPostMisses++
 	return c
 }
 
@@ -230,28 +219,63 @@ type slot struct {
 // counter maps agree.
 type stateID struct{ ts, ctx int }
 
+// maxID bounds both halves of a stateID so that key packs it into one
+// word without collisions. Both are dense indices of objects held in
+// memory, so run reports an error long before either could reach it.
+const maxID uint64 = 1 << 32
+
+// key packs the identity into one word for the seen set.
+func (id stateID) key() uint64 { return uint64(id.ts)<<32 | uint64(id.ctx) }
+
+// slotChunks holds a run's slots in discovery order, which is the FIFO
+// worklist, in chunks of 16, 32, 64, ... slots: a run allocates a few
+// chunks rather than one slot per state, and a tiny run allocates little.
+// A chunk is never reallocated, which keeps parent pointers valid.
+type slotChunks struct {
+	chunks [][]slot
+	n      int // slots held
+}
+
+// add appends a slot and returns it.
+func (c *slotChunks) add(s slot) *slot {
+	k := len(c.chunks) - 1
+	if k < 0 || len(c.chunks[k]) == cap(c.chunks[k]) {
+		k++
+		c.chunks = append(c.chunks, make([]slot, 0, 16<<k))
+	}
+	c.chunks[k] = append(c.chunks[k], s)
+	c.n++
+	return &c.chunks[k][len(c.chunks[k])-1]
+}
+
+// at returns the i-th slot. Chunk k holds slots 16(2^k-1) up to
+// 16(2^(k+1)-1), exclusive.
+func (c *slotChunks) at(i int) *slot {
+	k := bits.Len(uint(i>>4+1)) - 1
+	return &c.chunks[k][i-16*(1<<k-1)]
+}
+
 // run is the exploration loop over the FIFO discovery order.
 func (e *explorer) run(ctx context.Context) (*Result, error) {
 	arg, init := e.seed()
-	seen := map[stateID]struct{}{init.id: {}}
-	order := []*slot{init}
+	seen := map[uint64]struct{}{init.id.key(): {}}
 	var races []*Trace
 	var widened map[acfa.Loc]bool
 	if e.j.Enabled() {
 		widened = make(map[acfa.Loc]bool)
 	}
 
-	for i := 0; i < len(order); i++ {
+	for i := 0; i < e.slots.n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sl := order[i]
+		sl := e.slots.at(i)
 		m, lists := e.expand(sl)
 		isRace := e.isRace(&sl.state, m)
 		numStates := i + 1
 		e.nStates++
 		if numStates > e.opts.maxStates() {
-			e.drain(order[i+1:])
+			e.drain(i + 1)
 			return nil, fmt.Errorf("reach: state budget exceeded (%d states)", e.opts.maxStates())
 		}
 		if isRace {
@@ -260,7 +284,7 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 			if len(races) >= e.opts.maxRaces() {
 				// Enough counterexamples for this refinement round; the
 				// ARG is partial but unused on the error path.
-				e.drain(order[i+1:])
+				e.drain(i + 1)
 				return &Result{Races: races, ARG: arg, NumStates: numStates}, nil
 			}
 		}
@@ -281,22 +305,24 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 					if first {
 						arg.union(sl.id.ts, r.id)
 					}
-					id.ctx, c = e.ctxs.move(c, env.Src, env.Dst, e.opts.K)
+					id.ctx, c = e.ctxs.move(sl.id.ctx, env.Src, env.Dst, e.opts.K)
 				} else if first {
 					arg.connectMain(sl.id.ts, r.op.MainEdge, r.id)
 				}
-				if _, ok := seen[id]; ok {
+				if uint64(id.ts) >= maxID || uint64(id.ctx) >= maxID {
+					return nil, fmt.Errorf("reach: more than %d thread states or contexts", maxID)
+				}
+				n := len(seen)
+				if seen[id.key()] = struct{}{}; len(seen) == n {
 					continue
 				}
-				seen[id] = struct{}{}
-				ns := &slot{state: State{TS: r.ts, Ctx: c}, id: id, parent: sl, op: r.op}
-				order = append(order, ns)
+				ns := e.slots.add(slot{state: State{TS: r.ts, Ctx: c}, id: id, parent: sl, op: r.op})
 				e.emitWidened(widened, &sl.state, &ns.state)
 			}
 		}
-		e.maxFrontier = max(e.maxFrontier, int64(len(order)-numStates))
+		e.maxFrontier = max(e.maxFrontier, int64(e.slots.n-numStates))
 	}
-	return &Result{Races: races, ARG: arg, NumStates: len(order)}, nil
+	return &Result{Races: races, ARG: arg, NumStates: e.slots.n}, nil
 }
 
 // drain expands the discovered but unmerged states after an early break
@@ -305,8 +331,9 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 // reach phase adds, so it depends on which states were expanded; the
 // drain makes that every discovered state, and dropping it would change
 // the journal's bytes.
-func (e *explorer) drain(rest []*slot) {
-	for _, sl := range rest {
+func (e *explorer) drain(from int) {
+	for i := from; i < e.slots.n; i++ {
+		sl := e.slots.at(i)
 		m, _ := e.expand(sl)
 		e.isRace(&sl.state, m)
 	}
@@ -326,7 +353,7 @@ func (e *explorer) seed() (*ARG, *slot) {
 	ts := ThreadState{Loc: e.C.Entry, Cube: cube0}
 	id := stateID{ts: arg.setEntry(ts)}
 	id.ctx, ctx0 = e.ctxs.intern(ctx0)
-	return arg, &slot{state: State{TS: ts, Ctx: ctx0}, id: id}
+	return arg, e.slots.add(slot{state: State{TS: ts, Ctx: ctx0}, id: id})
 }
 
 // emitWidened journals context locations whose counter just saturated to
@@ -433,23 +460,11 @@ func (e *explorer) mainSuccs(s *State, m *tsMemo) (l *succList, reused bool) {
 	if l.done {
 		return l, true
 	}
-	fid := s.TS.Cube.FormulaID()
 	edges := e.C.OutEdges(s.TS.Loc)
 	l.succs = make([]succ, 0, len(edges))
-	for ei, edge := range edges {
+	for _, edge := range edges {
 		l.lookups++
-		next := e.cachedPost(mainPostKey(fid, s.TS.Loc, ei), func() *pred.Cube {
-			switch edge.Op.Kind {
-			case cfa.OpAssign:
-				return e.abs.PostAssign(s.TS.Cube, edge.Op.LHS, edge.Op.RHS, expr.TrueExpr)
-			case cfa.OpAssume:
-				return e.abs.PostAssume(s.TS.Cube, edge.Op.Pred, expr.TrueExpr)
-			case cfa.OpHavoc:
-				return e.abs.PostHavoc(s.TS.Cube, []string{edge.Op.LHS}, expr.TrueExpr, expr.TrueExpr)
-			}
-			return nil
-		})
-		if next != nil {
+		if next := e.countPost(e.abs.EdgePost(s.TS.Cube, edge)); next != nil {
 			l.succs = append(l.succs, succ{ThreadState{Loc: edge.Dst, Cube: next}, Op{MainEdge: edge}, -1})
 		}
 	}
@@ -468,14 +483,11 @@ func (e *explorer) envSuccs(s *State, m *tsMemo, n acfa.Loc) (l *succList, reuse
 	if l.done {
 		return l, true
 	}
-	fid := s.TS.Cube.FormulaID()
 	for ai, aedge := range e.A.OutEdges(n) {
 		writes := slices.Contains(aedge.Havoc, e.raceVar)
-		for ti, tc := range e.A.Label(aedge.Dst).Cubes() {
+		for _, tc := range e.A.Label(aedge.Dst).Cubes() {
 			l.lookups++
-			next := e.cachedPost(envPostKey(fid, n, ai, ti), func() *pred.Cube {
-				return e.abs.PostHavoc(s.TS.Cube, aedge.Havoc, tc.Formula(), expr.TrueExpr)
-			})
+			next := e.countPost(e.abs.EnvPost(s.TS.Cube, e.havocs[n][ai], tc))
 			if next == nil {
 				continue
 			}

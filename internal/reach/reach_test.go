@@ -3,6 +3,8 @@ package reach
 import (
 	"context"
 	"errors"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -62,6 +64,50 @@ func TestCtxCounters(t *testing.T) {
 	e[0] = 5
 	if c[0] != 0 {
 		t.Fatalf("CloneCtx aliased")
+	}
+}
+
+// TestCtxTableMoves: a memoised move agrees with Ctx.Move, answers a
+// repeat from the memo with the same shared copy, and a move whose
+// locations do not fit the packed key is computed unmemoised.
+func TestCtxTableMoves(t *testing.T) {
+	var tab ctxTable
+	id0, c0 := tab.intern(Ctx{Omega, 1, 0})
+	for _, m := range []struct{ from, to acfa.Loc }{{0, 1}, {1, 2}, {0, 2}, {0, 1}} {
+		id, c := tab.move(id0, m.from, m.to, 1)
+		if want := c0.Move(m.from, m.to, 1); c.Key() != want.Key() {
+			t.Fatalf("move(%d, %d) = %v, want %v", m.from, m.to, c, want)
+		}
+		if again, c2 := tab.move(id0, m.from, m.to, 1); again != id || &c2[0] != &c[0] {
+			t.Fatalf("repeated move(%d, %d) = %d, want the memoised %d", m.from, m.to, again, id)
+		}
+	}
+	if len(tab.moves) != 3 {
+		t.Fatalf("%d memoised moves, want 3", len(tab.moves))
+	}
+	if _, packed := moveKey(math.MaxInt, 0, 0); packed && strconv.IntSize == 64 {
+		t.Fatalf("context id %d packed", math.MaxInt)
+	}
+	if _, packed := moveKey(0, 1<<16, 0); packed {
+		t.Fatalf("a location of 2^16 packed")
+	}
+}
+
+// TestSlotChunks: at(i) returns the i-th slot added, across chunk
+// boundaries, and a slot never moves once added.
+func TestSlotChunks(t *testing.T) {
+	var c slotChunks
+	var added []*slot
+	for i := 0; i < 1000; i++ {
+		added = append(added, c.add(slot{id: stateID{ts: i}}))
+	}
+	for i, sl := range added {
+		if c.at(i) != sl || sl.id.ts != i {
+			t.Fatalf("at(%d) = slot %d at %p, want slot %d at %p", i, c.at(i).id.ts, c.at(i), i, sl)
+		}
+	}
+	if c.n != 1000 {
+		t.Fatalf("n = %d, want 1000", c.n)
 	}
 }
 
@@ -159,8 +205,7 @@ thread T {
 	l1 := a.AddLoc(pred.TrueRegion(set), false)
 	a.AddEdge(a.Entry, l1, []string{"x"})
 	a.Finish()
-	e := &explorer{C: c, A: a, abs: abs, raceVar: "x", opts: Options{K: 1},
-		posts: make(map[postKey]*pred.Cube)}
+	e := newExplorer(c, a, abs, "x", Options{K: 1})
 	// Find an atomic main location.
 	var atomicLoc cfa.Loc = -1
 	for l := 0; l < c.NumLocs(); l++ {
@@ -414,11 +459,11 @@ func (f *fixtureParts) run(t *testing.T, extra func(*Options)) *Result {
 	return res
 }
 
-// TestStealRaceCapDeterminism: hitting the race cap (the early-break
-// path, which drains the unmerged states) stops at exactly the cap, and a
-// rerun over the now-warm solver cache yields the same races and state
-// count.
-func TestStealRaceCapDeterminism(t *testing.T) {
+// TestRaceCapDeterminism: hitting the race cap (the early-break path,
+// which drains the unmerged states) stops at exactly the cap, and a rerun
+// over the now-warm solver cache and post memo yields the same races and
+// state count.
+func TestRaceCapDeterminism(t *testing.T) {
 	f := tasFixture(t)
 	capped := func(o *Options) { o.MaxRaces = 2 }
 	first := f.run(t, capped)
@@ -436,9 +481,9 @@ func TestStealRaceCapDeterminism(t *testing.T) {
 	}
 }
 
-// TestStealBudgetExceeded: exploring past the state budget fails with the
+// TestBudgetExceededError: exploring past the state budget fails with the
 // budget error.
-func TestStealBudgetExceeded(t *testing.T) {
+func TestBudgetExceededError(t *testing.T) {
 	f := tasFixture(t)
 	_, err := ReachAndBuild(context.Background(), f.c, f.a, f.abs, "x", Options{K: 2, MaxStates: 10})
 	if err == nil || !strings.Contains(err.Error(), "state budget exceeded") {
@@ -446,8 +491,8 @@ func TestStealBudgetExceeded(t *testing.T) {
 	}
 }
 
-// TestStealCounters: the exploration counters are exact.
-func TestStealCounters(t *testing.T) {
+// TestExplorationCounters: the exploration counters are exact.
+func TestExplorationCounters(t *testing.T) {
 	f := tasFixture(t)
 	reg := telemetry.NewRegistry()
 	res := f.run(t, func(o *Options) { o.Metrics = reg })
@@ -476,9 +521,9 @@ func (c *cancelAfter) Err() error {
 }
 
 // TestCountersPublishedOnEveryExit: a run publishes its exploration
-// counters however it ends: state budget, race cap or cancellation.
+// counters however it ends: state budget, race cap or cancellation. Each
+// case gets a fresh fixture, whose abstractor has computed no posts yet.
 func TestCountersPublishedOnEveryExit(t *testing.T) {
-	f := tasFixture(t)
 	for _, tc := range []struct {
 		name   string
 		ctx    context.Context
@@ -490,6 +535,7 @@ func TestCountersPublishedOnEveryExit(t *testing.T) {
 		{"race cap", context.Background(), Options{K: 2, MaxRaces: 2}, 0, 2},
 		{"cancelled", &cancelAfter{Context: context.Background(), n: 7}, Options{K: 2}, 7, -1},
 	} {
+		f := tasFixture(t)
 		reg := telemetry.NewRegistry()
 		tc.opts.Metrics = reg
 		res, err := ReachAndBuild(tc.ctx, f.c, f.a, f.abs, "x", tc.opts)

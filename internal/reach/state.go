@@ -83,12 +83,25 @@ func (c Ctx) dec(n acfa.Loc) {
 // ctxTable interns the context states of one exploration: each distinct
 // counter map gets a dense id and one shared copy, so a state's identity
 // is a pair of small integers and successors that revisit a context
-// allocate nothing. Only the sequential merge phase touches it.
+// allocate nothing. It also memoises moves, which are a pure function of
+// the source context and the moving thread's locations. Only the
+// sequential merge phase touches it.
 type ctxTable struct {
 	ids     map[string]int // encoded counter map -> id
 	ctxs    []Ctx          // id -> the shared counter map
+	moves   map[uint64]int // moveKey(id, from, to) -> id of the moved context
 	buf     []byte         // encoding scratch
 	scratch Ctx            // Move scratch
+}
+
+// moveKey packs a move's source context id and locations into one word,
+// reporting false when they exceed the fields (32, 16 and 16 bits), so
+// distinct moves never share a key.
+func moveKey(id int, from, to acfa.Loc) (uint64, bool) {
+	if uint64(id) >= 1<<32 || uint64(from) >= 1<<16 || uint64(to) >= 1<<16 {
+		return 0, false
+	}
+	return uint64(id)<<32 | uint64(from)<<16 | uint64(to), true
 }
 
 // intern returns the id and shared copy of counter map c (which the table
@@ -111,13 +124,25 @@ func (t *ctxTable) intern(c Ctx) (int, Ctx) {
 	return id, shared
 }
 
-// move interns c.Move(from, to, k) without allocating when the result is
-// already known.
-func (t *ctxTable) move(c Ctx, from, to acfa.Loc, k int) (int, Ctx) {
-	t.scratch = append(t.scratch[:0], c...)
+// move returns the id and shared copy of the context with id id after a
+// thread moves from location from to location to, under counter bound k
+// (fixed for a run). Only a memo miss copies and encodes the counters.
+func (t *ctxTable) move(id int, from, to acfa.Loc, k int) (int, Ctx) {
+	key, packed := moveKey(id, from, to)
+	if next, ok := t.moves[key]; ok && packed {
+		return next, t.ctxs[next]
+	}
+	t.scratch = append(t.scratch[:0], t.ctxs[id]...)
 	t.scratch.dec(from)
 	t.scratch.inc(to, k)
-	return t.intern(t.scratch)
+	next, c := t.intern(t.scratch)
+	if packed {
+		if t.moves == nil {
+			t.moves = make(map[uint64]int)
+		}
+		t.moves[key] = next
+	}
+	return next, c
 }
 
 // ThreadState is an abstract state of the main thread: control location
