@@ -344,105 +344,6 @@ func BenchmarkExplicitCrossValidation(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_MineStrategy compares predicate-discovery strategies
-// (unsat-core atoms, weakest-precondition propagation, their union) on the
-// worked example: rounds to converge and predicates discovered.
-func BenchmarkAblation_MineStrategy(b *testing.B) {
-	strategies := []struct {
-		name string
-		s    refine.MineStrategy
-	}{
-		{"atoms", refine.MineAtoms},
-		{"wp", refine.MineWP},
-		{"both", refine.MineBoth},
-	}
-	c := mustCFA(b, figure1Src)
-	for _, st := range strategies {
-		st := st
-		b.Run(st.name, func(b *testing.B) {
-			var rounds, preds int
-			for i := 0; i < b.N; i++ {
-				rep, err := icirc.Check(context.Background(), c, "x", icirc.Options{MineStrategy: st.s}, smt.NewChecker())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Verdict != icirc.Safe {
-					b.Fatalf("strategy %s: verdict %v (%s)", st.name, rep.Verdict, rep.Reason)
-				}
-				rounds, preds = rep.Rounds, len(rep.Preds)
-			}
-			b.ReportMetric(float64(rounds), "rounds")
-			b.ReportMetric(float64(preds), "preds")
-		})
-	}
-}
-
-// BenchmarkAblation_NoMinimization measures the cost of skipping the weak
-// bisimulation quotient: the context model is the raw projected ARG, so
-// reachability runs over a much larger automaton.
-func BenchmarkAblation_NoMinimization(b *testing.B) {
-	c := mustCFA(b, figure1Src)
-	for _, noMin := range []bool{false, true} {
-		name := "with-minimization"
-		if noMin {
-			name = "without-minimization"
-		}
-		noMin := noMin
-		b.Run(name, func(b *testing.B) {
-			var acfaLocs int
-			converged := 0.0
-			for i := 0; i < b.N; i++ {
-				rep, err := icirc.Check(context.Background(), c, "x", icirc.Options{NoMinimize: noMin, MaxStates: 50000}, smt.NewChecker())
-				if err != nil {
-					b.Fatal(err)
-				}
-				switch rep.Verdict {
-				case icirc.Safe:
-					converged = 1
-					if rep.FinalACFA != nil {
-						acfaLocs = rep.FinalACFA.NumLocs()
-					}
-				case icirc.Unknown:
-					// Expected without minimisation: the raw-ARG context
-					// blows the state budget. That *is* the ablation's
-					// finding — minimisation is what keeps CIRC tractable.
-					converged = 0
-				default:
-					b.Fatalf("verdict %v (%s)", rep.Verdict, rep.Reason)
-				}
-			}
-			b.ReportMetric(converged, "converged")
-			b.ReportMetric(float64(acfaLocs), "acfa-locs")
-		})
-	}
-}
-
-// BenchmarkAblation_SingleRaceTrace reproduces the paper's
-// abort-at-first-race behaviour: on the example it still converges (the
-// first trace happens to refine), so this measures only the cost delta of
-// collecting all traces.
-func BenchmarkAblation_SingleRaceTrace(b *testing.B) {
-	c := mustCFA(b, figure1Src)
-	for _, maxRaces := range []int{1, 0} {
-		name := "all-traces"
-		if maxRaces == 1 {
-			name = "first-trace-only"
-		}
-		maxRaces := maxRaces
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				rep, err := icirc.Check(context.Background(), c, "x", icirc.Options{MaxRaces: maxRaces}, smt.NewChecker())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if rep.Verdict != icirc.Safe {
-					b.Fatalf("verdict %v (%s)", rep.Verdict, rep.Reason)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkSMTCacheEffect measures the checker's memoisation: the same
 // query stream with a shared checker vs a fresh checker per round.
 func BenchmarkSMTCacheEffect(b *testing.B) {

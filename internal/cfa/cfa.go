@@ -164,11 +164,6 @@ func (c *CFA) ReadsVarAt(l Loc, x string) bool {
 	return false
 }
 
-// AccessesVarAt reports whether some edge out of l reads or writes x.
-func (c *CFA) AccessesVarAt(l Loc, x string) bool {
-	return c.WritesVarAt(l, x) || c.ReadsVarAt(l, x)
-}
-
 // String renders the CFA as a location/edge listing (used for the Figure 1
 // reproduction).
 func (c *CFA) String() string {

@@ -77,17 +77,6 @@ type Options struct {
 	// harness- or process-wide registry; the analysis additionally keeps a
 	// per-run child registry whose snapshot lands in Report.Metrics.
 	Metrics *telemetry.Registry
-	// MineStrategy selects how predicates are discovered from spurious
-	// counterexamples (default: unsat-core atoms).
-	MineStrategy refine.MineStrategy
-	// NoMinimize disables the weak-bisimulation quotient: the context is
-	// weakened to the (projected) ARG itself. Ablation switch; sound but
-	// produces larger context models.
-	NoMinimize bool
-	// MaxRaces caps how many abstract race traces each reachability run
-	// collects (0 = default). MaxRaces = 1 reproduces the paper's
-	// first-trace-only behaviour, as an ablation.
-	MaxRaces int
 }
 
 func (o Options) k() int {
@@ -109,17 +98,6 @@ func (o Options) maxInner() int {
 		return o.MaxInner
 	}
 	return 60
-}
-
-// IterationInfo records one inner iteration, for the evaluation harness.
-type IterationInfo struct {
-	Round, Inner  int
-	NumPreds      int
-	NumStates     int
-	ARGLocs       int
-	ACFALocs      int
-	RaceFound     bool
-	RefineOutcome string
 }
 
 // Report is the analysis result with its evidence.
@@ -146,9 +124,8 @@ type Report struct {
 	Witness map[string]int64
 	// TF is the trace formula of the final analysed trace.
 	TF []expr.Expr
-	// Rounds counts outer iterations; History records every inner one.
-	Rounds  int
-	History []IterationInfo
+	// Rounds counts outer iterations.
+	Rounds int
 	// Triage, when non-empty, records that the verdict was discharged by
 	// the static triage stage without running CIRC at all: "read-only",
 	// "atomic-covered", "thread-local", or "flag-guarded". Triage reports
@@ -349,7 +326,6 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 				K:         k,
 				ExactSeed: opts.Omega,
 				MaxStates: opts.MaxStates,
-				MaxRaces:  opts.MaxRaces,
 				Metrics:   opts.Metrics,
 			})
 			reachDone()
@@ -363,17 +339,9 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 				rep.K = k
 				return rep, nil
 			}
-			info := IterationInfo{
-				Round: round, Inner: inner,
-				NumPreds:  set.Len(),
-				NumStates: res.NumStates,
-				ARGLocs:   len(res.ARG.Roots()),
-				ACFALocs:  A.NumLocs(),
-				RaceFound: len(res.Races) > 0,
-			}
 			isp.Annotate("states", res.NumStates)
 			logInfo("-- iteration", "round", round, "inner", inner,
-				"states", res.NumStates, "argLocs", info.ARGLocs, "races", len(res.Races))
+				"states", res.NumStates, "argLocs", len(res.ARG.Roots()), "races", len(res.Races))
 
 			if len(res.Races) > 0 {
 				// Analyse counterexamples until one is genuine or the
@@ -402,9 +370,8 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 						C: c, A: A, ARG: prevARG, Mu: mu,
 						Trace: trace, RaceVar: raceVar,
 						K: k, ExactSeed: opts.Omega, Chk: chk,
-						Strategy: opts.MineStrategy,
-						Metrics:  opts.Metrics,
-						Journal:  j,
+						Metrics: opts.Metrics,
+						Journal: j,
 					})
 					if err != nil {
 						lastErr = err
@@ -414,8 +381,6 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 					case refine.Real:
 						rsp.End()
 						refineDone()
-						info.RefineOutcome = out.Kind.String()
-						rep.History = append(rep.History, info)
 						logInfo("   genuine race", "trace", out.Interleaving.String())
 						rep.Verdict = Unsafe
 						rep.Race = out.Interleaving
@@ -458,7 +423,6 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 				refineDone()
 				switch {
 				case len(fresh) > 0:
-					info.RefineOutcome = "new-predicates"
 					logInfo("   spurious; new predicates", "preds", fmt.Sprintf("%v", fresh))
 					cPredsFound.Add(int64(len(fresh)))
 					preds = append(preds, fresh...)
@@ -468,14 +432,11 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 					rep.TF = lastTF
 					advanceOuter = true
 				case anyIncK:
-					info.RefineOutcome = "increment-k"
 					k++
 					cKInc.Inc()
 					logInfo("   counter too low", "k", k)
 					advanceOuter = true
 				default:
-					info.RefineOutcome = "stuck"
-					rep.History = append(rep.History, info)
 					rep.Verdict = Unknown
 					rep.Reason = "spurious counterexamples yielded no new predicates"
 					if lastErr != nil {
@@ -486,7 +447,6 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 					rep.TF = lastTF
 					return rep, nil
 				}
-				rep.History = append(rep.History, info)
 				isp.End()
 				curSpan = nil
 				continue
@@ -500,7 +460,6 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 			simDone()
 			ssp.End()
 			if simulates {
-				rep.History = append(rep.History, info)
 				if opts.Omega {
 					_, osp := telemetry.StartSpan(ictx, "goodloc")
 					glDone := beginPhase("goodloc", false)
@@ -534,19 +493,11 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 			// Weaken the context: A := Collapse(G).
 			_, csp := telemetry.StartSpan(ictx, "collapse")
 			colDone := beginPhase("collapse", false)
-			if opts.NoMinimize {
-				var locMap map[int]acfa.Loc
-				A, locMap = res.ARG.ToACFA()
-				mu = locMap
-			} else {
-				A, mu = bisim.Collapse(ictx, res.ARG, chk, opts.Metrics)
-			}
+			A, mu = bisim.Collapse(ictx, res.ARG, chk, opts.Metrics)
 			colDone()
 			csp.End()
 			rep.LastACFA = A
 			prevARG = res.ARG
-			info.ACFALocs = A.NumLocs()
-			rep.History = append(rep.History, info)
 			logInfo("   context unsound; collapsed", "acfaLocs", A.NumLocs(), "acfa", A.String())
 			isp.End()
 			curSpan = nil

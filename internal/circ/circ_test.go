@@ -8,7 +8,6 @@ import (
 	"circ/internal/cfa"
 	"circ/internal/expr"
 	"circ/internal/lang"
-	"circ/internal/refine"
 	"circ/internal/smt"
 	"circ/internal/telemetry"
 )
@@ -235,37 +234,6 @@ func TestMaxRoundsBudget(t *testing.T) {
 	rep := checkSrc(t, testAndSetSrc, Options{MaxRounds: 1})
 	if rep.Verdict != Unknown {
 		t.Fatalf("verdict = %v, want unknown under 1-round budget", rep.Verdict)
-	}
-}
-
-func TestNoMinimizeStillSoundOnSmallProgram(t *testing.T) {
-	rep := checkSrc(t, atomicOnlySrc, Options{NoMinimize: true})
-	if rep.Verdict != Safe {
-		t.Fatalf("verdict = %v (%s), want safe without minimisation", rep.Verdict, rep.Reason)
-	}
-}
-
-func TestMineStrategiesAllVerdictsAgree(t *testing.T) {
-	for _, s := range []refine.MineStrategy{refine.MineAtoms, refine.MineWP, refine.MineBoth} {
-		rep := checkSrc(t, testAndSetSrc, Options{MineStrategy: s})
-		if rep.Verdict != Safe {
-			t.Fatalf("strategy %v: verdict = %v (%s)", s, rep.Verdict, rep.Reason)
-		}
-		rep = checkSrc(t, racySrc, Options{MineStrategy: s})
-		if rep.Verdict != Unsafe {
-			t.Fatalf("strategy %v: verdict = %v (%s)", s, rep.Verdict, rep.Reason)
-		}
-	}
-}
-
-func TestHistoryRecorded(t *testing.T) {
-	rep := checkSrc(t, testAndSetSrc, Options{})
-	if len(rep.History) == 0 {
-		t.Fatalf("no iteration history")
-	}
-	last := rep.History[len(rep.History)-1]
-	if last.Round != rep.Rounds {
-		t.Fatalf("history round %d != rounds %d", last.Round, rep.Rounds)
 	}
 }
 

@@ -74,8 +74,7 @@ type constProblem struct {
 	vars *varIndex
 }
 
-func (p *constProblem) Direction() Direction { return Forward }
-func (p *constProblem) Bottom() ConstFact    { return ConstFact{} }
+func (p *constProblem) Bottom() ConstFact { return ConstFact{} }
 
 // Boundary: every variable starts NAC — globals are written by the
 // environment and the semantics constrain no initial value.

@@ -1,79 +1,47 @@
-// Package dataflow is a generic monotone dataflow framework over control
-// flow automata, plus the concrete analyses the race checker's static
-// triage stage is built from: reaching definitions, live variables,
-// constant/copy propagation, per-global access classification
-// (thread-local, read-only, atomic-covered), and per-target
-// cone-of-influence slicing.
+// Package dataflow is a generic forward monotone dataflow framework over
+// control flow automata, plus the analyses the race checker's static
+// stage is built from: constant/copy propagation, the flag-guard
+// must-analysis, per-global access classification (thread-local,
+// read-only, atomic-covered, flag-guarded), per-target cone-of-influence
+// slicing, and guard-predicate seeding.
 //
 // The framework is the textbook construction: a Problem supplies a join
 // semilattice of facts and a monotone transfer function per edge, and
-// Solve iterates a worklist to the least fixpoint. Directions are
-// symmetric — a Forward problem propagates facts along edges from the
-// entry, a Backward problem propagates against edges from the exits.
+// Solve iterates a worklist from the entry location to the least
+// fixpoint. The framework is forward-only: every analysis here propagates
+// facts along edges.
 package dataflow
 
-import (
-	"math/bits"
+import "circ/internal/cfa"
 
-	"circ/internal/cfa"
-)
-
-// Direction orients a dataflow problem.
-type Direction int
-
-// Directions.
-const (
-	// Forward propagates facts along edges, seeding the entry location.
-	Forward Direction = iota
-	// Backward propagates facts against edges, seeding every exit
-	// location (locations with no outgoing edges).
-	Backward
-)
-
-// Problem is one dataflow analysis: a join semilattice of facts F with a
-// monotone transfer function per CFA edge. Join and Transfer must be
-// monotone and the lattice of finite height, or Solve will not terminate.
+// Problem is one forward dataflow analysis: a join semilattice of facts F
+// with a monotone transfer function per CFA edge. Join and Transfer must
+// be monotone and the lattice of finite height, or Solve will not
+// terminate.
 type Problem[F any] interface {
-	// Direction orients the analysis.
-	Direction() Direction
 	// Bottom is the lattice's least element, the identity of Join. It is
-	// the initial fact at every non-boundary location.
+	// the initial fact at every location but the entry.
 	Bottom() F
-	// Boundary is the fact at the entry location (Forward) or at every
-	// exit location (Backward).
+	// Boundary is the fact at the entry location.
 	Boundary() F
 	// Join merges src into dst and reports whether dst grew. It may
 	// mutate and return dst (Solve never aliases facts across locations),
 	// but must not mutate src.
 	Join(dst, src F) (F, bool)
-	// Transfer pushes the fact in through edge e: the fact at e.Src is
-	// transformed into a contribution to e.Dst (Forward), or the fact at
-	// e.Dst into a contribution to e.Src (Backward). It must not mutate
-	// in.
+	// Transfer pushes the fact in at e.Src through edge e, giving its
+	// contribution to e.Dst. It must not mutate in.
 	Transfer(e *cfa.Edge, in F) F
 }
 
 // Solve runs worklist iteration to the least fixpoint of p over c and
-// returns the per-location solution: for Forward problems the fact
-// holding on entry to each location, for Backward problems the fact
-// holding on exit from each location. Iteration order is deterministic
-// (FIFO worklist seeded in location order), and since the fixpoint is
-// unique the result does not depend on it.
+// returns the fact holding on entry to each location. Iteration order is
+// deterministic (FIFO worklist seeded with the entry), and since the
+// fixpoint is unique the result does not depend on it.
 func Solve[F any](c *cfa.CFA, p Problem[F]) []F {
 	n := c.NumLocs()
 	facts := make([]F, n)
 	for l := 0; l < n; l++ {
 		facts[l] = p.Bottom()
-	}
-
-	// For Backward problems facts flow from an edge's destination to its
-	// source, so the "successors to reprocess" of l are its predecessors.
-	var in [][]*cfa.Edge
-	if p.Direction() == Backward {
-		in = make([][]*cfa.Edge, n)
-		for _, e := range c.Edges {
-			in[e.Dst] = append(in[e.Dst], e)
-		}
 	}
 
 	queued := make([]bool, n)
@@ -85,114 +53,27 @@ func Solve[F any](c *cfa.CFA, p Problem[F]) []F {
 		}
 	}
 
-	// Seed the boundary.
-	switch p.Direction() {
-	case Forward:
-		facts[c.Entry], _ = p.Join(facts[c.Entry], p.Boundary())
-		push(c.Entry)
-	case Backward:
-		for l := 0; l < n; l++ {
-			if len(c.OutEdges(cfa.Loc(l))) == 0 {
-				facts[l], _ = p.Join(facts[l], p.Boundary())
-			}
-			// Seed everything: backward liveness must reach loop bodies
-			// even when no exit is reachable from them (e.g. while(1)).
-			push(cfa.Loc(l))
-		}
-	}
+	facts[c.Entry], _ = p.Join(facts[c.Entry], p.Boundary())
+	push(c.Entry)
 
 	for len(work) > 0 {
 		l := work[0]
 		work = work[1:]
 		queued[l] = false
-		switch p.Direction() {
-		case Forward:
-			for _, e := range c.OutEdges(l) {
-				out := p.Transfer(e, facts[l])
-				var changed bool
-				facts[e.Dst], changed = p.Join(facts[e.Dst], out)
-				if changed {
-					push(e.Dst)
-				}
-			}
-		case Backward:
-			for _, e := range in[l] {
-				out := p.Transfer(e, facts[l])
-				var changed bool
-				facts[e.Src], changed = p.Join(facts[e.Src], out)
-				if changed {
-					push(e.Src)
-				}
+		for _, e := range c.OutEdges(l) {
+			out := p.Transfer(e, facts[l])
+			var changed bool
+			facts[e.Dst], changed = p.Join(facts[e.Dst], out)
+			if changed {
+				push(e.Dst)
 			}
 		}
 	}
 	return facts
 }
 
-// BitSet is a dense bit vector used as the powerset-lattice fact of
-// reaching definitions and live variables.
-type BitSet []uint64
-
-// NewBitSet returns an empty set over a universe of n elements.
-func NewBitSet(n int) BitSet { return make(BitSet, (n+63)/64) }
-
-// Has reports whether element i is in the set.
-func (b BitSet) Has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
-
-// Set adds element i.
-func (b BitSet) Set(i int) { b[i/64] |= 1 << (i % 64) }
-
-// Clear removes element i.
-func (b BitSet) Clear(i int) { b[i/64] &^= 1 << (i % 64) }
-
-// UnionInto ors src into b and reports whether b grew.
-func (b BitSet) UnionInto(src BitSet) bool {
-	changed := false
-	for i, w := range src {
-		if b[i]|w != b[i] {
-			b[i] |= w
-			changed = true
-		}
-	}
-	return changed
-}
-
-// AndNot removes every element of src from b.
-func (b BitSet) AndNot(src BitSet) {
-	for i, w := range src {
-		b[i] &^= w
-	}
-}
-
-// Copy returns an independent copy of b.
-func (b BitSet) Copy() BitSet {
-	out := make(BitSet, len(b))
-	copy(out, b)
-	return out
-}
-
-// Count returns the number of elements in the set.
-func (b BitSet) Count() int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// Elems returns the elements of b in increasing order.
-func (b BitSet) Elems() []int {
-	var out []int
-	for i := range b {
-		for w := b[i]; w != 0; w &= w - 1 {
-			out = append(out, i*64+bits.TrailingZeros64(w))
-		}
-	}
-	return out
-}
-
 // varIndex assigns dense indices to a CFA's variables (globals then
-// locals, in declaration order) for bitset-valued analyses.
+// locals, in declaration order) for per-variable fact vectors.
 type varIndex struct {
 	names []string
 	idx   map[string]int

@@ -22,49 +22,6 @@ func diamond() *cfa.CFA {
 	return cfa.New("diamond", []string{"x"}, []string{"y"}, 0, make([]bool, 4), edges)
 }
 
-func TestReachingDefinitionsDiamond(t *testing.T) {
-	c := diamond()
-	r := ReachingDefinitions(c)
-	if len(r.Defs) != 3 {
-		t.Fatalf("defs = %d, want 3", len(r.Defs))
-	}
-	// Both writes of x reach the join; each arm sees only its own.
-	if got := len(r.DefsOf(3, "x")); got != 2 {
-		t.Errorf("defs of x at join = %d, want 2", got)
-	}
-	if got := len(r.DefsOf(1, "x")); got != 1 {
-		t.Errorf("defs of x at loc 1 = %d, want 1", got)
-	}
-	if got := len(r.DefsOf(0, "x")); got != 0 {
-		t.Errorf("defs of x at entry = %d, want 0", got)
-	}
-	if got := len(r.DefsOf(3, "y")); got != 1 {
-		t.Errorf("defs of y at join = %d, want 1 (the y:=x edge ends there)", got)
-	}
-	if got := len(r.DefsOf(2, "y")); got != 0 {
-		t.Errorf("defs of y at loc 2 = %d, want 0 (the write happens on the way out)", got)
-	}
-}
-
-func TestLiveVariablesDiamond(t *testing.T) {
-	c := diamond()
-	r := LiveVariables(c)
-	// x is read on the 2->3 edge, so it is live at 2; it is also live at
-	// 0 and 1 because the global is observable at the exit.
-	if !r.LiveAt(2, "x") {
-		t.Error("x not live at 2 despite the y:=x read")
-	}
-	if !r.LiveAt(3, "x") {
-		t.Error("global x not live at the exit")
-	}
-	// y is never read: dead everywhere.
-	for l := cfa.Loc(0); l < 4; l++ {
-		if r.LiveAt(l, "y") {
-			t.Errorf("y live at %d, but it is never read", l)
-		}
-	}
-}
-
 func TestConstantPropagation(t *testing.T) {
 	c := diamond()
 	r := ConstantPropagation(c)

@@ -89,8 +89,7 @@ type flagProblem struct {
 	acquireConst map[int64]bool // locked values installed by acquires
 }
 
-func (p *flagProblem) Direction() Direction { return Forward }
-func (p *flagProblem) Bottom() guardFact    { return guardFact{} }
+func (p *flagProblem) Bottom() guardFact { return guardFact{} }
 
 // Boundary: all values unknown, and the thread does not own the flag —
 // ownership only ever originates in an acquire it performs itself.

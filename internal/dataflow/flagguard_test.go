@@ -204,30 +204,3 @@ func TestConstantPropagationNegatedGuardThroughCopy(t *testing.T) {
 		t.Error("[flag==1] passed although !(old==1) with old==flag was assumed")
 	}
 }
-
-// Satellite: backward analyses must seed every location on while(1)
-// templates — such CFAs have no exit location, and an exit-only boundary
-// would leave every fact bottom.
-func TestLiveVariablesWhileOneBoundary(t *testing.T) {
-	c := mustBuild(t, `
-global int g;
-
-thread T {
-  local int tmp;
-  while (1) {
-    tmp = g;
-    g = tmp + 1;
-  }
-}
-`, "")
-	r := LiveVariables(c)
-	live := 0
-	for l := cfa.Loc(0); l < cfa.Loc(c.NumLocs()); l++ {
-		if r.LiveAt(l, "g") {
-			live++
-		}
-	}
-	if live == 0 {
-		t.Fatal("g live nowhere on a while(1) template — backward boundary seeding is broken")
-	}
-}

@@ -12,16 +12,6 @@ type Program struct {
 	Threads []*ThreadDecl
 }
 
-// Global returns the global declaration with the given name, or nil.
-func (p *Program) Global(name string) *GlobalDecl {
-	for _, g := range p.Globals {
-		if g.Name == name {
-			return g
-		}
-	}
-	return nil
-}
-
 // Func returns the function with the given name, or nil.
 func (p *Program) Func(name string) *FuncDecl {
 	for _, f := range p.Funcs {

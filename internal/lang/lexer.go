@@ -1,9 +1,6 @@
 package lang
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Lexer tokenises MiniNesC source text.
 type Lexer struct {
@@ -190,13 +187,4 @@ func Tokenize(src string) ([]Token, error) {
 			return out, nil
 		}
 	}
-}
-
-// FormatTokens renders tokens for debugging.
-func FormatTokens(ts []Token) string {
-	parts := make([]string, len(ts))
-	for i, t := range ts {
-		parts[i] = t.String()
-	}
-	return strings.Join(parts, " ")
 }

@@ -76,8 +76,6 @@ type Input struct {
 	K         int
 	ExactSeed bool
 	Chk       smt.Solver
-	// Strategy selects the predicate-mining method (default MineAtoms).
-	Strategy MineStrategy
 	// Metrics, when non-nil, receives per-outcome refinement counters.
 	Metrics *telemetry.Registry
 	// Journal, when non-nil, receives one trace_analyzed event per call,
@@ -176,7 +174,7 @@ func refine(in Input) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	clauses, stepOf := TraceFormulaSteps(in.C, iv)
+	clauses := TraceFormula(in.C, iv)
 	conj := expr.Conj(clauses...)
 	switch in.Chk.Sat(conj) {
 	case smt.Sat, smt.Unknown:
@@ -186,25 +184,7 @@ func refine(in Input) (*Outcome, error) {
 		return &Outcome{Kind: Real, Interleaving: iv, TF: clauses, Witness: model}, nil
 	}
 	core, _ := in.Chk.UnsatCore(clauses)
-	var preds []expr.Expr
-	switch in.Strategy {
-	case MineWP:
-		preds = wpMinePredicates(in.C, iv, clauses, stepOf, core)
-	case MineBoth:
-		preds = minePredicates(clauses, core)
-		seen := make(map[string]bool, len(preds))
-		for _, p := range preds {
-			seen[p.Key()] = true
-		}
-		for _, p := range wpMinePredicates(in.C, iv, clauses, stepOf, core) {
-			if !seen[p.Key()] {
-				seen[p.Key()] = true
-				preds = append(preds, p)
-			}
-		}
-	default:
-		preds = minePredicates(clauses, core)
-	}
+	preds := minePredicates(clauses, core)
 	if len(preds) == 0 {
 		return &Outcome{Kind: Stuck, Interleaving: iv, TF: clauses, Core: core}, nil
 	}

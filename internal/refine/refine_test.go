@@ -265,56 +265,6 @@ func TestAssignThreadsExactSeedLimit(t *testing.T) {
 	}
 }
 
-func TestWPMiningStrategy(t *testing.T) {
-	in, _ := fullRefineSetup(t)
-	in.Strategy = MineWP
-	out, err := Refine(in)
-	if err != nil {
-		t.Fatalf("refine: %v", err)
-	}
-	if out.Kind != NewPreds {
-		t.Fatalf("kind = %v, want new-predicates", out.Kind)
-	}
-	if len(out.Preds) == 0 {
-		t.Fatalf("WP mining produced no predicates")
-	}
-	for _, p := range out.Preds {
-		for v := range map[string]bool{} {
-			_ = v
-		}
-		s := p.String()
-		if strings.Contains(s, "#") || strings.Contains(s, "@") {
-			t.Fatalf("SSA decoration leaked: %s", s)
-		}
-	}
-}
-
-func TestMineBothSupersetOfAtoms(t *testing.T) {
-	in, _ := fullRefineSetup(t)
-	in.Strategy = MineBoth
-	both, err := Refine(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in2, _ := fullRefineSetup(t)
-	atoms, err := Refine(in2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if both.Kind != NewPreds || atoms.Kind != NewPreds {
-		t.Fatalf("kinds: %v %v", both.Kind, atoms.Kind)
-	}
-	keys := map[string]bool{}
-	for _, p := range both.Preds {
-		keys[p.Key()] = true
-	}
-	for _, p := range atoms.Preds {
-		if !keys[p.Key()] {
-			t.Fatalf("MineBoth missing atom predicate %v", p)
-		}
-	}
-}
-
 func TestFormatTraceWithWitness(t *testing.T) {
 	c := buildCFA(t, `
 global int g;
@@ -350,35 +300,5 @@ thread T {
 	}
 	if !strings.Contains(out, "T1: l := g") {
 		t.Fatalf("thread tags missing:\n%s", out)
-	}
-}
-
-func TestTraceFormulaStepsAlignment(t *testing.T) {
-	c := buildCFA(t, `
-global int g;
-thread T {
-  g = 1;
-  assume(g == 1);
-}
-`)
-	var set1, asm *cfa.Edge
-	for _, e := range c.Edges {
-		if e.Op.Kind == cfa.OpAssign {
-			set1 = e
-		}
-		if e.Op.Kind == cfa.OpAssume && expr.Mentions(e.Op.Pred, "g") {
-			asm = e
-		}
-	}
-	iv := &Interleaving{Steps: []ConcreteStep{
-		{ThreadID: 0, Edge: set1},
-		{ThreadID: 0, Edge: asm},
-	}}
-	clauses, stepOf := TraceFormulaSteps(c, iv)
-	if len(clauses) != len(stepOf) {
-		t.Fatalf("misaligned: %d clauses, %d steps", len(clauses), len(stepOf))
-	}
-	if stepOf[len(stepOf)-1] != 1 {
-		t.Fatalf("last clause step = %d, want 1", stepOf[len(stepOf)-1])
 	}
 }

@@ -22,14 +22,6 @@ import (
 // yield their guards at current versions, havocs advance versions without
 // a clause). Trivially-true clauses are dropped.
 func TraceFormula(c *cfa.CFA, iv *Interleaving) []expr.Expr {
-	clauses, _ := TraceFormulaSteps(c, iv)
-	return clauses
-}
-
-// TraceFormulaSteps is TraceFormula plus, for each clause, the index of
-// the interleaving step that produced it (-1 for the synthetic
-// zero-initialisation clauses).
-func TraceFormulaSteps(c *cfa.CFA, iv *Interleaving) ([]expr.Expr, []int) {
 	ver := make(map[string]int)
 	// name returns the SSA variable for program var v in thread t at its
 	// current version.
@@ -53,7 +45,6 @@ func TraceFormulaSteps(c *cfa.CFA, iv *Interleaving) ([]expr.Expr, []int) {
 	}
 
 	var clauses []expr.Expr
-	var stepOf []int
 	// Initial state: all variables are zero. Rather than emitting v#0 = 0
 	// for every variable (which would bloat cores with irrelevant
 	// clauses), emit the zero clause lazily, only for variables read
@@ -66,13 +57,12 @@ func TraceFormulaSteps(c *cfa.CFA, iv *Interleaving) ([]expr.Expr, []int) {
 		}
 		initialised[k] = true
 		clauses = append(clauses, expr.Eq(expr.V(k+"#0"), expr.Num(0)))
-		stepOf = append(stepOf, -1)
 	}
 	// Emit initials lazily below: a variable read at version 0 gets its
 	// zero clause first.
 	written := make(map[string]bool)
 
-	for i, s := range iv.Steps {
+	for _, s := range iv.Steps {
 		op := s.Edge.Op
 		for v := range op.ReadVars() {
 			if k := key(v, s.ThreadID); !written[k] {
@@ -85,20 +75,18 @@ func TraceFormulaSteps(c *cfa.CFA, iv *Interleaving) ([]expr.Expr, []int) {
 			lhs := bump(op.LHS, s.ThreadID)
 			written[key(op.LHS, s.ThreadID)] = true
 			clauses = append(clauses, expr.Eq(expr.V(lhs), rhs))
-			stepOf = append(stepOf, i)
 		case cfa.OpAssume:
 			p := expr.Simplify(renameIn(op.Pred, s.ThreadID))
 			if b, ok := p.(expr.Bool); ok && b.Value {
 				continue
 			}
 			clauses = append(clauses, p)
-			stepOf = append(stepOf, i)
 		case cfa.OpHavoc:
 			bump(op.LHS, s.ThreadID)
 			written[key(op.LHS, s.ThreadID)] = true
 		}
 	}
-	return clauses, stepOf
+	return clauses
 }
 
 // minePredicates extracts candidate predicates from the clauses of a

@@ -35,9 +35,6 @@ type Session struct {
 	broken  bool // phi failed to encode; degrade to from-scratch solving
 }
 
-// Phi returns the fixed conjunct of the session.
-func (s *Session) Phi() expr.ID { return s.phi }
-
 // SatConj reports the satisfiability of phi ∧ lit. Constant collapses
 // (interning detects complementary literals and folds constants) resolve
 // without touching cache or solver; cached verdicts return without
@@ -63,13 +60,6 @@ func (s *Session) SatConj(lit expr.ID) Result {
 	})
 	c.store(qid, r)
 	return r
-}
-
-// ImpliesLit reports whether phi entails the interned formula b, via
-// SatConj(¬b) == Unsat. This is the shape of every cube-strengthening
-// query in predicate abstraction.
-func (s *Session) ImpliesLit(b expr.ID) bool {
-	return s.SatConj(expr.InternNot(b)) == Unsat
 }
 
 // solveAssuming discharges phi ∧ lit on the persistent solver with lit's

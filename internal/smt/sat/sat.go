@@ -159,9 +159,6 @@ func (s *Solver) value(l Lit) Value {
 	return v
 }
 
-// VarValue returns the current assignment of variable v.
-func (s *Solver) VarValue(v int) Value { return s.assign[v] }
-
 // AddClause adds a clause over existing variables. It returns false if the
 // clause set is already unsatisfiable at the top level.
 func (s *Solver) AddClause(lits ...Lit) bool {
@@ -533,7 +530,3 @@ func (s *Solver) Model() []bool { return s.model }
 // Conflicts returns the number of conflicts Solve has analysed over the
 // solver's lifetime, summed across calls.
 func (s *Solver) Conflicts() int64 { return s.conflicts }
-
-// Okay reports whether the clause database is still possibly satisfiable
-// (no top-level conflict has been derived).
-func (s *Solver) Okay() bool { return s.okay }

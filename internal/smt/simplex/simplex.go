@@ -279,18 +279,6 @@ func (t *Tableau) Value(x int) *big.Rat { return new(big.Rat).Set(t.vars[x].beta
 // NumVars returns the number of variables (structural and slack).
 func (t *Tableau) NumVars() int { return len(t.vars) }
 
-// Bounds returns copies of x's current bounds (nil = unbounded).
-func (t *Tableau) Bounds(x int) (lower, upper *big.Rat) {
-	v := t.vars[x]
-	if v.lower != nil {
-		lower = new(big.Rat).Set(v.lower)
-	}
-	if v.upper != nil {
-		upper = new(big.Rat).Set(v.upper)
-	}
-	return
-}
-
 // snapshot captures the full tableau state for backtracking in
 // branch-and-bound.
 type snapshot struct {

@@ -102,12 +102,6 @@ func storeCanon(g *cfa.CFA, variable string, o icirc.Options) []byte {
 	b = strconv.AppendInt(b, int64(o.MaxInner), 10)
 	b = append(b, "|states="...)
 	b = strconv.AppendInt(b, int64(o.MaxStates), 10)
-	b = append(b, "|mine="...)
-	b = strconv.AppendInt(b, int64(o.MineStrategy), 10)
-	b = append(b, "|nomin="...)
-	b = strconv.AppendBool(b, o.NoMinimize)
-	b = append(b, "|maxraces="...)
-	b = strconv.AppendInt(b, int64(o.MaxRaces), 10)
 	for _, p := range o.InitialPreds {
 		b = append(b, "|seed="...)
 		b = append(b, p.Key()...)

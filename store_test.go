@@ -1,11 +1,19 @@
 package circ
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"log/slog"
+	"reflect"
 	"testing"
 
+	"circ/internal/cfa"
+	icirc "circ/internal/circ"
+	"circ/internal/expr"
 	"circ/internal/journal"
+	"circ/internal/telemetry"
 )
 
 // collectVerdicts extracts per-case verdict events with sequence numbers
@@ -266,4 +274,50 @@ func MustParse(t *testing.T, src string) *Program {
 		t.Fatalf("parse: %v", err)
 	}
 	return p
+}
+
+// TestStoreKeyCoversEngineOptions classifies every field of the engine's
+// Options: a verdict-affecting field must change the store key (or two
+// configurations would share one stored verdict), an observability field
+// must not (or attaching a logger would defeat reuse). A field in neither
+// list fails the test, so a new engine option cannot be added without
+// deciding whether storeCanon keys it.
+func TestStoreKeyCoversEngineOptions(t *testing.T) {
+	g := cfa.New("t", []string{"x"}, nil, 0, make([]bool, 2), []*cfa.Edge{
+		{Src: 0, Dst: 1, Op: cfa.Op{Kind: cfa.OpAssign, LHS: "x", RHS: expr.Num(1)}},
+	})
+	verdict := map[string]any{
+		"K":            2,
+		"Omega":        true,
+		"MaxRounds":    3,
+		"MaxInner":     4,
+		"MaxStates":    5,
+		"InitialPreds": []expr.Expr{expr.Eq(expr.V("x"), expr.Num(0))},
+	}
+	observe := map[string]any{
+		"Logger":  slog.New(slog.NewTextHandler(io.Discard, nil)),
+		"Metrics": telemetry.NewRegistry(),
+	}
+	base := storeCanon(g, "x", icirc.Options{})
+	typ := reflect.TypeOf(icirc.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		v, isVerdict := verdict[name]
+		if !isVerdict {
+			var ok bool
+			if v, ok = observe[name]; !ok {
+				t.Errorf("Options.%s is unclassified: add it to the verdict or observability list (and to storeCanon if it affects verdicts)", name)
+				continue
+			}
+		}
+		var o icirc.Options
+		reflect.ValueOf(&o).Elem().Field(i).Set(reflect.ValueOf(v))
+		changed := !bytes.Equal(storeCanon(g, "x", o), base)
+		if isVerdict && !changed {
+			t.Errorf("Options.%s affects verdicts but leaves the store key unchanged", name)
+		}
+		if !isVerdict && changed {
+			t.Errorf("Options.%s is observability-only but changes the store key", name)
+		}
+	}
 }
