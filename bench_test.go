@@ -121,7 +121,7 @@ func BenchmarkFigure2to4_IterationARGs(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a1, _ := bisim.Collapse(context.Background(), res.ARG, chk, nil)
+		a1, _ := bisim.Collapse(context.Background(), res.ARG, nil)
 		if a1.NumLocs() == 0 {
 			b.Fatal("empty quotient")
 		}
@@ -140,7 +140,7 @@ func BenchmarkFigure5_TraceFormula(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a1, mu := bisim.Collapse(context.Background(), res1.ARG, chk, nil)
+	a1, mu := bisim.Collapse(context.Background(), res1.ARG, nil)
 	res2, err := reach.ReachAndBuild(context.Background(), c, a1, abs, "x", reach.Options{K: 1})
 	if err != nil {
 		b.Fatal(err)

@@ -2,104 +2,16 @@ package circ
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
+	"circ/internal/benchapps"
 	"circ/internal/cfa"
 	icirc "circ/internal/circ"
 	"circ/internal/explicit"
 	"circ/internal/lang"
 	"circ/internal/smt"
 )
-
-// progGen generates small random MiniNesC programs over two globals (g, s)
-// and one local (l), mixing atomic sections, guarded branches, loops, and
-// havoc. The generated programs exercise the whole pipeline; the
-// cross-validation below checks CIRC's verdicts against exhaustive
-// 2-thread explicit checking.
-type progGen struct {
-	rng *rand.Rand
-	b   strings.Builder
-}
-
-func (g *progGen) stmt(depth int, inLoop bool, indent string) {
-	switch n := g.rng.Intn(10); {
-	case n < 3: // assignment
-		g.b.WriteString(indent + g.assign() + "\n")
-	case n < 4 && depth > 0: // atomic
-		g.b.WriteString(indent + "atomic {\n")
-		for i := 0; i <= g.rng.Intn(2); i++ {
-			g.stmt(depth-1, inLoop, indent+"  ")
-		}
-		g.b.WriteString(indent + "}\n")
-	case n < 6 && depth > 0: // if
-		fmt.Fprintf(&g.b, "%sif (%s) {\n", indent, g.cond())
-		g.stmt(depth-1, inLoop, indent+"  ")
-		if g.rng.Intn(2) == 0 {
-			g.b.WriteString(indent + "} else {\n")
-			g.stmt(depth-1, inLoop, indent+"  ")
-		}
-		g.b.WriteString(indent + "}\n")
-	case n < 7 && depth > 0: // choose
-		g.b.WriteString(indent + "choose {\n")
-		g.stmt(depth-1, inLoop, indent+"  ")
-		g.b.WriteString(indent + "} or {\n")
-		g.stmt(depth-1, inLoop, indent+"  ")
-		g.b.WriteString(indent + "}\n")
-	case n < 8: // havoc
-		fmt.Fprintf(&g.b, "%s%s = *;\n", indent, g.lhs())
-	default:
-		g.b.WriteString(indent + "skip;\n")
-	}
-}
-
-func (g *progGen) lhs() string {
-	return []string{"g", "s", "l"}[g.rng.Intn(3)]
-}
-
-func (g *progGen) term() string {
-	switch g.rng.Intn(5) {
-	case 0:
-		return "g"
-	case 1:
-		return "s"
-	case 2:
-		return "l"
-	case 3:
-		return fmt.Sprintf("%d", g.rng.Intn(3))
-	default:
-		return fmt.Sprintf("(%s + %d)", g.lhs(), g.rng.Intn(2))
-	}
-}
-
-func (g *progGen) assign() string {
-	return fmt.Sprintf("%s = %s;", g.lhs(), g.term())
-}
-
-func (g *progGen) cond() string {
-	ops := []string{"==", "!=", "<", "<="}
-	return fmt.Sprintf("%s %s %s", g.term(), ops[g.rng.Intn(len(ops))], g.term())
-}
-
-func (g *progGen) program() string {
-	g.b.Reset()
-	g.b.WriteString("global int g;\nglobal int s;\n\nthread T {\n  local int l;\n")
-	if g.rng.Intn(2) == 0 {
-		g.b.WriteString("  while (1) {\n")
-		for i := 0; i <= g.rng.Intn(3); i++ {
-			g.stmt(2, true, "    ")
-		}
-		g.b.WriteString("  }\n")
-	} else {
-		for i := 0; i <= 2+g.rng.Intn(3); i++ {
-			g.stmt(2, false, "  ")
-		}
-	}
-	g.b.WriteString("}\n")
-	return g.b.String()
-}
 
 // TestFuzzCrossValidation generates random programs and checks that CIRC's
 // verdict on races over variable g is consistent with exhaustive 2-thread
@@ -113,10 +25,10 @@ func TestFuzzCrossValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing is slow")
 	}
-	gen := &progGen{rng: rand.New(rand.NewSource(20040609))} // the paper's publication date
+	rng := rand.New(rand.NewSource(benchapps.RandomSeed))
 	checked, safeN, unsafeN, unknownN := 0, 0, 0, 0
 	for trial := 0; trial < 500; trial++ {
-		src := gen.program()
+		src := benchapps.RandomProgram(rng)
 		p, err := lang.Parse(src)
 		if err != nil {
 			t.Fatalf("generator produced invalid program: %v\n%s", err, src)

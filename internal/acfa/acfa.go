@@ -9,6 +9,7 @@ package acfa
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -23,6 +24,9 @@ type Loc int
 type Edge struct {
 	Src, Dst Loc
 	Havoc    []string // sorted global names written along the edge
+	// HavocID is Havoc interned in the ACFA by Finish: equal sets share an
+	// id, and 0 is the empty set (a tau edge).
+	HavocID int
 }
 
 // HavocSet returns the havoc variables as a set.
@@ -51,6 +55,9 @@ type ACFA struct {
 	Entry Loc
 	Edges []*Edge
 	Out   [][]*Edge
+	// Havocs lists the distinct havoc sets of Edges by HavocID; Havocs[0]
+	// is the empty set.
+	Havocs [][]string
 }
 
 // Empty returns the empty ACFA over predicate set s: one non-atomic
@@ -116,11 +123,25 @@ func dedupSorted(vs []string) []string {
 	return out[:w]
 }
 
-// Finish (re)computes the adjacency index; call after mutation.
+// Finish (re)computes the adjacency index and interns the edges' havoc
+// sets; call after mutation. An ACFA holds a handful of distinct havoc
+// sets, so a scan beats hashing them.
 func (a *ACFA) Finish() {
 	a.Out = make([][]*Edge, len(a.Locs))
+	a.Havocs = [][]string{nil}
 	for _, e := range a.Edges {
 		a.Out[e.Src] = append(a.Out[e.Src], e)
+		e.HavocID = -1
+		for id, h := range a.Havocs {
+			if slices.Equal(h, e.Havoc) {
+				e.HavocID = id
+				break
+			}
+		}
+		if e.HavocID < 0 {
+			e.HavocID = len(a.Havocs)
+			a.Havocs = append(a.Havocs, e.Havoc)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func TestWeakMoves(t *testing.T) {
 	// From 0: tau moves to {0,1}, and a weak {g} move to {2,3}.
 	var tauTargets, gTargets []Loc
 	for _, m := range w[0] {
-		if len(m.Havoc) == 0 {
+		if m.Havoc == 0 {
 			tauTargets = append(tauTargets, m.Dst)
 		} else {
 			gTargets = append(gTargets, m.Dst)
@@ -101,15 +101,6 @@ func TestWeakMovesCycle(t *testing.T) {
 	tc := TauClosure(a)
 	if len(tc[0]) != 2 || len(tc[1]) != 2 {
 		t.Fatalf("cycle closure: %v %v", tc[0], tc[1])
-	}
-}
-
-func TestHavocKey(t *testing.T) {
-	if HavocKey(nil) != "" {
-		t.Fatalf("empty havoc key should be empty string")
-	}
-	if HavocKey([]string{"a", "b"}) != "a,b" {
-		t.Fatalf("key = %q", HavocKey([]string{"a", "b"}))
 	}
 }
 

@@ -1,18 +1,12 @@
 package acfa
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
-// HavocKey returns the canonical string for a sorted havoc set; the empty
-// string denotes a tau move.
-func HavocKey(h []string) string { return strings.Join(h, ",") }
-
-// WeakMove is a weak transition: tau* (Havoc empty) or tau*-Y-tau*.
+// WeakMove is a weak transition: tau* (Havoc 0) or tau*-Y-tau*, where
+// Havoc is Y's id in the ACFA's Havocs.
 type WeakMove struct {
 	Dst   Loc
-	Havoc []string // sorted; empty = pure tau
+	Havoc int
 }
 
 // TauClosure returns, per location, the set of locations reachable via
@@ -44,57 +38,34 @@ func TauClosure(a *ACFA) [][]Loc {
 
 // WeakMoves computes the saturated weak transition relation: for each
 // location, the pure-tau moves (tau*, including staying put) and the
-// tau*-Y-tau* moves for each non-empty havoc label Y.
+// tau*-Y-tau* moves for each non-empty havoc label Y, each move once.
 func WeakMoves(a *ACFA) [][]WeakMove {
 	n := a.NumLocs()
 	tc := TauClosure(a)
 	out := make([][]WeakMove, n)
+	// seen[h*n+dst] == l+1 records the move {dst, h} as found from l.
+	seen := make([]int, len(a.Havocs)*n)
 	for l := 0; l < n; l++ {
-		seen := make(map[string]bool)
 		var moves []WeakMove
-		add := func(dst Loc, havoc []string) {
-			key := HavocKey(havoc) + "@" + itoa(int(dst))
-			if seen[key] {
-				return
+		add := func(m WeakMove) {
+			if i := m.Havoc*n + int(m.Dst); seen[i] != l+1 {
+				seen[i] = l + 1
+				moves = append(moves, m)
 			}
-			seen[key] = true
-			moves = append(moves, WeakMove{Dst: dst, Havoc: havoc})
 		}
 		for _, mid := range tc[l] {
 			// Pure tau move.
-			add(mid, nil)
+			add(WeakMove{Dst: mid})
 			for _, e := range a.Out[mid] {
-				if len(e.Havoc) == 0 {
+				if e.HavocID == 0 {
 					continue
 				}
 				for _, end := range tc[e.Dst] {
-					add(end, e.Havoc)
+					add(WeakMove{Dst: end, Havoc: e.HavocID})
 				}
 			}
 		}
 		out[l] = moves
 	}
 	return out
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -8,14 +8,14 @@ package bisim
 
 import (
 	"context"
-	"sort"
+	"encoding/binary"
+	"slices"
 	"time"
 
 	"circ/internal/acfa"
 	"circ/internal/journal"
 	"circ/internal/pred"
 	"circ/internal/reach"
-	"circ/internal/smt"
 	"circ/internal/telemetry"
 )
 
@@ -25,10 +25,10 @@ import (
 // reg, which may be nil, receives the quotient's size and duration
 // metrics; when ctx carries a journal stream, the quotient's shrinkage is
 // recorded as an acfa_collapsed event.
-func Collapse(ctx context.Context, g *reach.ARG, chk smt.Solver, reg *telemetry.Registry) (*acfa.ACFA, map[int]acfa.Loc) {
+func Collapse(ctx context.Context, g *reach.ARG, reg *telemetry.Registry) (*acfa.ACFA, map[int]acfa.Loc) {
 	start := time.Now()
 	argA, locMap := g.ToACFA()
-	quot, classOf := Quotient(argA, chk)
+	quot, classOf := Quotient(argA)
 	mu := make(map[int]acfa.Loc, len(locMap))
 	for root, l := range locMap {
 		mu[root] = classOf[l]
@@ -47,7 +47,13 @@ func Collapse(ctx context.Context, g *reach.ARG, chk smt.Solver, reg *telemetry.
 
 // Quotient computes the weak bisimulation quotient of a. It returns the
 // quotient automaton and the class of each original location.
-func Quotient(a *acfa.ACFA, chk smt.Solver) (*acfa.ACFA, map[acfa.Loc]acfa.Loc) {
+//
+// Labels are compared syntactically: two locations start in one block
+// when their atomicity agrees and their labels have equal equivalence
+// keys (pred.Region.Key). On the engine's closed cubes that is semantic
+// equivalence up to reasoning across a label's cubes; a stricter test only
+// yields a finer quotient, which still weakly simulates a.
+func Quotient(a *acfa.ACFA) (*acfa.ACFA, map[acfa.Loc]acfa.Loc) {
 	n := a.NumLocs()
 	if n == 0 {
 		empty := &acfa.ACFA{}
@@ -55,42 +61,45 @@ func Quotient(a *acfa.ACFA, chk smt.Solver) (*acfa.ACFA, map[acfa.Loc]acfa.Loc) 
 		return empty, map[acfa.Loc]acfa.Loc{}
 	}
 
-	// Initial partition: semantic label class + atomicity.
+	// Initial partition: syntactic label class + atomicity, blocks
+	// numbered by first occurrence.
+	type labelClass struct {
+		atomic bool
+		key    string
+	}
 	block := make([]int, n)
-	var reps []acfa.Loc // representative location per block
+	classes := make(map[labelClass]int)
 	for l := 0; l < n; l++ {
-		assigned := false
-		for b, rep := range reps {
-			if a.IsAtomic(acfa.Loc(l)) != a.IsAtomic(rep) {
-				continue
-			}
-			if labelsEquivalent(a, acfa.Loc(l), rep, chk) {
-				block[l] = b
-				assigned = true
-				break
-			}
+		lc := labelClass{a.IsAtomic(acfa.Loc(l)), a.Label(acfa.Loc(l)).Key()}
+		b, ok := classes[lc]
+		if !ok {
+			b = len(classes)
+			classes[lc] = b
 		}
-		if !assigned {
-			block[l] = len(reps)
-			reps = append(reps, acfa.Loc(l))
-		}
+		block[l] = b
 	}
 
 	weak := acfa.WeakMoves(a)
 
-	// Partition refinement on the saturated weak transition relation.
+	// Partition refinement on the saturated weak transition relation. A
+	// location's key is its old block followed by its signature, so
+	// refinement only splits blocks.
+	var sig []uint64
+	var key []byte
 	for {
 		sigs := make(map[string]int)
 		newBlock := make([]int, n)
 		changed := false
 		for l := 0; l < n; l++ {
-			sig := signature(weak[l], block, l)
-			// Prefix the old block so refinement only splits blocks.
-			key := itoa(block[l]) + "!" + sig
-			id, ok := sigs[key]
+			sig = signature(sig[:0], weak[l], block, l)
+			key = binary.AppendUvarint(key[:0], uint64(block[l]))
+			for _, m := range sig {
+				key = binary.AppendUvarint(key, m)
+			}
+			id, ok := sigs[string(key)]
 			if !ok {
 				id = len(sigs)
-				sigs[key] = id
+				sigs[string(key)] = id
 			}
 			newBlock[l] = id
 		}
@@ -137,13 +146,17 @@ func Quotient(a *acfa.ACFA, chk smt.Solver) (*acfa.ACFA, map[acfa.Loc]acfa.Loc) 
 	// Project edges: keep non-tau edges (as self-loops when internal, the
 	// paper's rule) and tau edges that cross classes (observable label
 	// changes with no global writes).
-	seen := make(map[string]bool)
+	type projected struct {
+		src, dst acfa.Loc
+		havoc    int
+	}
+	seen := make(map[projected]bool)
 	for _, e := range a.Edges {
 		cs, cd := classOf[e.Src], classOf[e.Dst]
-		if len(e.Havoc) == 0 && cs == cd {
+		if e.HavocID == 0 && cs == cd {
 			continue // internal tau: dissolved by the quotient
 		}
-		key := itoa(int(cs)) + ">" + itoa(int(cd)) + ":" + acfa.HavocKey(e.Havoc)
+		key := projected{cs, cd, e.HavocID}
 		if seen[key] {
 			continue
 		}
@@ -155,58 +168,18 @@ func Quotient(a *acfa.ACFA, chk smt.Solver) (*acfa.ACFA, map[acfa.Loc]acfa.Loc) 
 	return quot, classOf
 }
 
-// signature canonically describes a location's weak moves up to the
-// current partition. Pure-tau moves within the own block are omitted
-// (always present).
-func signature(moves []acfa.WeakMove, block []int, self int) string {
-	var parts []string
+// signature appends to dst the canonical description of a location's weak
+// moves up to the current partition: each move's (havoc id, block) packed
+// into one word, sorted and deduplicated. Pure-tau moves within the own
+// block are omitted (always present).
+func signature(dst []uint64, moves []acfa.WeakMove, block []int, self int) []uint64 {
 	for _, m := range moves {
 		b := block[m.Dst]
-		if len(m.Havoc) == 0 && b == block[self] {
+		if m.Havoc == 0 && b == block[self] {
 			continue
 		}
-		parts = append(parts, acfa.HavocKey(m.Havoc)+"@"+itoa(b))
+		dst = append(dst, uint64(m.Havoc)<<32|uint64(b))
 	}
-	sort.Strings(parts)
-	out := ""
-	prev := ""
-	for _, p := range parts {
-		if p == prev {
-			continue
-		}
-		prev = p
-		out += p + ";"
-	}
-	return out
-}
-
-// labelsEquivalent reports semantic equivalence of two location labels.
-func labelsEquivalent(a *acfa.ACFA, x, y acfa.Loc, chk smt.Solver) bool {
-	lx, ly := a.Label(x), a.Label(y)
-	if lx.Key() == ly.Key() {
-		return true
-	}
-	return chk.Equivalent(lx.Formula(), ly.Formula())
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
+	slices.Sort(dst)
+	return slices.Compact(dst)
 }

@@ -8,7 +8,6 @@ import (
 	"circ/internal/expr"
 	"circ/internal/pred"
 	"circ/internal/simrel"
-	"circ/internal/smt"
 )
 
 // mkACFA builds an ACFA with n true-labelled locations and the given
@@ -36,8 +35,7 @@ func TestQuotientCollapsesTauChain(t *testing.T) {
 		{0, 1, []string(nil)},
 		{1, 2, []string(nil)},
 	})
-	chk := smt.NewChecker()
-	q, classOf := Quotient(a, chk)
+	q, classOf := Quotient(a)
 	if q.NumLocs() != 1 {
 		t.Fatalf("quotient has %d locs, want 1:\n%s", q.NumLocs(), q)
 	}
@@ -57,7 +55,7 @@ func TestQuotientPreservesAtomicity(t *testing.T) {
 		{0, 1, []string(nil)},
 		{1, 2, []string(nil)},
 	})
-	q, classOf := Quotient(a, smt.NewChecker())
+	q, classOf := Quotient(a)
 	if classOf[0] == classOf[1] {
 		t.Fatalf("atomic location merged with non-atomic")
 	}
@@ -78,7 +76,7 @@ func TestQuotientDistinguishesWriteCapability(t *testing.T) {
 		{0, 1, []string(nil)},
 		{1, 0, []string{"x"}},
 	})
-	q, _ := Quotient(a, smt.NewChecker())
+	q, _ := Quotient(a)
 	if q.NumLocs() != 1 {
 		t.Fatalf("expected full merge, got %d locs", q.NumLocs())
 	}
@@ -101,7 +99,7 @@ func TestQuotientSeparatesDifferentLabels(t *testing.T) {
 	a.AddLoc(r1, false)
 	a.AddEdge(0, 1, []string{"g"})
 	a.Finish()
-	q, classOf := Quotient(a, smt.NewChecker())
+	q, classOf := Quotient(a)
 	if classOf[0] == classOf[1] {
 		t.Fatalf("differently labelled locations merged")
 	}
@@ -122,7 +120,7 @@ func TestQuotientMergesEquivalentLabels(t *testing.T) {
 	a.AddLoc(r0, false)
 	a.AddLoc(r1, false)
 	a.Finish()
-	_, classOf := Quotient(a, smt.NewChecker())
+	_, classOf := Quotient(a)
 	if classOf[0] != classOf[1] {
 		t.Fatalf("semantically equal labels not merged")
 	}
@@ -139,7 +137,7 @@ func TestQuotientKeepsCrossClassTau(t *testing.T) {
 	a.AddLoc(pred.TrueRegion(s), false)
 	a.AddEdge(0, 1, nil)
 	a.Finish()
-	q, classOf := Quotient(a, smt.NewChecker())
+	q, classOf := Quotient(a)
 	if classOf[0] == classOf[1] {
 		t.Fatalf("should not merge")
 	}
@@ -158,7 +156,6 @@ func TestQuotientKeepsCrossClassTau(t *testing.T) {
 // the soundness requirement Collapse relies on). Checked on random ACFAs.
 func TestQuickQuotientSimulatesOriginal(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	chk := smt.NewChecker()
 	vars := []string{"g", "h"}
 	for trial := 0; trial < 40; trial++ {
 		s := pred.NewSet(expr.Eq(expr.V("g"), expr.Num(0)))
@@ -188,8 +185,8 @@ func TestQuickQuotientSimulatesOriginal(t *testing.T) {
 		}
 		a.Entry = 0
 		a.Finish()
-		q, _ := Quotient(a, chk)
-		if !simrel.Simulates(a, q, chk) {
+		q, _ := Quotient(a)
+		if !simrel.Simulates(a, q) {
 			t.Fatalf("trial %d: quotient does not simulate original:\noriginal:\n%s\nquotient:\n%s", trial, a, q)
 		}
 	}

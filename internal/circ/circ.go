@@ -34,6 +34,14 @@ import (
 	"circ/internal/telemetry"
 )
 
+// collapse and simulates are the engine's two label-comparing steps. They
+// are variables so that a test can observe every label pair the engine
+// compares.
+var (
+	collapse  = bisim.Collapse
+	simulates = simrel.Simulates
+)
+
 // Verdict is the analysis outcome.
 type Verdict int
 
@@ -237,17 +245,14 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 	if chk == nil {
 		chk = smt.NewChecker()
 	}
+	// log narrates each step when set. Every call is guarded by log != nil,
+	// so an unlogged run never renders the automata and traces it would
+	// print.
 	log := opts.Logger
 	cIters := opts.Metrics.Counter("circ.iterations")
 	cRounds := opts.Metrics.Counter("circ.rounds")
 	cKInc := opts.Metrics.Counter("circ.k.increments")
 	cPredsFound := opts.Metrics.Counter("circ.preds.discovered")
-
-	logInfo := func(msg string, args ...any) {
-		if log != nil {
-			log.Info(msg, args...)
-		}
-	}
 
 	preds := append([]expr.Expr(nil), opts.InitialPreds...)
 	k := opts.k()
@@ -300,7 +305,9 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 		set := pred.NewSet(preds...)
 		abs := pred.NewAbstractor(chk, set)
 		abs.Instrument(opts.Metrics)
-		logInfo("== round", "round", round, "k", k, "preds", set.String())
+		if log != nil {
+			log.Info("== round", "round", round, "k", k, "preds", set.String())
+		}
 
 		A := acfa.Empty(set)
 		rep.LastACFA = A
@@ -340,8 +347,10 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 				return rep, nil
 			}
 			isp.Annotate("states", res.NumStates)
-			logInfo("-- iteration", "round", round, "inner", inner,
-				"states", res.NumStates, "argLocs", len(res.ARG.Roots()), "races", len(res.Races))
+			if log != nil {
+				log.Info("-- iteration", "round", round, "inner", inner,
+					"states", res.NumStates, "argLocs", len(res.ARG.Roots()), "races", len(res.Races))
+			}
 
 			if len(res.Races) > 0 {
 				// Analyse counterexamples until one is genuine or the
@@ -381,7 +390,9 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 					case refine.Real:
 						rsp.End()
 						refineDone()
-						logInfo("   genuine race", "trace", out.Interleaving.String())
+						if log != nil {
+							log.Info("   genuine race", "trace", out.Interleaving.String())
+						}
 						rep.Verdict = Unsafe
 						rep.Race = out.Interleaving
 						rep.Witness = out.Witness
@@ -423,7 +434,9 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 				refineDone()
 				switch {
 				case len(fresh) > 0:
-					logInfo("   spurious; new predicates", "preds", fmt.Sprintf("%v", fresh))
+					if log != nil {
+						log.Info("   spurious; new predicates", "preds", fmt.Sprintf("%v", fresh))
+					}
 					cPredsFound.Add(int64(len(fresh)))
 					preds = append(preds, fresh...)
 					for _, pe := range freshProv {
@@ -434,7 +447,9 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 				case anyIncK:
 					k++
 					cKInc.Inc()
-					logInfo("   counter too low", "k", k)
+					if log != nil {
+						log.Info("   counter too low", "k", k)
+					}
 					advanceOuter = true
 				default:
 					rep.Verdict = Unknown
@@ -456,10 +471,10 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 			argACFA, _ := res.ARG.ToACFA()
 			_, ssp := telemetry.StartSpan(ictx, "simcheck")
 			simDone := beginPhase("simcheck", false)
-			simulates := simrel.Simulates(argACFA, A, chk)
+			guaranteed := simulates(argACFA, A)
 			simDone()
 			ssp.End()
-			if simulates {
+			if guaranteed {
 				if opts.Omega {
 					_, osp := telemetry.StartSpan(ictx, "goodloc")
 					glDone := beginPhase("goodloc", false)
@@ -476,14 +491,18 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 					if !ok {
 						k++
 						cKInc.Inc()
-						logInfo("   good-location check failed", "k", k)
+						if log != nil {
+							log.Info("   good-location check failed", "k", k)
+						}
 						advanceOuter = true
 						isp.End()
 						curSpan = nil
 						continue
 					}
 				}
-				logInfo("   context sound: SAFE", "acfaLocs", A.NumLocs())
+				if log != nil {
+					log.Info("   context sound: SAFE", "acfaLocs", A.NumLocs())
+				}
 				rep.Verdict = Safe
 				rep.FinalACFA = A
 				rep.Preds = set.Preds()
@@ -493,12 +512,14 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 			// Weaken the context: A := Collapse(G).
 			_, csp := telemetry.StartSpan(ictx, "collapse")
 			colDone := beginPhase("collapse", false)
-			A, mu = bisim.Collapse(ictx, res.ARG, chk, opts.Metrics)
+			A, mu = collapse(ictx, res.ARG, opts.Metrics)
 			colDone()
 			csp.End()
 			rep.LastACFA = A
 			prevARG = res.ARG
-			logInfo("   context unsound; collapsed", "acfaLocs", A.NumLocs(), "acfa", A.String())
+			if log != nil {
+				log.Info("   context unsound; collapsed", "acfaLocs", A.NumLocs(), "acfa", A.String())
+			}
 			isp.End()
 			curSpan = nil
 		}

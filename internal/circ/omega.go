@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"circ/internal/acfa"
-	"circ/internal/bisim"
 	"circ/internal/cfa"
 	"circ/internal/expr"
 	"circ/internal/pred"
@@ -38,7 +37,7 @@ import (
 func goodLocationCheck(ctx context.Context, c *cfa.CFA, g *reach.ARG, k int, abs *pred.Abstractor, reg *telemetry.Registry) (bool, error) {
 	chk := abs.Chk
 	// Re-collapse the final ARG so locations and classes line up.
-	quot, muq := bisim.Collapse(ctx, g, chk, reg)
+	quot, muq := collapse(ctx, g, reg)
 	if quot.IsEmpty() {
 		return true, nil // a do-nothing context trivially generalises
 	}
@@ -89,8 +88,15 @@ func contextReach(a *acfa.ACFA, k int, c *cfa.CFA, abs *pred.Abstractor) ([]ctxC
 		cube: abs.InitialCube(c.Globals),
 	}
 	init.ctx[a.Entry] = reach.Omega
-	key := func(cf ctxConfig) string { return cf.ctx.Key() + "#" + cf.cube.Key() }
-	seen := map[string]bool{key(init): true}
+	// A configuration is keyed by its counters and its cube's formula:
+	// cubes with one formula have the same posts (the post memo is keyed
+	// by formula too), so they reach the same configurations.
+	type configKey struct {
+		ctx  string
+		cube expr.ID
+	}
+	key := func(cf ctxConfig) configKey { return configKey{cf.ctx.Key(), cf.cube.FormulaID()} }
+	seen := map[configKey]bool{key(init): true}
 	queue := []ctxConfig{init}
 	havocs := make(map[*acfa.Edge]pred.Havoc, len(a.Edges))
 	for _, e := range a.Edges {

@@ -9,7 +9,6 @@ import (
 	"circ/internal/expr"
 	"circ/internal/pred"
 	"circ/internal/reach"
-	"circ/internal/simrel"
 	"circ/internal/smt"
 )
 
@@ -92,11 +91,41 @@ func VerifyCertificate(ctx context.Context, c *cfa.CFA, raceVar string, a *acfa.
 		}
 	}
 	argACFA, _ := res.ARG.ToACFA()
-	if !simrel.Simulates(argACFA, a, chk) {
+	if !simulates(argACFA, rebase(a, set)) {
 		return &CertificateError{
 			Obligation: ObligationGuarantee,
 			Detail:     "the context does not simulate the thread's behaviour",
 		}
 	}
 	return nil
+}
+
+// rebase returns a copy of a whose labels range over set. A certificate's
+// labels range over the Set of the run that produced it, while the ARG
+// checked against them ranges over set, built afresh from the certificate's
+// predicates; the simulation check compares cubes by predicate position,
+// so the labels must move onto set first. Predicates are matched by
+// interned ID, once per source Set. A cube with a literal on a predicate
+// outside set is dropped (pred.Region.Rebase): that only strengthens a's
+// labels, which sit on the implied side of the check, so it stays sound.
+func rebase(a *acfa.ACFA, set *pred.Set) *acfa.ACFA {
+	out := &acfa.ACFA{Entry: a.Entry}
+	positions := make(map[*pred.Set][]int)
+	for l := 0; l < a.NumLocs(); l++ {
+		label := a.Label(acfa.Loc(l))
+		if label.Set() != set {
+			pos, ok := positions[label.Set()]
+			if !ok {
+				pos = set.Positions(label.Set())
+				positions[label.Set()] = pos
+			}
+			label = label.Rebase(set, pos)
+		}
+		out.AddLoc(label, a.IsAtomic(acfa.Loc(l)))
+	}
+	for _, e := range a.Edges {
+		out.AddEdge(e.Src, e.Dst, e.Havoc)
+	}
+	out.Finish()
+	return out
 }

@@ -36,6 +36,33 @@ func TestCertificateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCertificatePermutedPredicates: a genuine certificate must pass
+// against its predicates in another order. Its labels range over the
+// producing run's Set, so the check has to match predicates by identity,
+// not by position in the fresh Set it builds.
+func TestCertificatePermutedPredicates(t *testing.T) {
+	p, err := lang.Parse(testAndSetSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := cfa.Build(p, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chk := smt.NewChecker()
+	rep, err := Check(context.Background(), c, "x", Options{}, chk)
+	if err != nil || rep.Verdict != Safe {
+		t.Fatalf("setup failed: %v %v", err, rep.Verdict)
+	}
+	if len(rep.Preds) < 2 {
+		t.Fatalf("need two predicates to permute, have %v", rep.Preds)
+	}
+	permuted := append(rep.Preds[1:len(rep.Preds):len(rep.Preds)], rep.Preds[0])
+	if err := VerifyCertificate(context.Background(), c, "x", rep.FinalACFA, permuted, rep.K, chk); err != nil {
+		t.Fatalf("genuine certificate rejected under predicates %v: %v", permuted, err)
+	}
+}
+
 // TestCertificateTamperedLabels: weakening the certificate's labels to
 // true must break one of the obligations (the assume check now reaches a
 // race, or the guarantee fails), reported as a *CertificateError.

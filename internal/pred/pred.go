@@ -9,7 +9,9 @@
 package pred
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,6 +31,11 @@ type Set struct {
 	ids    []expr.ID // interned canonical predicate
 	negIDs []expr.ID // interned canonical negation
 	index  map[expr.ID]int
+
+	// implMu guards impl, the pairwise literal-implication table NewCube
+	// closes hand-built cubes with (see implications).
+	implMu sync.Mutex
+	impl   [][]uint64
 }
 
 // NewSet returns a predicate set containing the given atoms.
@@ -105,82 +112,176 @@ func (v TV) String() string {
 	return "?"
 }
 
-// Cube is a conjunction of decided literals over a Set. The zero-length
-// cube (all Unknown) denotes true.
+// Cube is a conjunction of decided literals over a Set, held as two
+// bitsets: bit i of the true set decides predicate i True, bit i of the
+// false set decides it False. The cube with no decided literal (the top
+// cube) denotes true.
+//
+// Every cube the engine builds is closed: Abstract, the evaluated initial
+// cube and their projections hold each literal over the Set that their
+// source implies. For closed, satisfiable cubes c and d, c implies d
+// exactly when every literal of d is a literal of c, so label implication
+// is the word test in SubsumedBy. On any cubes the test is sound: a
+// literal of d that c holds is implied by c.
 //
 // Cubes are mutated only inside this package, before they are handed to
-// callers; once published they are immutable. The canonical key and the
-// interned formula ID are therefore memoised lazily on first use — the
-// reachability engine keys states and the post memo by them millions of
-// times per run.
+// callers; once published they are immutable. The interned formula ID is
+// therefore memoised lazily on first use — the reachability engine keys
+// states and the post memo by it millions of times per run.
 type Cube struct {
 	set *Set
-	tv  []TV
+	// bits holds the true set in bits[:w] and the false set in bits[w:],
+	// with w = words(set.Len()).
+	bits []uint64
 
-	memoOnce sync.Once
-	memoKey  string
-	memoFID  expr.ID
+	fidOnce sync.Once
+	fid     expr.ID
 }
 
-func (c *Cube) memo() {
-	c.memoOnce.Do(func() {
-		b := make([]byte, len(c.tv))
-		for i, v := range c.tv {
-			b[i] = "?TF"[v]
+// words returns the number of 64-bit words a bitset over n predicates
+// takes.
+func words(n int) int { return (n + 63) / 64 }
+
+// halves returns the cube's true and false sets.
+func (c *Cube) halves() (t, f []uint64) {
+	w := len(c.bits) / 2
+	return c.bits[:w], c.bits[w:]
+}
+
+// assign decides predicate i as v (True or False).
+func (c *Cube) assign(i int, v TV) {
+	w := len(c.bits) / 2
+	if v == False {
+		i += w * 64
+	}
+	c.bits[i/64] |= 1 << (i % 64)
+}
+
+// TopCube returns the all-Unknown cube (denoting true) over s.
+func TopCube(s *Set) *Cube {
+	return &Cube{set: s, bits: make([]uint64, 2*words(s.Len()))}
+}
+
+// NewCube builds a cube with the given assignments (indices into the set)
+// and closes it under the set's pairwise literal implications: every
+// literal an assigned literal implies is added, unless its predicate is
+// already decided. A hand-built cube thereby meets the engine's
+// closed-cube invariant as far as single literals reach; no engine path
+// calls NewCube.
+func NewCube(s *Set, assign map[int]TV) *Cube {
+	c := TopCube(s)
+	for i, v := range assign {
+		if v != Unknown {
+			c.assign(i, v)
 		}
-		c.memoKey = string(b)
-		ids := make([]expr.ID, 0, len(c.tv))
-		for i, v := range c.tv {
-			switch v {
+	}
+	impl := s.implications()
+	assigned := c.Clone()
+	t, f := c.halves()
+	for i := 0; i < s.Len(); i++ {
+		lit := 2 * i
+		switch assigned.TV(i) {
+		case Unknown:
+			continue
+		case False:
+			lit++
+		}
+		it, iF := impl[lit][:len(t)], impl[lit][len(t):]
+		for k := range t {
+			undecided := ^(t[k] | f[k])
+			t[k] |= it[k] & undecided
+			f[k] |= iF[k] & undecided
+		}
+	}
+	return c
+}
+
+// implications returns the set's pairwise literal-implication table,
+// building it on first use: entry 2i (p_i) and 2i+1 (¬p_i) holds, as a
+// cube's bits, every other literal that the literal alone implies.
+func (s *Set) implications() [][]uint64 {
+	s.implMu.Lock()
+	defer s.implMu.Unlock()
+	if len(s.impl) == 2*s.Len() {
+		return s.impl
+	}
+	chk := smt.NewChecker()
+	n, w := s.Len(), words(s.Len())
+	lits := make([]expr.ID, 0, 2*n)
+	for i := 0; i < n; i++ {
+		lits = append(lits, s.ids[i], s.negIDs[i])
+	}
+	s.impl = make([][]uint64, 2*n)
+	for a, la := range lits {
+		row := make([]uint64, 2*w)
+		for j := 0; j < n; j++ {
+			if j == a/2 {
+				continue
+			}
+			// la implies p_j when la ∧ ¬p_j is unsatisfiable.
+			if chk.SatID(expr.IDConj(la, s.negIDs[j])) == smt.Unsat {
+				row[j/64] |= 1 << (j % 64)
+			} else if chk.SatID(expr.IDConj(la, s.ids[j])) == smt.Unsat {
+				row[w+j/64] |= 1 << (j % 64)
+			}
+		}
+		s.impl[a] = row
+	}
+	return s.impl
+}
+
+// Set returns the predicate set the cube ranges over.
+func (c *Cube) Set() *Set { return c.set }
+
+// TV returns the truth value of predicate i. A predicate added to the set
+// after the cube was built is Unknown.
+func (c *Cube) TV(i int) TV {
+	t, f := c.halves()
+	if i/64 >= len(t) {
+		return Unknown
+	}
+	switch bit := uint64(1) << (i % 64); {
+	case t[i/64]&bit != 0:
+		return True
+	case f[i/64]&bit != 0:
+		return False
+	}
+	return Unknown
+}
+
+// Key renders the cube as one character per predicate: T, F or ? for
+// undecided.
+func (c *Cube) Key() string {
+	b := make([]byte, c.set.Len())
+	for i := range b {
+		b[i] = "?TF"[c.TV(i)]
+	}
+	return string(b)
+}
+
+// FormulaID returns the interned ID of the cube's formula (the canonical
+// conjunction of its decided literals), memoised on first call.
+func (c *Cube) FormulaID() expr.ID {
+	c.fidOnce.Do(func() {
+		var ids []expr.ID
+		for i := 0; i < c.set.Len(); i++ {
+			switch c.TV(i) {
 			case True:
 				ids = append(ids, c.set.IDAt(i))
 			case False:
 				ids = append(ids, c.set.NegIDAt(i))
 			}
 		}
-		c.memoFID = expr.IDConj(ids...)
+		c.fid = expr.IDConj(ids...)
 	})
-}
-
-// TopCube returns the all-Unknown cube (denoting true) over s.
-func TopCube(s *Set) *Cube {
-	return &Cube{set: s, tv: make([]TV, s.Len())}
-}
-
-// NewCube builds a cube with the given assignments (indices into the set).
-func NewCube(s *Set, assign map[int]TV) *Cube {
-	c := TopCube(s)
-	for i, v := range assign {
-		c.tv[i] = v
-	}
-	return c
-}
-
-// Set returns the predicate set the cube ranges over.
-func (c *Cube) Set() *Set { return c.set }
-
-// TV returns the truth value of predicate i.
-func (c *Cube) TV(i int) TV { return c.tv[i] }
-
-// Key returns a canonical key (one character per predicate), memoised on
-// first call.
-func (c *Cube) Key() string {
-	c.memo()
-	return c.memoKey
-}
-
-// FormulaID returns the interned ID of the cube's formula (the canonical
-// conjunction of its decided literals), memoised on first call.
-func (c *Cube) FormulaID() expr.ID {
-	c.memo()
-	return c.memoFID
+	return c.fid
 }
 
 // Formula returns the conjunction of the cube's decided literals.
 func (c *Cube) Formula() expr.Expr {
 	var parts []expr.Expr
-	for i, v := range c.tv {
-		switch v {
+	for i := 0; i < c.set.Len(); i++ {
+		switch c.TV(i) {
 		case True:
 			parts = append(parts, c.set.At(i))
 		case False:
@@ -200,76 +301,118 @@ func (c *Cube) String() string {
 
 // Clone returns a copy of the cube.
 func (c *Cube) Clone() *Cube {
-	return &Cube{set: c.set, tv: append([]TV(nil), c.tv...)}
+	return &Cube{set: c.set, bits: append([]uint64(nil), c.bits...)}
 }
 
 // SubsumedBy reports whether c's constraints include all of d's, i.e. d is
 // syntactically weaker (every decided literal of d is decided the same way
-// in c).
+// in c). Then c implies d; for closed, satisfiable cubes the converse holds
+// too.
 func (c *Cube) SubsumedBy(d *Cube) bool {
-	for i, v := range d.tv {
-		if v != Unknown && c.tv[i] != v {
+	for k, dw := range d.bits {
+		if dw&^c.bits[k] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
+// Equal reports whether c and d decide the same literals.
+func (c *Cube) Equal(d *Cube) bool {
+	for k, w := range c.bits {
+		if d.bits[k] != w {
+			return false
+		}
+	}
+	return true
+}
+
+// without returns c with every predicate in mask undecided; c itself when
+// it decides none of them.
+func (c *Cube) without(mask []uint64) *Cube {
+	t, f := c.halves()
+	decided := false
+	for k, m := range mask {
+		if (t[k]|f[k])&m != 0 {
+			decided = true
+			break
+		}
+	}
+	if !decided {
+		return c
+	}
+	out := c.Clone()
+	t, f = out.halves()
+	for k, m := range mask {
+		t[k] &^= m
+		f[k] &^= m
+	}
+	return out
+}
+
+// mask returns the bitset of the set's predicates for which drop holds.
+func (s *Set) mask(drop func(p expr.Expr) bool) []uint64 {
+	m := make([]uint64, words(s.Len()))
+	for i, p := range s.preds {
+		if drop(p) {
+			m[i/64] |= 1 << (i % 64)
+		}
+	}
+	return m
+}
+
+// localMask returns the bitset of predicates mentioning a non-global
+// variable.
+func (s *Set) localMask(isGlobal func(string) bool) []uint64 {
+	return s.mask(func(p expr.Expr) bool {
+		for v := range expr.FreeVars(p) {
+			if !isGlobal(v) {
+				return true
+			}
+		}
+		return false
+	})
+}
+
+// varsMask returns the bitset of predicates mentioning a variable in drop.
+func (s *Set) varsMask(drop map[string]bool) []uint64 {
+	return s.mask(func(p expr.Expr) bool { return expr.MentionsAny(p, drop) })
+}
+
 // ProjectLocals returns the cube with every predicate mentioning a
 // non-global variable reset to Unknown (the paper's local-variable
 // quantification during Collapse).
 func (c *Cube) ProjectLocals(isGlobal func(string) bool) *Cube {
-	out := c.Clone()
-	for i := range out.tv {
-		if out.tv[i] == Unknown {
-			continue
-		}
-		for v := range expr.FreeVars(c.set.At(i)) {
-			if !isGlobal(v) {
-				out.tv[i] = Unknown
-				break
-			}
-		}
-	}
-	return out
+	return c.without(c.set.localMask(isGlobal))
 }
 
 // ProjectVars returns the cube with every predicate mentioning a variable
 // in drop reset to Unknown (existential projection, over-approximated at
 // cube granularity).
 func (c *Cube) ProjectVars(drop map[string]bool) *Cube {
-	out := c.Clone()
-	for i := range out.tv {
-		if out.tv[i] == Unknown {
-			continue
-		}
-		if expr.MentionsAny(c.set.At(i), drop) {
-			out.tv[i] = Unknown
-		}
-	}
-	return out
+	return c.without(c.set.varsMask(drop))
 }
 
-// Region is a finite disjunction of cubes over a common Set. The empty
-// region denotes false.
+// Region is a finite disjunction of distinct cubes over a common Set, in
+// insertion order. The empty region denotes false.
 type Region struct {
 	set   *Set
 	cubes []*Cube
-	keys  map[string]bool
 }
 
 // NewRegion returns an empty (false) region over s.
 func NewRegion(s *Set) *Region {
-	return &Region{set: s, keys: make(map[string]bool)}
+	return &Region{set: s}
 }
 
-// Add inserts a cube, reporting whether it was new.
+// Add inserts a cube, reporting whether it was new. Regions hold a few
+// cubes, so a scan beats hashing them.
 func (r *Region) Add(c *Cube) bool {
-	k := c.Key()
-	if r.keys[k] {
-		return false
+	for _, d := range r.cubes {
+		if d.Equal(c) {
+			return false
+		}
 	}
-	r.keys[k] = true
 	r.cubes = append(r.cubes, c)
 	return true
 }
@@ -280,6 +423,9 @@ func (r *Region) AddRegion(o *Region) {
 		r.Add(c)
 	}
 }
+
+// Set returns the predicate set the region ranges over.
+func (r *Region) Set() *Set { return r.set }
 
 // Cubes returns the cubes in insertion order.
 func (r *Region) Cubes() []*Cube { return r.cubes }
@@ -296,37 +442,116 @@ func (r *Region) Formula() expr.Expr {
 	return expr.Disj(parts...)
 }
 
-// Key returns a canonical key: the sorted cube keys.
-func (r *Region) Key() string {
-	ks := make([]string, 0, len(r.cubes))
-	for k := range r.keys {
-		ks = append(ks, k)
+// Implies reports whether r syntactically implies o: each cube of r is
+// subsumed by some cube of o. It implies r ⇒ o, and on closed cubes it
+// says "no" only when the solver could have said "yes" by reasoning across
+// o's cubes. Both regions must range over one Set.
+func (r *Region) Implies(o *Region) bool {
+	for _, c := range r.cubes {
+		covered := false
+		for _, d := range o.cubes {
+			if c.SubsumedBy(d) {
+				covered = true
+				break
+			}
+		}
+		if !covered {
+			return false
+		}
 	}
-	sort.Strings(ks)
-	return strings.Join(ks, "|")
+	return true
+}
+
+// Key returns the region's canonical equivalence key: the bitsets of its
+// maximal cubes (those no other cube of the region subsumes), sorted and
+// concatenated. Two regions over one Set have equal keys exactly when each
+// syntactically implies the other (Implies both ways), so the key groups
+// labels by syntactic equivalence. The stored cubes keep their order.
+func (r *Region) Key() string {
+	var max []*Cube
+	for i, c := range r.cubes {
+		dominated := false
+		for j, d := range r.cubes {
+			if i != j && c.SubsumedBy(d) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			max = append(max, c)
+		}
+	}
+	sort.Slice(max, func(i, j int) bool { return slices.Compare(max[i].bits, max[j].bits) < 0 })
+	// The count keeps the false region apart from the true region over an
+	// empty Set, whose one cube has no words.
+	b := binary.AppendUvarint(nil, uint64(len(max)))
+	for _, c := range max {
+		for _, w := range c.bits {
+			b = binary.LittleEndian.AppendUint64(b, w)
+		}
+	}
+	return string(b)
+}
+
+// Positions returns, for each predicate of o, its index in s, or -1 when s
+// lacks it. Predicates match by interned ID, never by position.
+func (s *Set) Positions(o *Set) []int {
+	pos := make([]int, o.Len())
+	for i, id := range o.ids {
+		if j, ok := s.index[id]; ok {
+			pos[i] = j
+		} else {
+			pos[i] = -1
+		}
+	}
+	return pos
+}
+
+// Rebase returns r over s, where pos maps each predicate of r's set to its
+// index in s (see Set.Positions). A cube with a literal on a predicate s
+// lacks is dropped, so the result implies r: rebasing only ever
+// strengthens a region.
+func (r *Region) Rebase(s *Set, pos []int) *Region {
+	out := NewRegion(s)
+next:
+	for _, c := range r.cubes {
+		d := TopCube(s)
+		for i := 0; i < r.set.Len(); i++ {
+			v := c.TV(i)
+			if v == Unknown {
+				continue
+			}
+			if pos[i] < 0 {
+				continue next
+			}
+			d.assign(pos[i], v)
+		}
+		out.Add(d)
+	}
+	return out
 }
 
 // Clone returns a copy of the region.
 func (r *Region) Clone() *Region {
-	out := NewRegion(r.set)
-	out.AddRegion(r)
-	return out
+	return &Region{set: r.set, cubes: append([]*Cube(nil), r.cubes...)}
 }
 
 // ProjectLocals projects every cube (see Cube.ProjectLocals).
 func (r *Region) ProjectLocals(isGlobal func(string) bool) *Region {
-	out := NewRegion(r.set)
-	for _, c := range r.cubes {
-		out.Add(c.ProjectLocals(isGlobal))
-	}
-	return out
+	return r.project(r.set.localMask(isGlobal))
 }
 
 // ProjectVars projects every cube (see Cube.ProjectVars).
 func (r *Region) ProjectVars(drop map[string]bool) *Region {
+	return r.project(r.set.varsMask(drop))
+}
+
+// project returns the region of r's cubes with every predicate in mask
+// undecided.
+func (r *Region) project(mask []uint64) *Region {
 	out := NewRegion(r.set)
 	for _, c := range r.cubes {
-		out.Add(c.ProjectVars(drop))
+		out.Add(c.without(mask))
 	}
 	return out
 }
@@ -427,9 +652,9 @@ func (a *Abstractor) Abstract(phi expr.Expr) *Cube {
 	c := TopCube(a.Set)
 	for i := 0; i < a.Set.Len(); i++ {
 		if sess.SatConj(a.Set.NegIDAt(i)) == smt.Unsat {
-			c.tv[i] = True
+			c.assign(i, True)
 		} else if sess.SatConj(a.Set.IDAt(i)) == smt.Unsat {
-			c.tv[i] = False
+			c.assign(i, False)
 		}
 	}
 	return c
@@ -546,15 +771,15 @@ func (a *Abstractor) evalAtZero(vars []string) *Cube {
 		in[v] = true
 	}
 	c := TopCube(a.Set)
-	for i := range c.tv {
+	for i := 0; i < a.Set.Len(); i++ {
 		holds, ok := zeroFormula(a.Set.At(i), in)
 		if !ok {
 			return nil
 		}
 		if holds {
-			c.tv[i] = True
+			c.assign(i, True)
 		} else {
-			c.tv[i] = False
+			c.assign(i, False)
 		}
 	}
 	return c

@@ -97,7 +97,7 @@ func TestRegionBasics(t *testing.T) {
 	}
 	r.Add(c2)
 	chk := smt.NewChecker()
-	if !chk.Valid(r.Formula()) {
+	if !chk.Implies(expr.TrueExpr, r.Formula()) {
 		t.Fatalf("x==0 or x!=0 should be valid: %v", r.Formula())
 	}
 	r2 := r.Clone()
@@ -215,5 +215,80 @@ func TestInitialCube(t *testing.T) {
 	c := a.InitialCube([]string{"x", "y"})
 	if c.TV(0) != True || c.TV(1) != False {
 		t.Fatalf("initial cube = %s", c.Key())
+	}
+}
+
+func TestNewCubeClosesPairwise(t *testing.T) {
+	g := expr.V("g")
+	// g >= 1 and g > 0 are one predicate over the integers; g == 0 is
+	// their negation.
+	s := NewSet(expr.Ge(g, expr.Num(1)), expr.Gt(g, expr.Num(0)), expr.Eq(g, expr.Num(0)))
+	c := NewCube(s, map[int]TV{0: True})
+	if c.Key() != "TTF" {
+		t.Fatalf("closure of {g >= 1} = %s (%s)", c.Key(), c)
+	}
+	if d := NewCube(s, map[int]TV{1: True}); !c.Equal(d) {
+		t.Fatalf("{g >= 1} and {g > 0} close to %s and %s", c.Key(), d.Key())
+	}
+	// A decided predicate is never overridden, even when unsatisfiable.
+	if e := NewCube(s, map[int]TV{0: True, 2: True}); e.Key() != "TTT" {
+		t.Fatalf("closure of {g >= 1, g == 0} = %s", e.Key())
+	}
+}
+
+func TestRegionImpliesAndKey(t *testing.T) {
+	x, y := expr.V("x"), expr.V("y")
+	s := NewSet(expr.Eq(x, expr.Num(0)), expr.Eq(y, expr.Num(0)))
+	region := func(cubes ...map[int]TV) *Region {
+		r := NewRegion(s)
+		for _, a := range cubes {
+			r.Add(NewCube(s, a))
+		}
+		return r
+	}
+	strong := region(map[int]TV{0: True, 1: True})
+	weak := region(map[int]TV{0: True})
+	if !strong.Implies(weak) || weak.Implies(strong) {
+		t.Fatalf("implication between %s and %s", strong, weak)
+	}
+	// A subsumed cube adds nothing: {x==0 ∧ y==0} ∨ {x==0} ≡ {x==0}.
+	both := region(map[int]TV{0: True, 1: True}, map[int]TV{0: True})
+	if both.Key() != weak.Key() || both.Key() == strong.Key() {
+		t.Fatalf("keys: %q (%s), %q (%s), %q (%s)", both.Key(), both, weak.Key(), weak, strong.Key(), strong)
+	}
+	// False and true stay apart over an empty set, where the top cube has
+	// no bits.
+	empty := NewSet()
+	if NewRegion(empty).Key() == TrueRegion(empty).Key() {
+		t.Fatalf("false and true regions share a key")
+	}
+	if !NewRegion(s).Implies(weak) || TrueRegion(s).Implies(weak) {
+		t.Fatalf("false must imply everything, true not x==0")
+	}
+}
+
+func TestRegionRebase(t *testing.T) {
+	x, y := expr.V("x"), expr.V("y")
+	px, py := expr.Eq(x, expr.Num(0)), expr.Eq(y, expr.Num(0))
+	from := NewSet(px, py)
+	r := NewRegion(from)
+	r.Add(NewCube(from, map[int]TV{0: True, 1: False}))
+	r.Add(NewCube(from, map[int]TV{1: True}))
+
+	to := NewSet(py, px)
+	got := r.Rebase(to, to.Positions(from))
+	if got.Len() != 2 || got.Cubes()[0].Key() != "FT" || got.Cubes()[1].Key() != "T?" {
+		t.Fatalf("rebased onto reversed set: %v", got)
+	}
+	chk := smt.NewChecker()
+	if !chk.Implies(got.Formula(), r.Formula()) || !chk.Implies(r.Formula(), got.Formula()) {
+		t.Fatalf("rebasing changed the region: %s from %s", got, r)
+	}
+
+	// A cube on a predicate the target lacks is dropped.
+	only := NewSet(py)
+	got = r.Rebase(only, only.Positions(from))
+	if got.Len() != 1 || got.Cubes()[0].Key() != "T" {
+		t.Fatalf("rebased onto {y == 0}: %v", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"circ/internal/acfa"
 	"circ/internal/cfa"
+	"circ/internal/expr"
 	"circ/internal/pred"
 )
 
@@ -30,18 +31,20 @@ type ARG struct {
 	region []*pred.Region // per root: union of member cubes
 	states []ThreadState  // per raw id: its thread state
 
-	stateLoc map[threadKey]int // thread-state identity -> raw id
+	stateLoc map[threadKey][]int // thread-state identity -> raw ids
 
 	out [][]OpTransition // per raw id: outgoing program transitions
 
 	entry int // raw id of the initial thread state, -1 before setEntry
 }
 
-// threadKey is a thread state's identity: its location and its cube's
-// memoised canonical key.
+// threadKey buckets thread states by location and the interned formula
+// of their cube. Distinct cubes can share a formula (two predicates may
+// intern to each other's negation), so a bucket lists every raw id with
+// that key and intern compares the cubes themselves.
 type threadKey struct {
 	loc  cfa.Loc
-	cube string
+	cube expr.ID
 }
 
 // OpTransition is a program-op move out of an abstract thread state into
@@ -52,7 +55,7 @@ type OpTransition struct {
 }
 
 func newARG(c *cfa.CFA, s *pred.Set) *ARG {
-	return &ARG{C: c, Set: s, stateLoc: make(map[threadKey]int), entry: -1}
+	return &ARG{C: c, Set: s, stateLoc: make(map[threadKey][]int), entry: -1}
 }
 
 // Find returns the canonical location id for id.
@@ -73,9 +76,11 @@ func (g *ARG) State(id int) ThreadState { return g.states[id] }
 // intern returns the raw id of thread state r, allocating a location for
 // it on first sight (paper Algorithm 3, Find).
 func (g *ARG) intern(r ThreadState) int {
-	key := threadKey{r.Loc, r.Cube.Key()}
-	if id, ok := g.stateLoc[key]; ok {
-		return id
+	key := threadKey{r.Loc, r.Cube.FormulaID()}
+	for _, id := range g.stateLoc[key] {
+		if g.states[id].Cube.Equal(r.Cube) {
+			return id
+		}
 	}
 	id := len(g.parent)
 	g.parent = append(g.parent, id)
@@ -84,7 +89,7 @@ func (g *ARG) intern(r ThreadState) int {
 	g.region = append(g.region, reg)
 	g.states = append(g.states, r)
 	g.out = append(g.out, nil)
-	g.stateLoc[key] = id
+	g.stateLoc[key] = append(g.stateLoc[key], id)
 	return id
 }
 

@@ -83,7 +83,7 @@ func TestPostMemoAcrossRuns(t *testing.T) {
 			if i == 2 {
 				return b.String(), posts, a, abs
 			}
-			if a, _ = bisim.Collapse(context.Background(), res.ARG, chk, nil); a.IsEmpty() {
+			if a, _ = bisim.Collapse(context.Background(), res.ARG, nil); a.IsEmpty() {
 				t.Fatal("collapsed context is empty; the next run would take no context move")
 			}
 		}

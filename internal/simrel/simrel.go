@@ -5,16 +5,20 @@
 // (tau*-Y-tau*) moves whose havoc sets are at least as permissive.
 package simrel
 
-import (
-	"circ/internal/acfa"
-	"circ/internal/expr"
-	"circ/internal/smt"
-)
+import "circ/internal/acfa"
 
 // Simulates reports whether a simulates g (g \preceq a): there is a weak
-// simulation relating g's entry to a's entry.
-func Simulates(g, a *acfa.ACFA, chk smt.Solver) bool {
-	r := relation(g, a, chk)
+// simulation relating g's entry to a's entry. The labels of g and a must
+// range over one predicate Set.
+//
+// Label implication is decided syntactically (pred.Region.Implies): each
+// cube of g's label must be subsumed by a cube of a's. That implies the
+// semantic implication, so the relation computed is a weak simulation;
+// on the engine's closed cubes the test misses only implications that
+// need reasoning across several of a's cubes, and a smaller simulation
+// stays sound.
+func Simulates(g, a *acfa.ACFA) bool {
+	r := relation(g, a)
 	return r.holds(g.Entry, a.Entry)
 }
 
@@ -28,32 +32,19 @@ type rel struct {
 func (r rel) holds(x, y acfa.Loc) bool { return r.pairs[int(x)*r.na+int(y)] }
 
 // relation computes the largest weak simulation between g and a.
-func relation(g, a *acfa.ACFA, chk smt.Solver) rel {
+func relation(g, a *acfa.ACFA) rel {
 	ng, na := g.NumLocs(), a.NumLocs()
 	r := rel{na: na, pairs: make([]bool, ng*na)}
-	// Each label is interned once, on first use: g's as is, a's negated.
-	// A pair's label implication g_x => a_y is then sat(g_x & !a_y), the
-	// formula Solver.Implies builds, so the verdict cache sees the same
-	// keys.
-	gl := make([]expr.ID, ng)
-	notAl := make([]expr.ID, na)
-	// Initialise with the static conditions: label implication and equal
-	// atomicity.
+	// Initialise with the static conditions: equal atomicity and label
+	// implication.
 	for x := 0; x < ng; x++ {
 		for y := 0; y < na; y++ {
-			if g.IsAtomic(acfa.Loc(x)) != a.IsAtomic(acfa.Loc(y)) {
-				continue
-			}
-			if gl[x] == expr.NoID {
-				gl[x] = expr.Intern(g.Label(acfa.Loc(x)).Formula())
-			}
-			if notAl[y] == expr.NoID {
-				notAl[y] = expr.InternNot(expr.Intern(a.Label(acfa.Loc(y)).Formula()))
-			}
-			r.pairs[x*na+y] = chk.SatID(expr.IDConj(gl[x], notAl[y])) == smt.Unsat
+			r.pairs[x*na+y] = g.IsAtomic(acfa.Loc(x)) == a.IsAtomic(acfa.Loc(y)) &&
+				g.Label(acfa.Loc(x)).Implies(a.Label(acfa.Loc(y)))
 		}
 	}
 	weakA := acfa.WeakMoves(a)
+	covers := havocCovers(g, a)
 	// Greatest fixpoint: drop pairs whose moves cannot be matched.
 	for {
 		changed := false
@@ -62,7 +53,7 @@ func relation(g, a *acfa.ACFA, chk smt.Solver) rel {
 				if !r.pairs[x*na+y] {
 					continue
 				}
-				if !movesMatched(g, acfa.Loc(x), acfa.Loc(y), weakA, r) {
+				if !movesMatched(g, acfa.Loc(x), acfa.Loc(y), weakA, covers, r) {
 					r.pairs[x*na+y] = false
 					changed = true
 				}
@@ -76,11 +67,11 @@ func relation(g, a *acfa.ACFA, chk smt.Solver) rel {
 
 // movesMatched checks that every strong move of g from x is matched by a
 // weak move of a from y landing in a related pair.
-func movesMatched(g *acfa.ACFA, x, y acfa.Loc, weakA [][]acfa.WeakMove, r rel) bool {
+func movesMatched(g *acfa.ACFA, x, y acfa.Loc, weakA [][]acfa.WeakMove, covers [][]bool, r rel) bool {
 	for _, e := range g.OutEdges(x) {
 		matched := false
 		for _, m := range weakA[y] {
-			if !havocCovers(m.Havoc, e.Havoc) {
+			if !covers[e.HavocID][m.Havoc] {
 				continue
 			}
 			if r.holds(e.Dst, m.Dst) {
@@ -95,11 +86,22 @@ func movesMatched(g *acfa.ACFA, x, y acfa.Loc, weakA [][]acfa.WeakMove, r rel) b
 	return true
 }
 
-// havocCovers reports whether sup (a weak move's havoc, possibly empty for
-// pure tau) covers sub: sub must be a subset of sup, with the pure-tau
-// move covering only empty sub. Havoc sets hold a handful of globals, so
-// a scan beats building a set.
-func havocCovers(sup, sub []string) bool {
+// havocCovers tabulates, by havoc id, whether a weak move of a covers an
+// edge of g: covers[i][j] holds when g's havoc set i is a subset of a's
+// set j, so the pure-tau move (j = 0) covers only the empty set. Havoc
+// sets hold a handful of globals, so a scan beats building a set.
+func havocCovers(g, a *acfa.ACFA) [][]bool {
+	covers := make([][]bool, len(g.Havocs))
+	for i, sub := range g.Havocs {
+		covers[i] = make([]bool, len(a.Havocs))
+		for j, sup := range a.Havocs {
+			covers[i][j] = subset(sub, sup)
+		}
+	}
+	return covers
+}
+
+func subset(sub, sup []string) bool {
 	for _, v := range sub {
 		if !contains(sup, v) {
 			return false

@@ -7,7 +7,6 @@ import (
 	"circ/internal/acfa"
 	"circ/internal/expr"
 	"circ/internal/pred"
-	"circ/internal/smt"
 )
 
 func trueACFA(n int, atomic []int, edges [][3]interface{}) *acfa.ACFA {
@@ -33,51 +32,47 @@ func TestSelfSimulation(t *testing.T) {
 		{1, 2, []string{"x"}},
 		{2, 0, []string{"x", "y"}},
 	})
-	if !Simulates(a, a, smt.NewChecker()) {
+	if !Simulates(a, a) {
 		t.Fatalf("ACFA does not simulate itself")
 	}
 }
 
 func TestEmptySimulatesEmpty(t *testing.T) {
-	chk := smt.NewChecker()
 	e1 := acfa.Empty(pred.NewSet())
 	e2 := acfa.Empty(pred.NewSet())
-	if !Simulates(e1, e2, chk) {
+	if !Simulates(e1, e2) {
 		t.Fatalf("empty should simulate empty")
 	}
 }
 
 func TestEmptyDoesNotSimulateWriter(t *testing.T) {
-	chk := smt.NewChecker()
 	writer := trueACFA(2, nil, [][3]interface{}{
 		{0, 1, []string{"x"}},
 	})
-	if Simulates(writer, acfa.Empty(pred.NewSet()), chk) {
+	if Simulates(writer, acfa.Empty(pred.NewSet())) {
 		t.Fatalf("do-nothing context cannot simulate a writer")
 	}
-	if !Simulates(acfa.Empty(pred.NewSet()), writer, chk) {
+	if !Simulates(acfa.Empty(pred.NewSet()), writer) {
 		t.Fatalf("a writer can simulate doing nothing")
 	}
 }
 
 func TestHavocSupersetMatches(t *testing.T) {
-	chk := smt.NewChecker()
 	g := trueACFA(2, nil, [][3]interface{}{
 		{0, 1, []string{"x"}},
 	})
 	a := trueACFA(2, nil, [][3]interface{}{
 		{0, 1, []string{"x", "y"}},
 	})
-	if !Simulates(g, a, chk) {
+	if !Simulates(g, a) {
 		t.Fatalf("havoc {x} should be matched by havoc {x,y}")
 	}
-	if Simulates(a, g, chk) {
+	if Simulates(a, g) {
 		t.Fatalf("havoc {x,y} must not be matched by havoc {x}")
 	}
 }
 
 func TestWeakMatchingThroughTau(t *testing.T) {
-	chk := smt.NewChecker()
 	// g: 0 -{x}-> 1. a: 0 -tau-> 1 -{x}-> 2.
 	g := trueACFA(2, nil, [][3]interface{}{
 		{0, 1, []string{"x"}},
@@ -86,26 +81,24 @@ func TestWeakMatchingThroughTau(t *testing.T) {
 		{0, 1, []string(nil)},
 		{1, 2, []string{"x"}},
 	})
-	if !Simulates(g, a, chk) {
+	if !Simulates(g, a) {
 		t.Fatalf("strong {x} move should be matched by tau-{x} weak move")
 	}
 }
 
 func TestAtomicityObservable(t *testing.T) {
-	chk := smt.NewChecker()
 	g := trueACFA(2, []int{1}, [][3]interface{}{
 		{0, 1, []string(nil)},
 	})
 	aNoAtomic := trueACFA(2, nil, [][3]interface{}{
 		{0, 1, []string(nil)},
 	})
-	if Simulates(g, aNoAtomic, chk) {
+	if Simulates(g, aNoAtomic) {
 		t.Fatalf("atomic target must not be matched by non-atomic one")
 	}
 }
 
 func TestLabelImplication(t *testing.T) {
-	chk := smt.NewChecker()
 	s := pred.NewSet(expr.Eq(expr.V("g"), expr.Num(0)))
 	mk := func(tv pred.TV) *acfa.ACFA {
 		a := &acfa.ACFA{}
@@ -121,10 +114,10 @@ func TestLabelImplication(t *testing.T) {
 	}
 	strong := mk(pred.True) // g == 0
 	weak := mk(pred.Unknown)
-	if !Simulates(strong, weak, chk) {
+	if !Simulates(strong, weak) {
 		t.Fatalf("g==0 location should be simulated by true location")
 	}
-	if Simulates(weak, strong, chk) {
+	if Simulates(weak, strong) {
 		t.Fatalf("true location must not be simulated by g==0 location")
 	}
 }
@@ -133,7 +126,6 @@ func TestLabelImplication(t *testing.T) {
 // g <= a and a <= b implies g <= b).
 func TestQuickTransitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	chk := smt.NewChecker()
 	gen := func() *acfa.ACFA {
 		n := 2 + rng.Intn(3)
 		var edges [][3]interface{}
@@ -149,9 +141,9 @@ func TestQuickTransitivity(t *testing.T) {
 	checked := 0
 	for trial := 0; trial < 200 && checked < 30; trial++ {
 		g, a, b := gen(), gen(), gen()
-		if Simulates(g, a, chk) && Simulates(a, b, chk) {
+		if Simulates(g, a) && Simulates(a, b) {
 			checked++
-			if !Simulates(g, b, chk) {
+			if !Simulates(g, b) {
 				t.Fatalf("transitivity violated")
 			}
 		}

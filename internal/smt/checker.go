@@ -313,20 +313,9 @@ func (c *Checker) SatModel(f expr.Expr) (Result, map[string]int64) {
 	return r, m
 }
 
-// Valid reports whether f is valid. Unknown degrades to false ("cannot
-// prove"), the sound direction for abstraction.
-func (c *Checker) Valid(f expr.Expr) bool {
-	return c.SatID(expr.InternNot(expr.Intern(f))) == Unsat
-}
-
 // Implies reports whether a entails b.
 func (c *Checker) Implies(a, b expr.Expr) bool {
 	return c.SatID(expr.IDConj(expr.Intern(a), expr.InternNot(expr.Intern(b)))) == Unsat
-}
-
-// Equivalent reports whether a and b are logically equivalent.
-func (c *Checker) Equivalent(a, b expr.Expr) bool {
-	return c.Implies(a, b) && c.Implies(b, a)
 }
 
 // UnsatCore returns the indices of a minimal (irreducible) subset of parts

@@ -8,7 +8,7 @@
 // integers), so the theory solver only deals with <=-bounds plus equality
 // case splits for disequalities.
 //
-// The entry points (Sat, Valid, Implies, UnsatCore, ...) are methods on
+// The entry points (Sat, Implies, UnsatCore, ...) are methods on
 // Checker, a concurrency-safe verdict cache keyed by interned formula ID
 // in front of the solver; predicate abstraction issues many repeated
 // implication queries and the cache is the difference between seconds
@@ -54,11 +54,12 @@ type Stats struct {
 	SatConflicts int64 // CDCL conflicts across every SAT Solve call
 }
 
-// Solver is the query interface *Checker implements. All analysis layers
-// — predicate abstraction, bisimulation minimisation, simulation
-// checking, refinement — are written against it, so one process-wide
-// memoising Checker can be threaded through an entire batch of analyses
-// and a test can wrap it (for example to inject solver faults).
+// Solver is the query interface *Checker implements. The analysis layers
+// that reason about formulas — predicate abstraction, reachability,
+// refinement, the omega good-location check — are written against it, so
+// one process-wide memoising Checker can be threaded through an entire
+// batch of analyses and a test can wrap it (for example to inject solver
+// faults).
 type Solver interface {
 	// Sat reports the satisfiability of f.
 	Sat(f expr.Expr) Result
@@ -67,12 +68,8 @@ type Solver interface {
 	SatID(id expr.ID) Result
 	// SatModel reports satisfiability and, when Sat, an integer model.
 	SatModel(f expr.Expr) (Result, map[string]int64)
-	// Valid reports whether f is valid (Unknown degrades to false).
-	Valid(f expr.Expr) bool
 	// Implies reports whether a entails b.
 	Implies(a, b expr.Expr) bool
-	// Equivalent reports whether a and b are logically equivalent.
-	Equivalent(a, b expr.Expr) bool
 	// UnsatCore returns a minimal unsatisfiable subset of parts.
 	UnsatCore(parts []expr.Expr) (core []int, ok bool)
 	// NewSession opens an incremental solving session for conjunctions of
