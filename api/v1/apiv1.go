@@ -244,19 +244,13 @@ type JobStats struct {
 	Active    int64 `json:"active"`
 }
 
-// ArenaStats describes the shared hash-consing arena. Interning only
-// appends, but idle-time compaction sweeps nodes no longer reachable
-// from the daemon's certificate store, so the live values can drop
-// below the high-water marks.
+// ArenaStats describes the shared hash-consing arena. The arena is
+// append-only, so both values only grow over the daemon's lifetime.
 type ArenaStats struct {
-	// Nodes is the number of live interned expression nodes.
+	// Nodes is the number of interned expression nodes.
 	Nodes int64 `json:"nodes"`
 	// Bytes estimates the arena's resident footprint.
-	Bytes          int64 `json:"bytes"`
-	NodesHighWater int64 `json:"nodes_high_water"`
-	BytesHighWater int64 `json:"bytes_high_water"`
-	// Compactions counts completed arena compaction passes.
-	Compactions int64 `json:"compactions"`
+	Bytes int64 `json:"bytes"`
 }
 
 // SMTStats describes the shared SMT verdict cache.

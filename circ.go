@@ -433,33 +433,11 @@ func (c *Checker) options(logger *slog.Logger) icirc.Options {
 	}
 }
 
-// CompactArena sweeps the process-wide expression-interning arena,
-// tombstoning every formula not reachable from the Checker's live
-// roots — the certificate store's context models, predicate sets, and
-// trace formulas — and then drops SMT verdict-cache entries referring
-// to swept formulas. Live IDs keep their identity; dead IDs are never
-// reused.
-//
-// It must only be called with no analyses in flight on this Checker (or
-// any Checker derived from it — they share the solver and store): the
-// daemon compacts between jobs. It returns the arena statistics of the
-// sweep.
-func (c *Checker) CompactArena() ArenaStats {
-	var roots []expr.ID
-	if c.store != nil {
-		roots = c.store.AppendExprIDs(roots)
-	}
-	expr.Compact(roots)
-	c.solver.SweepDead()
-	return CurrentArenaStats()
-}
-
-// ArenaStats reports the process-wide expression arena: live node and
-// byte estimates, their high-water marks, and the number of compaction
-// passes performed.
+// ArenaStats reports the process-wide expression arena: its node count
+// and estimated footprint. The arena is append-only, so both only grow.
 type ArenaStats = expr.ArenaStats
 
-// CurrentArenaStats returns the arena statistics without compacting.
+// CurrentArenaStats returns the arena statistics.
 func CurrentArenaStats() ArenaStats { return expr.Stats() }
 
 // prepareUnit runs the static pre-analysis for one (thread CFA,

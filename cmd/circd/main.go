@@ -5,8 +5,7 @@
 //
 //	circd [-addr :8723] [-jobs N] [-parallel N] [-job-timeout 5m]
 //	      [-drain-timeout 30s] [-store-max-entries N] [-k N] [-omega]
-//	      [-compact-arena] [-triage on|off] [-slice on|off]
-//	      [-smt-slowlog 100ms]
+//	      [-triage on|off] [-slice on|off] [-smt-slowlog 100ms]
 //
 // One process holds the hash-consing arena, the shared SMT verdict
 // cache, and the content-addressed certificate store across requests, so
@@ -88,7 +87,6 @@ func run(args []string) int {
 		storeMax     = fs.Int("store-max-entries", 0, "certificate store LRU bound (0: unbounded)")
 		k            = fs.Int("k", 1, "default initial counter parameter")
 		omega        = fs.Bool("omega", false, "default to the omega-CIRC variant")
-		compactArena = fs.Bool("compact-arena", false, "compact the expression arena whenever the daemon goes idle")
 		smtSlowLog   = fs.Duration("smt-slowlog", 100*time.Millisecond, "log SMT solves at or above this duration to /debug/circ/slowlog (0: disable)")
 		quiet        = fs.Bool("quiet", false, "suppress request and job logs")
 	)
@@ -128,7 +126,6 @@ func run(args []string) int {
 		MaxConcurrent: *jobs,
 		JobTimeout:    *jobTimeout,
 		Logger:        logger,
-		CompactArena:  *compactArena,
 	})
 	httpSrv := &http.Server{Addr: *addr, Handler: srv}
 

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"strings"
 
-	"circ/internal/expr"
 	"circ/internal/pred"
 )
 
@@ -189,16 +188,4 @@ func (a *ACFA) Dot() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// AppendExprIDs appends every interned formula ID the context model's
-// location labels hold (region cube formulas and predicate literals) to
-// dst — the ACFA's contribution to an arena-compaction root set.
-func (a *ACFA) AppendExprIDs(dst []expr.ID) []expr.ID {
-	for _, li := range a.Locs {
-		if li.Label != nil {
-			dst = li.Label.AppendExprIDs(dst)
-		}
-	}
-	return dst
 }

@@ -107,16 +107,8 @@ type arena struct {
 	ints   map[int64]ID
 	vars   map[string]ID
 	// bytes is a running estimate of the arena's memory footprint,
-	// maintained at insert and decremented by Compact, so observability
-	// reads are O(1). nodesHW/bytesHW are the process-lifetime high-water
-	// marks; they diverge from the live values after a compaction pass.
-	bytes   int64
-	nodesHW int
-	bytesHW int64
-	// live counts non-tombstoned nodes; it equals len(nodes) until the
-	// first Compact. gen counts Compact passes.
-	live int
-	gen  uint64
+	// maintained at insert so observability reads are O(1).
+	bytes int64
 }
 
 var ar = &arena{
@@ -244,7 +236,7 @@ func internLeaf(kind Kind, ival int64, name string, rep Expr) ID {
 	ar.nodes = append(ar.nodes, inode{kind: kind, ival: ival, name: name, hash: h, rep: rep})
 	id = ID(len(ar.nodes))
 	ar.byHash[h] = append(ar.byHash[h], id)
-	ar.accountInsertLocked(nodeBytes(len(name), 0))
+	ar.bytes += nodeBytes(len(name), 0)
 	switch kind {
 	case KindInt:
 		ar.ints[ival] = id
@@ -296,21 +288,8 @@ func internComposite(kind Kind, op int8, kids []ID) ID {
 	ar.nodes = append(ar.nodes, inode{kind: kind, op: op, kids: own, hash: h, rep: rep})
 	id = ID(len(ar.nodes))
 	ar.byHash[h] = append(ar.byHash[h], id)
-	ar.accountInsertLocked(nodeBytes(0, len(kids)))
+	ar.bytes += nodeBytes(0, len(kids))
 	return id
-}
-
-// accountInsertLocked updates the live/bytes accounting and high-water
-// marks for one inserted node. Caller holds the write lock.
-func (a *arena) accountInsertLocked(nb int64) {
-	a.live++
-	a.bytes += nb
-	if a.live > a.nodesHW {
-		a.nodesHW = a.live
-	}
-	if a.bytes > a.bytesHW {
-		a.bytesHW = a.bytes
-	}
 }
 
 // --- public accessors ---
@@ -332,14 +311,6 @@ func IDHash(id ID) uint64 {
 	h := ar.nodes[id-1].hash
 	ar.mu.RUnlock()
 	return h
-}
-
-// IDKind returns the node kind of id.
-func IDKind(id ID) Kind {
-	ar.mu.RLock()
-	k := ar.nodes[id-1].kind
-	ar.mu.RUnlock()
-	return k
 }
 
 // IDBoolValue reports whether id is a boolean constant and, if so, its
@@ -391,40 +362,25 @@ func IDView(id ID) View {
 	return v
 }
 
-// InternStats reports the number of distinct canonical expressions in the
-// arena, for observability.
-func InternStats() (nodes int) {
-	return Stats().Nodes
-}
-
 // ArenaStats describes the process-wide interning arena for resource
-// watermarking: distinct canonical nodes, an estimated memory footprint,
-// and the high-water marks of both. The live values and the high-water
-// marks diverge after a Compact pass reclaims dead nodes.
+// watermarking: distinct canonical nodes and an estimated memory
+// footprint. The arena is append-only, so both only grow, and IDs are
+// dense: every ID in 1..Nodes is valid and none is ever reused.
 type ArenaStats struct {
-	// Nodes is the number of live (non-tombstoned) interned nodes.
+	// Nodes is the number of interned nodes, which is also the largest
+	// ID handed out.
 	Nodes int
 	// Bytes estimates the arena's memory footprint: per-node struct and
 	// hash-index overhead plus variable-length payloads (names, child
 	// slices, canonical representatives). An estimate, not an exact
 	// runtime measurement — its value is trend visibility.
 	Bytes int64
-	// NodesHighWater and BytesHighWater are the largest values observed
-	// over the process lifetime.
-	NodesHighWater int
-	BytesHighWater int64
-	// Compactions counts completed Compact passes.
-	Compactions uint64
 }
 
 // Stats snapshots the arena's size accounting in O(1).
 func Stats() ArenaStats {
 	ar.mu.RLock()
-	s := ArenaStats{
-		Nodes: ar.live, Bytes: ar.bytes,
-		NodesHighWater: ar.nodesHW, BytesHighWater: ar.bytesHW,
-		Compactions: ar.gen,
-	}
+	s := ArenaStats{Nodes: len(ar.nodes), Bytes: ar.bytes}
 	ar.mu.RUnlock()
 	return s
 }

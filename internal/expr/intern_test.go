@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -229,7 +230,9 @@ func TestArenaStats(t *testing.T) {
 	}
 	// A fresh composite over fresh leaves must grow both nodes and the
 	// byte estimate; re-interning the same structure must grow neither.
-	e := Lt(V("arenaStatsProbe"), Num(987654321))
+	// Names carry the node count so a repeated run (-count=N) interns
+	// fresh leaves too.
+	e := Lt(V(fmt.Sprintf("arenaStatsProbe%d", before.Nodes)), Num(987654321))
 	id := Intern(e)
 	mid := Stats()
 	if mid.Nodes <= before.Nodes || mid.Bytes <= before.Bytes {
@@ -242,10 +245,17 @@ func TestArenaStats(t *testing.T) {
 	if after.Nodes != mid.Nodes || after.Bytes != mid.Bytes {
 		t.Fatalf("re-intern grew the arena: %+v -> %+v", mid, after)
 	}
-	if after.NodesHighWater < after.Nodes || after.BytesHighWater < after.Bytes {
-		t.Fatalf("high-water below live values: %+v", after)
+	// The arena is append-only: IDs are dense, 1-based and never reused,
+	// so the newest node's ID is the node count and every smaller ID
+	// still resolves. ID-keyed caches rely on this.
+	fresh := InternV(fmt.Sprintf("arenaStatsDense%d", after.Nodes))
+	dense := Stats()
+	if int(fresh) != dense.Nodes {
+		t.Fatalf("fresh ID %d, arena holds %d nodes", fresh, dense.Nodes)
 	}
-	if InternStats() != after.Nodes {
-		t.Fatalf("InternStats shim disagrees with Stats")
+	for i := 1; i <= dense.Nodes; i++ {
+		if IDKey(ID(i)) == "" {
+			t.Fatalf("ID %d of %d does not resolve", i, dense.Nodes)
+		}
 	}
 }

@@ -108,14 +108,10 @@ func (s *Server) snapshotMetrics() telemetry.Metrics {
 		m.Gauges["store.entries_high_water"] = ss.EntriesHighWater
 	}
 
-	// Hash-consing arena. Compactions counts idle-time sweep passes
-	// (monotonic, so a counter).
+	// Hash-consing arena.
 	as := expr.Stats()
 	m.Gauges["arena.nodes"] = int64(as.Nodes)
 	m.Gauges["arena.bytes"] = as.Bytes
-	m.Gauges["arena.nodes_high_water"] = int64(as.NodesHighWater)
-	m.Gauges["arena.bytes_high_water"] = as.BytesHighWater
-	m.Counters["arena.compactions"] = int64(as.Compactions)
 
 	// The shared SMT verdict cache and the reach engine need no
 	// injection: the solver and engine are instrumented against this

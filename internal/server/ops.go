@@ -231,9 +231,7 @@ p99 {{printf "%.3fs" .Lifetime.CheckLatency.P99Seconds}}.</p>
 
 <h2>Expression arena &amp; SMT cache</h2>
 <div class="panel">
-<p>Arena: {{.Arena.Nodes}} live nodes, {{bytes .Arena.Bytes}}
-(high water {{.Arena.NodesHighWater}} nodes / {{bytes .Arena.BytesHighWater}};
-{{.Arena.Compactions}} compactions).
+<p>Arena: {{.Arena.Nodes}} nodes, {{bytes .Arena.Bytes}}.
 SMT cache: {{.SMT.Hits}} hits, {{.SMT.Misses}} misses, {{.SMT.FastPath}} fast-path
 (hit rate {{printf "%.0f%%" (mulf .SMT.HitRate 100.0)}});
 {{.SMT.SlowQueries}} slow queries logged.</p>

@@ -60,12 +60,6 @@ type Config struct {
 	// JobRing bounds the completed-job flight-data ring served by
 	// GET /v1/jobs and the ops dashboard. Zero means 64.
 	JobRing int
-	// CompactArena enables idle-time compaction of the shared
-	// expression arena: whenever a job finishes and no other job is
-	// running, nodes unreachable from the certificate store are swept
-	// and SMT cache entries over them dropped. Off by default — a
-	// short-lived daemon never needs it.
-	CompactArena bool
 	// Logger receives request and job lifecycle logs; nil discards.
 	Logger *slog.Logger
 }
@@ -84,15 +78,11 @@ type Server struct {
 	wg        sync.WaitGroup
 	drain     atomic.Bool
 	flushOnce sync.Once
-	// gate excludes arena compaction from running jobs: every job holds
-	// the read side for the duration of CheckTargets, and the sweeper
-	// takes the write side (TryLock — skipped, not queued, while busy).
-	gate   sync.RWMutex
-	nextID atomic.Int64
-	mu     sync.Mutex
-	jobs   map[string]*job
-	order  []string // insertion order, for eviction
-	nJobs  [4]atomic.Int64
+	nextID    atomic.Int64
+	mu        sync.Mutex
+	jobs      map[string]*job
+	order     []string // insertion order, for eviction
+	nJobs     [4]atomic.Int64
 }
 
 // job-outcome counters in Server.nJobs.
@@ -350,33 +340,8 @@ func (s *Server) run(j *job, chk *circ.Checker, targets []circ.Target, timeout t
 
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
-	s.gate.RLock()
 	batch, err := chk.CheckTargets(ctx, j.prog, targets)
-	s.gate.RUnlock()
 	s.complete(j, batch, err)
-	s.maybeCompactArena()
-}
-
-// maybeCompactArena sweeps the expression arena after a job completes,
-// if enabled and the daemon is idle. The gate's write lock can only be
-// taken while no job holds the read side, so live analyses never see a
-// concurrent sweep; TryLock makes a busy daemon skip the pass rather
-// than stall the queue behind it.
-func (s *Server) maybeCompactArena() {
-	if !s.cfg.CompactArena {
-		return
-	}
-	if !s.gate.TryLock() {
-		return
-	}
-	defer s.gate.Unlock()
-	before := expr.Stats()
-	st := s.base.CompactArena()
-	s.log.Info("arena compacted",
-		"freed_nodes", before.Nodes-st.Nodes,
-		"freed_bytes", before.Bytes-st.Bytes,
-		"live_nodes", st.Nodes,
-		"compactions", st.Compactions)
 }
 
 // complete records a job's outcome: the polled job state, the ring's
@@ -429,7 +394,8 @@ func (s *Server) complete(j *job, batch *circ.BatchReport, err error) {
 	}
 	s.reg.Counter("jobs.certs_reused").Add(int64(rec.CertificatesReused))
 	s.log.Info("job finished", "job", j.id, "state", state,
-		"trace_id", j.tc.TraceID, "spans", j.tracer.NumSpans())
+		"trace_id", j.tc.TraceID, "spans", j.tracer.NumSpans(),
+		"dropped_spans", j.tracer.DroppedSpans())
 }
 
 // resolveTargets validates the request's target list against the parsed
@@ -726,11 +692,8 @@ func (s *Server) stats() apiv1.Stats {
 			Cancelled: s.nJobs[cCancelled].Load(),
 		},
 		Arena: apiv1.ArenaStats{
-			Nodes:          int64(as.Nodes),
-			Bytes:          as.Bytes,
-			NodesHighWater: int64(as.NodesHighWater),
-			BytesHighWater: as.BytesHighWater,
-			Compactions:    int64(as.Compactions),
+			Nodes: int64(as.Nodes),
+			Bytes: as.Bytes,
 		},
 		SMT: apiv1.SMTStats{
 			Hits:               smtStats.Hits,

@@ -553,54 +553,6 @@ func getStats(t *testing.T, ts *httptest.Server) apiv1.Stats {
 	return st
 }
 
-// TestIdleCompaction: with Config.CompactArena, the daemon sweeps the
-// expression arena once the last running job finishes — and the sweep
-// must not invalidate stored certificates: a warm resubmission is still
-// re-established from the store with identical verdicts.
-func TestIdleCompaction(t *testing.T) {
-	srv := New(Config{
-		Checker:      circ.NewChecker(circ.WithCertStore(circ.NewCertStore()), circ.WithParallelism(1)),
-		CompactArena: true,
-	})
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	before := getStats(t, ts).Arena.Compactions
-	// Triage off so certificates are actually written and reused.
-	req := apiv1.CheckRequest{Program: tasSrc,
-		Options: &apiv1.Options{Triage: "off"}}
-	cold := await(t, ts, submit(t, ts, req).JobURL)
-	if cold.State != apiv1.StateDone {
-		t.Fatalf("cold: %+v", cold)
-	}
-	after := getStats(t, ts)
-	if after.Arena.Compactions <= before {
-		t.Fatalf("no compaction pass recorded: %d -> %d", before, after.Arena.Compactions)
-	}
-
-	// Certificates live in the store, so their formulas are compaction
-	// roots: the warm leg must still reuse them.
-	warm := await(t, ts, submit(t, ts, req).JobURL)
-	if warm.State != apiv1.StateDone {
-		t.Fatalf("warm: %+v", warm)
-	}
-	reused := 0
-	for i, w := range warm.Results {
-		if c := cold.Results[i]; c.Verdict != w.Verdict {
-			t.Fatalf("%s/%s: verdict drifted across compaction: %q -> %q", w.Thread, w.Variable, c.Verdict, w.Verdict)
-		}
-		if w.CertificateReused {
-			reused++
-		}
-	}
-	if reused == 0 {
-		t.Fatalf("no certificates reused after compaction: %+v", warm.Results)
-	}
-	if st := srv.base.CertStore().Stats(); st.RevalidationFailures != 0 {
-		t.Fatalf("compaction broke stored certificates: %+v", st)
-	}
-}
-
 // TestLegacySchedOptionAccepted: requests from clients that still send
 // the retired options.sched field are accepted (the decoder ignores
 // unknown fields) and produce the same verdicts as the request without

@@ -358,22 +358,4 @@ func (c *Checker) NewSession(phi expr.ID) *Session {
 	return &Session{chk: c, phi: phi}
 }
 
-// SweepDead drops cached verdicts for tombstoned formulas after an
-// arena compaction. The daemon calls this right after expr.Compact, with
-// no analyses in flight. It returns the number of cache entries removed.
-func (c *Checker) SweepDead() (removed int) {
-	for i := range c.core.shards {
-		sh := &c.core.shards[i]
-		sh.mu.Lock()
-		for id := range sh.m {
-			if !expr.Live(id) {
-				delete(sh.m, id)
-				removed++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return removed
-}
-
 var _ Solver = (*Checker)(nil)

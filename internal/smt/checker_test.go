@@ -166,34 +166,3 @@ func TestSessionVerdictsMatchFresh(t *testing.T) {
 		}
 	}
 }
-
-// TestSweepDead: after an arena compaction, cached verdicts for
-// tombstoned formulas are dropped and live entries survive.
-func TestSweepDead(t *testing.T) {
-	c := NewChecker()
-	x := expr.V("swx")
-	liveID := expr.Intern(expr.Gt(x, expr.Num(100)))
-	deadID := expr.Intern(expr.Conj(expr.Gt(x, expr.Num(200)), expr.Lt(x, expr.Num(199))))
-	c.SatID(liveID)
-	c.SatID(deadID)
-
-	expr.Compact([]expr.ID{liveID})
-	removed := c.SweepDead()
-	if removed == 0 {
-		t.Fatalf("SweepDead removed nothing")
-	}
-	sh := c.shard(liveID)
-	sh.mu.RLock()
-	_, liveKept := sh.m[liveID]
-	sh.mu.RUnlock()
-	if !liveKept {
-		t.Fatalf("live entry was swept")
-	}
-	sh = c.shard(deadID)
-	sh.mu.RLock()
-	_, deadKept := sh.m[deadID]
-	sh.mu.RUnlock()
-	if deadKept {
-		t.Fatalf("dead entry survived the sweep")
-	}
-}

@@ -322,29 +322,3 @@ func (s *Store) Stats() Stats {
 		EntriesHighWater:     s.countHW.Load(),
 	}
 }
-
-// AppendExprIDs appends every interned formula ID the stored
-// certificates will dereference again — context-model labels, predicate
-// sets, and trace formulas — to dst, for use as arena-compaction roots.
-// Preds and TF are stored as expression trees; interning them here
-// yields (and thereby roots) the canonical IDs any revalidation of the
-// entry would intern on the spot.
-func (s *Store) AppendExprIDs(dst []expr.ID) []expr.ID {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			if e.ACFA != nil {
-				dst = e.ACFA.AppendExprIDs(dst)
-			}
-			for _, p := range e.Preds {
-				dst = append(dst, expr.Intern(p))
-			}
-			for _, f := range e.TF {
-				dst = append(dst, expr.Intern(f))
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return dst
-}

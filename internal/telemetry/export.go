@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 	"time"
 )
 
@@ -27,7 +28,8 @@ type traceEvent struct {
 
 // traceFile is the JSON object form of the trace_event format. OtherData
 // is ignored by viewers but carries the job's trace identity so a saved
-// trace remains correlatable with logs and the job ring.
+// trace remains correlatable with logs and the job ring, and the number
+// of spans dropped at the tracer's cap so a truncated trace says so.
 type traceFile struct {
 	TraceEvents     []traceEvent      `json:"traceEvents"`
 	DisplayTimeUnit string            `json:"displayTimeUnit"`
@@ -80,7 +82,7 @@ func (t *Tracer) Export(w io.Writer) error {
 	if t == nil {
 		return nil
 	}
-	return writeTraceFile(w, t.spanTraceEvents(), t.TraceContext())
+	return writeTraceFile(w, t.spanTraceEvents(), t.TraceContext(), t.DroppedSpans())
 }
 
 // ExportFile writes the trace to path; see Export.
@@ -99,10 +101,10 @@ func (t *Tracer) ExportFile(path string) error {
 	return f.Close()
 }
 
-// writeTraceFile stamps the trace identity onto every event and encodes
-// the file. With a zero identity the output is byte-identical to the
-// historical exporter format.
-func writeTraceFile(w io.Writer, events []traceEvent, tc TraceContext) error {
+// writeTraceFile stamps the trace identity onto every event, records any
+// dropped spans, and encodes the file. With a zero identity and nothing
+// dropped the output is byte-identical to the historical exporter format.
+func writeTraceFile(w io.Writer, events []traceEvent, tc TraceContext, dropped int64) error {
 	out := traceFile{TraceEvents: events, DisplayTimeUnit: "ms"}
 	if out.TraceEvents == nil {
 		out.TraceEvents = []traceEvent{}
@@ -121,6 +123,12 @@ func writeTraceFile(w io.Writer, events []traceEvent, tc TraceContext) error {
 		if tc.ParentID != "" {
 			out.OtherData["parent_span_id"] = tc.ParentID
 		}
+	}
+	if dropped > 0 {
+		if out.OtherData == nil {
+			out.OtherData = map[string]string{}
+		}
+		out.OtherData["dropped_spans"] = strconv.FormatInt(dropped, 10)
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")

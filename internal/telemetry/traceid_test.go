@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -101,5 +103,19 @@ func TestTracerMaxSpans(t *testing.T) {
 	}
 	if d := tr.DroppedSpans(); d != 3 {
 		t.Fatalf("dropped %d spans, want 3", d)
+	}
+	// The export must say it is truncated.
+	var buf bytes.Buffer
+	if err := tr.Export(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var file struct {
+		OtherData map[string]string `json:"otherData"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &file); err != nil {
+		t.Fatal(err)
+	}
+	if got := file.OtherData["dropped_spans"]; got != "3" {
+		t.Fatalf("otherData = %v, want dropped_spans 3", file.OtherData)
 	}
 }
