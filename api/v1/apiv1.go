@@ -16,7 +16,6 @@
 //	GET  /v1/stats            -> Stats
 //	GET  /metrics             -> Prometheus text exposition (format 0.0.4)
 //	GET  /debug/circ/ops      -> text/html ops dashboard
-//	GET  /debug/circ/slowlog  -> SlowLog (SMT slow-query ring)
 //
 // Every /v1 endpoint accepts a W3C traceparent request header; the
 // daemon joins the caller's distributed trace when one is supplied and
@@ -173,7 +172,10 @@ type JobSummary struct {
 	FinishedAt     time.Time `json:"finished_at"`
 	ElapsedSeconds float64   `json:"elapsed_seconds"`
 	// SMTSolveSeconds is the cumulative wall time the job spent inside
-	// the SMT solver (sum over all solver calls; concurrent calls add).
+	// the SMT solver: the sum of the smt.solve span durations in the
+	// job's trace (concurrent solves add). Cache hits do not solve and
+	// record no span; spans dropped at the trace's span cap are not
+	// counted.
 	SMTSolveSeconds float64 `json:"smt_solve_seconds"`
 	// Targets counts the job's analysis units; Safe/Unsafe/Unknown/Errors
 	// split them by verdict.
@@ -214,7 +216,9 @@ type JobList struct {
 	Evicted int64        `json:"evicted"`
 }
 
-// Stats is the daemon-wide /v1/stats snapshot.
+// Stats is the daemon-wide /v1/stats snapshot. It is computed from the
+// same snapshot /metrics renders, so every number in it is also a
+// /metrics series (or, for hit rates, a ratio of two).
 type Stats struct {
 	Build    BuildInfo     `json:"build"`
 	Jobs     JobStats      `json:"jobs"`
@@ -253,21 +257,23 @@ type ArenaStats struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// SMTStats describes the shared SMT verdict cache.
+// SMTStats describes the shared SMT verdict cache: the
+// circ_smt_cache_{hits,misses,fastpath}_total series of /metrics, and
+// HitRate = Hits / (Hits + Misses).
 type SMTStats struct {
 	Hits     int64   `json:"hits"`
 	Misses   int64   `json:"misses"`
 	FastPath int64   `json:"fast_path"`
 	HitRate  float64 `json:"hit_rate"`
-	// SlowQueries counts solves that exceeded the -smt-slowlog threshold;
-	// SlowLogThresholdMS is the active threshold (0: capture disabled).
-	// The entries themselves are served at /debug/circ/slowlog.
-	SlowQueries        int64   `json:"slow_queries"`
-	SlowLogThresholdMS float64 `json:"slowlog_threshold_ms,omitempty"`
 }
 
 // StoreStats describes the certificate store, including its LRU bound
-// and growth watermarks.
+// and growth watermarks. Hits, Misses, Writes, Revalidations and
+// RevalidationFailures are the circ_store_{hit,miss,write,reused,
+// revalidation_failed}_total series of /metrics: store lookups that hit
+// and missed, entries written, hits whose verdict was re-established
+// from the certificate, and hits whose certificate failed
+// re-validation. HitRatio is Hits / (Hits + Misses).
 type StoreStats struct {
 	Entries              int     `json:"entries"`
 	Hits                 int64   `json:"hits"`
@@ -306,7 +312,8 @@ type TriageStats struct {
 // daemon's lifetime (counters survive ring eviction).
 type LifetimeStats struct {
 	// Targets counts analysis units across all completed jobs;
-	// CertificatesReused of them were re-established from the store.
+	// CertificatesReused of them were re-established from the store (the
+	// circ_store_reused_total series).
 	Targets            int64 `json:"targets"`
 	CertificatesReused int64 `json:"certificates_reused"`
 	// ReuseHitRate is CertificatesReused / Targets, in [0, 1].
@@ -325,33 +332,6 @@ type LatencyQuantiles struct {
 	P50Seconds float64 `json:"p50_seconds"`
 	P95Seconds float64 `json:"p95_seconds"`
 	P99Seconds float64 `json:"p99_seconds"`
-}
-
-// SlowLog answers GET /debug/circ/slowlog: the retained SMT slow-query
-// entries, newest first. Entry fields mirror the checker's slow-query
-// record: sequence number, capture time, interned formula ID, query kind
-// ("direct" or "session"), the session's cube key, duration, result, and
-// the clause-sharing traffic attributable to the solve.
-type SlowLog struct {
-	// ThresholdMS is the active capture threshold (0: disabled).
-	ThresholdMS float64 `json:"threshold_ms"`
-	// Total counts slow queries ever recorded, including entries the
-	// bounded ring has since overwritten.
-	Total int64 `json:"total"`
-	// Entries is the retained ring, newest first.
-	Entries []SlowQueryEntry `json:"entries"`
-}
-
-// SlowQueryEntry is one captured slow SMT solve.
-type SlowQueryEntry struct {
-	Seq        int64     `json:"seq"`
-	At         time.Time `json:"at"`
-	FormulaID  uint64    `json:"formula_id"`
-	Kind       string    `json:"kind"`
-	CubeKey    string    `json:"cube_key,omitempty"`
-	DurationMS float64   `json:"duration_ms"`
-	Result     string    `json:"result"`
-	TraceID    string    `json:"trace_id,omitempty"`
 }
 
 // Error is the JSON error body accompanying every non-2xx response.

@@ -24,7 +24,7 @@
 //	}
 //
 // Checker is the primary entry point: it is configured once with
-// functional options (WithK, WithOmega, WithLog, WithParallelism), carries
+// functional options (WithK, WithOmega, WithLogger, WithParallelism), carries
 // a process-wide concurrent SMT cache shared by every analysis it runs,
 // and is safe for concurrent use. CheckAllRaces checks every (thread,
 // global) pair of a program in one batch over a bounded worker pool.
@@ -39,12 +39,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
 	"strings"
-	"time"
 
 	"circ/internal/cfa"
 	icirc "circ/internal/circ"
@@ -111,7 +109,8 @@ type (
 	// Span is one timed region of a trace.
 	Span = telemetry.Span
 	// MetricsRegistry aggregates live counters; obtain the Checker's with
-	// Checker.Metrics, publish it with MetricsRegistry.PublishExpvar.
+	// Checker.Metrics. Checker.Snapshot reads it together with the counts
+	// other structures own.
 	MetricsRegistry = telemetry.Registry
 )
 
@@ -249,19 +248,11 @@ func WithK(k int) Option { return func(c *Checker) { c.k = k } }
 // reachability plus the good-location generalisation check.
 func WithOmega(omega bool) Option { return func(c *Checker) { c.omega = omega } }
 
-// WithLog directs a narration of every iteration to w, rendered as plain
-// text. It is a compatibility shim over WithLogger: the narration is
-// emitted through a slog handler that formats records as the classic
-// line-oriented log. In batch runs the narration is only emitted when a
-// single analysis runs at a time (parallelism 1 or a single target), to
-// keep it readable.
-func WithLog(w io.Writer) Option {
-	return func(c *Checker) { c.logger = telemetry.NarrationLogger(w) }
-}
-
 // WithLogger directs the per-iteration narration to a structured slog
-// handler (nil disables logging). Use telemetry's NarrationLogger — or
-// WithLog — for the classic plain-text rendering.
+// handler (nil disables logging). telemetry.NewNarrationHandler renders
+// the classic plain-text narration. In batch runs the narration is only
+// emitted when a single analysis runs at a time (parallelism 1 or a
+// single target), to keep it readable.
 func WithLogger(h slog.Handler) Option {
 	return func(c *Checker) {
 		if h == nil {
@@ -277,26 +268,6 @@ func WithLogger(h slog.Handler) Option {
 // Tracer.ExportFile as Chrome trace_event JSON (open in chrome://tracing
 // or Perfetto). A nil tracer (the default) costs nothing on the hot path.
 func WithTracer(tr *Tracer) Option { return func(c *Checker) { c.tracer = tr } }
-
-// WithSMTSlowLog enables the SMT slow-query log: solver misses taking at
-// least threshold are captured — formula ID, query kind, cube key,
-// duration, result, trace ID — into a bounded ring shared by every
-// Checker derived from this one, readable with SlowQueries. Zero (the
-// default) disables capture.
-func WithSMTSlowLog(threshold time.Duration) Option {
-	return func(c *Checker) { c.solver.SetSlowQueryThreshold(threshold) }
-}
-
-// SlowQuery is one captured slow SMT solve; see WithSMTSlowLog.
-type SlowQuery = smt.SlowQuery
-
-// SlowQueries returns the retained slow-query log entries, newest first.
-// Empty until a threshold is set with WithSMTSlowLog.
-func (c *Checker) SlowQueries() []SlowQuery { return c.solver.SlowQueries() }
-
-// SMTSlowLogThreshold returns the active slow-query threshold (0 when
-// capture is disabled).
-func (c *Checker) SMTSlowLogThreshold() time.Duration { return c.solver.SlowQueryThreshold() }
 
 // WithParallelism bounds the worker pool of a batch run: at most n
 // (thread, variable) units are analysed concurrently, each on one
@@ -415,10 +386,45 @@ func (c *Checker) Derive(opts ...Option) *Checker {
 func (c *Checker) SMTStats() smt.CacheStats { return c.solver.Stats() }
 
 // Metrics returns the Checker's live metrics registry, aggregating the
-// counters of every analysis run through it. Snapshot it with
-// MetricsRegistry.Snapshot, or publish it with PublishExpvar; per-analysis
-// snapshots are embedded in each Report.
+// counters of every analysis run through it. Per-analysis snapshots are
+// embedded in each Report; Snapshot adds the counts the registry does not
+// hold.
 func (c *Checker) Metrics() *MetricsRegistry { return c.registry }
+
+// storeCounters are the engine's certificate-store counters: lookups that
+// hit and missed, entries written, verdicts re-established from a stored
+// certificate, and hits whose evidence failed re-validation. They are the
+// only record of store traffic.
+var storeCounters = []string{"store.hit", "store.miss", "store.write", "store.reused", "store.revalidation_failed"}
+
+// Snapshot is the Checker's one metrics snapshot, every value read now:
+// the registry's counters, gauges and histograms; the shared SMT cache's
+// counts (smt.cache.*, smt.queries, smt.theory.checks,
+// smt.sat.conflicts); and the expression arena's size (arena.nodes,
+// arena.bytes). With a certificate store attached it adds the store's own
+// figures (store.evictions, store.entries, store.max_entries,
+// store.bytes and the two high-water marks) and reports every engine
+// store counter, zero until its first event.
+func (c *Checker) Snapshot() Metrics {
+	m := c.registry.Snapshot()
+	c.solver.AddMetrics(&m)
+	if c.store != nil {
+		for _, name := range storeCounters {
+			m.SetCounter(name, m.Counter(name))
+		}
+		ss := c.store.Stats()
+		m.SetCounter("store.evictions", ss.Evictions)
+		m.SetGauge("store.entries", int64(ss.Entries))
+		m.SetGauge("store.max_entries", int64(ss.MaxEntries))
+		m.SetGauge("store.bytes", ss.Bytes)
+		m.SetGauge("store.bytes_high_water", ss.BytesHighWater)
+		m.SetGauge("store.entries_high_water", ss.EntriesHighWater)
+	}
+	as := expr.Stats()
+	m.SetGauge("arena.nodes", int64(as.Nodes))
+	m.SetGauge("arena.bytes", as.Bytes)
+	return m
+}
 
 // options assembles the internal engine options for one analysis.
 func (c *Checker) options(logger *slog.Logger) icirc.Options {

@@ -17,8 +17,8 @@
 //
 // Observability flags: -trace out.json writes a Chrome trace_event
 // trace — the analysis span tree (open in chrome://tracing or Perfetto),
-// -metrics out.json writes a
-// metrics-registry snapshot, -journal out.jsonl writes the structured
+// -metrics out.json writes the checker's metrics snapshot (the same one
+// expvar serves), -journal out.jsonl writes the structured
 // inference journal (one JSON event per line, byte-identical at any
 // -parallel), -report out.html renders a self-contained HTML race report,
 // and -pprof addr serves net/http/pprof plus expvar (live metrics at
@@ -42,7 +42,7 @@ import (
 
 	"circ"
 	"circ/internal/journal"
-	"circ/internal/refine"
+	"circ/internal/telemetry"
 )
 
 func main() {
@@ -100,7 +100,7 @@ func run(args []string) int {
 		dotOut    = fs.String("dot", "", "write the thread CFA and (on safe) the inferred context ACFA as dot files with this prefix")
 		verify    = fs.Bool("verify", false, "independently re-check a safe verdict's certificate (Algorithm Check)")
 		traceOut  = fs.String("trace", "", "write a Chrome trace_event JSON span trace to this file")
-		metrics   = fs.String("metrics", "", "write a JSON metrics-registry snapshot to this file")
+		metrics   = fs.String("metrics", "", "write the checker's JSON metrics snapshot to this file")
 		jsonlOut  = fs.String("journal", "", "write the structured inference journal (JSONL) to this file")
 		htmlOut   = fs.String("report", "", "write a self-contained HTML race report to this file")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof, expvar, and /debug/circ on this address (e.g. localhost:6060)")
@@ -144,7 +144,7 @@ func run(args []string) int {
 		circ.WithSeedPredicates(bool(seedPreds)),
 	}
 	if *verbose {
-		opts = append(opts, circ.WithLog(os.Stderr))
+		opts = append(opts, circ.WithLogger(telemetry.NewNarrationHandler(os.Stderr)))
 	}
 	var tracer *circ.Tracer
 	if *traceOut != "" {
@@ -162,7 +162,7 @@ func run(args []string) int {
 	// discharged for one variable are reused for the next.
 	chk := circ.NewChecker(opts...)
 	if *pprofAddr != "" {
-		chk.Metrics().PublishExpvar("circ")
+		telemetry.PublishExpvar("circ", chk.Snapshot)
 		circ.MountJournal(http.DefaultServeMux, jr)
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -177,14 +177,12 @@ func run(args []string) int {
 	}
 	worst := 0
 	var sections []journal.CaseSection
-	counts := map[string]int{}
 	for _, v := range vars {
 		code, sec := checkOne(context.Background(), chk, prog, string(src), v, *thread, *verbose, *baselines, *dotOut, *verify)
 		if code > worst {
 			worst = code
 		}
 		sections = append(sections, sec)
-		counts[sec.Verdict]++
 	}
 	if *baseline != "" {
 		printBaselineComparison(string(src), *thread, *baseline, vars, sections)
@@ -197,7 +195,7 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "wrote %s (%d spans)\n", *traceOut, tracer.NumSpans())
 	}
 	if *metrics != "" {
-		data, err := json.MarshalIndent(chk.Metrics().Snapshot(), "", "  ")
+		data, err := json.MarshalIndent(chk.Snapshot(), "", "  ")
 		if err != nil {
 			cliErr(err)
 			return 3
@@ -227,7 +225,7 @@ func run(args []string) int {
 		if err == nil {
 			err = journal.RenderHTML(f, journal.HTMLData{
 				Title:   "circ race report: " + fs.Arg(0),
-				Summary: verdictSummary(counts),
+				Summary: circ.VerdictSummary(sections),
 				Cases:   sections,
 				Events:  jr.Events(),
 			})
@@ -242,20 +240,6 @@ func run(args []string) int {
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *htmlOut)
 	}
 	return worst
-}
-
-// verdictSummary renders the per-verdict case counts ("2 safe, 1 unsafe").
-func verdictSummary(counts map[string]int) string {
-	var parts []string
-	for _, v := range []string{"safe", "unsafe", "unknown", "error"} {
-		if n := counts[v]; n > 0 {
-			parts = append(parts, fmt.Sprintf("%d %s", n, v))
-		}
-	}
-	if len(parts) == 0 {
-		return "no cases"
-	}
-	return strings.Join(parts, ", ")
 }
 
 // printBaselineComparison runs the requested baseline analyzers once and
@@ -333,33 +317,12 @@ func printBaselineComparison(src, thread, which string, vars []string, sections 
 	}
 }
 
-// caseName mirrors the engine's journal case naming for one (thread,
-// variable) unit, so HTML sections line up with journal events.
-func caseName(thread, varName string) string {
-	if thread == "" {
-		return varName
-	}
-	return thread + "/" + varName
-}
-
 func checkOne(ctx context.Context, chk *circ.Checker, prog *circ.Program, src, varName, thread string, verbose, baselines bool, dotOut string, verify bool) (int, journal.CaseSection) {
-	sec := journal.CaseSection{Name: caseName(thread, varName)}
 	rep, err := chk.Check(ctx, prog, thread, varName)
+	sec := prog.Section(circ.TargetReport{Target: circ.Target{Thread: thread, Variable: varName}, Report: rep, Err: err})
 	if err != nil {
 		cliErr(err)
-		sec.Verdict = "error"
-		sec.Summary = err.Error()
 		return 3, sec
-	}
-	sec.Verdict = rep.Verdict.String()
-	sec.Summary = rep.Summary()
-	for _, p := range rep.Preds {
-		sec.Preds = append(sec.Preds, p.String())
-	}
-	if a := rep.FinalACFA; a != nil {
-		sec.ACFAText, sec.ACFADot = a.String(), a.Dot()
-	} else if a := rep.LastACFA; a != nil {
-		sec.ACFAText, sec.ACFADot = a.String(), a.Dot()
 	}
 
 	switch rep.Verdict {
@@ -397,12 +360,6 @@ func checkOne(ctx context.Context, chk *circ.Checker, prog *circ.Program, src, v
 		}
 	case circ.Unsafe:
 		fmt.Printf("UNSAFE: race on %q; interleaved trace (T0 = main):\n", varName)
-		sec.Trace = rep.Race.String()
-		if rep.Witness != nil {
-			if c, err := prog.CFA(thread); err == nil {
-				sec.Trace = refine.FormatTraceWithWitness(c, rep.Race, rep.Witness)
-			}
-		}
 		fmt.Print(sec.Trace)
 	default:
 		fmt.Printf("UNKNOWN on %q: %s\n", varName, rep.Reason)

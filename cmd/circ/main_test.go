@@ -174,8 +174,9 @@ func TestRunTraceOutput(t *testing.T) {
 	}
 }
 
-// TestRunMetricsOutput checks that -metrics writes a JSON snapshot with
-// the engine's core counters.
+// TestRunMetricsOutput checks that -metrics writes the checker's JSON
+// snapshot: the engine's core counters plus the solver counts and arena
+// size read when the snapshot is taken.
 func TestRunMetricsOutput(t *testing.T) {
 	path := writeProg(t, safeSrc)
 	metricsFile := filepath.Join(t.TempDir(), "metrics.json")
@@ -193,12 +194,12 @@ func TestRunMetricsOutput(t *testing.T) {
 	if err := json.Unmarshal(data, &snap); err != nil {
 		t.Fatalf("metrics snapshot is not valid JSON: %v", err)
 	}
-	for _, want := range []string{"circ.iterations", "reach.states", "bisim.collapses"} {
+	for _, want := range []string{"circ.iterations", "reach.states", "bisim.collapses", "smt.queries", "smt.cache.misses"} {
 		if snap.Counters[want] == 0 {
 			t.Fatalf("counter %q missing or zero in snapshot: %v", want, snap.Counters)
 		}
 	}
-	if snap.Gauges["smt.queries"] == 0 {
-		t.Fatalf("gauge smt.queries missing or zero: %v", snap.Gauges)
+	if snap.Gauges["arena.nodes"] == 0 {
+		t.Fatalf("gauge arena.nodes missing or zero: %v", snap.Gauges)
 	}
 }

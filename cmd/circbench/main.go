@@ -11,7 +11,8 @@
 // -parallel N sets the analysis worker pool (0: GOMAXPROCS); every phase
 // reports wall-clock time and SMT cache hit rates. -trace, -metrics, and
 // -pprof expose the telemetry layer: a Chrome trace_event span trace, a
-// metrics-registry snapshot, and a net/http/pprof + expvar debug server.
+// metrics snapshot (the phases' registry plus the shared solver's counts),
+// and a net/http/pprof + expvar debug server serving the same snapshot.
 package main
 
 import (
@@ -38,7 +39,6 @@ import (
 	"circ/internal/journal"
 	"circ/internal/lang"
 	"circ/internal/lockset"
-	"circ/internal/refine"
 	"circ/internal/smt"
 	"circ/internal/telemetry"
 )
@@ -48,11 +48,10 @@ var (
 	benchOut   = flag.String("benchout", "BENCH_parallel.json", "output path for the -bench report")
 	programDir = flag.String("programs", "examples/programs", "directory of .mn programs to include in -bench (skipped when missing)")
 	traceOut   = flag.String("trace", "", "write a Chrome trace_event JSON span trace to this file")
-	metricsOut = flag.String("metrics", "", "write a JSON metrics-registry snapshot to this file")
+	metricsOut = flag.String("metrics", "", "write a JSON metrics snapshot to this file")
 	jsonlOut   = flag.String("journal", "", "write the structured inference journal (JSONL) to this file")
 	htmlOut    = flag.String("report", "", "write a self-contained HTML report of every analysis to this file")
 	pprofAddr  = flag.String("pprof", "", "serve net/http/pprof, expvar, and /debug/circ on this address (e.g. localhost:6060)")
-	smtSlowLog = flag.Duration("smt-slowlog", 100*time.Millisecond, "SMT slow-query threshold for the -bench legs (0: disable)")
 )
 
 // chk is the process-wide SMT layer: every phase shares it, so the
@@ -66,6 +65,14 @@ var (
 	tracer  *telemetry.Tracer
 	baseCtx = context.Background()
 )
+
+// snapshot is the -metrics and expvar snapshot: the phases' registry plus
+// the shared solver's counts, read now.
+func snapshot() telemetry.Metrics {
+	m := reg.Snapshot()
+	chk.AddMetrics(&m)
+	return m
+}
 
 // jr is the flight recorder behind -journal, -report, and the live
 // /debug/circ endpoints; jSections collects the per-analysis HTML panels.
@@ -99,7 +106,7 @@ func main() {
 		jr = journal.New()
 	}
 	if *pprofAddr != "" {
-		reg.PublishExpvar("circ")
+		telemetry.PublishExpvar("circ", snapshot)
 		journal.Mount(http.DefaultServeMux, jr)
 		go func() {
 			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
@@ -133,7 +140,7 @@ func main() {
 		fmt.Printf("wrote %s (%d spans; open in chrome://tracing or Perfetto)\n", *traceOut, tracer.NumSpans())
 	}
 	if *metricsOut != "" {
-		data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
+		data, err := json.MarshalIndent(snapshot(), "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "circbench:", err)
 			os.Exit(1)
@@ -230,26 +237,7 @@ func recordSection(name string, c *cfa.CFA, rep *icirc.Report) {
 	if jr == nil {
 		return
 	}
-	sec := journal.CaseSection{
-		Name:    name,
-		Verdict: rep.Verdict.String(),
-		Summary: rep.Summary(),
-	}
-	for _, p := range rep.Preds {
-		sec.Preds = append(sec.Preds, p.String())
-	}
-	if rep.Race != nil {
-		sec.Trace = rep.Race.String()
-		if rep.Witness != nil {
-			sec.Trace = refine.FormatTraceWithWitness(c, rep.Race, rep.Witness)
-		}
-	}
-	if a := rep.FinalACFA; a != nil {
-		sec.ACFAText, sec.ACFADot = a.String(), a.Dot()
-	} else if a := rep.LastACFA; a != nil {
-		sec.ACFAText, sec.ACFADot = a.String(), a.Dot()
-	}
-	jSections = append(jSections, sec)
+	jSections = append(jSections, circ.CaseSection(name, rep, c))
 }
 
 func check(app benchapps.App) (*icirc.Report, *cfa.CFA, time.Duration) {
@@ -407,16 +395,17 @@ type benchRow struct {
 	Speedup       float64           `json:"speedup"`
 	// Warm-leg measurements: the case checked twice through one checker
 	// with a certificate store. WarmMillis is the second (warm) batch's
-	// wall time, CertsReused the number of its targets re-established
-	// from certificates, and ReuseHitRate CertsReused / Targets.
-	WarmMillis   float64 `json:"warm_ms"`
-	CertsReused  int     `json:"certs_reused"`
-	ReuseHitRate float64 `json:"reuse_hit_rate"`
-	SMTQueries   int64   `json:"smt_queries"`
-	CacheHits    int64   `json:"cache_hits"`
-	CacheMisses  int64   `json:"cache_misses"`
-	FastPath     int64   `json:"fastpath"`
-	HitRate      float64 `json:"hit_rate"`
+	// wall time, CertificatesReused the number of its targets
+	// re-established from certificates (its store.reused counter), and
+	// ReuseHitRate CertificatesReused / Targets.
+	WarmMillis         float64 `json:"warm_ms"`
+	CertificatesReused int64   `json:"certificates_reused"`
+	ReuseHitRate       float64 `json:"reuse_hit_rate"`
+	SMTQueries         int64   `json:"smt_queries"`
+	CacheHits          int64   `json:"cache_hits"`
+	CacheMisses        int64   `json:"cache_misses"`
+	FastPath           int64   `json:"fastpath"`
+	HitRate            float64 `json:"hit_rate"`
 	// Allocation intensity of the parallel run, from runtime.MemStats
 	// deltas over all SMT queries issued (hits + misses + fast path).
 	AllocsPerQuery float64 `json:"allocs_per_query"`
@@ -436,9 +425,6 @@ type benchRow struct {
 	ParIterations    int64 `json:"par_iterations"`
 	NoSeedIterations int64 `json:"noseed_iterations"`
 	SeedIterDelta    int64 `json:"seed_iter_delta"`
-	// SlowQueries counts the parallel run's SMT solves at or above the
-	// -smt-slowlog threshold.
-	SlowQueries int64 `json:"slow_queries"`
 }
 
 type benchReport struct {
@@ -465,14 +451,11 @@ type benchReport struct {
 	// over every parallel run) as millisecond quantiles, keyed by
 	// histogram name ("smt.solve", "bisim.collapse", ...).
 	PhaseLatency map[string]quantilesMs `json:"phase_latency_ms"`
-	// SlowQueries totals the parallel legs' SMT solves at or above the
-	// -smt-slowlog threshold.
-	SlowQueries int64 `json:"slow_queries"`
 	// Metrics is the merged telemetry snapshot of every parallel run:
 	// engine counters (reach.*, bisim.*, refine.*, triage.*) and duration
-	// histograms summed across benchmark cases. Gauges (the smt.* solver
-	// totals among them) are point-in-time values that do not sum; each
-	// row carries its own case's.
+	// histograms summed across benchmark cases. Gauges are point-in-time
+	// values that do not sum and are left out; the solver's counts are
+	// each row's smt_queries and cache columns.
 	Metrics telemetry.Metrics `json:"metrics"`
 }
 
@@ -539,34 +522,26 @@ func benchCases() []benchCase {
 func runOnce(src string, par int, seed bool) (*circ.BatchReport, error) {
 	return circ.CheckAllRaces(context.Background(), src,
 		circ.WithParallelism(par), circ.WithTracer(tracer),
-		circ.WithSeedPredicates(seed), circ.WithSMTSlowLog(*smtSlowLog))
+		circ.WithSeedPredicates(seed))
 }
 
 // runWarm measures incremental re-checking: the same program is checked
 // twice through one checker holding a certificate store, so the second
-// (warm) batch re-establishes verdicts from certificates. Returns the
-// warm batch and how many of its targets were served from the store.
-func runWarm(src string, par int) (warm *circ.BatchReport, reused int, err error) {
+// (warm) batch re-establishes verdicts from certificates; its
+// store.reused counter says how many of its targets were served from the
+// store.
+func runWarm(src string, par int) (*circ.BatchReport, error) {
 	chk := circ.NewChecker(
 		circ.WithCertStore(circ.NewCertStore()),
 		circ.WithParallelism(par), circ.WithTracer(tracer))
 	prog, err := circ.Parse(src)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	if _, err := chk.CheckTargets(context.Background(), prog, nil); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	warm, err = chk.CheckTargets(context.Background(), prog, nil)
-	if err != nil {
-		return nil, 0, err
-	}
-	for _, r := range warm.Results {
-		if r.Report != nil && r.Report.Metrics.Counter("store.reused") > 0 {
-			reused++
-		}
-	}
-	return warm, reused, nil
+	return chk.CheckTargets(context.Background(), prog, nil)
 }
 
 // dischargeReasons extracts the per-rule discharge counts from a run's
@@ -616,7 +591,7 @@ func runBench() {
 			os.Exit(1)
 		}
 		runtime.ReadMemStats(&msAfter)
-		warmRep, reused, err := runWarm(bc.Source, par)
+		warmRep, err := runWarm(bc.Source, par)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "circbench: bench", bc.Name, "(warm):", err)
 			os.Exit(1)
@@ -630,19 +605,19 @@ func runBench() {
 			os.Exit(1)
 		}
 		row := benchRow{
-			Name:          bc.Name,
-			Targets:       len(parRep.Results),
-			Verdicts:      map[string]string{},
-			VerdictsAgree: true,
-			SeqMillis:     float64(seq.Elapsed.Microseconds()) / 1000,
-			ParMillis:     float64(parRep.Elapsed.Microseconds()) / 1000,
-			WarmMillis:    float64(warmRep.Elapsed.Microseconds()) / 1000,
-			CertsReused:   reused,
-			SMTQueries:    parRep.SMT.Solver.Queries,
-			CacheHits:     parRep.SMT.Hits,
-			CacheMisses:   parRep.SMT.Misses,
-			FastPath:      parRep.SMT.FastPath,
-			HitRate:       parRep.SMT.HitRate(),
+			Name:               bc.Name,
+			Targets:            len(parRep.Results),
+			Verdicts:           map[string]string{},
+			VerdictsAgree:      true,
+			SeqMillis:          float64(seq.Elapsed.Microseconds()) / 1000,
+			ParMillis:          float64(parRep.Elapsed.Microseconds()) / 1000,
+			WarmMillis:         float64(warmRep.Elapsed.Microseconds()) / 1000,
+			CertificatesReused: warmRep.Metrics.Counter("store.reused"),
+			SMTQueries:         parRep.SMT.Solver.Queries,
+			CacheHits:          parRep.SMT.Hits,
+			CacheMisses:        parRep.SMT.Misses,
+			FastPath:           parRep.SMT.FastPath,
+			HitRate:            parRep.SMT.HitRate(),
 
 			TriageDischarged:   parRep.Metrics.Counter("triage.discharged"),
 			DischargedByReason: dischargeReasons(parRep.Metrics),
@@ -650,9 +625,7 @@ func runBench() {
 			SeededPredicates:   parRep.Metrics.Counter("seed.predicates"),
 			ParIterations:      parRep.Metrics.Counter("circ.iterations"),
 			NoSeedIterations:   noSeed.Metrics.Counter("circ.iterations"),
-			SlowQueries:        parRep.SMT.SlowQueries,
 		}
-		report.SlowQueries += row.SlowQueries
 		if queries := row.CacheHits + row.CacheMisses + row.FastPath; queries > 0 {
 			row.AllocsPerQuery = float64(msAfter.Mallocs-msBefore.Mallocs) / float64(queries)
 			row.BytesPerQuery = float64(msAfter.TotalAlloc-msBefore.TotalAlloc) / float64(queries)
@@ -675,7 +648,7 @@ func runBench() {
 			row.Speedup = row.SeqMillis / row.ParMillis
 		}
 		if row.Targets > 0 {
-			row.ReuseHitRate = float64(row.CertsReused) / float64(row.Targets)
+			row.ReuseHitRate = float64(row.CertificatesReused) / float64(row.Targets)
 		}
 		row.SeedIterDelta = row.NoSeedIterations - row.ParIterations
 		if row.SeedIterDelta > 0 {
@@ -710,10 +683,11 @@ func runBench() {
 	if nSpeedups > 0 {
 		report.GeomeanSpeedup = math.Exp(logSum / float64(nSpeedups))
 	}
-	var targets, reused int
+	var targets int
+	var reused int64
 	for _, row := range report.Rows {
 		targets += row.Targets
-		reused += row.CertsReused
+		reused += row.CertificatesReused
 	}
 	if targets > 0 {
 		report.ReuseHitRate = float64(reused) / float64(targets)

@@ -5,7 +5,7 @@
 //
 //	circd [-addr :8723] [-jobs N] [-parallel N] [-job-timeout 5m]
 //	      [-drain-timeout 30s] [-store-max-entries N] [-k N] [-omega]
-//	      [-triage on|off] [-slice on|off] [-smt-slowlog 100ms]
+//	      [-triage on|off] [-slice on|off]
 //
 // One process holds the hash-consing arena, the shared SMT verdict
 // cache, and the content-addressed certificate store across requests, so
@@ -20,7 +20,6 @@
 //	curl -s localhost:8723/v1/jobs/j000001/events             # live SSE journal
 //	curl -s localhost:8723/v1/jobs/j000001/trace              # Chrome trace_event JSON
 //	curl -s localhost:8723/v1/stats                           # cache telemetry
-//	curl -s localhost:8723/debug/circ/slowlog                 # SMT slow-query log
 //	curl -s localhost:8723/metrics                            # Prometheus exposition
 //	curl -s localhost:8723/debug/circ/ops                     # HTML ops dashboard
 //
@@ -87,7 +86,6 @@ func run(args []string) int {
 		storeMax     = fs.Int("store-max-entries", 0, "certificate store LRU bound (0: unbounded)")
 		k            = fs.Int("k", 1, "default initial counter parameter")
 		omega        = fs.Bool("omega", false, "default to the omega-CIRC variant")
-		smtSlowLog   = fs.Duration("smt-slowlog", 100*time.Millisecond, "log SMT solves at or above this duration to /debug/circ/slowlog (0: disable)")
 		quiet        = fs.Bool("quiet", false, "suppress request and job logs")
 	)
 	triage, slice := onoff(true), onoff(true)
@@ -113,13 +111,11 @@ func run(args []string) int {
 		circ.WithCertStore(circ.NewCertStoreLRU(*storeMax)),
 		circ.WithK(*k), circ.WithOmega(*omega), circ.WithParallelism(*parallel),
 		circ.WithTriage(bool(triage)), circ.WithSlicing(bool(slice)),
-		circ.WithSMTSlowLog(*smtSlowLog),
 	)
 	if logger != nil {
 		logger.Info("circd starting",
 			"version", circ.Version, "go", runtime.Version(),
-			"gomaxprocs", runtime.GOMAXPROCS(0),
-			"smt_slowlog", smtSlowLog.String())
+			"gomaxprocs", runtime.GOMAXPROCS(0))
 	}
 	srv := server.New(server.Config{
 		Checker:       chk,

@@ -13,6 +13,7 @@ import (
 	"os"
 
 	"circ"
+	"circ/internal/telemetry"
 )
 
 const src = `
@@ -47,7 +48,8 @@ func main() {
 	fmt.Println(c)
 
 	fmt.Println("== Running CIRC (Figures 2-4: iteration narration) ==")
-	rep, err := circ.Check(context.Background(), src, circ.WithTarget("", "x"), circ.WithLog(os.Stdout))
+	rep, err := circ.Check(context.Background(), src, circ.WithTarget("", "x"),
+		circ.WithLogger(telemetry.NewNarrationHandler(os.Stdout)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -144,15 +144,15 @@ type Report struct {
 	// analysis). Zero when inference started from the empty abstraction.
 	SeededPreds int
 	// Metrics snapshots this analysis's telemetry registry at the end of
-	// the run: iteration/refinement counters, reachability statistics, and
-	// the SMT cache state ("smt.cache.hits"/"smt.cache.misses" gauges),
-	// so the report is self-describing without a live checker.
+	// the run: iteration/refinement counters and reachability statistics,
+	// so the report is self-describing without a live checker. The shared
+	// SMT cache's counts are not per-report facts and are not included.
 	Metrics telemetry.Metrics
 }
 
 // Summary renders the report as a one-line human-readable verdict with
-// its headline evidence, including the iteration count and SMT cache hit
-// rate from the embedded Metrics snapshot (no live checker needed).
+// its headline evidence, including the iteration count from the embedded
+// Metrics snapshot (no live checker needed).
 func (r *Report) Summary() string {
 	switch r.Verdict {
 	case Safe:
@@ -184,12 +184,10 @@ func (r *Report) Summary() string {
 // the report carries no snapshot (hand-built reports, old callers).
 func (r *Report) metricsSuffix() string {
 	iters := r.Metrics.Counter("circ.iterations")
-	hits := r.Metrics.Gauge("smt.cache.hits")
-	misses := r.Metrics.Gauge("smt.cache.misses")
-	if iters == 0 && hits+misses == 0 {
+	if iters == 0 {
 		return ""
 	}
-	s := fmt.Sprintf(", %d iterations, smt hit rate %.1f%%", iters, 100*r.Metrics.SMTHitRate())
+	s := fmt.Sprintf(", %d iterations", iters)
 	if h := r.Metrics.Histograms["refine.analyze"]; h.Count > 0 {
 		s += fmt.Sprintf(", refine p95 %s", h.Quantile(0.95).Round(100*time.Nanosecond))
 	}
@@ -204,8 +202,7 @@ func (r *Report) metricsSuffix() string {
 // Check wraps the core loop with the per-analysis telemetry: a
 // "circ.check" root span (when ctx carries a telemetry.Tracer), a child
 // metrics registry aggregating into opts.Metrics when one is set, and the
-// Report.Metrics snapshot, which also records the solver's cumulative
-// cache counters when chk is an *smt.Checker.
+// Report.Metrics snapshot.
 func Check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk smt.Solver) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -218,9 +215,6 @@ func Check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 	if rep != nil {
 		unit.Gauge("circ.k").Set(int64(rep.K))
 		unit.Gauge("circ.preds").Set(int64(len(rep.Preds)))
-		if sc, ok := chk.(*smt.Checker); ok {
-			sc.PublishStats(unit)
-		}
 		rep.Metrics = unit.Snapshot()
 		sp.Annotate("verdict", rep.Verdict.String())
 		journal.FromContext(ctx).Emit(journal.Event{

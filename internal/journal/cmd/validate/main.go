@@ -1,15 +1,14 @@
 // Command validate checks a JSONL inference journal (the output of
 // circ -journal) against the event schema: known event types, required
 // per-type fields, and strictly increasing per-case sequence numbers.
-// It also validates the journal-adjacent flight-deck artifacts: Chrome
-// trace_event exports (-trace) and SMT slow-query logs (-slowlog).
+// It also validates the journal-adjacent flight-deck artifact: Chrome
+// trace_event exports (-trace).
 //
 // Usage:
 //
 //	go run ./internal/journal/cmd/validate out.jsonl [more.jsonl ...]
 //	circ ... -journal /dev/stdout | go run ./internal/journal/cmd/validate
 //	go run ./internal/journal/cmd/validate -trace job.trace.json
-//	go run ./internal/journal/cmd/validate -slowlog slowlog.json
 //
 // Exit status 0 when every file validates, 1 otherwise.
 package main
@@ -25,18 +24,10 @@ import (
 
 func main() {
 	asTrace := flag.Bool("trace", false, "validate Chrome trace_event JSON instead of a journal")
-	asSlowLog := flag.Bool("slowlog", false, "validate an SMT slow-query log instead of a journal")
 	flag.Parse()
-	if *asTrace && *asSlowLog {
-		fmt.Fprintln(os.Stderr, "validate: -trace and -slowlog are mutually exclusive")
-		os.Exit(1)
-	}
 	validate, unit := journal.Validate, "events"
-	switch {
-	case *asTrace:
+	if *asTrace {
 		validate, unit = journal.ValidateTrace, "trace events"
-	case *asSlowLog:
-		validate, unit = journal.ValidateSlowLog, "slow queries"
 	}
 
 	args := flag.Args()
@@ -65,7 +56,7 @@ func main() {
 	}
 }
 
-var _ func(io.Reader) (int, error) = journal.Validate // the three validators share this shape
+var _ func(io.Reader) (int, error) = journal.ValidateTrace // both validators share this shape
 
 func report(name, unit string, n int, err error) bool {
 	if err != nil {

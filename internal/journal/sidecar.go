@@ -6,11 +6,10 @@ import (
 	"io"
 )
 
-// Sidecar validation: schema checks for the flight-deck artifacts that
-// travel alongside the journal — the per-job Chrome trace_event export
-// and the SMT slow-query log. Both are wall-clock side channels, so
-// validation checks structure, identity stamping, and internal
-// consistency, never byte content.
+// Sidecar validation: schema checks for the flight-deck artifact that
+// travels alongside the journal — the per-job Chrome trace_event export.
+// It is a wall-clock side channel, so validation checks structure,
+// identity stamping, and internal consistency, never byte content.
 
 // sidecarTrace mirrors the trace_event JSON object shape loosely: every
 // field the validator checks, nothing more, so exporter additions do not
@@ -64,58 +63,4 @@ func ValidateTrace(r io.Reader) (int, error) {
 		}
 	}
 	return len(t.TraceEvents), nil
-}
-
-// sidecarSlowLog mirrors the /debug/circ/slowlog response shape.
-type sidecarSlowLog struct {
-	ThresholdMS float64 `json:"threshold_ms"`
-	Total       int64   `json:"total"`
-	Entries     []struct {
-		Seq        int64   `json:"seq"`
-		Kind       string  `json:"kind"`
-		FormulaID  uint64  `json:"formula_id"`
-		DurationMS float64 `json:"duration_ms"`
-		Result     string  `json:"result"`
-	} `json:"entries"`
-}
-
-// ValidateSlowLog checks a slow-query log (the /debug/circ/slowlog
-// body): entries carry positive sequence numbers in strictly descending
-// (newest-first) order, a known kind and result, and durations at or
-// above the stated threshold. It returns the entry count.
-func ValidateSlowLog(r io.Reader) (int, error) {
-	var l sidecarSlowLog
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&l); err != nil {
-		return 0, fmt.Errorf("slowlog: not a JSON object: %w", err)
-	}
-	if l.Total < int64(len(l.Entries)) {
-		return 0, fmt.Errorf("slowlog: total %d < %d retained entries", l.Total, len(l.Entries))
-	}
-	prev := int64(0)
-	for i, e := range l.Entries {
-		if e.Seq <= 0 {
-			return i, fmt.Errorf("slowlog: entry %d has non-positive seq %d", i, e.Seq)
-		}
-		if prev != 0 && e.Seq >= prev {
-			return i, fmt.Errorf("slowlog: entry %d out of order: seq %d after %d (want newest first)",
-				i, e.Seq, prev)
-		}
-		prev = e.Seq
-		switch e.Kind {
-		case "direct", "session":
-		default:
-			return i, fmt.Errorf("slowlog: entry %d has unknown kind %q", i, e.Kind)
-		}
-		switch e.Result {
-		case "sat", "unsat", "unknown":
-		default:
-			return i, fmt.Errorf("slowlog: entry %d has unknown result %q", i, e.Result)
-		}
-		if l.ThresholdMS > 0 && e.DurationMS < l.ThresholdMS {
-			return i, fmt.Errorf("slowlog: entry %d duration %.3fms below threshold %.3fms",
-				i, e.DurationMS, l.ThresholdMS)
-		}
-	}
-	return len(l.Entries), nil
 }

@@ -41,38 +41,3 @@ func TestValidateTrace(t *testing.T) {
 		}
 	}
 }
-
-func TestValidateSlowLog(t *testing.T) {
-	good := `{
-	 "threshold_ms": 1,
-	 "total": 5,
-	 "entries": [
-	  {"seq": 5, "formula_id": 9, "kind": "session", "duration_ms": 2.5, "result": "unsat"},
-	  {"seq": 3, "formula_id": 7, "kind": "direct", "duration_ms": 1.0, "result": "sat"}
-	 ]
-	}`
-	if n, err := ValidateSlowLog(strings.NewReader(good)); err != nil || n != 2 {
-		t.Fatalf("ValidateSlowLog = %d, %v", n, err)
-	}
-	empty := `{"threshold_ms": 0, "total": 0, "entries": []}`
-	if n, err := ValidateSlowLog(strings.NewReader(empty)); err != nil || n != 0 {
-		t.Fatalf("empty log = %d, %v", n, err)
-	}
-
-	for name, bad := range map[string]string{
-		"not json":        `[]`,
-		"total too small": `{"total": 0, "entries": [{"seq": 1, "kind": "direct", "duration_ms": 1, "result": "sat"}]}`,
-		"zero seq":        `{"total": 1, "entries": [{"seq": 0, "kind": "direct", "duration_ms": 1, "result": "sat"}]}`,
-		"out of order": `{"total": 2, "entries": [
-		 {"seq": 1, "kind": "direct", "duration_ms": 1, "result": "sat"},
-		 {"seq": 2, "kind": "direct", "duration_ms": 1, "result": "sat"}]}`,
-		"bad kind":   `{"total": 1, "entries": [{"seq": 1, "kind": "weird", "duration_ms": 1, "result": "sat"}]}`,
-		"bad result": `{"total": 1, "entries": [{"seq": 1, "kind": "direct", "duration_ms": 1, "result": "maybe"}]}`,
-		"below threshold": `{"threshold_ms": 5, "total": 1, "entries": [
-		 {"seq": 1, "kind": "direct", "duration_ms": 1, "result": "sat"}]}`,
-	} {
-		if _, err := ValidateSlowLog(strings.NewReader(bad)); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}

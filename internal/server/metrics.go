@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"time"
 
-	"circ/internal/expr"
 	"circ/internal/telemetry"
 )
 
@@ -58,67 +57,31 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	telemetry.WritePrometheus(w, s.snapshotMetrics()) //nolint:errcheck // headers are out
 }
 
-// snapshotMetrics captures the registry and folds in the pull-style
-// sources that do not push into it: the certificate store's counters and
-// watermarks, the expression arena, the SMT cache, and the job ledger.
-// The injected values are authoritative (read from the owning structure
-// at scrape time), so a scrape is always internally consistent even
-// while jobs run.
+// snapshotMetrics is the daemon's one metrics snapshot, behind /metrics,
+// /v1/stats and the ops dashboard: the base checker's snapshot (its
+// registry, the SMT cache counts, the certificate store's figures and the
+// arena, all read now) plus what only the server owns — the job counts,
+// build identity, uptime and ring evictions.
 func (s *Server) snapshotMetrics() telemetry.Metrics {
-	m := s.reg.Snapshot()
-	if m.Counters == nil {
-		m.Counters = make(map[string]int64)
-	}
-	if m.Gauges == nil {
-		m.Gauges = make(map[string]int64)
-	}
+	m := s.base.Snapshot()
 
 	// Build identity: the standard constant-1 gauge whose labels say what
 	// is running. Dashboards join it against everything else by instance.
 	bi := s.buildInfo()
-	m.Gauges[fmt.Sprintf(`build_info{version=%q,go=%q,gomaxprocs="%d"}`,
-		bi.Version, bi.GoVersion, bi.GOMAXPROCS)] = 1
+	m.SetGauge(fmt.Sprintf(`build_info{version=%q,go=%q,gomaxprocs="%d"}`,
+		bi.Version, bi.GoVersion, bi.GOMAXPROCS), 1)
 
 	// Job ledger. "submitted" counts accepted jobs; active is derived.
 	sub, done := s.nJobs[cSubmitted].Load(), s.nJobs[cDone].Load()
 	failed, cancelled := s.nJobs[cFailed].Load(), s.nJobs[cCancelled].Load()
-	m.Counters[`jobs{outcome="submitted"}`] = sub
-	m.Counters[`jobs{outcome="done"}`] = done
-	m.Counters[`jobs{outcome="failed"}`] = failed
-	m.Counters[`jobs{outcome="cancelled"}`] = cancelled
-	m.Gauges["jobs.active"] = sub - done - failed - cancelled
-	m.Counters["jobs.ring_evicted"] = s.ring.evicted()
+	m.SetCounter(`jobs{outcome="submitted"}`, sub)
+	m.SetCounter(`jobs{outcome="done"}`, done)
+	m.SetCounter(`jobs{outcome="failed"}`, failed)
+	m.SetCounter(`jobs{outcome="cancelled"}`, cancelled)
+	m.SetGauge("jobs.active", sub-done-failed-cancelled)
+	m.SetCounter("jobs.ring_evicted", s.ring.evicted())
 
-	// Certificate store: traffic counters and growth watermarks. These
-	// are the store's own authoritative totals; the engine-side
-	// "store.hit"/"store.miss" counters in the same exposition attribute
-	// the traffic to individual analyses.
-	if cs := s.base.CertStore(); cs != nil {
-		ss := cs.Stats()
-		m.Counters["store.hits"] = ss.Hits
-		m.Counters["store.misses"] = ss.Misses
-		m.Counters["store.writes"] = ss.Writes
-		m.Counters["store.revalidations"] = ss.Revalidations
-		m.Counters["store.revalidation_failures"] = ss.RevalidationFailures
-		m.Counters["store.evictions"] = ss.Evictions
-		m.Gauges["store.entries"] = int64(ss.Entries)
-		m.Gauges["store.max_entries"] = int64(ss.MaxEntries)
-		m.Gauges["store.bytes"] = ss.Bytes
-		m.Gauges["store.bytes_high_water"] = ss.BytesHighWater
-		m.Gauges["store.entries_high_water"] = ss.EntriesHighWater
-	}
-
-	// Hash-consing arena.
-	as := expr.Stats()
-	m.Gauges["arena.nodes"] = int64(as.Nodes)
-	m.Gauges["arena.bytes"] = as.Bytes
-
-	// The shared SMT verdict cache and the reach engine need no
-	// injection: the solver and engine are instrumented against this
-	// registry, so "smt.cache.*" and "reach.*" are already in the
-	// snapshot.
-
-	m.Gauges["uptime_seconds"] = int64(time.Since(s.start).Seconds())
+	m.SetGauge("uptime_seconds", int64(time.Since(s.start).Seconds()))
 	return m
 }
 

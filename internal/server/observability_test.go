@@ -48,14 +48,13 @@ func get(t *testing.T, url string) ([]byte, int) {
 var deterministicSeries = []string{
 	"circ_jobs_total{",
 	"circ_jobs_targets_total{",
-	"circ_jobs_certs_reused_total",
 	"circ_jobs_ring_evicted_total",
-	"circ_store_hits_total",
-	"circ_store_misses_total",
-	"circ_store_writes_total",
+	"circ_store_hit_total",
+	"circ_store_miss_total",
+	"circ_store_write_total",
+	"circ_store_reused_total",
+	"circ_store_revalidation_failed_total",
 	"circ_store_evictions_total",
-	"circ_store_revalidations_total",
-	"circ_store_revalidation_failures_total",
 	"circ_store_entries ",
 	"circ_store_max_entries ",
 	"circ_jobs_active ",
@@ -164,13 +163,13 @@ func TestMetricsWarmHitVisible(t *testing.T) {
 	_, ts := newTestServer(t)
 	runGoldenSequence(t, ts)
 	body, _ := get(t, ts.URL+"/metrics")
-	hits := sampleValue(t, body, "circ_store_hits_total")
+	hits := sampleValue(t, body, "circ_store_hit_total")
 	if hits < 1 {
-		t.Fatalf("circ_store_hits_total = %v after warm re-submission, want >= 1", hits)
+		t.Fatalf("circ_store_hit_total = %v after warm re-submission, want >= 1", hits)
 	}
-	reused := sampleValue(t, body, "circ_jobs_certs_reused_total")
-	if reused < 2 {
-		t.Fatalf("circ_jobs_certs_reused_total = %v, want the warm job's 2 targets", reused)
+	reused := sampleValue(t, body, "circ_store_reused_total")
+	if reused != 2 {
+		t.Fatalf("circ_store_reused_total = %v, want the warm job's 2 targets", reused)
 	}
 	// The warm job ran zero CIRC iterations: every verdict came from the
 	// store, and the ring record proves it.
@@ -191,7 +190,66 @@ func TestMetricsWarmHitVisible(t *testing.T) {
 	}
 }
 
-// sampleValue extracts an unlabeled sample's value from an exposition.
+// TestStatsAgreeWithMetrics: after the golden job sequence every
+// /v1/stats number for jobs, smt, store and lifetime equals its /metrics
+// series, because both read one snapshot; and the reuse count in both
+// equals the number of results served from a certificate.
+func TestStatsAgreeWithMetrics(t *testing.T) {
+	_, ts := newTestServer(t)
+	warm := runGoldenSequence(t, ts)
+	reused := int64(0)
+	for _, res := range warm.Results {
+		if res.CertificateReused {
+			reused++
+		}
+	}
+	var st apiv1.Stats
+	getJSON(t, ts, "/v1/stats", &st)
+	body, _ := get(t, ts.URL+"/metrics")
+
+	want := map[string]int64{
+		`circ_jobs_total{outcome="submitted"}`: st.Jobs.Submitted,
+		`circ_jobs_total{outcome="done"}`:      st.Jobs.Done,
+		`circ_jobs_total{outcome="failed"}`:    st.Jobs.Failed,
+		`circ_jobs_total{outcome="cancelled"}`: st.Jobs.Cancelled,
+		"circ_jobs_active":                     st.Jobs.Active,
+		"circ_smt_cache_hits_total":            st.SMT.Hits,
+		"circ_smt_cache_misses_total":          st.SMT.Misses,
+		"circ_smt_cache_fastpath_total":        st.SMT.FastPath,
+		"circ_store_entries":                   int64(st.Store.Entries),
+		"circ_store_hit_total":                 st.Store.Hits,
+		"circ_store_miss_total":                st.Store.Misses,
+		"circ_store_write_total":               st.Store.Writes,
+		"circ_store_reused_total":              st.Store.Revalidations,
+		"circ_store_revalidation_failed_total": st.Store.RevalidationFailures,
+		"circ_store_evictions_total":           st.Store.Evictions,
+		"circ_store_max_entries":               int64(st.Store.MaxEntries),
+		"circ_store_bytes":                     st.Store.Bytes,
+		"circ_store_bytes_high_water":          st.Store.BytesHighWater,
+		"circ_store_entries_high_water":        st.Store.EntriesHighWater,
+		"circ_jobs_latency_seconds_count":      st.Lifetime.CheckLatency.Count,
+	}
+	for class, n := range st.Lifetime.Verdicts {
+		if n > 0 {
+			want[`circ_jobs_targets_total{class="`+class+`"}`] = n
+		}
+	}
+	for series, v := range want {
+		if got := sampleValue(t, body, series); got != float64(v) {
+			t.Errorf("%s = %v, /v1/stats says %d", series, got, v)
+		}
+	}
+	if got := sampleValue(t, body, "circ_store_reused_total"); got != float64(st.Lifetime.CertificatesReused) {
+		t.Errorf("circ_store_reused_total = %v, lifetime.certificates_reused = %d", got, st.Lifetime.CertificatesReused)
+	}
+	if reused != 2 || st.Lifetime.CertificatesReused != reused || st.Store.Revalidations != reused {
+		t.Errorf("certificate_reused on %d results; lifetime.certificates_reused = %d, store.revalidations = %d",
+			reused, st.Lifetime.CertificatesReused, st.Store.Revalidations)
+	}
+}
+
+// sampleValue extracts a sample's value from an exposition; series is the
+// sample's name with its labels, if any.
 func sampleValue(t *testing.T, body []byte, series string) float64 {
 	t.Helper()
 	for _, line := range strings.Split(string(body), "\n") {
@@ -359,7 +417,7 @@ func TestDrainFlushesFinalMetrics(t *testing.T) {
 	if n := strings.Count(logged, "final metrics snapshot"); n != 1 {
 		t.Fatalf("final snapshot logged %d times, want 1\n%s", n, logged)
 	}
-	if !strings.Contains(logged, "store.hits") {
+	if !strings.Contains(logged, "store.write") {
 		t.Fatalf("final snapshot misses store counters:\n%s", logged)
 	}
 }

@@ -11,7 +11,8 @@ import (
 
 // opsModel is the dashboard template's root object: the daemon's live
 // stats, the completed-job ring, per-endpoint latency quantiles, and the
-// watermark trend sampled at each job completion. Everything is computed
+// watermark trend sampled at each job completion. The stats and the
+// endpoint quantiles come from one metrics snapshot. Everything is computed
 // server-side; the page is plain HTML and CSS, no scripts, so it can be
 // archived as a CI artifact and read offline.
 type opsModel struct {
@@ -21,19 +22,6 @@ type opsModel struct {
 	Ring        []ringRow
 	Evicted     int64
 	Trend       []trendBar
-	// Slow mirrors /debug/circ/slowlog, newest first, truncated for the
-	// dashboard.
-	Slow []slowRow
-}
-
-// slowRow is one slow-query line on the dashboard.
-type slowRow struct {
-	Seq        int64
-	Kind       string
-	FormulaID  uint64
-	DurationMS float64
-	Result     string
-	CubeKey    string
 }
 
 // endpointRow is one /metrics-derived HTTP latency line.
@@ -67,30 +55,18 @@ type trendBar struct {
 
 // handleOps renders the ops dashboard.
 func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
+	snap := s.snapshotMetrics()
 	m := opsModel{
-		Stats:   s.stats(),
+		Stats:   s.statsOf(snap),
 		Uptime:  time.Since(s.start).Round(time.Second).String(),
 		Evicted: s.ring.evicted(),
 	}
 
-	// Flight deck: the SMT slow-query log's most recent entries.
-	for _, q := range s.base.SlowQueries() {
-		if len(m.Slow) >= 20 {
-			break
-		}
-		m.Slow = append(m.Slow, slowRow{
-			Seq: q.Seq, Kind: q.Kind, FormulaID: q.FormulaID,
-			DurationMS: q.DurationMS, Result: q.Result,
-			CubeKey: q.CubeKey,
-		})
-	}
-
 	// Per-endpoint HTTP latency, from the middleware's histograms.
-	snap := s.reg.Snapshot()
 	for _, ep := range []string{
 		"/v1/check", "/v1/jobs", "/v1/jobs/{id}", "/v1/jobs/{id}/events",
 		"/v1/jobs/{id}/report", "/v1/jobs/{id}/trace", "/v1/stats",
-		"/metrics", "/debug/circ/ops", "/debug/circ/slowlog",
+		"/metrics", "/debug/circ/ops",
 	} {
 		hs, ok := snap.Histograms[fmt.Sprintf(`http.latency{endpoint=%q}`, ep)]
 		if !ok {
@@ -233,27 +209,7 @@ p99 {{printf "%.3fs" .Lifetime.CheckLatency.P99Seconds}}.</p>
 <div class="panel">
 <p>Arena: {{.Arena.Nodes}} nodes, {{bytes .Arena.Bytes}}.
 SMT cache: {{.SMT.Hits}} hits, {{.SMT.Misses}} misses, {{.SMT.FastPath}} fast-path
-(hit rate {{printf "%.0f%%" (mulf .SMT.HitRate 100.0)}});
-{{.SMT.SlowQueries}} slow queries logged.</p>
-</div>
-
-<h2>SMT slow queries{{if .SMT.SlowLogThresholdMS}} (&ge; {{printf "%.1f" .SMT.SlowLogThresholdMS}} ms){{end}}</h2>
-<div class="panel">
-{{if .Slow}}
-<p>{{.SMT.SlowQueries}} logged since start; newest first.</p>
-<table>
-<tr><th>#</th><th>kind</th><th>formula</th><th>result</th><th>ms</th><th>cube</th></tr>
-{{range .Slow}}
-<tr><td class="num">{{.Seq}}</td><td>{{.Kind}}</td><td class="num">{{.FormulaID}}</td>
-<td>{{.Result}}</td><td class="num">{{printf "%.2f" .DurationMS}}</td>
-<td><code>{{.CubeKey}}</code></td></tr>
-{{end}}
-</table>
-{{else if .SMT.SlowLogThresholdMS}}
-<p>No solve has exceeded the threshold.</p>
-{{else}}
-<p>Slow-query capture is off &mdash; start circd with <code>-smt-slowlog</code> to enable it.</p>
-{{end}}
+(hit rate {{printf "%.0f%%" (mulf .SMT.HitRate 100.0)}}).</p>
 </div>
 
 <h2>Completed jobs (last {{len .Ring}}{{if .Evicted}}, {{.Evicted}} aged out{{end}})</h2>

@@ -4,7 +4,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 
 	apiv1 "circ/api/v1"
 	"circ/internal/journal"
@@ -133,10 +132,7 @@ func summarizeJob(j *job) apiv1.JobSummary {
 	rec.ElapsedSeconds = j.elapsed.Seconds()
 	rec.JournalEvents = j.journal.Len()
 	rec.CIRCIterations = j.journal.CountType(journal.EvIterationStart)
-	if j.batch != nil {
-		rec.SMTSolveSeconds = time.Duration(
-			j.batch.Metrics.Histograms["smt.solve"].SumNanos).Seconds()
-	}
+	rec.SMTSolveSeconds = j.tracer.SpanTime("smt.solve").Seconds()
 	for _, res := range j.results {
 		rec.Targets++
 		switch res.Verdict {

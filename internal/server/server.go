@@ -165,7 +165,6 @@ func New(cfg Config) *Server {
 	s.handle("GET /v1/stats", s.handleStats)
 	s.handle("GET /metrics", s.handleMetrics)
 	s.handle("GET /debug/circ/ops", s.handleOps)
-	s.handle("GET /debug/circ/slowlog", s.handleSlowlog)
 	return s
 }
 
@@ -381,8 +380,9 @@ func (s *Server) complete(j *job, batch *circ.BatchReport, err error) {
 	rec.ArenaBytes = expr.Stats().Bytes
 	s.ring.add(rec)
 
-	// Lifetime aggregates: per-job latency distribution, verdicts by
-	// class, and certificate reuse. These survive ring eviction.
+	// Lifetime aggregates: per-job latency distribution and verdicts by
+	// class. These survive ring eviction; certificate reuse is the
+	// engine's store.reused counter.
 	s.reg.Histogram("jobs.latency").Observe(elapsed)
 	for class, n := range map[string]int{
 		"safe": rec.Safe, "unsafe": rec.Unsafe,
@@ -392,7 +392,6 @@ func (s *Server) complete(j *job, batch *circ.BatchReport, err error) {
 			s.reg.Counter(`jobs.targets{class="` + class + `"}`).Add(int64(n))
 		}
 	}
-	s.reg.Counter("jobs.certs_reused").Add(int64(rec.CertificatesReused))
 	s.log.Info("job finished", "job", j.id, "state", state,
 		"trace_id", j.tc.TraceID, "spans", j.tracer.NumSpans(),
 		"dropped_spans", j.tracer.DroppedSpans())
@@ -604,127 +603,75 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var sections []journal.CaseSection
-	counts := map[string]int{}
 	if j.batch != nil {
 		for _, res := range j.batch.Results {
-			sections = append(sections, sectionOf(j.prog, res))
-			counts[sections[len(sections)-1].Verdict]++
+			sections = append(sections, j.prog.Section(res))
 		}
 	}
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
 	journal.RenderHTML(w, journal.HTMLData{ //nolint:errcheck // headers are out
 		Title:   "circd job " + j.id,
-		Summary: summaryOf(counts),
+		Summary: circ.VerdictSummary(sections),
 		Cases:   sections,
 		Events:  j.journal.Events(),
 	})
 }
 
-// sectionOf builds one HTML case panel from a batch result, mirroring
-// the circ CLI's report assembly.
-func sectionOf(prog *circ.Program, r circ.TargetReport) journal.CaseSection {
-	name := r.Variable
-	if r.Thread != "" {
-		name = r.Thread + "/" + r.Variable
-	}
-	sec := journal.CaseSection{Name: name}
-	if r.Err != nil {
-		sec.Verdict = "error"
-		sec.Summary = r.Err.Error()
-		return sec
-	}
-	rep := r.Report
-	sec.Verdict = rep.Verdict.String()
-	sec.Summary = rep.Summary()
-	for _, p := range rep.Preds {
-		sec.Preds = append(sec.Preds, p.String())
-	}
-	if a := rep.FinalACFA; a != nil {
-		sec.ACFAText, sec.ACFADot = a.String(), a.Dot()
-	} else if a := rep.LastACFA; a != nil {
-		sec.ACFAText, sec.ACFADot = a.String(), a.Dot()
-	}
-	if rep.Race != nil {
-		sec.Trace = rep.Race.String()
-		if rep.Witness != nil {
-			if c, err := prog.CFA(r.Thread); err == nil {
-				sec.Trace = refine.FormatTraceWithWitness(c, rep.Race, rep.Witness)
-			}
-		}
-	}
-	return sec
-}
-
-// summaryOf renders per-verdict counts ("2 safe, 1 unsafe").
-func summaryOf(counts map[string]int) string {
-	var parts []string
-	for _, v := range []string{"safe", "unsafe", "unknown", "error"} {
-		if n := counts[v]; n > 0 {
-			parts = append(parts, fmt.Sprintf("%d %s", n, v))
-		}
-	}
-	if len(parts) == 0 {
-		return "no cases"
-	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		out += ", " + p
-	}
-	return out
-}
-
-// handleStats answers the daemon-wide cache and job telemetry.
+// handleStats answers the daemon-wide cache and job telemetry, computed
+// from one metrics snapshot so every number in it is also a /metrics
+// series.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.stats())
+	writeJSON(w, http.StatusOK, s.statsOf(s.snapshotMetrics()))
 }
 
-// stats assembles the daemon-wide telemetry behind /v1/stats and the ops
-// dashboard.
-func (s *Server) stats() apiv1.Stats {
-	smtStats := s.base.SMTStats()
-	as := expr.Stats()
-	st := apiv1.Stats{
+// statsOf derives the /v1/stats document from a snapshot taken by
+// snapshotMetrics.
+func (s *Server) statsOf(m circ.Metrics) apiv1.Stats {
+	c := m.Counter
+	return apiv1.Stats{
 		Build: s.buildInfo(),
 		Jobs: apiv1.JobStats{
-			Submitted: s.nJobs[cSubmitted].Load(),
-			Done:      s.nJobs[cDone].Load(),
-			Failed:    s.nJobs[cFailed].Load(),
-			Cancelled: s.nJobs[cCancelled].Load(),
+			Submitted: c(`jobs{outcome="submitted"}`),
+			Done:      c(`jobs{outcome="done"}`),
+			Failed:    c(`jobs{outcome="failed"}`),
+			Cancelled: c(`jobs{outcome="cancelled"}`),
+			Active:    m.Gauge("jobs.active"),
 		},
 		Arena: apiv1.ArenaStats{
-			Nodes: int64(as.Nodes),
-			Bytes: as.Bytes,
+			Nodes: m.Gauge("arena.nodes"),
+			Bytes: m.Gauge("arena.bytes"),
 		},
 		SMT: apiv1.SMTStats{
-			Hits:               smtStats.Hits,
-			Misses:             smtStats.Misses,
-			FastPath:           smtStats.FastPath,
-			HitRate:            smtStats.HitRate(),
-			SlowQueries:        smtStats.SlowQueries,
-			SlowLogThresholdMS: float64(s.base.SMTSlowLogThreshold()) / 1e6,
+			Hits:     c("smt.cache.hits"),
+			Misses:   c("smt.cache.misses"),
+			FastPath: c("smt.cache.fastpath"),
+			HitRate:  ratio(c("smt.cache.hits"), c("smt.cache.misses")),
 		},
-		Triage:   triageStats(s.reg.Snapshot()),
-		Lifetime: s.lifetimeStats(),
+		Store: apiv1.StoreStats{
+			Entries:              int(m.Gauge("store.entries")),
+			Hits:                 c("store.hit"),
+			Misses:               c("store.miss"),
+			Writes:               c("store.write"),
+			Revalidations:        c("store.reused"),
+			RevalidationFailures: c("store.revalidation_failed"),
+			HitRatio:             ratio(c("store.hit"), c("store.miss")),
+			Evictions:            c("store.evictions"),
+			MaxEntries:           int(m.Gauge("store.max_entries")),
+			Bytes:                m.Gauge("store.bytes"),
+			BytesHighWater:       m.Gauge("store.bytes_high_water"),
+			EntriesHighWater:     m.Gauge("store.entries_high_water"),
+		},
+		Triage:   triageStats(m),
+		Lifetime: lifetimeStats(m),
 	}
-	st.Jobs.Active = st.Jobs.Submitted - st.Jobs.Done - st.Jobs.Failed - st.Jobs.Cancelled
-	if cs := s.base.CertStore(); cs != nil {
-		ss := cs.Stats()
-		st.Store = apiv1.StoreStats{
-			Entries:              ss.Entries,
-			Hits:                 ss.Hits,
-			Misses:               ss.Misses,
-			Writes:               ss.Writes,
-			Revalidations:        ss.Revalidations,
-			RevalidationFailures: ss.RevalidationFailures,
-			HitRatio:             ss.HitRatio(),
-			Evictions:            ss.Evictions,
-			MaxEntries:           ss.MaxEntries,
-			Bytes:                ss.Bytes,
-			BytesHighWater:       ss.BytesHighWater,
-			EntriesHighWater:     ss.EntriesHighWater,
-		}
+}
+
+// ratio returns hits / (hits + misses), or 0 before any lookup.
+func ratio(hits, misses int64) float64 {
+	if hits+misses == 0 {
+		return 0
 	}
-	return st
+	return float64(hits) / float64(hits+misses)
 }
 
 // triageStats derives the static-analysis aggregates from a registry
@@ -749,20 +696,20 @@ func triageStats(snap circ.Metrics) apiv1.TriageStats {
 	return ts
 }
 
-// lifetimeStats derives the service-lifetime aggregates from the
-// registry's completed-job instruments.
-func (s *Server) lifetimeStats() apiv1.LifetimeStats {
+// lifetimeStats derives the service-lifetime aggregates from a
+// snapshot: the completed-job instruments and the store.reused counter.
+func lifetimeStats(m circ.Metrics) apiv1.LifetimeStats {
 	ls := apiv1.LifetimeStats{Verdicts: make(map[string]int64)}
 	for _, class := range []string{"safe", "unsafe", "unknown", "error"} {
-		n := s.reg.Counter(`jobs.targets{class="` + class + `"}`).Value()
+		n := m.Counter(`jobs.targets{class="` + class + `"}`)
 		ls.Verdicts[class] = n
 		ls.Targets += n
 	}
-	ls.CertificatesReused = s.reg.Counter("jobs.certs_reused").Value()
+	ls.CertificatesReused = m.Counter("store.reused")
 	if ls.Targets > 0 {
 		ls.ReuseHitRate = float64(ls.CertificatesReused) / float64(ls.Targets)
 	}
-	hs := s.reg.Snapshot().Histograms["jobs.latency"]
+	hs := m.Histograms["jobs.latency"]
 	ls.CheckLatency = apiv1.LatencyQuantiles{
 		Count:      hs.Count,
 		P50Seconds: hs.Quantile(0.50).Seconds(),

@@ -332,9 +332,9 @@ func TestColdWarmResubmit(t *testing.T) {
 			reused, nonTriaged, iterations)
 	}
 
-	stats := srv.base.CertStore().Stats()
-	if stats.Hits < int64(nonTriaged) || stats.RevalidationFailures != 0 {
-		t.Fatalf("store stats = %+v; want >=%d hits, 0 revalidation failures", stats, nonTriaged)
+	snap := srv.base.Snapshot()
+	if snap.Counter("store.hit") < int64(nonTriaged) || snap.Counter("store.revalidation_failed") != 0 {
+		t.Fatalf("store counters = %v; want >=%d hits, 0 revalidation failures", snap.Counters, nonTriaged)
 	}
 }
 

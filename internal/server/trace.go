@@ -8,9 +8,9 @@ import (
 	apiv1 "circ/api/v1"
 )
 
-// Flight-deck endpoints: the per-job Chrome trace_event export and the
-// daemon-wide SMT slow-query log. Both serve wall-clock observability
-// captured alongside — never inside — the byte-deterministic journal.
+// Flight-deck endpoint: the per-job Chrome trace_event export, wall-clock
+// observability captured alongside — never inside — the
+// byte-deterministic journal.
 
 // handleTrace serves the job's trace as Chrome trace_event JSON: the
 // analysis span tree, every event stamped with the job's trace ID. A
@@ -24,31 +24,6 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Traceparent", j.tc.String())
 	j.tracer.Export(w) //nolint:errcheck // headers are out
-}
-
-// handleSlowlog serves the retained SMT slow-query entries, newest
-// first. Capture is enabled by circd's -smt-slowlog flag (or
-// circ.WithSMTSlowLog); with a zero threshold the log is always empty.
-func (s *Server) handleSlowlog(w http.ResponseWriter, r *http.Request) {
-	queries := s.base.SlowQueries()
-	out := apiv1.SlowLog{
-		ThresholdMS: float64(s.base.SMTSlowLogThreshold()) / 1e6,
-		Total:       s.base.SMTStats().SlowQueries,
-		Entries:     make([]apiv1.SlowQueryEntry, 0, len(queries)),
-	}
-	for _, q := range queries {
-		out.Entries = append(out.Entries, apiv1.SlowQueryEntry{
-			Seq:        q.Seq,
-			At:         q.At,
-			FormulaID:  q.FormulaID,
-			Kind:       q.Kind,
-			CubeKey:    q.CubeKey,
-			DurationMS: q.DurationMS,
-			Result:     q.Result,
-			TraceID:    q.TraceID,
-		})
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // buildInfo identifies the running daemon; the same labels back the

@@ -21,9 +21,11 @@ type cacheShard struct {
 }
 
 // cacheCore owns the state every view of one Checker shares: the verdict
-// cache shards, the counters and the slow-query log. The DPLL(T) solve
-// path (smt.go) hangs off it too; it keeps only per-call state and bumps
-// the counters with atomics, so concurrent goroutines share one core.
+// cache shards and the counters. The DPLL(T) solve path (smt.go) hangs
+// off it too; it keeps only per-call state and bumps the counters with
+// atomics, so concurrent goroutines share one core. The counters are the
+// only record of cache and solver work: metrics snapshots read them
+// through AddMetrics.
 type cacheCore struct {
 	shards   [numShards]cacheShard
 	hits     atomic.Int64
@@ -34,9 +36,6 @@ type cacheCore struct {
 	queries      atomic.Int64
 	theoryChecks atomic.Int64
 	satConflicts atomic.Int64
-
-	// Slow-query log (see slowlog.go). Threshold zero disables capture.
-	slow slowLog
 }
 
 // Checker is the memoising SMT front door, safe for concurrent use.
@@ -64,9 +63,7 @@ type Checker struct {
 
 	// Telemetry, attached with Instrument. All handles are nil-safe, so an
 	// uninstrumented checker pays only nil checks.
-	cHits, cMisses, cFast  *telemetry.Counter
 	cSat, cUnsat, cUnknown *telemetry.Counter
-	cSlow                  *telemetry.Counter
 	hSolve                 *telemetry.Histogram
 	tracer                 *telemetry.Tracer
 }
@@ -80,19 +77,16 @@ func NewChecker() *Checker {
 	return &Checker{core: core}
 }
 
-// Instrument attaches a metrics registry and an optional tracer. Cache
-// hits and misses feed counters, and every cache miss (an actual solve)
-// records its duration in the "smt.solve" histogram, a per-verdict
-// counter, and — when a tracer is attached — an "smt.solve" span. Call it
-// before the checker is shared with concurrent solvers.
+// Instrument attaches a metrics registry and an optional tracer. Every
+// cache miss (an actual solve) records its duration in the "smt.solve"
+// histogram, a per-verdict counter, and — when a tracer is attached — an
+// "smt.solve" span. Cache and solver counts are not registered: they are
+// read from the checker's own counters by AddMetrics. Call it before the
+// checker is shared with concurrent solvers.
 func (c *Checker) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
-	c.cHits = reg.Counter("smt.cache.hits")
-	c.cMisses = reg.Counter("smt.cache.misses")
-	c.cFast = reg.Counter("smt.cache.fastpath")
 	c.cSat = reg.Counter("smt.sat")
 	c.cUnsat = reg.Counter("smt.unsat")
 	c.cUnknown = reg.Counter("smt.unknown")
-	c.cSlow = reg.Counter("smt.slow_queries")
 	if reg != nil {
 		c.hSolve = reg.Histogram("smt.solve")
 	}
@@ -100,10 +94,9 @@ func (c *Checker) Instrument(reg *telemetry.Registry, tr *telemetry.Tracer) {
 }
 
 // WithTracer returns a view over the same cache core whose solve spans
-// and slow-query attribution go to tr. Counters, the verdict cache, and
-// the slow-query log stay shared with the parent view,
-// so deriving a per-job view costs one small allocation and changes no
-// cache behavior.
+// go to tr. Counters and the verdict cache stay shared with the parent
+// view, so deriving a per-job view costs one small allocation and changes
+// no cache behavior.
 func (c *Checker) WithTracer(tr *telemetry.Tracer) *Checker {
 	view := *c
 	view.tracer = tr
@@ -111,21 +104,17 @@ func (c *Checker) WithTracer(tr *telemetry.Tracer) *Checker {
 }
 
 // instrumented runs one cache-miss solve under the attached telemetry:
-// duration histogram, per-verdict counter, a detached "smt.solve" span
-// (cache misses are the only real solver work, so the trace stays
-// proportionate to where time goes), and — past the configured threshold
-// — a slow-query log entry. sess is non-nil for incremental session
-// queries and supplies the cube key.
-func (c *Checker) instrumented(qid expr.ID, sess *Session, solve func() Result) Result {
-	slowNS := c.core.slow.threshold.Load()
-	if c.hSolve == nil && c.tracer == nil && slowNS == 0 {
+// duration histogram, per-verdict counter and a detached "smt.solve" span
+// carrying the result and formula ID (cache misses are the only real
+// solver work, so the trace stays proportionate to where time goes).
+func (c *Checker) instrumented(qid expr.ID, solve func() Result) Result {
+	if c.hSolve == nil && c.tracer == nil {
 		return solve()
 	}
 	sp := c.tracer.StartDetached("smt.solve", "smt")
 	start := time.Now()
 	r := solve()
-	dur := time.Since(start)
-	c.hSolve.Observe(dur)
+	c.hSolve.Observe(time.Since(start))
 	sp.Annotate("result", r.String())
 	sp.Annotate("formula_id", uint64(qid))
 	sp.End()
@@ -137,31 +126,15 @@ func (c *Checker) instrumented(qid expr.ID, sess *Session, solve func() Result) 
 	default:
 		c.cUnknown.Inc()
 	}
-	if slowNS > 0 && dur >= time.Duration(slowNS) {
-		q := SlowQuery{
-			FormulaID:  uint64(qid),
-			Kind:       "direct",
-			DurationMS: float64(dur.Nanoseconds()) / 1e6,
-			Result:     r.String(),
-			TraceID:    c.tracer.TraceContext().TraceID,
-		}
-		if sess != nil {
-			q.Kind = "session"
-			q.CubeKey = truncateKey(expr.IDKey(sess.phi))
-		}
-		c.core.slow.record(q)
-		c.cSlow.Inc()
-	}
 	return r
 }
 
 // CacheStats is a point-in-time view of a Checker's counters.
 type CacheStats struct {
-	Hits        int64
-	Misses      int64
-	FastPath    int64 // queries answered syntactically at intern time
-	SlowQueries int64 // solves that exceeded the slow-query threshold
-	Solver      Stats // solve-path work (queries, theory checks, conflicts)
+	Hits     int64
+	Misses   int64
+	FastPath int64 // queries answered syntactically at intern time
+	Solver   Stats // solve-path work (queries, theory checks, conflicts)
 }
 
 // HitRate returns the fraction of cache-consulting queries answered from
@@ -179,10 +152,9 @@ func (s CacheStats) HitRate() float64 {
 // while other goroutines are solving.
 func (c *Checker) Stats() CacheStats {
 	return CacheStats{
-		Hits:        c.core.hits.Load(),
-		Misses:      c.core.misses.Load(),
-		FastPath:    c.core.fastpath.Load(),
-		SlowQueries: c.core.slow.total.Load(),
+		Hits:     c.core.hits.Load(),
+		Misses:   c.core.misses.Load(),
+		FastPath: c.core.fastpath.Load(),
 		Solver: Stats{
 			Queries:      c.core.queries.Load(),
 			TheoryChecks: c.core.theoryChecks.Load(),
@@ -207,20 +179,20 @@ func (c *Checker) CacheSize() int {
 	return n
 }
 
-// PublishStats writes the current cache and solver counters into reg as
-// gauges, so metrics snapshots (Report.Metrics, BatchReport.Metrics)
-// carry the solver internals — queries, theory checks, SAT conflicts —
-// not just the cache hit rate. Queries issued through incremental
-// Sessions land in the same counters as direct SatID calls.
-func (c *Checker) PublishStats(reg *telemetry.Registry) {
+// AddMetrics reads the cache and solver counters into a metrics
+// snapshot being taken: hits, misses, fast-path answers, solver queries,
+// theory checks and SAT conflicts as counters, the cache size as a gauge.
+// Queries issued through incremental Sessions land in the same counters
+// as direct SatID calls.
+func (c *Checker) AddMetrics(m *telemetry.Metrics) {
 	st := c.Stats()
-	reg.Gauge("smt.cache.hits").Set(st.Hits)
-	reg.Gauge("smt.cache.misses").Set(st.Misses)
-	reg.Gauge("smt.cache.fastpath").Set(st.FastPath)
-	reg.Gauge("smt.cache.size").Set(int64(c.CacheSize()))
-	reg.Gauge("smt.queries").Set(st.Solver.Queries)
-	reg.Gauge("smt.theory.checks").Set(st.Solver.TheoryChecks)
-	reg.Gauge("smt.sat.conflicts").Set(st.Solver.SatConflicts)
+	m.SetCounter("smt.cache.hits", st.Hits)
+	m.SetCounter("smt.cache.misses", st.Misses)
+	m.SetCounter("smt.cache.fastpath", st.FastPath)
+	m.SetCounter("smt.queries", st.Solver.Queries)
+	m.SetCounter("smt.theory.checks", st.Solver.TheoryChecks)
+	m.SetCounter("smt.sat.conflicts", st.Solver.SatConflicts)
+	m.SetGauge("smt.cache.size", int64(c.CacheSize()))
 }
 
 // shard maps an interned formula to its cache shard. IDs are dense and
@@ -238,7 +210,6 @@ func (c *Checker) constant(id expr.ID) (Result, bool) {
 		return Unknown, false
 	}
 	c.core.fastpath.Add(1)
-	c.cFast.Inc()
 	if v {
 		return Sat, true
 	}
@@ -253,10 +224,8 @@ func (c *Checker) cached(id expr.ID) (Result, bool) {
 	sh.mu.RUnlock()
 	if ok {
 		c.core.hits.Add(1)
-		c.cHits.Inc()
 	} else {
 		c.core.misses.Add(1)
-		c.cMisses.Inc()
 	}
 	return r, ok
 }
@@ -291,7 +260,7 @@ func (c *Checker) SatID(id expr.ID) Result {
 	if r, ok := c.cached(id); ok {
 		return r
 	}
-	r := c.instrumented(id, nil, func() Result {
+	r := c.instrumented(id, func() Result {
 		r, _ := c.core.solve(id, false)
 		return r
 	})
@@ -304,7 +273,7 @@ func (c *Checker) SatID(id expr.ID) Result {
 func (c *Checker) SatModel(f expr.Expr) (Result, map[string]int64) {
 	id := expr.Intern(f)
 	var m map[string]int64
-	r := c.instrumented(id, nil, func() Result {
+	r := c.instrumented(id, func() Result {
 		r, vals := c.core.solve(id, true)
 		m = vals
 		return r

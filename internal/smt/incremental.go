@@ -48,7 +48,7 @@ func (s *Session) SatConj(lit expr.ID) Result {
 	if r, ok := c.cached(qid); ok {
 		return r
 	}
-	r := c.instrumented(qid, s, func() Result {
+	r := c.instrumented(qid, func() Result {
 		r := s.solveAssuming(lit)
 		if r == Unknown {
 			// Unknown is the one verdict that can depend on session

@@ -77,33 +77,20 @@ type Entry struct {
 	Reason string
 }
 
-// Stats counts store traffic. Hits/Misses split lookup outcomes;
-// Revalidations counts hits whose evidence was re-established,
-// RevalidationFailures hits whose stored evidence no longer verified
-// (these fall back to a full run and overwrite the entry). Evictions
-// counts entries dropped by the LRU cap; Bytes estimates the resident
-// evidence footprint, with BytesHighWater / EntriesHighWater the largest
-// values observed — the daemon's growth watermarks.
+// Stats reports what only the store knows: its size and its LRU
+// evictions. Entries is the current entry count and MaxEntries the cap
+// (0 = unbounded); Evictions counts entries dropped by the cap; Bytes
+// estimates the resident evidence footprint, with BytesHighWater /
+// EntriesHighWater the largest values observed — the daemon's growth
+// watermarks. Lookup traffic (hits, misses, writes, reuses) is counted
+// by the checker that drives the store, in its metrics registry.
 type Stats struct {
-	Hits                 int64
-	Misses               int64
-	Writes               int64
-	Revalidations        int64
-	RevalidationFailures int64
-	Evictions            int64
-	Entries              int
-	MaxEntries           int
-	Bytes                int64
-	BytesHighWater       int64
-	EntriesHighWater     int64
-}
-
-// HitRatio returns Hits / (Hits + Misses), or 0 before any lookup.
-func (s Stats) HitRatio() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
+	Evictions        int64
+	Entries          int
+	MaxEntries       int
+	Bytes            int64
+	BytesHighWater   int64
+	EntriesHighWater int64
 }
 
 const numShards = 16
@@ -132,16 +119,11 @@ type Store struct {
 	lru   *list.List            // front = most recently used; values are Key
 	elems map[Key]*list.Element // only for capped stores
 
-	hits          atomic.Int64
-	misses        atomic.Int64
-	writes        atomic.Int64
-	revalidations atomic.Int64
-	revalFailures atomic.Int64
-	evictions     atomic.Int64
-	bytes         atomic.Int64
-	count         atomic.Int64
-	bytesHW       atomic.Int64
-	countHW       atomic.Int64
+	evictions atomic.Int64
+	bytes     atomic.Int64
+	count     atomic.Int64
+	bytesHW   atomic.Int64
+	countHW   atomic.Int64
 }
 
 // New returns an empty, unbounded store.
@@ -167,7 +149,7 @@ func (s *Store) shard(k Key) *shard { return &s.shards[int(k[0])%numShards] }
 
 // Get looks up the entry for canon, comparing the stored serialization
 // byte-for-byte (the key is a content hash; equality of content is what
-// soundness arguments rest on). It records a hit or miss.
+// soundness arguments rest on).
 func (s *Store) Get(canon []byte) (*Entry, bool) {
 	if s == nil {
 		return nil, false
@@ -178,10 +160,8 @@ func (s *Store) Get(canon []byte) (*Entry, bool) {
 	e, ok := sh.entries[k]
 	sh.mu.RUnlock()
 	if !ok || string(e.Canon) != string(canon) {
-		s.misses.Add(1)
 		return nil, false
 	}
-	s.hits.Add(1)
 	s.touch(k)
 	return e, true
 }
@@ -217,7 +197,6 @@ func (s *Store) Put(e *Entry) {
 	sh.mu.Unlock()
 	s.bytes.Add(entrySize(e))
 	s.count.Add(1)
-	s.writes.Add(1)
 	highWater(&s.bytesHW, s.bytes.Load())
 	highWater(&s.countHW, s.count.Load())
 
@@ -282,19 +261,6 @@ func highWater(hw *atomic.Int64, v int64) {
 	}
 }
 
-// Revalidated records that a hit's evidence was independently
-// re-established (ok) or rejected (!ok).
-func (s *Store) Revalidated(ok bool) {
-	if s == nil {
-		return
-	}
-	if ok {
-		s.revalidations.Add(1)
-	} else {
-		s.revalFailures.Add(1)
-	}
-}
-
 // Len returns the number of stored entries.
 func (s *Store) Len() int {
 	if s == nil {
@@ -303,22 +269,17 @@ func (s *Store) Len() int {
 	return int(s.count.Load())
 }
 
-// Stats snapshots the traffic counters and size watermarks.
+// Stats snapshots the store's size, evictions and watermarks.
 func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
 	return Stats{
-		Hits:                 s.hits.Load(),
-		Misses:               s.misses.Load(),
-		Writes:               s.writes.Load(),
-		Revalidations:        s.revalidations.Load(),
-		RevalidationFailures: s.revalFailures.Load(),
-		Evictions:            s.evictions.Load(),
-		Entries:              s.Len(),
-		MaxEntries:           s.maxEntries,
-		Bytes:                s.bytes.Load(),
-		BytesHighWater:       s.bytesHW.Load(),
-		EntriesHighWater:     s.countHW.Load(),
+		Evictions:        s.evictions.Load(),
+		Entries:          s.Len(),
+		MaxEntries:       s.maxEntries,
+		Bytes:            s.bytes.Load(),
+		BytesHighWater:   s.bytesHW.Load(),
+		EntriesHighWater: s.countHW.Load(),
 	}
 }

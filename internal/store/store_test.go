@@ -21,12 +21,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !ok || got != e {
 		t.Fatalf("Get = %v, %v; want the stored entry", got, ok)
 	}
-	st := s.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Writes != 1 || st.Entries != 1 {
+	if st := s.Stats(); st.Entries != 1 || st.EntriesHighWater != 1 {
 		t.Fatalf("stats = %+v", st)
-	}
-	if got, want := st.HitRatio(), 0.5; got != want {
-		t.Fatalf("hit ratio = %v, want %v", got, want)
 	}
 }
 
@@ -68,7 +64,6 @@ func TestNilStoreIsNoOp(t *testing.T) {
 	if _, ok := s.Get([]byte("x")); ok {
 		t.Fatalf("nil store hit")
 	}
-	s.Revalidated(true)
 	if s.Len() != 0 || s.Stats() != (Stats{}) {
 		t.Fatalf("nil store not empty")
 	}
@@ -195,16 +190,11 @@ func TestConcurrentAccess(t *testing.T) {
 				if _, ok := s.Get(canon); !ok {
 					s.Put(&Entry{Canon: canon, Verdict: Safe, K: i})
 				}
-				s.Revalidated(i%2 == 0)
 			}
 		}(w)
 	}
 	wg.Wait()
 	if n := s.Len(); n != 50 {
 		t.Fatalf("Len = %d, want 50", n)
-	}
-	st := s.Stats()
-	if st.Hits+st.Misses != 8*200 {
-		t.Fatalf("lookups = %d, want %d", st.Hits+st.Misses, 8*200)
 	}
 }

@@ -12,9 +12,9 @@ import (
 // NarrationHandler is a slog.Handler that renders records as the classic
 // circ iteration narration: one "msg key=val ..." line per record, with
 // multi-line string attributes (ARG and ACFA dumps, race traces) printed
-// as indented blocks under the line. It is the compatibility shim behind
-// the deprecated WithLog(io.Writer) option; structured consumers should
-// attach their own handler via WithLogger instead.
+// as indented blocks under the line. Attach it with the checker's
+// WithLogger option; structured consumers attach their own handler
+// instead.
 type NarrationHandler struct {
 	w     io.Writer
 	mu    *sync.Mutex
@@ -26,8 +26,7 @@ func NewNarrationHandler(w io.Writer) *NarrationHandler {
 	return &NarrationHandler{w: w, mu: &sync.Mutex{}}
 }
 
-// NarrationLogger returns a logger narrating to w; it is the shim used by
-// WithLog.
+// NarrationLogger returns a logger narrating to w, or nil for a nil w.
 func NarrationLogger(w io.Writer) *slog.Logger {
 	if w == nil {
 		return nil

@@ -398,15 +398,21 @@ func (m Metrics) Counter(name string) int64 { return m.Counters[name] }
 // Gauge returns the named gauge's snapshot value, 0 when absent.
 func (m Metrics) Gauge(name string) int64 { return m.Gauges[name] }
 
-// SMTHitRate returns the SMT cache hit rate recorded in the snapshot
-// (gauges "smt.cache.hits" / "smt.cache.misses"), in [0, 1]; 0 when no
-// queries were recorded.
-func (m Metrics) SMTHitRate() float64 {
-	hits, misses := m.Gauges["smt.cache.hits"], m.Gauges["smt.cache.misses"]
-	if hits+misses == 0 {
-		return 0
+// SetCounter records a counter read from the structure that owns it
+// while a snapshot is taken, allocating the map on first use.
+func (m *Metrics) SetCounter(name string, v int64) {
+	if m.Counters == nil {
+		m.Counters = make(map[string]int64)
 	}
-	return float64(hits) / float64(hits+misses)
+	m.Counters[name] = v
+}
+
+// SetGauge is SetCounter for a gauge.
+func (m *Metrics) SetGauge(name string, v int64) {
+	if m.Gauges == nil {
+		m.Gauges = make(map[string]int64)
+	}
+	m.Gauges[name] = v
 }
 
 // String renders the snapshot as sorted "name value" lines (histograms as
@@ -450,12 +456,10 @@ func (m Metrics) String() string {
 	return sb.String()
 }
 
-// PublishExpvar publishes the registry under the given expvar name, so a
-// -pprof debug server exposes live metrics at /debug/vars. Publishing the
-// same name twice panics (an expvar invariant); publish once per process.
-func (r *Registry) PublishExpvar(name string) {
-	if r == nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
+// PublishExpvar publishes snapshot under the given expvar name, so a
+// -pprof debug server exposes live metrics at /debug/vars; each read of
+// /debug/vars takes a fresh snapshot. Publishing the same name twice
+// panics (an expvar invariant); publish once per process.
+func PublishExpvar(name string, snapshot func() Metrics) {
+	expvar.Publish(name, expvar.Func(func() any { return snapshot() }))
 }

@@ -232,6 +232,23 @@ func (s *Span) End() {
 	}
 }
 
+// SpanTime sums the durations of the completed spans named name. Spans
+// dropped at the SetMaxSpans cap were never recorded and do not count.
+func (t *Tracer) SpanTime(name string) time.Duration {
+	if t == nil {
+		return 0
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var total time.Duration
+	for _, ev := range t.events {
+		if ev.name == name {
+			total += ev.dur
+		}
+	}
+	return total
+}
+
 // NumSpans returns the number of completed spans recorded so far.
 func (t *Tracer) NumSpans() int {
 	if t == nil {

@@ -122,6 +122,29 @@ type fakeClock struct{ t time.Time }
 func (c *fakeClock) now() time.Time          { return c.t }
 func (c *fakeClock) advance(d time.Duration) { c.t = c.t.Add(d) }
 
+// TestSpanTime: SpanTime sums the recorded spans of one name; spans
+// dropped at the cap are not counted.
+func TestSpanTime(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(1000, 0)}
+	tr := &Tracer{start: clk.t, now: clk.now}
+	tr.SetMaxSpans(3)
+	for _, d := range []time.Duration{10, 20, 30, 40} { // the 40µs span is dropped
+		sp := tr.StartDetached("smt.solve", "smt")
+		clk.advance(d * time.Microsecond)
+		sp.End()
+	}
+	if got := tr.SpanTime("smt.solve"); got != 60*time.Microsecond {
+		t.Fatalf("SpanTime = %v, want 60µs", got)
+	}
+	if got := tr.SpanTime("reach"); got != 0 {
+		t.Fatalf("SpanTime of an absent name = %v", got)
+	}
+	var nilTracer *Tracer
+	if nilTracer.SpanTime("smt.solve") != 0 {
+		t.Fatal("nil tracer SpanTime != 0")
+	}
+}
+
 func TestExportGolden(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1000, 0)}
 	tr := &Tracer{start: clk.t, now: clk.now}

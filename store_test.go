@@ -149,9 +149,42 @@ thread Worker {
 		}
 	}
 
-	stats := st.Stats()
-	if stats.Hits != int64(nonTriaged) || stats.RevalidationFailures != 0 {
-		t.Fatalf("store stats = %+v; want %d hits, 0 revalidation failures", stats, nonTriaged)
+	snap := chkWarm.Snapshot()
+	if snap.Counter("store.hit") != int64(nonTriaged) || snap.Counter("store.revalidation_failed") != 0 {
+		t.Fatalf("store counters = %v; want %d hits, 0 revalidation failures", snap.Counters, nonTriaged)
+	}
+}
+
+// TestStoreReusedCountedOnce: a warm batch counts each reused
+// certificate once, in the batch snapshot and in the checker's, so
+// store.reused equals the number of results served from the store.
+func TestStoreReusedCountedOnce(t *testing.T) {
+	ctx := context.Background()
+	p := MustParse(t, tasSrc)
+	// Triage off: a discharged pair never reaches the store.
+	chk := NewChecker(WithCertStore(NewCertStore()), WithParallelism(1), WithTriage(false))
+	if _, err := chk.CheckTargets(ctx, p, nil); err != nil {
+		t.Fatal(err)
+	}
+	warm, err := chk.CheckTargets(ctx, p, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused := int64(0)
+	for _, r := range warm.Results {
+		if r.Report == nil {
+			t.Fatalf("%s: %v", r.Target, r.Err)
+		}
+		reused += r.Report.Metrics.Counter("store.reused")
+	}
+	if reused != int64(len(warm.Results)) || reused < 2 {
+		t.Fatalf("%d of %d warm results reused a certificate; want all (at least 2)", reused, len(warm.Results))
+	}
+	if got := warm.Metrics.Counter("store.reused"); got != reused {
+		t.Fatalf("batch store.reused = %d, want %d", got, reused)
+	}
+	if got := chk.Snapshot().Counter("store.reused"); got != reused {
+		t.Fatalf("checker store.reused = %d, want %d", got, reused)
 	}
 }
 
@@ -234,35 +267,30 @@ thread Worker {
 }
 `
 	ctx := context.Background()
-	st := NewCertStore()
-	check := func(src string) *Report {
+	// Triage off: the flag-guard rule would discharge x statically and
+	// the store (the subject here) would never be consulted.
+	chk := NewChecker(WithCertStore(NewCertStore()), WithParallelism(1), WithTriage(false))
+	check := func(src string) Metrics {
 		t.Helper()
-		// Triage off: the flag-guard rule would discharge x statically and
-		// the store (the subject here) would never be consulted.
-		chk := NewChecker(WithCertStore(st), WithParallelism(1), WithTriage(false))
-		rep, err := chk.Check(ctx, MustParse(t, src), "", "x")
-		if err != nil {
+		if _, err := chk.Check(ctx, MustParse(t, src), "", "x"); err != nil {
 			t.Fatalf("check: %v", err)
 		}
-		return rep
+		return chk.Snapshot()
 	}
 
-	check(base)
-	after := st.Stats()
-	if after.Writes != 1 {
-		t.Fatalf("cold run wrote %d entries; want 1", after.Writes)
+	after := check(base)
+	if n := after.Counter("store.write"); n != 1 {
+		t.Fatalf("cold run wrote %d entries; want 1", n)
 	}
 
-	check(outsideCone)
-	s2 := st.Stats()
-	if s2.Hits != after.Hits+1 {
-		t.Fatalf("edit outside the cone missed the store: %+v -> %+v", after, s2)
+	s2 := check(outsideCone)
+	if s2.Counter("store.hit") != after.Counter("store.hit")+1 {
+		t.Fatalf("edit outside the cone missed the store: %v -> %v", after.Counters, s2.Counters)
 	}
 
-	check(insideCone)
-	s3 := st.Stats()
-	if s3.Misses != s2.Misses+1 || s3.Writes != s2.Writes+1 {
-		t.Fatalf("edit inside the cone should miss and re-store: %+v -> %+v", s2, s3)
+	s3 := check(insideCone)
+	if s3.Counter("store.miss") != s2.Counter("store.miss")+1 || s3.Counter("store.write") != s2.Counter("store.write")+1 {
+		t.Fatalf("edit inside the cone should miss and re-store: %v -> %v", s2.Counters, s3.Counters)
 	}
 }
 

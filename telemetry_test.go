@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"circ/internal/telemetry"
 )
 
 // verdictKey flattens everything analysis-relevant in a report — verdict,
@@ -69,8 +71,9 @@ thread T {
 }
 
 // TestReportEmbedsMetrics: every Report carries its own metrics snapshot,
-// and Summary folds the iteration count and SMT hit rate out of it without
-// consulting the live checker.
+// and Summary folds the iteration count out of it without consulting the
+// live checker. The shared SMT cache's lifetime counts are not the
+// report's own, so neither the snapshot nor the summary carries them.
 func TestReportEmbedsMetrics(t *testing.T) {
 	// Triage off so the engine actually iterates on tasSrc.
 	chk := NewChecker(WithTriage(false))
@@ -92,8 +95,13 @@ func TestReportEmbedsMetrics(t *testing.T) {
 	if want := fmt.Sprintf("%d iterations", iters); !strings.Contains(sum, want) {
 		t.Fatalf("Summary %q does not mention %q", sum, want)
 	}
-	if !strings.Contains(sum, "smt hit rate") {
-		t.Fatalf("Summary %q does not mention the smt hit rate", sum)
+	if strings.Contains(sum, "smt hit rate") {
+		t.Fatalf("Summary %q reports the shared cache's hit rate as the report's", sum)
+	}
+	for name := range rep.Metrics.Gauges {
+		if strings.HasPrefix(name, "smt.") {
+			t.Fatalf("Report.Metrics carries shared solver gauge %s", name)
+		}
 	}
 	// The checker-level registry aggregates what the per-report snapshot
 	// recorded.
@@ -125,11 +133,12 @@ func TestBatchReportMetrics(t *testing.T) {
 	}
 }
 
-// TestWithLogShim: the io.Writer entry point still produces the classic
-// plain-text narration through the slog-based handler.
+// TestWithLogShim: WithLogger with the narration handler (the
+// replacement for the retired WithLog shim) produces the classic
+// plain-text narration.
 func TestWithLogShim(t *testing.T) {
 	var buf bytes.Buffer
-	_, err := NewChecker(WithLog(&buf), WithParallelism(1), WithTriage(false)).
+	_, err := NewChecker(WithLogger(telemetry.NewNarrationHandler(&buf)), WithParallelism(1), WithTriage(false)).
 		CheckSource(context.Background(), tasSrc, "", "x")
 	if err != nil {
 		t.Fatal(err)
