@@ -39,6 +39,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"runtime"
@@ -249,10 +250,10 @@ func WithK(k int) Option { return func(c *Checker) { c.k = k } }
 func WithOmega(omega bool) Option { return func(c *Checker) { c.omega = omega } }
 
 // WithLogger directs the per-iteration narration to a structured slog
-// handler (nil disables logging). telemetry.NewNarrationHandler renders
-// the classic plain-text narration. In batch runs the narration is only
-// emitted when a single analysis runs at a time (parallelism 1 or a
-// single target), to keep it readable.
+// handler (nil disables logging). NarrationHandler renders the classic
+// plain-text narration. In batch runs the narration is only emitted when
+// a single analysis runs at a time (parallelism 1 or a single target), to
+// keep it readable.
 func WithLogger(h slog.Handler) Option {
 	return func(c *Checker) {
 		if h == nil {
@@ -262,6 +263,12 @@ func WithLogger(h slog.Handler) Option {
 		c.logger = slog.New(h)
 	}
 }
+
+// NarrationHandler returns a handler for WithLogger that writes the
+// classic plain-text narration to w, the output of the circ command's -v
+// flag: one "msg key=val ..." line per record, with multi-line values
+// (ARG and ACFA dumps, race traces) as indented blocks under it.
+func NarrationHandler(w io.Writer) slog.Handler { return telemetry.NewNarrationHandler(w) }
 
 // WithTracer records a hierarchical span trace of every analysis run
 // through the Checker into tr. Export it afterwards with Tracer.Export or

@@ -144,7 +144,7 @@ func run(args []string) int {
 		circ.WithSeedPredicates(bool(seedPreds)),
 	}
 	if *verbose {
-		opts = append(opts, circ.WithLogger(telemetry.NewNarrationHandler(os.Stderr)))
+		opts = append(opts, circ.WithLogger(circ.NarrationHandler(os.Stderr)))
 	}
 	var tracer *circ.Tracer
 	if *traceOut != "" {

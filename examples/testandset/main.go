@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"circ"
-	"circ/internal/telemetry"
 )
 
 const src = `
@@ -49,7 +48,7 @@ func main() {
 
 	fmt.Println("== Running CIRC (Figures 2-4: iteration narration) ==")
 	rep, err := circ.Check(context.Background(), src, circ.WithTarget("", "x"),
-		circ.WithLogger(telemetry.NewNarrationHandler(os.Stdout)))
+		circ.WithLogger(circ.NarrationHandler(os.Stdout)))
 	if err != nil {
 		log.Fatal(err)
 	}

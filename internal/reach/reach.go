@@ -122,11 +122,16 @@ type explorer struct {
 	memo []tsMemo
 	// lists is expand's scratch: the lists one state merges.
 	lists []*succList
-	// havocs holds the interned havoc set of each ACFA edge, parallel to
-	// A.OutEdges, for the abstractor's post memo.
-	havocs [][]pred.Havoc
-	ctxs   ctxTable
-	slots  slotChunks
+	// envEdges holds, parallel to A.OutEdges, each ACFA edge's interned
+	// havoc set, for the abstractor's post memo, and its move number in
+	// ctxs.
+	envEdges [][]envEdge
+	arg      *ARG
+	ctxs     ctxTable
+	seen     stateSet
+	slots    slotChunks
+	// traceBlocks holds the race traces' states and steps.
+	traceBlocks traceBlocks
 
 	// Telemetry handles, nil when no registry is configured, and the
 	// run's counts, which publish hands to them once per run.
@@ -141,16 +146,31 @@ type explorer struct {
 	j *journal.Stream
 }
 
-// newExplorer prepares one run, interning the havoc set of each of A's
-// edges in abs once.
+// envEdge is what a run precomputes for one ACFA edge.
+type envEdge struct {
+	havoc pred.Havoc
+	move  int // the number of the edge's (source, target) pair
+}
+
+// newExplorer prepares one run: it interns the havoc set of each of A's
+// edges in abs once and numbers the distinct (source, target) pairs of
+// the edges, which sizes the context table's rows.
 func newExplorer(C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options) *explorer {
 	e := &explorer{C: C, A: A, abs: abs, raceVar: raceVar, opts: opts,
-		havocs: make([][]pred.Havoc, A.NumLocs())}
-	for n := range e.havocs {
+		envEdges: make([][]envEdge, A.NumLocs())}
+	var pairs [][2]acfa.Loc
+	for n := range e.envEdges {
 		for _, ae := range A.OutEdges(acfa.Loc(n)) {
-			e.havocs[n] = append(e.havocs[n], abs.Havoc(ae.Havoc))
+			p := [2]acfa.Loc{ae.Src, ae.Dst}
+			mv := slices.Index(pairs, p)
+			if mv < 0 {
+				mv = len(pairs)
+				pairs = append(pairs, p)
+			}
+			e.envEdges[n] = append(e.envEdges[n], envEdge{abs.Havoc(ae.Havoc), mv})
 		}
 	}
+	e.ctxs.width = len(pairs)
 	return e
 }
 
@@ -174,14 +194,16 @@ func (e *explorer) countPost(c *pred.Cube, hit bool) *pred.Cube {
 }
 
 // succ is one successor of a thread state: the next thread state, the op
-// taken, and the next thread state's ARG raw id, -1 until a merge first
-// takes the step. Filling the id lazily keeps ARG interning and
-// transition recording in merge order, so raw ids, and everything
-// numbered by them, do not depend on which states were expanded.
+// taken, the move number of an env op's ACFA edge, and the next thread
+// state's ARG raw id, -1 until a merge first takes the step. Filling the
+// id lazily keeps ARG interning and transition recording in merge order,
+// so raw ids, and everything numbered by them, do not depend on which
+// states were expanded.
 type succ struct {
-	ts ThreadState
-	op Op
-	id int
+	ts   ThreadState
+	op   Op
+	move int
+	id   int
 }
 
 // succList holds one thread state's successors along its main edges, or
@@ -205,39 +227,93 @@ type tsMemo struct {
 	reads, readsDone bool
 }
 
-// slot is one discovered state and its place in the BFS tree.
+// slot is one discovered state and its place in the BFS tree, in ids
+// only, so slots hold no pointers for the collector to scan: the ARG raw
+// id of its thread state, its context id, and the slot index of the
+// parent that discovered it (-1 for the initial state). The step from
+// the parent is the k-th successor of the parent's main list (list -1)
+// or of its env list for ACFA location list.
 type slot struct {
-	state  State
-	id     stateID
-	parent *slot // the state that discovered this one; nil for the initial state
-	op     Op    // the step from parent
+	ts, ctx, parent int32
+	list, k         int32
 }
 
-// stateID is an abstract state's identity within one exploration: the
-// ARG's raw id of its thread state and the interned id of its context.
-// Two states are the same exactly when their CFA locations, cube keys and
-// counter maps agree.
-type stateID struct{ ts, ctx int }
+// maxID bounds thread-state ids, context ids and slot indices so that
+// they fit a slot's int32 fields and a state key packs two of them into
+// one word below stateSet's tag bit. All are dense indices of objects
+// held in memory, so run reports an error long before any reaches it.
+const maxID uint64 = 1 << 31
 
-// maxID bounds both halves of a stateID so that key packs it into one
-// word without collisions. Both are dense indices of objects held in
-// memory, so run reports an error long before either could reach it.
-const maxID uint64 = 1 << 32
+// key packs a state's identity, its thread state's ARG raw id and its
+// context id, into one word for the seen set. Two states are the same
+// exactly when their CFA locations, cubes and counter maps agree.
+func key(ts, ctx int) uint64 { return uint64(ts)<<32 | uint64(ctx) }
 
-// key packs the identity into one word for the seen set.
-func (id stateID) key() uint64 { return uint64(id.ts)<<32 | uint64(id.ctx) }
+// stateSet is the seen set of one run: an open-addressed table of keys
+// with linear probing, a multiplicative hash and a load factor of at
+// most 1/2. An entry holds its key with the tag bit set, so 0 marks an
+// empty entry and key 0 is a valid key.
+type stateSet struct {
+	tab   []uint64 // a power of two of entries
+	n     int      // keys held
+	shift uint     // 64 - log2(len(tab))
+}
+
+const (
+	setTag  = 1 << 63
+	setMul  = 0x9e3779b97f4a7c15 // 2^64 / the golden ratio
+	setInit = 256                // entries in a new table
+)
+
+// add inserts key k, which must be below setTag, and reports whether it
+// was new.
+func (s *stateSet) add(k uint64) bool {
+	if 2*(s.n+1) > len(s.tab) {
+		s.grow()
+	}
+	mask := uint64(len(s.tab) - 1)
+	for i := (k * setMul) >> s.shift; ; i = (i + 1) & mask {
+		switch s.tab[i] {
+		case 0:
+			s.tab[i] = k | setTag
+			s.n++
+			return true
+		case k | setTag:
+			return false
+		}
+	}
+}
+
+// grow doubles the table (or makes the first one) and reinserts the keys.
+func (s *stateSet) grow() {
+	old := s.tab
+	size := max(setInit, 2*len(old))
+	s.tab = make([]uint64, size)
+	s.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		i := ((v &^ setTag) * setMul) >> s.shift
+		for s.tab[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.tab[i] = v
+	}
+}
 
 // slotChunks holds a run's slots in discovery order, which is the FIFO
 // worklist, in chunks of 16, 32, 64, ... slots: a run allocates a few
-// chunks rather than one slot per state, and a tiny run allocates little.
-// A chunk is never reallocated, which keeps parent pointers valid.
+// chunks rather than one slot per state, a tiny run allocates little,
+// and growth never copies the slots already held.
 type slotChunks struct {
 	chunks [][]slot
 	n      int // slots held
 }
 
-// add appends a slot and returns it.
-func (c *slotChunks) add(s slot) *slot {
+// add appends a slot.
+func (c *slotChunks) add(s slot) {
 	k := len(c.chunks) - 1
 	if k < 0 || len(c.chunks[k]) == cap(c.chunks[k]) {
 		k++
@@ -245,7 +321,6 @@ func (c *slotChunks) add(s slot) *slot {
 	}
 	c.chunks[k] = append(c.chunks[k], s)
 	c.n++
-	return &c.chunks[k][len(c.chunks[k])-1]
 }
 
 // at returns the i-th slot. Chunk k holds slots 16(2^k-1) up to
@@ -255,23 +330,28 @@ func (c *slotChunks) at(i int) *slot {
 	return &c.chunks[k][i-16*(1<<k-1)]
 }
 
+// state returns the abstract state a slot names.
+func (e *explorer) state(sl *slot) State {
+	return State{TS: e.arg.states[sl.ts], Ctx: e.ctxs.ctxs[sl.ctx]}
+}
+
 // run is the exploration loop over the FIFO discovery order.
 func (e *explorer) run(ctx context.Context) (*Result, error) {
-	arg, init := e.seed()
-	seen := map[uint64]struct{}{init.id.key(): {}}
+	e.seed()
 	var races []*Trace
-	var widened map[acfa.Loc]bool
+	var widened []bool
 	if e.j.Enabled() {
-		widened = make(map[acfa.Loc]bool)
+		widened = make([]bool, e.A.NumLocs())
 	}
 
 	for i := 0; i < e.slots.n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		sl := e.slots.at(i)
-		m, lists := e.expand(sl)
-		isRace := e.isRace(&sl.state, m)
+		sl := *e.slots.at(i)
+		s := e.state(&sl)
+		m, lists := e.expand(int(sl.ts), &s)
+		isRace := e.isRace(&s, m)
 		numStates := i + 1
 		e.nStates++
 		if numStates > e.opts.maxStates() {
@@ -280,12 +360,12 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 		}
 		if isRace {
 			e.nRaces++
-			races = append(races, buildTrace(sl))
+			races = append(races, e.buildTrace(i))
 			if len(races) >= e.opts.maxRaces() {
 				// Enough counterexamples for this refinement round; the
 				// ARG is partial but unused on the error path.
 				e.drain(i + 1)
-				return &Result{Races: races, ARG: arg, NumStates: numStates}, nil
+				return &Result{Races: races, ARG: e.arg, NumStates: numStates}, nil
 			}
 		}
 		for _, l := range lists {
@@ -295,34 +375,33 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 				// the ARG transition; later ones would repeat both.
 				first := r.id < 0
 				if first {
-					r.id = arg.intern(r.ts)
+					r.id = e.arg.intern(r.ts)
 				}
 				// A main move keeps the context (and its id); an env move
-				// interns the moved one.
-				id := stateID{ts: r.id, ctx: sl.id.ctx}
-				c := sl.state.Ctx
+				// takes the moved one. An env successor out of ACFA
+				// location n sits in env list n.
+				c, list := int(sl.ctx), int32(-1)
 				if env := r.op.EnvEdge; env != nil {
 					if first {
-						arg.union(sl.id.ts, r.id)
+						e.arg.union(int(sl.ts), r.id)
 					}
-					id.ctx, c = e.ctxs.move(sl.id.ctx, env.Src, env.Dst, e.opts.K)
+					c, list = e.ctxs.move(c, r.move, env.Src, env.Dst, e.opts.K), int32(env.Src)
 				} else if first {
-					arg.connectMain(sl.id.ts, r.op.MainEdge, r.id)
+					e.arg.connectMain(int(sl.ts), r.op.MainEdge, r.id)
 				}
-				if uint64(id.ts) >= maxID || uint64(id.ctx) >= maxID {
-					return nil, fmt.Errorf("reach: more than %d thread states or contexts", maxID)
+				if uint64(r.id) >= maxID || uint64(c) >= maxID || uint64(e.slots.n) >= maxID {
+					return nil, fmt.Errorf("reach: more than %d thread states, contexts or discovered states", maxID)
 				}
-				n := len(seen)
-				if seen[id.key()] = struct{}{}; len(seen) == n {
+				if !e.seen.add(key(r.id, c)) {
 					continue
 				}
-				ns := e.slots.add(slot{state: State{TS: r.ts, Ctx: c}, id: id, parent: sl, op: r.op})
-				e.emitWidened(widened, &sl.state, &ns.state)
+				e.slots.add(slot{ts: int32(r.id), ctx: int32(c), parent: int32(i), list: list, k: int32(k)})
+				e.emitWidened(widened, s.Ctx, e.ctxs.ctxs[c])
 			}
 		}
 		e.maxFrontier = max(e.maxFrontier, int64(e.slots.n-numStates))
 	}
-	return &Result{Races: races, ARG: arg, NumStates: e.slots.n}, nil
+	return &Result{Races: races, ARG: e.arg, NumStates: e.slots.n}, nil
 }
 
 // drain expands the discovered but unmerged states after an early break
@@ -334,14 +413,15 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 func (e *explorer) drain(from int) {
 	for i := from; i < e.slots.n; i++ {
 		sl := e.slots.at(i)
-		m, _ := e.expand(sl)
-		e.isRace(&sl.state, m)
+		s := e.state(sl)
+		m, _ := e.expand(int(sl.ts), &s)
+		e.isRace(&s, m)
 	}
 }
 
 // seed builds the ARG and the initial exploration state's slot.
-func (e *explorer) seed() (*ARG, *slot) {
-	arg := newARG(e.C, e.abs.Set)
+func (e *explorer) seed() {
+	e.arg = newARG(e.C, e.abs.Set)
 	allVars := append(append([]string(nil), e.C.Globals...), e.C.Locals...)
 	cube0 := e.abs.InitialCube(allVars)
 	ctx0 := make(Ctx, e.A.NumLocs())
@@ -350,25 +430,24 @@ func (e *explorer) seed() (*ARG, *slot) {
 	} else {
 		ctx0[e.A.Entry] = Omega
 	}
-	ts := ThreadState{Loc: e.C.Entry, Cube: cube0}
-	id := stateID{ts: arg.setEntry(ts)}
-	id.ctx, ctx0 = e.ctxs.intern(ctx0)
-	return arg, e.slots.add(slot{state: State{TS: ts, Ctx: ctx0}, id: id})
+	ts := e.arg.setEntry(ThreadState{Loc: e.C.Entry, Cube: cube0})
+	c := e.ctxs.intern(ctx0)
+	e.seen.add(key(ts, c))
+	e.slots.add(slot{ts: int32(ts), ctx: int32(c), parent: -1, list: -1})
 }
 
 // emitWidened journals context locations whose counter just saturated to
 // omega on the parent→child transition, once per run.
-func (e *explorer) emitWidened(widened map[acfa.Loc]bool, parent, child *State) {
+func (e *explorer) emitWidened(widened []bool, parent, child Ctx) {
 	if widened == nil {
 		return
 	}
 	// A location whose counter just saturated (the parent's was finite)
 	// crossed k → omega on this transition. The omega-seeded entry never
 	// trips this: its parent value is already Omega.
-	for n := range child.Ctx {
-		l := acfa.Loc(n)
-		if child.Ctx[l] == Omega && parent.Ctx[l] != Omega && !widened[l] {
-			widened[l] = true
+	for n := range child {
+		if child[n] == Omega && parent[n] != Omega && !widened[n] {
+			widened[n] = true
 			e.j.Emit(journal.Event{
 				Type: journal.EvCounterWidened,
 				Loc:  n, K: e.opts.K,
@@ -408,11 +487,11 @@ func (e *explorer) atomicOccupancy(s *State) (mainEnabled, envAll bool, envOnly 
 	}
 }
 
-// expand returns the memo entry of sl's thread state and the successor
-// lists of the state's enabled moves in merge order: the main edges, then
-// each enabled ACFA location in ascending order. A list is computed on its
-// thread state's first need of it and reused after that. The returned
-// slice is scratch, valid until the next call.
+// expand returns the memo entry of s's thread state, whose raw id is ts,
+// and the successor lists of the state's enabled moves in merge order:
+// the main edges, then each enabled ACFA location in ascending order. A
+// list is computed on its thread state's first need of it and reused
+// after that. The returned slice is scratch, valid until the next call.
 //
 // Note on the paper's Lambda-G conjunct: the abstract post in the paper
 // additionally conjoins the labels of all occupied context locations.
@@ -424,12 +503,11 @@ func (e *explorer) atomicOccupancy(s *State) (mainEnabled, envAll bool, envOnly 
 // constrain only by the moving thread's target label (part of the ACFA
 // transition semantics), which the worked example's proof actually relies
 // on.
-func (e *explorer) expand(sl *slot) (*tsMemo, []*succList) {
-	for len(e.memo) <= sl.id.ts {
+func (e *explorer) expand(ts int, s *State) (*tsMemo, []*succList) {
+	for len(e.memo) <= ts {
 		e.memo = append(e.memo, tsMemo{})
 	}
-	m := &e.memo[sl.id.ts]
-	s := &sl.state
+	m := &e.memo[ts]
 	mainEnabled, envAll, envOnly := e.atomicOccupancy(s)
 	e.lists = e.lists[:0]
 	if mainEnabled {
@@ -465,7 +543,7 @@ func (e *explorer) mainSuccs(s *State, m *tsMemo) (l *succList, reused bool) {
 	for _, edge := range edges {
 		l.lookups++
 		if next := e.countPost(e.abs.EdgePost(s.TS.Cube, edge)); next != nil {
-			l.succs = append(l.succs, succ{ThreadState{Loc: edge.Dst, Cube: next}, Op{MainEdge: edge}, -1})
+			l.succs = append(l.succs, succ{ThreadState{Loc: edge.Dst, Cube: next}, Op{MainEdge: edge}, -1, -1})
 		}
 	}
 	l.done = true
@@ -485,13 +563,14 @@ func (e *explorer) envSuccs(s *State, m *tsMemo, n acfa.Loc) (l *succList, reuse
 	}
 	for ai, aedge := range e.A.OutEdges(n) {
 		writes := slices.Contains(aedge.Havoc, e.raceVar)
+		ee := e.envEdges[n][ai]
 		for _, tc := range e.A.Label(aedge.Dst).Cubes() {
 			l.lookups++
-			next := e.countPost(e.abs.EnvPost(s.TS.Cube, e.havocs[n][ai], tc))
+			next := e.countPost(e.abs.EnvPost(s.TS.Cube, ee.havoc, tc))
 			if next == nil {
 				continue
 			}
-			l.succs = append(l.succs, succ{ThreadState{Loc: s.TS.Loc, Cube: next}, Op{EnvEdge: aedge}, -1})
+			l.succs = append(l.succs, succ{ThreadState{Loc: s.TS.Loc, Cube: next}, Op{EnvEdge: aedge}, ee.move, -1})
 			l.writes = l.writes || writes
 		}
 	}
@@ -499,21 +578,61 @@ func (e *explorer) envSuccs(s *State, m *tsMemo, n acfa.Loc) (l *succList, reuse
 	return l, false
 }
 
-// buildTrace walks the BFS tree from last back to the initial state.
-func buildTrace(last *slot) *Trace {
+// buildTrace walks the BFS tree from slot last back to the initial
+// state. Each state is rebuilt from its ids, and each step's op is read
+// from the parent's memoised successor list.
+func (e *explorer) buildTrace(last int) *Trace {
 	n := 0
-	for sl := last; sl != nil; sl = sl.parent {
+	for i := last; i >= 0; i = int(e.slots.at(i).parent) {
 		n++
 	}
-	t := &Trace{States: make([]*State, n), Steps: make([]Op, n-1)}
-	for sl := last; sl != nil; sl = sl.parent {
+	b := &e.traceBlocks
+	t := &carve(&b.traces, 1)[0]
+	t.States, t.Steps = carve(&b.ptrs, n), carve(&b.ops, n-1)
+	states := carve(&b.states, n)
+	for i := last; i >= 0; {
+		sl := e.slots.at(i)
 		n--
-		t.States[n] = &sl.state
+		states[n] = e.state(sl)
+		t.States[n] = &states[n]
 		if n > 0 {
-			t.Steps[n-1] = sl.op
+			t.Steps[n-1] = e.step(sl)
 		}
+		i = int(sl.parent)
 	}
 	return t
+}
+
+// traceBlocks holds the blocks a run's race traces are carved from, so a
+// trace costs no allocation of its own.
+type traceBlocks struct {
+	traces []Trace
+	ptrs   []*State
+	states []State
+	ops    []Op
+}
+
+// carve returns n zeroed elements from the free tail of the block *buf,
+// first replacing the block with one twice its size when too few remain.
+// A block is never reallocated, so what carve returned stays valid, and
+// the result's capacity ends at its length, so appending to it copies.
+func carve[T any](buf *[]T, n int) []T {
+	b := *buf
+	if cap(b)-len(b) < n {
+		b = make([]T, 0, max(n, 2*cap(b), 16))
+	}
+	*buf = b[:len(b)+n]
+	return b[len(b) : len(b)+n : len(b)+n]
+}
+
+// step returns the op that took a non-initial slot's parent to it.
+func (e *explorer) step(sl *slot) Op {
+	m := &e.memo[e.slots.at(int(sl.parent)).ts]
+	l := &m.main
+	if sl.list >= 0 {
+		l = &m.env[sl.list]
+	}
+	return l.succs[sl.k].op
 }
 
 // isRace reports whether s is a race state on e.raceVar: no occupied

@@ -3,8 +3,6 @@ package reach
 import (
 	"context"
 	"errors"
-	"math"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -67,29 +65,30 @@ func TestCtxCounters(t *testing.T) {
 	}
 }
 
-// TestCtxTableMoves: a memoised move agrees with Ctx.Move, answers a
-// repeat from the memo with the same shared copy, and a move whose
-// locations do not fit the packed key is computed unmemoised.
+// TestCtxTableMoves: a memoised move agrees with Ctx.Move and answers a
+// repeat from its context's row, and every interned context gets a row.
 func TestCtxTableMoves(t *testing.T) {
-	var tab ctxTable
-	id0, c0 := tab.intern(Ctx{Omega, 1, 0})
-	for _, m := range []struct{ from, to acfa.Loc }{{0, 1}, {1, 2}, {0, 2}, {0, 1}} {
-		id, c := tab.move(id0, m.from, m.to, 1)
-		if want := c0.Move(m.from, m.to, 1); c.Key() != want.Key() {
-			t.Fatalf("move(%d, %d) = %v, want %v", m.from, m.to, c, want)
+	moves := []struct{ from, to acfa.Loc }{{0, 1}, {1, 2}, {0, 2}}
+	tab := ctxTable{width: len(moves)}
+	c0 := Ctx{Omega, 1, 0}
+	id0 := tab.intern(c0)
+	for _, mv := range []int{0, 1, 2, 0} {
+		m := moves[mv]
+		id := tab.move(id0, mv, m.from, m.to, 1)
+		if got, want := tab.ctxs[id], c0.Move(m.from, m.to, 1); got.Key() != want.Key() {
+			t.Fatalf("move(%d, %d) = %v, want %v", m.from, m.to, got, want)
 		}
-		if again, c2 := tab.move(id0, m.from, m.to, 1); again != id || &c2[0] != &c[0] {
+		if again := tab.move(id0, mv, m.from, m.to, 1); again != id {
 			t.Fatalf("repeated move(%d, %d) = %d, want the memoised %d", m.from, m.to, again, id)
 		}
 	}
-	if len(tab.moves) != 3 {
-		t.Fatalf("%d memoised moves, want 3", len(tab.moves))
+	for mv, next := range tab.next[id0*tab.width : (id0+1)*tab.width] {
+		if next < 0 {
+			t.Fatalf("move %d not memoised", mv)
+		}
 	}
-	if _, packed := moveKey(math.MaxInt, 0, 0); packed && strconv.IntSize == 64 {
-		t.Fatalf("context id %d packed", math.MaxInt)
-	}
-	if _, packed := moveKey(0, 1<<16, 0); packed {
-		t.Fatalf("a location of 2^16 packed")
+	if len(tab.next) != len(tab.ctxs)*tab.width {
+		t.Fatalf("%d move entries for %d contexts of %d moves", len(tab.next), len(tab.ctxs), tab.width)
 	}
 }
 
@@ -99,11 +98,12 @@ func TestSlotChunks(t *testing.T) {
 	var c slotChunks
 	var added []*slot
 	for i := 0; i < 1000; i++ {
-		added = append(added, c.add(slot{id: stateID{ts: i}}))
+		c.add(slot{ts: int32(i)})
+		added = append(added, c.at(i))
 	}
 	for i, sl := range added {
-		if c.at(i) != sl || sl.id.ts != i {
-			t.Fatalf("at(%d) = slot %d at %p, want slot %d at %p", i, c.at(i).id.ts, c.at(i), i, sl)
+		if c.at(i) != sl || sl.ts != int32(i) {
+			t.Fatalf("at(%d) = slot %d at %p, want slot %d at %p", i, c.at(i).ts, c.at(i), i, sl)
 		}
 	}
 	if c.n != 1000 {
@@ -219,8 +219,8 @@ thread T {
 	}
 	ctx := make(Ctx, a.NumLocs())
 	ctx[a.Entry] = Omega
-	sl := &slot{state: State{TS: ThreadState{Loc: atomicLoc, Cube: pred.TopCube(set)}, Ctx: ctx}}
-	m, lists := e.expand(sl)
+	st := &State{TS: ThreadState{Loc: atomicLoc, Cube: pred.TopCube(set)}, Ctx: ctx}
+	m, lists := e.expand(0, st)
 	for _, l := range lists {
 		for _, s := range l.succs {
 			if s.op.IsEnv() {
@@ -229,7 +229,7 @@ thread T {
 		}
 	}
 	// And a race must not be reported at an atomic state.
-	if e.isRace(&sl.state, m) {
+	if e.isRace(st, m) {
 		t.Fatalf("race reported while main is atomic")
 	}
 }

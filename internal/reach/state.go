@@ -9,6 +9,7 @@ package reach
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -84,65 +85,57 @@ func (c Ctx) dec(n acfa.Loc) {
 // counter map gets a dense id and one shared copy, so a state's identity
 // is a pair of small integers and successors that revisit a context
 // allocate nothing. It also memoises moves, which are a pure function of
-// the source context and the moving thread's locations. Only the
+// the source context and the moving thread's locations: the run numbers
+// the distinct (source, target) location pairs of its ACFA's edges, and
+// next holds one row per context, indexed by that move number. Only the
 // sequential merge phase touches it.
 type ctxTable struct {
 	ids     map[string]int // encoded counter map -> id
 	ctxs    []Ctx          // id -> the shared counter map
-	moves   map[uint64]int // moveKey(id, from, to) -> id of the moved context
+	width   int            // moves per row, fixed before the first intern
+	next    []int32        // id*width + move -> id of the moved context, -1 until taken
 	buf     []byte         // encoding scratch
 	scratch Ctx            // Move scratch
 }
 
-// moveKey packs a move's source context id and locations into one word,
-// reporting false when they exceed the fields (32, 16 and 16 bits), so
-// distinct moves never share a key.
-func moveKey(id int, from, to acfa.Loc) (uint64, bool) {
-	if uint64(id) >= 1<<32 || uint64(from) >= 1<<16 || uint64(to) >= 1<<16 {
-		return 0, false
-	}
-	return uint64(id)<<32 | uint64(from)<<16 | uint64(to), true
-}
-
-// intern returns the id and shared copy of counter map c (which the table
-// copies on first sight, so c may be scratch).
-func (t *ctxTable) intern(c Ctx) (int, Ctx) {
+// intern returns the id of counter map c (which the table copies on
+// first sight, so c may be scratch), adding its row of unknown moves.
+func (t *ctxTable) intern(c Ctx) int {
 	t.buf = t.buf[:0]
 	for _, v := range c {
 		t.buf = binary.AppendUvarint(t.buf, uint64(v+1)) // Omega encodes as 0
 	}
 	if id, ok := t.ids[string(t.buf)]; ok {
-		return id, t.ctxs[id]
+		return id
 	}
 	if t.ids == nil {
 		t.ids = make(map[string]int)
 	}
 	id := len(t.ctxs)
-	shared := c.CloneCtx()
 	t.ids[string(t.buf)] = id
-	t.ctxs = append(t.ctxs, shared)
-	return id, shared
+	t.ctxs = append(t.ctxs, c.CloneCtx())
+	n := len(t.next)
+	t.next = slices.Grow(t.next, t.width)[:n+t.width]
+	for i := n; i < len(t.next); i++ {
+		t.next[i] = -1
+	}
+	return id
 }
 
-// move returns the id and shared copy of the context with id id after a
-// thread moves from location from to location to, under counter bound k
+// move returns the id of the context with id id after a thread takes
+// move mv, from location from to location to, under counter bound k
 // (fixed for a run). Only a memo miss copies and encodes the counters.
-func (t *ctxTable) move(id int, from, to acfa.Loc, k int) (int, Ctx) {
-	key, packed := moveKey(id, from, to)
-	if next, ok := t.moves[key]; ok && packed {
-		return next, t.ctxs[next]
+// The caller rejects ids from maxID up, so a memoised id fits an int32.
+func (t *ctxTable) move(id, mv int, from, to acfa.Loc, k int) int {
+	if next := t.next[id*t.width+mv]; next >= 0 {
+		return int(next)
 	}
 	t.scratch = append(t.scratch[:0], t.ctxs[id]...)
 	t.scratch.dec(from)
 	t.scratch.inc(to, k)
-	next, c := t.intern(t.scratch)
-	if packed {
-		if t.moves == nil {
-			t.moves = make(map[uint64]int)
-		}
-		t.moves[key] = next
-	}
-	return next, c
+	next := t.intern(t.scratch)
+	t.next[id*t.width+mv] = int32(next)
+	return next
 }
 
 // ThreadState is an abstract state of the main thread: control location
