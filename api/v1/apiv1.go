@@ -51,7 +51,8 @@ type Target struct {
 // Options are the engine knobs a request may override. Zero values mean
 // "daemon default", so a partial object is always valid.
 type Options struct {
-	// K is the initial counter parameter of the context model.
+	// K is the initial counter parameter of the context model, at most
+	// 254 (circ.MaxK); a larger one is an invalid request.
 	K int `json:"k,omitempty"`
 	// Omega selects the omega-CIRC variant (counter widening to ω).
 	Omega bool `json:"omega,omitempty"`

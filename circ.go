@@ -55,6 +55,7 @@ import (
 	"circ/internal/lang"
 	"circ/internal/lockset"
 	"circ/internal/param"
+	"circ/internal/reach"
 	"circ/internal/refine"
 	"circ/internal/smt"
 	"circ/internal/store"
@@ -242,7 +243,12 @@ type Checker struct {
 // Option configures a Checker.
 type Option func(*Checker)
 
-// WithK sets the initial counter parameter (default 1).
+// MaxK is the largest counter parameter the engine supports: a context
+// keeps each counter in one byte. A CIRC run whose k would grow past it
+// ends Unknown.
+const MaxK = reach.MaxK
+
+// WithK sets the initial counter parameter (default 1, at most MaxK).
 func WithK(k int) Option { return func(c *Checker) { c.k = k } }
 
 // WithOmega selects the omega-CIRC variant (Section 5): exact-k

@@ -121,6 +121,10 @@ func run(args []string) int {
 		fs.Usage()
 		return 3
 	}
+	if *k > circ.MaxK {
+		fmt.Fprintf(os.Stderr, "circ: -k %d: exceeds the largest counter parameter, %d\n", *k, circ.MaxK)
+		return 3
+	}
 	switch *baseline {
 	case "", "flowcheck", "lockset", "flagguard", "all":
 	default:

@@ -46,6 +46,19 @@ func TestRunSafeExitCode(t *testing.T) {
 	}
 }
 
+// TestRunCounterBound: -k above circ.MaxK is a usage error; -k at it is
+// accepted (the flag-guard triage discharges the target, so no
+// exploration runs).
+func TestRunCounterBound(t *testing.T) {
+	path := writeProg(t, safeSrc)
+	if code := run([]string{"-var", "x", "-k", "255", path}); code != 3 {
+		t.Fatalf("-k 255: exit = %d, want 3", code)
+	}
+	if code := run([]string{"-var", "x", "-k", "254", path}); code != 0 {
+		t.Fatalf("-k 254: exit = %d, want 0", code)
+	}
+}
+
 func TestRunUnsafeExitCode(t *testing.T) {
 	path := writeProg(t, `
 global int x;

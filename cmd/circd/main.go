@@ -102,6 +102,10 @@ func run(args []string) int {
 		fs.Usage()
 		return 3
 	}
+	if *k > circ.MaxK {
+		fmt.Fprintf(os.Stderr, "circd: -k %d: exceeds the largest counter parameter, %d\n", *k, circ.MaxK)
+		return 3
+	}
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	if *quiet {

@@ -3,11 +3,13 @@ package circ
 import (
 	"context"
 	"os"
+	"strings"
 	"testing"
 
 	"circ/internal/cfa"
 	"circ/internal/expr"
 	"circ/internal/lang"
+	"circ/internal/reach"
 	"circ/internal/smt"
 	"circ/internal/telemetry"
 )
@@ -234,6 +236,15 @@ func TestMaxRoundsBudget(t *testing.T) {
 	rep := checkSrc(t, testAndSetSrc, Options{MaxRounds: 1})
 	if rep.Verdict != Unknown {
 		t.Fatalf("verdict = %v, want unknown under 1-round budget", rep.Verdict)
+	}
+}
+
+// TestCounterParameterBound: a counter parameter the engine cannot store
+// ends the run unknown with the reach error, not with wrapped counters.
+func TestCounterParameterBound(t *testing.T) {
+	rep := checkSrc(t, racySrc, Options{K: reach.MaxK + 1})
+	if rep.Verdict != Unknown || !strings.Contains(rep.Reason, "counter parameter k = 255") {
+		t.Fatalf("verdict = %v (reason %q), want unknown for k above %d", rep.Verdict, rep.Reason, reach.MaxK)
 	}
 }
 

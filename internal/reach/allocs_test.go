@@ -12,13 +12,13 @@ import (
 )
 
 // maxAllocsPerState bounds the allocations one explored state costs on the
-// test-and-set fixture: twice the 3.37 measured. The fixture finds a race
+// test-and-set fixture: twice the 3.30 measured. The fixture finds a race
 // in more than half its states, and a race trace allocates nothing of
 // its own: it is carved from the run's trace blocks. The memo is warm
 // after the first run, so what remains is per thread state, the ARG's
 // interning and per-location region and the successor lists, plus each
 // run's tables, chunks and trace blocks.
-const maxAllocsPerState = 2 * 3.37
+const maxAllocsPerState = 2 * 3.30
 
 // TestReachAllocsPerState guards the engine's per-state allocation cost.
 // The solver's verdict cache and the abstractor's post memo stay warm
@@ -39,8 +39,8 @@ func TestReachAllocsPerState(t *testing.T) {
 }
 
 // maxBytesPerState bounds the bytes allocated per explored state on the
-// ring fixture: twice the 79.2 measured, as maxAllocsPerState does.
-const maxBytesPerState = 2 * 79.2
+// ring fixture: twice the 77.6 measured, as maxAllocsPerState does.
+const maxBytesPerState = 2 * 77.6
 
 // ringFixture runs the test-and-set program under a three-location ring
 // of context moves that never write x, so it finds no race and explores

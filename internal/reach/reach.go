@@ -3,6 +3,7 @@ package reach
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -87,6 +88,12 @@ func (r *Result) Race() *Trace {
 // predicate set P and the SMT solver. The context cancels long runs
 // between merged states.
 func ReachAndBuild(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options) (*Result, error) {
+	if opts.K < 0 || opts.K > MaxK {
+		return nil, fmt.Errorf("reach: counter parameter k = %d outside 0..%d", opts.K, MaxK)
+	}
+	if A.NumLocs() > math.MaxUint16 {
+		return nil, fmt.Errorf("reach: %d context locations, more than %d", A.NumLocs(), math.MaxUint16)
+	}
 	e := newExplorer(C, A, abs, raceVar, opts)
 	// Instrument handles are fetched once; with a nil registry they are nil
 	// and every update on the hot path degrades to a nil check.
@@ -159,7 +166,9 @@ func newExplorer(C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string,
 	e := &explorer{C: C, A: A, abs: abs, raceVar: raceVar, opts: opts,
 		envEdges: make([][]envEdge, A.NumLocs())}
 	var pairs [][2]acfa.Loc
+	atomic := make([]bool, A.NumLocs())
 	for n := range e.envEdges {
+		atomic[n] = A.IsAtomic(acfa.Loc(n))
 		for _, ae := range A.OutEdges(acfa.Loc(n)) {
 			p := [2]acfa.Loc{ae.Src, ae.Dst}
 			mv := slices.Index(pairs, p)
@@ -170,7 +179,7 @@ func newExplorer(C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string,
 			e.envEdges[n] = append(e.envEdges[n], envEdge{abs.Havoc(ae.Havoc), mv})
 		}
 	}
-	e.ctxs.width = len(pairs)
+	e.ctxs = newCtxTable(atomic, len(pairs))
 	return e
 }
 
@@ -330,11 +339,6 @@ func (c *slotChunks) at(i int) *slot {
 	return &c.chunks[k][i-16*(1<<k-1)]
 }
 
-// state returns the abstract state a slot names.
-func (e *explorer) state(sl *slot) State {
-	return State{TS: e.arg.states[sl.ts], Ctx: e.ctxs.ctxs[sl.ctx]}
-}
-
 // run is the exploration loop over the FIFO discovery order.
 func (e *explorer) run(ctx context.Context) (*Result, error) {
 	e.seed()
@@ -349,9 +353,8 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 		sl := *e.slots.at(i)
-		s := e.state(&sl)
-		m, lists := e.expand(int(sl.ts), &s)
-		isRace := e.isRace(&s, m)
+		m, lists := e.expand(int(sl.ts), int(sl.ctx))
+		isRace := e.isRace(int(sl.ts), int(sl.ctx), m)
 		numStates := i + 1
 		e.nStates++
 		if numStates > e.opts.maxStates() {
@@ -380,8 +383,9 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 				// A main move keeps the context (and its id); an env move
 				// takes the moved one. An env successor out of ACFA
 				// location n sits in env list n.
+				env := r.op.EnvEdge
 				c, list := int(sl.ctx), int32(-1)
-				if env := r.op.EnvEdge; env != nil {
+				if env != nil {
 					if first {
 						e.arg.union(int(sl.ts), r.id)
 					}
@@ -389,14 +393,18 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 				} else if first {
 					e.arg.connectMain(int(sl.ts), r.op.MainEdge, r.id)
 				}
-				if uint64(r.id) >= maxID || uint64(c) >= maxID || uint64(e.slots.n) >= maxID {
-					return nil, fmt.Errorf("reach: more than %d thread states, contexts or discovered states", maxID)
+				// An intern adds fewer than 1<<16 occupied locations, so
+				// the check catches occ before its uint32 ends wrap.
+				if uint64(r.id) >= maxID || uint64(c) >= maxID || uint64(e.slots.n) >= maxID || uint64(len(e.ctxs.occ)) >= maxID {
+					return nil, fmt.Errorf("reach: more than %d thread states, contexts, occupied context locations or discovered states", maxID)
 				}
 				if !e.seen.add(key(r.id, c)) {
 					continue
 				}
 				e.slots.add(slot{ts: int32(r.id), ctx: int32(c), parent: int32(i), list: list, k: int32(k)})
-				e.emitWidened(widened, s.Ctx, e.ctxs.ctxs[c])
+				if env != nil {
+					e.emitWidened(widened, int(sl.ctx), c, env.Dst)
+				}
 			}
 		}
 		e.maxFrontier = max(e.maxFrontier, int64(e.slots.n-numStates))
@@ -413,9 +421,8 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 func (e *explorer) drain(from int) {
 	for i := from; i < e.slots.n; i++ {
 		sl := e.slots.at(i)
-		s := e.state(sl)
-		m, _ := e.expand(int(sl.ts), &s)
-		e.isRace(&s, m)
+		m, _ := e.expand(int(sl.ts), int(sl.ctx))
+		e.isRace(int(sl.ts), int(sl.ctx), m)
 	}
 }
 
@@ -424,53 +431,49 @@ func (e *explorer) seed() {
 	e.arg = newARG(e.C, e.abs.Set)
 	allVars := append(append([]string(nil), e.C.Globals...), e.C.Locals...)
 	cube0 := e.abs.InitialCube(allVars)
-	ctx0 := make(Ctx, e.A.NumLocs())
+	row := e.ctxs.scratch
+	clear(row)
 	if e.opts.ExactSeed {
-		ctx0[e.A.Entry] = e.opts.K
+		row[e.A.Entry] = uint8(e.opts.K)
 	} else {
-		ctx0[e.A.Entry] = Omega
+		row[e.A.Entry] = omegaByte
 	}
 	ts := e.arg.setEntry(ThreadState{Loc: e.C.Entry, Cube: cube0})
-	c := e.ctxs.intern(ctx0)
+	c := e.ctxs.intern(row)
 	e.seen.add(key(ts, c))
 	e.slots.add(slot{ts: int32(ts), ctx: int32(c), parent: -1, list: -1})
 }
 
-// emitWidened journals context locations whose counter just saturated to
-// omega on the parent→child transition, once per run.
-func (e *explorer) emitWidened(widened []bool, parent, child Ctx) {
-	if widened == nil {
+// emitWidened journals a context location whose counter just saturated
+// to omega on an env move from context parent to context child into
+// location dst, once per run. Only the destination counter of an env move
+// can saturate, and a main move keeps its context.
+func (e *explorer) emitWidened(widened []bool, parent, child int, dst acfa.Loc) {
+	if widened == nil || widened[dst] {
 		return
 	}
-	// A location whose counter just saturated (the parent's was finite)
-	// crossed k → omega on this transition. The omega-seeded entry never
-	// trips this: its parent value is already Omega.
-	for n := range child {
-		if child[n] == Omega && parent[n] != Omega && !widened[n] {
-			widened[n] = true
-			e.j.Emit(journal.Event{
-				Type: journal.EvCounterWidened,
-				Loc:  n, K: e.opts.K,
-			})
-		}
+	// The counter crossed k → omega when the parent's was finite. The
+	// omega-seeded entry never trips this: its parent value is already
+	// omega.
+	if e.ctxs.row(child)[dst] == omegaByte && e.ctxs.row(parent)[dst] != omegaByte {
+		widened[dst] = true
+		e.j.Emit(journal.Event{
+			Type: journal.EvCounterWidened,
+			Loc:  int(dst), K: e.opts.K,
+		})
 	}
 }
 
-// atomicOccupancy classifies the scheduling state: whether the main
-// thread may move, and which context locations may: every occupied one
-// (envAll) or only envOnly (-1: none).
-func (e *explorer) atomicOccupancy(s *State) (mainEnabled, envAll bool, envOnly acfa.Loc) {
-	mainAtomic := e.C.IsAtomic(s.TS.Loc)
-	total := 0
+// atomicOccupancy classifies the scheduling state of a main thread at
+// loc under context c: whether the main thread may move, and which
+// context locations may: every occupied one (envAll) or only envOnly (-1:
+// none).
+func (e *explorer) atomicOccupancy(loc cfa.Loc, c int) (mainEnabled, envAll bool, envOnly acfa.Loc) {
+	mainAtomic := e.C.IsAtomic(loc)
+	f := e.ctxs.facts[c]
+	total := int(f.atomics)
 	if mainAtomic {
 		total++
-	}
-	envOnly = -1
-	for n := 0; n < e.A.NumLocs(); n++ {
-		if e.A.IsAtomic(acfa.Loc(n)) && s.Ctx.Occupied(acfa.Loc(n)) {
-			total++
-			envOnly = acfa.Loc(n)
-		}
 	}
 	switch {
 	case total == 0:
@@ -479,7 +482,7 @@ func (e *explorer) atomicOccupancy(s *State) (mainEnabled, envAll bool, envOnly 
 	case total == 1 && mainAtomic:
 		return true, false, -1
 	case total == 1:
-		return false, false, envOnly
+		return false, false, acfa.Loc(f.atomic)
 	default:
 		// Multiple atomic occupants: nothing is enabled (cannot arise when
 		// the initial location is non-atomic; kept for soundness).
@@ -487,8 +490,9 @@ func (e *explorer) atomicOccupancy(s *State) (mainEnabled, envAll bool, envOnly 
 	}
 }
 
-// expand returns the memo entry of s's thread state, whose raw id is ts,
-// and the successor lists of the state's enabled moves in merge order:
+// expand returns the memo entry of the thread state with raw id ts and
+// the successor lists of the moves the state (ts, context c) enables, in
+// merge order:
 // the main edges, then each enabled ACFA location in ascending order. A
 // list is computed on its thread state's first need of it and reused
 // after that. The returned slice is scratch, valid until the next call.
@@ -503,20 +507,24 @@ func (e *explorer) atomicOccupancy(s *State) (mainEnabled, envAll bool, envOnly 
 // constrain only by the moving thread's target label (part of the ACFA
 // transition semantics), which the worked example's proof actually relies
 // on.
-func (e *explorer) expand(ts int, s *State) (*tsMemo, []*succList) {
+func (e *explorer) expand(ts, c int) (*tsMemo, []*succList) {
 	for len(e.memo) <= ts {
 		e.memo = append(e.memo, tsMemo{})
 	}
 	m := &e.memo[ts]
-	mainEnabled, envAll, envOnly := e.atomicOccupancy(s)
+	s := e.arg.states[ts]
+	mainEnabled, envAll, envOnly := e.atomicOccupancy(s.Loc, c)
 	e.lists = e.lists[:0]
 	if mainEnabled {
 		e.lists = append(e.lists, e.countReuse(e.mainSuccs(s, m)))
 	}
-	for n := acfa.Loc(0); int(n) < e.A.NumLocs(); n++ {
-		if envAll && s.Ctx.Occupied(n) || n == envOnly {
-			e.lists = append(e.lists, e.countReuse(e.envSuccs(s, m, n)))
+	switch {
+	case envAll:
+		for _, n := range e.ctxs.occupied(c) {
+			e.lists = append(e.lists, e.countReuse(e.envSuccs(s, m, acfa.Loc(n))))
 		}
+	case envOnly >= 0:
+		e.lists = append(e.lists, e.countReuse(e.envSuccs(s, m, envOnly)))
 	}
 	return m, e.lists
 }
@@ -530,19 +538,19 @@ func (e *explorer) countReuse(l *succList, reused bool) *succList {
 	return l
 }
 
-// mainSuccs returns the successors of s's thread state along the main
-// thread's out-edges, expanding them on first use; reused reports that
-// they were already expanded.
-func (e *explorer) mainSuccs(s *State, m *tsMemo) (l *succList, reused bool) {
+// mainSuccs returns the successors of thread state s, whose memo entry is
+// m, along the main thread's out-edges, expanding them on first use;
+// reused reports that they were already expanded.
+func (e *explorer) mainSuccs(s ThreadState, m *tsMemo) (l *succList, reused bool) {
 	l = &m.main
 	if l.done {
 		return l, true
 	}
-	edges := e.C.OutEdges(s.TS.Loc)
+	edges := e.C.OutEdges(s.Loc)
 	l.succs = make([]succ, 0, len(edges))
 	for _, edge := range edges {
 		l.lookups++
-		if next := e.countPost(e.abs.EdgePost(s.TS.Cube, edge)); next != nil {
+		if next := e.countPost(e.abs.EdgePost(s.Cube, edge)); next != nil {
 			l.succs = append(l.succs, succ{ThreadState{Loc: edge.Dst, Cube: next}, Op{MainEdge: edge}, -1, -1})
 		}
 	}
@@ -550,10 +558,10 @@ func (e *explorer) mainSuccs(s *State, m *tsMemo) (l *succList, reused bool) {
 	return l, false
 }
 
-// envSuccs returns the successors of s's thread state along the out-edges
-// of ACFA location n, expanding them on first use; reused reports that
-// they were already expanded.
-func (e *explorer) envSuccs(s *State, m *tsMemo, n acfa.Loc) (l *succList, reused bool) {
+// envSuccs returns the successors of thread state s, whose memo entry is
+// m, along the out-edges of ACFA location n, expanding them on first use;
+// reused reports that they were already expanded.
+func (e *explorer) envSuccs(s ThreadState, m *tsMemo, n acfa.Loc) (l *succList, reused bool) {
 	if m.env == nil {
 		m.env = make([]succList, e.A.NumLocs())
 	}
@@ -566,11 +574,11 @@ func (e *explorer) envSuccs(s *State, m *tsMemo, n acfa.Loc) (l *succList, reuse
 		ee := e.envEdges[n][ai]
 		for _, tc := range e.A.Label(aedge.Dst).Cubes() {
 			l.lookups++
-			next := e.countPost(e.abs.EnvPost(s.TS.Cube, ee.havoc, tc))
+			next := e.countPost(e.abs.EnvPost(s.Cube, ee.havoc, tc))
 			if next == nil {
 				continue
 			}
-			l.succs = append(l.succs, succ{ThreadState{Loc: s.TS.Loc, Cube: next}, Op{EnvEdge: aedge}, ee.move, -1})
+			l.succs = append(l.succs, succ{ThreadState{Loc: s.Loc, Cube: next}, Op{EnvEdge: aedge}, ee.move, -1})
 			l.writes = l.writes || writes
 		}
 	}
@@ -580,7 +588,9 @@ func (e *explorer) envSuccs(s *State, m *tsMemo, n acfa.Loc) (l *succList, reuse
 
 // buildTrace walks the BFS tree from slot last back to the initial
 // state. Each state is rebuilt from its ids, and each step's op is read
-// from the parent's memoised successor list.
+// from the parent's memoised successor list. A state's counter map is
+// decoded from the context table once per run and shared by every trace
+// that reaches that context.
 func (e *explorer) buildTrace(last int) *Trace {
 	n := 0
 	for i := last; i >= 0; i = int(e.slots.at(i).parent) {
@@ -590,10 +600,19 @@ func (e *explorer) buildTrace(last int) *Trace {
 	t := &carve(&b.traces, 1)[0]
 	t.States, t.Steps = carve(&b.ptrs, n), carve(&b.ops, n-1)
 	states := carve(&b.states, n)
+	if b.decoded == nil {
+		b.decoded = make(map[int32]Ctx)
+	}
 	for i := last; i >= 0; {
 		sl := e.slots.at(i)
+		c, ok := b.decoded[sl.ctx]
+		if !ok {
+			c = carve(&b.ctxs, e.ctxs.locs)
+			e.ctxs.decode(int(sl.ctx), c)
+			b.decoded[sl.ctx] = c
+		}
 		n--
-		states[n] = e.state(sl)
+		states[n] = State{TS: e.arg.states[sl.ts], Ctx: c}
 		t.States[n] = &states[n]
 		if n > 0 {
 			t.Steps[n-1] = e.step(sl)
@@ -610,6 +629,9 @@ type traceBlocks struct {
 	ptrs   []*State
 	states []State
 	ops    []Op
+	ctxs   []int // the states' counter maps
+	// decoded holds the counter map of each context a trace has reached.
+	decoded map[int32]Ctx
 }
 
 // carve returns n zeroed elements from the free tail of the block *buf,
@@ -635,22 +657,19 @@ func (e *explorer) step(sl *slot) Op {
 	return l.succs[sl.k].op
 }
 
-// isRace reports whether s is a race state on e.raceVar: no occupied
-// atomic location, and two distinct threads with enabled accesses of which
-// at least one is a write (paper Section 4.1; abstract threads never
-// read). m is the memo entry of s's thread state.
-func (e *explorer) isRace(s *State, m *tsMemo) bool {
-	if e.C.IsAtomic(s.TS.Loc) {
+// isRace reports whether the state (thread state with raw id ts, context
+// c) is a race state on e.raceVar: no occupied atomic location, and two
+// distinct threads with enabled accesses of which at least one is a write
+// (paper Section 4.1; abstract threads never read). m is the memo entry
+// of the thread state.
+func (e *explorer) isRace(ts, c int, m *tsMemo) bool {
+	s := e.arg.states[ts]
+	if e.C.IsAtomic(s.Loc) || e.ctxs.facts[c].atomics > 0 {
 		return false
-	}
-	for n := 0; n < e.A.NumLocs(); n++ {
-		if e.A.IsAtomic(acfa.Loc(n)) && s.Ctx.Occupied(acfa.Loc(n)) {
-			return false
-		}
 	}
 	x := e.raceVar
 
-	mainWrites := e.C.WritesVarAt(s.TS.Loc, x)
+	mainWrites := e.C.WritesVarAt(s.Loc, x)
 	if !m.readsDone {
 		m.reads, m.readsDone = e.mainReadEnabled(s, x), true
 	}
@@ -660,15 +679,13 @@ func (e *explorer) isRace(s *State, m *tsMemo) bool {
 	// one with a non-bottom post from the current thread state.
 	writerLocs := 0
 	multiWriter := false
-	for n := acfa.Loc(0); int(n) < e.A.NumLocs(); n++ {
-		if !s.Ctx.Occupied(n) {
-			continue
-		}
-		if l, _ := e.envSuccs(s, m, n); !l.writes {
+	row := e.ctxs.row(c)
+	for _, n := range e.ctxs.occupied(c) {
+		if l, _ := e.envSuccs(s, m, acfa.Loc(n)); !l.writes {
 			continue
 		}
 		writerLocs++
-		if s.Ctx.AtLeastTwo(n) {
+		if row[n] >= 2 { // two or more threads, omegaByte included
 			multiWriter = true
 		}
 	}
@@ -689,8 +706,8 @@ func (e *explorer) isRace(s *State, m *tsMemo) bool {
 // reading x at its current location: an assignment mentioning x on its
 // right-hand side, or an assume mentioning x whose predicate is abstractly
 // satisfiable in the current cube.
-func (e *explorer) mainReadEnabled(s *State, x string) bool {
-	for _, edge := range e.C.OutEdges(s.TS.Loc) {
+func (e *explorer) mainReadEnabled(s ThreadState, x string) bool {
+	for _, edge := range e.C.OutEdges(s.Loc) {
 		switch edge.Op.Kind {
 		case cfa.OpAssign:
 			if expr.Mentions(edge.Op.RHS, x) {
@@ -702,7 +719,7 @@ func (e *explorer) mainReadEnabled(s *State, x string) bool {
 			// cube ⊭ ¬p  ⇔  sat(cube ∧ p) is not unsat, queried on interned
 			// IDs so no formula tree is rebuilt.
 			if expr.Mentions(edge.Op.Pred, x) &&
-				e.abs.Chk.SatID(expr.IDConj(s.TS.Cube.FormulaID(), expr.Intern(edge.Op.Pred))) != smt.Unsat {
+				e.abs.Chk.SatID(expr.IDConj(s.Cube.FormulaID(), expr.Intern(edge.Op.Pred))) != smt.Unsat {
 				return true
 			}
 		}

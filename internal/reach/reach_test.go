@@ -69,13 +69,13 @@ func TestCtxCounters(t *testing.T) {
 // repeat from its context's row, and every interned context gets a row.
 func TestCtxTableMoves(t *testing.T) {
 	moves := []struct{ from, to acfa.Loc }{{0, 1}, {1, 2}, {0, 2}}
-	tab := ctxTable{width: len(moves)}
+	tab := newCtxTable(make([]bool, 3), len(moves))
 	c0 := Ctx{Omega, 1, 0}
-	id0 := tab.intern(c0)
+	id0 := tab.intern(encodeCtx(c0))
 	for _, mv := range []int{0, 1, 2, 0} {
 		m := moves[mv]
 		id := tab.move(id0, mv, m.from, m.to, 1)
-		if got, want := tab.ctxs[id], c0.Move(m.from, m.to, 1); got.Key() != want.Key() {
+		if got, want := tab.ctx(id), c0.Move(m.from, m.to, 1); got.Key() != want.Key() {
 			t.Fatalf("move(%d, %d) = %v, want %v", m.from, m.to, got, want)
 		}
 		if again := tab.move(id0, mv, m.from, m.to, 1); again != id {
@@ -87,8 +87,8 @@ func TestCtxTableMoves(t *testing.T) {
 			t.Fatalf("move %d not memoised", mv)
 		}
 	}
-	if len(tab.next) != len(tab.ctxs)*tab.width {
-		t.Fatalf("%d move entries for %d contexts of %d moves", len(tab.next), len(tab.ctxs), tab.width)
+	if len(tab.next) != len(tab.facts)*tab.width {
+		t.Fatalf("%d move entries for %d contexts of %d moves", len(tab.next), len(tab.facts), tab.width)
 	}
 }
 
@@ -219,8 +219,10 @@ thread T {
 	}
 	ctx := make(Ctx, a.NumLocs())
 	ctx[a.Entry] = Omega
-	st := &State{TS: ThreadState{Loc: atomicLoc, Cube: pred.TopCube(set)}, Ctx: ctx}
-	m, lists := e.expand(0, st)
+	e.seed()
+	ts := e.arg.intern(ThreadState{Loc: atomicLoc, Cube: pred.TopCube(set)})
+	cid := e.ctxs.intern(encodeCtx(ctx))
+	m, lists := e.expand(ts, cid)
 	for _, l := range lists {
 		for _, s := range l.succs {
 			if s.op.IsEnv() {
@@ -229,7 +231,7 @@ thread T {
 		}
 	}
 	// And a race must not be reported at an atomic state.
-	if e.isRace(st, m) {
+	if e.isRace(ts, cid, m) {
 		t.Fatalf("race reported while main is atomic")
 	}
 }
@@ -488,6 +490,29 @@ func TestBudgetExceededError(t *testing.T) {
 	_, err := ReachAndBuild(context.Background(), f.c, f.a, f.abs, "x", Options{K: 2, MaxStates: 10})
 	if err == nil || !strings.Contains(err.Error(), "state budget exceeded") {
 		t.Fatalf("err = %v, want state budget exceeded", err)
+	}
+}
+
+// TestCounterBound: k above MaxK, which a counter byte cannot hold, is an
+// error, and k = MaxK round-trips through the context table: the exactly
+// seeded entry of every race trace's first state holds MaxK threads.
+func TestCounterBound(t *testing.T) {
+	f := tasFixture(t)
+	_, err := ReachAndBuild(context.Background(), f.c, f.a, f.abs, "x", Options{K: MaxK + 1})
+	if err == nil || !strings.Contains(err.Error(), "outside 0..254") {
+		t.Fatalf("err = %v, want k = 255 rejected", err)
+	}
+	res, err := ReachAndBuild(context.Background(), f.c, f.a, f.abs, "x", Options{K: MaxK, ExactSeed: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Races) == 0 {
+		t.Fatalf("no race traces to check")
+	}
+	for _, tr := range res.Races {
+		if got := tr.States[0].Ctx[f.a.Entry]; got != MaxK {
+			t.Fatalf("initial context %v holds %d threads at the entry, want %d", tr.States[0].Ctx, got, MaxK)
+		}
 	}
 }
 

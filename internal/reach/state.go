@@ -7,8 +7,10 @@
 package reach
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
+	"hash/maphash"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -81,59 +83,175 @@ func (c Ctx) dec(n acfa.Loc) {
 	}
 }
 
-// ctxTable interns the context states of one exploration: each distinct
-// counter map gets a dense id and one shared copy, so a state's identity
-// is a pair of small integers and successors that revisit a context
-// allocate nothing. It also memoises moves, which are a pure function of
-// the source context and the moving thread's locations: the run numbers
-// the distinct (source, target) location pairs of its ACFA's edges, and
-// next holds one row per context, indexed by that move number. Only the
-// sequential merge phase touches it.
+// MaxK bounds the counter parameter k: the context table keeps each
+// counter in one byte, 0..MaxK for a count and omegaByte for Omega.
+const MaxK = 254
+
+// omegaByte is Omega in a context table row.
+const omegaByte = 255
+
+// ctxTable interns the context states of one exploration. Each distinct
+// counter map gets a dense id and one row of bytes in a flat arena, a
+// counter per ACFA location, so a state's identity is a pair of small
+// integers and a context is no heap object of its own. An open-addressed
+// index over the rows, with linear probing and a load factor of at most
+// 1/2, maps a row to its id.
+//
+// Interning a context records the facts that depend on it alone: its
+// occupied locations, ascending, and its occupied atomic locations. The
+// table also memoises moves, which are a pure function of the source
+// context and the moving thread's locations: the run numbers the distinct
+// (source, target) location pairs of its ACFA's edges, and next holds one
+// row per context, indexed by that move number. Only the sequential merge
+// phase touches it.
 type ctxTable struct {
-	ids     map[string]int // encoded counter map -> id
-	ctxs    []Ctx          // id -> the shared counter map
-	width   int            // moves per row, fixed before the first intern
-	next    []int32        // id*width + move -> id of the moved context, -1 until taken
-	buf     []byte         // encoding scratch
-	scratch Ctx            // Move scratch
+	locs   int     // counters per row: the ACFA's locations, below 1<<16
+	atomic []bool  // by location: whether it is atomic
+	width  int     // moves per row
+	rows   []uint8 // id*locs + n -> context id's counter at location n
+	// index holds id+1 of each interned row, 0 marking an empty entry.
+	index   []uint32 // a power of two of entries
+	shift   uint     // 64 - log2(len(index))
+	facts   []ctxFacts
+	occ     []uint16 // every context's occupied locations, in id order
+	next    []int32  // id*width + move -> id of the moved context, -1 until taken
+	scratch []uint8  // the row of a context being built
 }
 
-// intern returns the id of counter map c (which the table copies on
-// first sight, so c may be scratch), adding its row of unknown moves.
-func (t *ctxTable) intern(c Ctx) int {
-	t.buf = t.buf[:0]
-	for _, v := range c {
-		t.buf = binary.AppendUvarint(t.buf, uint64(v+1)) // Omega encodes as 0
+// ctxFacts is what interning learns about one context.
+type ctxFacts struct {
+	// occEnd ends the context's occupied locations in occ; they start
+	// where the previous context's end.
+	occEnd uint32
+	// atomics counts the occupied atomic locations, and atomic is the
+	// highest of them when there is one.
+	atomics, atomic uint16
+}
+
+const indexInit = 16 // entries in a new index
+
+// rowSeed hashes context rows; ids do not depend on it.
+var rowSeed = maphash.MakeSeed()
+
+// newCtxTable returns the table of a run whose ACFA's locations are
+// atomic as flagged and whose moves are numbered 0..width-1.
+func newCtxTable(atomic []bool, width int) ctxTable {
+	return ctxTable{locs: len(atomic), atomic: atomic, width: width, scratch: make([]uint8, len(atomic))}
+}
+
+// row returns the counters of context id.
+func (t *ctxTable) row(id int) []uint8 {
+	return t.rows[id*t.locs : (id+1)*t.locs : (id+1)*t.locs]
+}
+
+// occupied returns the occupied locations of context id, ascending.
+func (t *ctxTable) occupied(id int) []uint16 {
+	var start uint32
+	if id > 0 {
+		start = t.facts[id-1].occEnd
 	}
-	if id, ok := t.ids[string(t.buf)]; ok {
-		return id
+	return t.occ[start:t.facts[id].occEnd]
+}
+
+// decode writes the counter map of context id into c, which has one
+// entry per location.
+func (t *ctxTable) decode(id int, c Ctx) {
+	for n, v := range t.row(id) {
+		c[n] = int(v)
+		if v == omegaByte {
+			c[n] = Omega
+		}
 	}
-	if t.ids == nil {
-		t.ids = make(map[string]int)
+}
+
+// intern returns the id of the context whose counters are row (which the
+// table copies on first sight, so row may be scratch), recording its
+// facts and its row of unknown moves.
+func (t *ctxTable) intern(row []uint8) int {
+	if 2*(len(t.facts)+1) > len(t.index) {
+		t.grow()
 	}
-	id := len(t.ctxs)
-	t.ids[string(t.buf)] = id
-	t.ctxs = append(t.ctxs, c.CloneCtx())
+	mask := uint64(len(t.index) - 1)
+	i := maphash.Bytes(rowSeed, row) >> t.shift
+	for ; t.index[i] != 0; i = (i + 1) & mask {
+		if id := int(t.index[i] - 1); bytes.Equal(t.row(id), row) {
+			return id
+		}
+	}
+	id := len(t.facts)
+	t.index[i] = uint32(id + 1)
+	t.rows = append(reserve(t.rows, t.locs), row...)
+	t.occ = reserve(t.occ, t.locs)
+	var f ctxFacts
+	for n, v := range row {
+		if v == 0 {
+			continue
+		}
+		t.occ = append(t.occ, uint16(n))
+		if t.atomic[n] {
+			f.atomics++
+			f.atomic = uint16(n)
+		}
+	}
+	f.occEnd = uint32(len(t.occ))
+	t.facts = append(reserve(t.facts, 1), f)
 	n := len(t.next)
-	t.next = slices.Grow(t.next, t.width)[:n+t.width]
+	t.next = reserve(t.next, t.width)[:n+t.width]
 	for i := n; i < len(t.next); i++ {
 		t.next[i] = -1
 	}
 	return id
 }
 
+// reserve returns s with room for n more elements. When it must
+// reallocate, it at least doubles the capacity: append grows a large
+// slice by a quarter, so an array built up by appends allocates about
+// five times its final size in all, and by reserve about twice.
+func reserve[T any](s []T, n int) []T {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, max(n, len(s)))
+	}
+	return s
+}
+
+// grow doubles the index (or makes the first one) and reinserts the rows.
+func (t *ctxTable) grow() {
+	size := max(indexInit, 2*len(t.index))
+	t.index = make([]uint32, size)
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+	mask := uint64(size - 1)
+	for id := range t.facts {
+		i := maphash.Bytes(rowSeed, t.row(id)) >> t.shift
+		for t.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = uint32(id + 1)
+	}
+}
+
 // move returns the id of the context with id id after a thread takes
 // move mv, from location from to location to, under counter bound k
-// (fixed for a run). Only a memo miss copies and encodes the counters.
-// The caller rejects ids from maxID up, so a memoised id fits an int32.
+// (fixed for a run, at most MaxK): the source counter drops by one and
+// the target one rises by one, as in Ctx.Move. Only a memo miss copies
+// the counters. The caller rejects ids from maxID up, so a memoised id
+// fits an int32.
 func (t *ctxTable) move(id, mv int, from, to acfa.Loc, k int) int {
 	if next := t.next[id*t.width+mv]; next >= 0 {
 		return int(next)
 	}
-	t.scratch = append(t.scratch[:0], t.ctxs[id]...)
-	t.scratch.dec(from)
-	t.scratch.inc(to, k)
-	next := t.intern(t.scratch)
+	r := t.scratch
+	copy(r, t.row(id))
+	if v := r[from]; v != omegaByte && v > 0 {
+		r[from]--
+	}
+	switch v := r[to]; {
+	case v == omegaByte:
+	case int(v)+1 > k:
+		r[to] = omegaByte
+	default:
+		r[to]++
+	}
+	next := t.intern(r)
 	t.next[id*t.width+mv] = int32(next)
 	return next
 }

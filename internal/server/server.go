@@ -435,6 +435,9 @@ func requestOptions(o *apiv1.Options, maxParallelism int) ([]circ.Option, time.D
 		return nil, 0, nil
 	}
 	var opts []circ.Option
+	if o.K > circ.MaxK {
+		return nil, 0, fmt.Errorf("options.k: %d exceeds the largest counter parameter, %d", o.K, circ.MaxK)
+	}
 	if o.K > 0 {
 		opts = append(opts, circ.WithK(o.K))
 	}

@@ -247,6 +247,9 @@ func TestSubmitErrors(t *testing.T) {
 	if code, e := post(`{"program": "global int"}`); code != http.StatusUnprocessableEntity || e.Code != "parse_error" {
 		t.Fatalf("parse: %d %+v", code, e)
 	}
+	if code, e := post(`{"program": "global int x; thread T { x = 1; }", "options": {"k": 255}}`); code != http.StatusBadRequest || e.Code != "invalid_request" {
+		t.Fatalf("k above the counter bound: %d %+v", code, e)
+	}
 	req, _ := json.Marshal(apiv1.CheckRequest{Program: tasSrc, Targets: []apiv1.Target{{Variable: "nope"}}})
 	if code, e := post(string(req)); code != http.StatusUnprocessableEntity || e.Code != "unknown_target" {
 		t.Fatalf("target: %d %+v", code, e)
@@ -515,6 +518,12 @@ func TestRequestOptionsValidation(t *testing.T) {
 	}
 	if _, _, err := requestOptions(&apiv1.Options{TimeoutSeconds: -1}, 1); err == nil {
 		t.Fatalf("negative timeout accepted")
+	}
+	if _, _, err := requestOptions(&apiv1.Options{K: circ.MaxK + 1}, 1); err == nil {
+		t.Fatalf("k above circ.MaxK accepted")
+	}
+	if _, _, err := requestOptions(&apiv1.Options{K: circ.MaxK}, 1); err != nil {
+		t.Fatalf("k = circ.MaxK rejected: %v", err)
 	}
 	opts, timeout, err := requestOptions(&apiv1.Options{K: 2, Omega: true, Slicing: "off", SeedPreds: "off", TimeoutSeconds: 1.5}, 1)
 	if err != nil || len(opts) != 4 || timeout != 1500*time.Millisecond {
