@@ -275,15 +275,23 @@ func TestValidTautologies(t *testing.T) {
 	}
 }
 
+// TestStatsCount: a theory check is one bound-consistency check of one
+// SAT model. A satisfiable single atom takes one; so does a conjunction
+// of two contradictory equalities, whose one model is refuted with an
+// explanation naming both atoms, after which the blocking clause leaves
+// the SAT solver no model.
 func TestStatsCount(t *testing.T) {
 	c := NewChecker()
-	before := c.Stats().Solver.Queries
-	c.Sat(expr.Eq(expr.V("q"), expr.Num(3)))
-	if c.Stats().Solver.Queries != before+1 {
-		t.Errorf("query not counted")
+	q := expr.V("q")
+	c.Sat(expr.Eq(q, expr.Num(3)))
+	if st := c.Stats().Solver; st.Queries != 1 || st.TheoryChecks != 1 {
+		t.Errorf("satisfiable atom: %d queries, %d theory checks, want 1 and 1", st.Queries, st.TheoryChecks)
 	}
-	if c.Stats().Solver.TheoryChecks == 0 {
-		t.Errorf("theory checks not counted")
+	if r := c.Sat(expr.Conj(expr.Eq(q, expr.Num(3)), expr.Eq(q, expr.Num(4)))); r != Unsat {
+		t.Fatalf("q = 3 ∧ q = 4: got %v, want unsat", r)
+	}
+	if st := c.Stats().Solver; st.Queries != 2 || st.TheoryChecks != 2 {
+		t.Errorf("after the contradiction: %d queries, %d theory checks, want 2 and 2", st.Queries, st.TheoryChecks)
 	}
 }
 
