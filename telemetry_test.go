@@ -151,3 +151,43 @@ func TestWithLogShim(t *testing.T) {
 		t.Fatalf("narration leaked slog's default text format:\n%s", out)
 	}
 }
+
+// TestDischargedReportMetrics pins what a statically discharged pair
+// records: its report's Metrics carry exactly the discharge counter and
+// the one of its rule, at 1, in the JSON the daemon serves, and the
+// batch counters sum them over the discharged pairs.
+func TestDischargedReportMetrics(t *testing.T) {
+	src := strings.Replace(tasSrc, "global int state;", "global int state;\nglobal int cfg;", 1)
+	src = strings.Replace(src, "local int old;", "local int old;\n  local int c;\n  c = cfg;", 1)
+	b, err := CheckAllRaces(context.Background(), src, WithParallelism(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byReason := map[string]int64{}
+	for _, r := range b.Results {
+		rep := r.Report
+		if rep == nil || rep.Triage == "" {
+			t.Fatalf("%s: not discharged: %+v", r.Target, r)
+		}
+		byReason[rep.Triage]++
+		js, err := json.Marshal(rep.Metrics)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := `{"counters":{"triage.discharged":1,"triage.discharged{reason=\"` + rep.Triage + `\"}":1}}`
+		if string(js) != want {
+			t.Errorf("%s: Metrics = %s, want %s", r.Target, js, want)
+		}
+	}
+	if len(byReason) < 2 {
+		t.Fatalf("discharges %v use one rule; the test wants two", byReason)
+	}
+	if got := b.Metrics.Counter("triage.discharged"); got != int64(len(b.Results)) {
+		t.Errorf("batch triage.discharged = %d, want %d", got, len(b.Results))
+	}
+	for reason, n := range byReason {
+		if got := b.Metrics.Counter(`triage.discharged{reason="` + reason + `"}`); got != n {
+			t.Errorf("batch triage.discharged{reason=%q} = %d, want %d", reason, got, n)
+		}
+	}
+}
