@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -314,6 +316,33 @@ func TestLinOperations(t *testing.T) {
 	}
 	if l.String() == "" || l.Key() == "" {
 		t.Fatalf("empty render")
+	}
+}
+
+// TestLinearizeOverflow: a constant or coefficient that leaves int64 is
+// ErrOverflow, never a wrapped value, and the forms at the edge of the
+// range stay exact.
+func TestLinearizeOverflow(t *testing.T) {
+	x := V("x")
+	for _, e := range []Expr{
+		Mul(Num(1<<62), Mul(Num(4), x)),          // coefficient 2^64
+		Add(Num(math.MaxInt64), Num(1)),          // constant 2^63
+		Sub(Num(math.MinInt64), Num(1)),          // constant -2^63-1
+		Mul(Num(-1), Num(math.MinInt64)),         // constant 2^63
+		Mul(Add(x, Num(math.MinInt64)), Num(-1)), // constant 2^63
+		Add(Mul(Num(math.MaxInt64), x), x),       // coefficient 2^63
+	} {
+		if l, err := Linearize(e, nil); !errors.Is(err, ErrOverflow) {
+			t.Errorf("Linearize(%s) = %v, %v; want ErrOverflow", e, l, err)
+		}
+	}
+	l, err := Linearize(Add(Mul(Num(-(1<<62)), Mul(Num(2), x)), Num(math.MinInt64)), nil)
+	if err != nil || l.Coeffs["x"] != math.MinInt64 || l.Const != math.MinInt64 {
+		t.Errorf("Linearize at the edge = %v, %v; want -2^63 x + -2^63", l, err)
+	}
+	// Normalising the sign of -2^63·x would need +2^63.
+	if _, _, err := NormalizeAtom(Lt(Mul(Num(math.MinInt64), x), Num(0)).(Cmp), nil); !errors.Is(err, ErrOverflow) {
+		t.Errorf("NormalizeAtom(-2^63 x < 0): %v, want ErrOverflow", err)
 	}
 }
 

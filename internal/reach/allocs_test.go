@@ -39,14 +39,19 @@ func TestReachAllocsPerState(t *testing.T) {
 }
 
 // maxBytesPerState bounds the bytes allocated per explored state on the
-// ring fixture: twice the 77.6 measured, as maxAllocsPerState does.
+// ring fixture: twice the 77.6 measured, as maxAllocsPerState does. The
+// fixture has since been seeded exactly, so that covering keeps every
+// state, and measures 105.0 with covering's antichain links and context
+// summaries (99.1 without them).
 const maxBytesPerState = 2 * 77.6
 
 // ringFixture runs the test-and-set program under a three-location ring
-// of context moves that never write x, so it finds no race and explores
-// about two thousand states at K = 4: its cost per state is the state
-// store's (slots, seen set, context table) plus the per-thread-state
-// successor lists and ARG records, with no race traces.
+// of context moves that never write x, so it finds no race: its cost per
+// state is the state store's (slots, seen set, antichains, context table)
+// plus the per-thread-state successor lists and ARG records, with no race
+// traces. TestReachBytesPerState seeds the entry with exactly K = 6
+// threads, so every context holds six and no two compare: covering keeps
+// every state, about fifteen hundred.
 func ringFixture(t *testing.T) *fixtureParts {
 	t.Helper()
 	f := tasFixture(t)
@@ -66,7 +71,7 @@ func ringFixture(t *testing.T) *fixtureParts {
 // bytes a run allocates, per state, once the post memo is warm.
 func TestReachBytesPerState(t *testing.T) {
 	f := ringFixture(t)
-	opts := func(o *Options) { o.K = 4 }
+	opts := func(o *Options) { o.K, o.ExactSeed = 6, true }
 	states := f.run(t, opts).NumStates
 	if states < 1000 {
 		t.Fatalf("fixture explores %d states, want at least 1000", states)

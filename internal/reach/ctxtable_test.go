@@ -34,11 +34,15 @@ func (t *ctxTable) checkFacts(id int) error {
 	c := t.ctx(id)
 	var occ []uint16
 	atomics, atomic := 0, -1
-	for n := range c {
+	var mask uint64
+	var sum uint32
+	for n, v := range c {
 		if !c.Occupied(acfa.Loc(n)) {
 			continue
 		}
 		occ = append(occ, uint16(n))
+		mask |= 1 << (n % 64)
+		sum += uint32(encodeCtx(Ctx{v})[0])
 		if t.atomic[n] {
 			atomics, atomic = atomics+1, n
 		}
@@ -50,7 +54,29 @@ func (t *ctxTable) checkFacts(id int) error {
 	if int(f.atomics) != atomics || atomics > 0 && int(f.atomic) != atomic {
 		return fmt.Errorf("context %d %v: %d atomic occupants, the last at %d, want %d at %d", id, c, f.atomics, f.atomic, atomics, atomic)
 	}
+	if f.mask != mask || f.sum != sum {
+		return fmt.Errorf("context %d %v: mask %#x and sum %d, want %#x and %d", id, c, f.mask, f.sum, mask, sum)
+	}
 	return nil
+}
+
+// covers reports whether counter map b covers a: every counter of a is at
+// most b's, Omega above every count, and the two agree at every atomic
+// location.
+func covers(a, b Ctx, atomic []bool) bool {
+	for n := range a {
+		va, vb := a[n], b[n]
+		if va == Omega {
+			va = MaxK + 1
+		}
+		if vb == Omega {
+			vb = MaxK + 1
+		}
+		if va > vb || atomic[n] && va != vb {
+			return false
+		}
+	}
+	return true
 }
 
 // FuzzCtxTable checks the context table against a reference map keyed by
@@ -58,8 +84,9 @@ func (t *ctxTable) checkFacts(id int) error {
 // atomic locations and k (0..MaxK); the rest is a sequence of operations:
 // intern a counter map read from the next bytes, or move a thread of a
 // context already interned. Each intern must return the reference id,
-// each move must land on Ctx.Move's counter map, and every context's facts
-// must match a fresh scan of its counters.
+// each move must land on Ctx.Move's counter map, every context's facts
+// must match a fresh scan of its counters, and leq must agree with covers
+// on every pair of distinct contexts among the first 64.
 func FuzzCtxTable(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 1, 0, 255, 0, 1, 0, 0, 1, 0, 1})
 	f.Add([]byte{15, 0xa5, 0x5a, 254, 1, 0, 0x12, 1, 0, 0x21, 1, 1, 0x33, 0, 3, 253, 254, 0, 1})
@@ -137,14 +164,21 @@ func FuzzCtxTable(f *testing.F) {
 				t.Fatal(err)
 			}
 		}
+		for a := range min(len(ctxs), 64) {
+			for b := range min(len(ctxs), 64) {
+				if want := covers(ctxs[a], ctxs[b], atomic); a != b && tab.leq(a, b) != want {
+					t.Fatalf("leq(%v, %v) = %v, want %v", ctxs[a], ctxs[b], !want, want)
+				}
+			}
+		}
 	})
 }
 
 // maxCtxBytes bounds the bytes the context table allocates per interned
-// context on ctxFixture: twice the 204.4 measured. That covers its row
-// of counters, its occupied locations and facts, its index entries, its
-// row of 12 memoised moves, 48 bytes, and the growth of every one of
-// those arrays.
+// context on ctxFixture: twice the 204.4 measured before the facts held
+// covering's summary (254.8 with it). That covers its row of counters,
+// its occupied locations and facts, its index entries, its row of 12
+// memoised moves, 48 bytes, and the growth of every one of those arrays.
 const maxCtxBytes = 2 * 204.4
 
 // ctxFixture interns contexts breadth first from an omega-seeded entry

@@ -29,6 +29,42 @@ func ExploreTraces(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abst
 	return res, traces, e.checkSteps, err
 }
 
+// Step is one transition a run's merges took, between ARG raw ids.
+type Step struct {
+	From int
+	Op   Op
+	To   int
+}
+
+// ExploreSteps runs one exploration as ReachAndBuild does, with the
+// covering check on or off, and returns its result and every step its
+// merges took: each successor, in a memoised list, that a merge reached.
+func ExploreSteps(ctx context.Context, C *cfa.CFA, A *acfa.ACFA, abs *pred.Abstractor, raceVar string, opts Options, cover bool) (*Result, []Step, error) {
+	defer func(on bool) { covering = on }(covering)
+	covering = cover
+	e := newExplorer(C, A, abs, raceVar, opts)
+	res, err := e.run(ctx)
+	if err != nil {
+		return nil, nil, err
+	}
+	var steps []Step
+	for from := range e.memo {
+		m := &e.memo[from]
+		for _, l := range append([]succList{m.main}, m.env...) {
+			for _, r := range l.succs {
+				if r.id >= 0 {
+					steps = append(steps, Step{from, r.op, r.id})
+				}
+			}
+		}
+	}
+	return res, steps, nil
+}
+
+// Len returns the number of thread states the ARG holds; their raw ids
+// are 0 up to it.
+func (g *ARG) Len() int { return len(g.states) }
+
 // checkSteps checks t against the run's ARG and memoised successor lists.
 func (e *explorer) checkSteps(t *Trace) error {
 	if len(t.States) != len(t.Steps)+1 {

@@ -29,6 +29,14 @@ import (
 // location. Each thread state is therefore expanded once per run: its
 // successor lists are memoised by ARG raw id, and the counter map only
 // selects which lists a state merges.
+//
+// The search keeps only states that no other kept state covers. A state
+// is covered by one with the same thread state whose context holds at
+// least as many threads at every location and as many at each atomic
+// one (ctxTable.leq); the covering state can match every move of the
+// covered one (DESIGN.md, "Covering"). A newly discovered state that a
+// kept state covers is dropped, and one that covers kept states not yet
+// expanded kills them: they stay in the worklist but are skipped.
 
 // Options configures ReachAndBuild.
 type Options struct {
@@ -71,7 +79,8 @@ type Result struct {
 	Races []*Trace
 	// ARG is the abstract reachability graph built during exploration.
 	ARG *ARG
-	// NumStates is the number of distinct abstract states explored.
+	// NumStates is the number of abstract states expanded: distinct
+	// states that no other kept state covered.
 	NumStates int
 }
 
@@ -137,6 +146,10 @@ type explorer struct {
 	ctxs     ctxTable
 	seen     stateSet
 	slots    slotChunks
+	// heads holds, by ARG raw id, the first slot of the thread state's
+	// antichain, or -1: its kept slots whose contexts no later kept slot
+	// covers, linked through slot.next.
+	heads []int32
 	// traceBlocks holds the race traces' states and steps.
 	traceBlocks traceBlocks
 
@@ -236,16 +249,27 @@ type tsMemo struct {
 	reads, readsDone bool
 }
 
-// slot is one discovered state and its place in the BFS tree, in ids
-// only, so slots hold no pointers for the collector to scan: the ARG raw
-// id of its thread state, its context id, and the slot index of the
-// parent that discovered it (-1 for the initial state). The step from
-// the parent is the k-th successor of the parent's main list (list -1)
-// or of its env list for ACFA location list.
+// slot is one kept state and its place in the BFS tree, in ids only, so
+// slots hold no pointers for the collector to scan: the ARG raw id of
+// its thread state, its context id, and the slot index of the parent
+// that discovered it (-1 for the initial state). The step from the
+// parent is the k-th successor of the parent's main list (list -1) or of
+// its env list for ACFA location list. next links the slot into its
+// thread state's antichain (-1 ends it); a slot that left the antichain
+// keeps a stale link, except that one killed before its expansion holds
+// killed.
 type slot struct {
 	ts, ctx, parent int32
 	list, k         int32
+	next            int32
 }
+
+// killed marks, in slot.next, a slot covered before it was expanded.
+const killed = -2
+
+// covering switches the covering check on. Only tests turn it off, to
+// compare a run with the exhaustive search it abbreviates.
+var covering = true
 
 // maxID bounds thread-state ids, context ids and slot indices so that
 // they fit a slot's int32 fields and a state key packs two of them into
@@ -348,14 +372,18 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 		widened = make([]bool, e.A.NumLocs())
 	}
 
+	numStates := 0
 	for i := 0; i < e.slots.n; i++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		sl := *e.slots.at(i)
+		if sl.next == killed {
+			continue
+		}
 		m, lists := e.expand(int(sl.ts), int(sl.ctx))
 		isRace := e.isRace(int(sl.ts), int(sl.ctx), m)
-		numStates := i + 1
+		numStates++
 		e.nStates++
 		if numStates > e.opts.maxStates() {
 			e.drain(i + 1)
@@ -398,29 +426,80 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 				if uint64(r.id) >= maxID || uint64(c) >= maxID || uint64(e.slots.n) >= maxID || uint64(len(e.ctxs.occ)) >= maxID {
 					return nil, fmt.Errorf("reach: more than %d thread states, contexts, occupied context locations or discovered states", maxID)
 				}
-				if !e.seen.add(key(r.id, c)) {
+				if !e.seen.add(key(r.id, c)) || e.covered(r.id, c, i) {
 					continue
 				}
-				e.slots.add(slot{ts: int32(r.id), ctx: int32(c), parent: int32(i), list: list, k: int32(k)})
+				e.keep(slot{ts: int32(r.id), ctx: int32(c), parent: int32(i), list: list, k: int32(k)})
 				if env != nil {
 					e.emitWidened(widened, int(sl.ctx), c, env.Dst)
 				}
 			}
 		}
-		e.maxFrontier = max(e.maxFrontier, int64(e.slots.n-numStates))
+		// The worklist still holds the killed slots it has not reached.
+		e.maxFrontier = max(e.maxFrontier, int64(e.slots.n-i-1))
 	}
-	return &Result{Races: races, ARG: e.arg, NumStates: e.slots.n}, nil
+	return &Result{Races: races, ARG: e.arg, NumStates: numStates}, nil
 }
 
-// drain expands the discovered but unmerged states after an early break
-// (state budget or race cap), in order, and discards the results. The
-// journal's smt_phase_stats new_cached counts the solver cache entries the
-// reach phase adds, so it depends on which states were expanded; the
-// drain makes that every discovered state, and dropping it would change
-// the journal's bytes.
+// covered reports whether a kept state covers the newly discovered state
+// (thread state ts, context c), and otherwise takes the kept states that
+// c covers out of ts's antichain, killing those after slot cur, which
+// have not been expanded. The seen set has ruled out c itself, so the
+// sums of the row bytes decide which way a pair can compare: a context
+// covers only contexts of smaller sum. Once c covers a kept context, no
+// kept context covers c, for the antichain holds no comparable pair.
+func (e *explorer) covered(ts, c, cur int) bool {
+	if !covering || ts >= len(e.heads) {
+		return false
+	}
+	sum := e.ctxs.facts[c].sum
+	link := &e.heads[ts]
+	for j := *link; j >= 0; {
+		sl := e.slots.at(int(j))
+		d, next := int(sl.ctx), sl.next
+		switch dsum := e.ctxs.facts[d].sum; {
+		case sum < dsum && e.ctxs.leq(c, d):
+			return true
+		case sum > dsum && e.ctxs.leq(d, c):
+			*link = next
+			if int(j) > cur {
+				sl.next = killed
+			}
+		default:
+			link = &sl.next
+		}
+		j = next
+	}
+	return false
+}
+
+// keep appends slot s to the worklist and to the front of its thread
+// state's antichain.
+func (e *explorer) keep(s slot) {
+	s.next = -1
+	if covering {
+		for int(s.ts) >= len(e.heads) {
+			e.heads = append(e.heads, -1)
+		}
+		s.next = e.heads[s.ts]
+		e.heads[s.ts] = int32(e.slots.n)
+	}
+	e.slots.add(s)
+}
+
+// drain expands the kept but unmerged states after an early break (state
+// budget or race cap), in order, and discards the results; killed slots
+// stay unexpanded, as the full run would leave them. The journal's
+// smt_phase_stats new_cached counts the solver cache entries the reach
+// phase adds, so it depends on which states were expanded; the drain
+// makes that every live state in the worklist, and dropping it would
+// change the journal's bytes.
 func (e *explorer) drain(from int) {
 	for i := from; i < e.slots.n; i++ {
 		sl := e.slots.at(i)
+		if sl.next == killed {
+			continue
+		}
 		m, _ := e.expand(int(sl.ts), int(sl.ctx))
 		e.isRace(int(sl.ts), int(sl.ctx), m)
 	}
@@ -441,7 +520,7 @@ func (e *explorer) seed() {
 	ts := e.arg.setEntry(ThreadState{Loc: e.C.Entry, Cube: cube0})
 	c := e.ctxs.intern(row)
 	e.seen.add(key(ts, c))
-	e.slots.add(slot{ts: int32(ts), ctx: int32(c), parent: -1, list: -1})
+	e.keep(slot{ts: int32(ts), ctx: int32(c), parent: -1, list: -1})
 }
 
 // emitWidened journals a context location whose counter just saturated
@@ -506,7 +585,9 @@ func (e *explorer) atomicOccupancy(loc cfa.Loc, c int) (mainEnabled, envAll bool
 // it, leaving that thread stuck but the state reachable). We therefore
 // constrain only by the moving thread's target label (part of the ACFA
 // transition semantics), which the worked example's proof actually relies
-// on.
+// on. Covering relies on it too: with the occupied labels conjoined, a
+// larger context would constrain its posts more and could no longer match
+// every move of a smaller one.
 func (e *explorer) expand(ts, c int) (*tsMemo, []*succList) {
 	for len(e.memo) <= ts {
 		e.memo = append(e.memo, tsMemo{})

@@ -98,7 +98,8 @@ const omegaByte = 255
 // 1/2, maps a row to its id.
 //
 // Interning a context records the facts that depend on it alone: its
-// occupied locations, ascending, and its occupied atomic locations. The
+// occupied locations, ascending, its occupied atomic locations, and a
+// summary that leq reads before it compares rows. The
 // table also memoises moves, which are a pure function of the source
 // context and the moving thread's locations: the run numbers the distinct
 // (source, target) location pairs of its ACFA's edges, and next holds one
@@ -120,6 +121,12 @@ type ctxTable struct {
 
 // ctxFacts is what interning learns about one context.
 type ctxFacts struct {
+	// mask has bit n%64 set for every occupied location n, and sum adds
+	// up the row's bytes. Both grow with the counters, so a context can
+	// cover only one whose mask is a subset of its own and whose sum is
+	// smaller.
+	mask uint64
+	sum  uint32
 	// occEnd ends the context's occupied locations in occ; they start
 	// where the previous context's end.
 	occEnd uint32
@@ -188,6 +195,8 @@ func (t *ctxTable) intern(row []uint8) int {
 			continue
 		}
 		t.occ = append(t.occ, uint16(n))
+		f.mask |= 1 << (n % 64)
+		f.sum += uint32(v)
 		if t.atomic[n] {
 			f.atomics++
 			f.atomic = uint16(n)
@@ -201,6 +210,26 @@ func (t *ctxTable) intern(row []uint8) int {
 		t.next[i] = -1
 	}
 	return id
+}
+
+// leq reports whether context a is covered by context b, which is not a:
+// every counter of a is at most b's, in the order 0 < 1 < ... < k <
+// omegaByte, and the two agree at every atomic location. A covered
+// context moves as its cover does (see DESIGN.md, "Covering"). The
+// summaries reject most pairs: two distinct rows compare only when the
+// smaller's sum is strictly smaller and its mask a subset.
+func (t *ctxTable) leq(a, b int) bool {
+	fa, fb := &t.facts[a], &t.facts[b]
+	if fa.sum >= fb.sum || fa.mask&^fb.mask != 0 || fa.atomics != fb.atomics || fa.atomic != fb.atomic {
+		return false
+	}
+	ra, rb := t.row(a), t.row(b)
+	for _, n := range t.occupied(a) {
+		if va, vb := ra[n], rb[n]; va > vb || va != vb && t.atomic[n] {
+			return false
+		}
+	}
+	return true
 }
 
 // reserve returns s with room for n more elements. When it must

@@ -20,6 +20,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -171,6 +172,10 @@ func (q *query) atomLit(c expr.Cmp) (sat.Lit, error) {
 		b, _ := truth.(expr.Bool)
 		q.solver.AddClause(sat.MkLit(v, !b.Value))
 		return sat.MkLit(v, false), nil
+	}
+	if lin.Const == math.MinInt64 {
+		// The bound -K below would wrap.
+		return 0, expr.ErrOverflow
 	}
 	k := atomDef{x: q.formVar(lin)}
 	neg := false

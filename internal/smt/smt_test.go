@@ -1,6 +1,8 @@
 package smt
 
 import (
+	"fmt"
+	"math/big"
 	"testing"
 	"testing/quick"
 
@@ -372,5 +374,97 @@ func TestSatConflictsCounted(t *testing.T) {
 	}
 	if got := c.Stats().Solver.SatConflicts; got == 0 {
 		t.Fatalf("SatConflicts = 0 after a propositionally refuted query")
+	}
+}
+
+// exactTerm evaluates term e under model m in unbounded integers; a
+// variable the model leaves out is 0.
+func exactTerm(e expr.Expr, m map[string]int64) *big.Int {
+	switch g := e.(type) {
+	case expr.Int:
+		return big.NewInt(g.Value)
+	case expr.Var:
+		return big.NewInt(m[g.Name])
+	case expr.Bin:
+		x, y := exactTerm(g.X, m), exactTerm(g.Y, m)
+		switch g.Op {
+		case expr.OpAdd:
+			return x.Add(x, y)
+		case expr.OpSub:
+			return x.Sub(x, y)
+		case expr.OpMul:
+			return x.Mul(x, y)
+		}
+	}
+	panic(fmt.Sprintf("exactTerm: %s", e))
+}
+
+// exactFormula evaluates formula e under model m in unbounded integers.
+func exactFormula(e expr.Expr, m map[string]int64) bool {
+	switch g := e.(type) {
+	case expr.Bool:
+		return g.Value
+	case expr.Cmp:
+		c := exactTerm(g.X, m).Cmp(exactTerm(g.Y, m))
+		switch g.Op {
+		case expr.OpEq:
+			return c == 0
+		case expr.OpNe:
+			return c != 0
+		case expr.OpLt:
+			return c < 0
+		case expr.OpLe:
+			return c <= 0
+		case expr.OpGt:
+			return c > 0
+		case expr.OpGe:
+			return c >= 0
+		}
+	case expr.Not:
+		return !exactFormula(g.X, m)
+	case expr.And:
+		for _, x := range g.Xs {
+			if !exactFormula(x, m) {
+				return false
+			}
+		}
+		return true
+	case expr.Or:
+		for _, x := range g.Xs {
+			if exactFormula(x, m) {
+				return true
+			}
+		}
+		return false
+	}
+	panic(fmt.Sprintf("exactFormula: %s", e))
+}
+
+// TestOverflowingCoefficient: the linear form of 2^62·(4·x) has the
+// coefficient 2^64, which an int64 cannot hold. Wrapped to 0, it made the
+// satisfiable first formula unsat and gave the second, which no integer
+// satisfies, the model x = -1. A formula the solver cannot encode exactly
+// is Unknown; a Sat answer must come with a model that satisfies the
+// formula in unbounded integers.
+func TestOverflowingCoefficient(t *testing.T) {
+	x := expr.V("x")
+	big64 := expr.Mul(expr.Num(1<<62), expr.Mul(expr.Num(4), x))
+	for _, tc := range []struct {
+		f   expr.Expr
+		sat bool // over the integers
+	}{
+		{expr.Conj(expr.Ne(big64, expr.Num(0)), expr.Eq(x, expr.Num(1))), true},
+		{expr.Conj(expr.Eq(big64, expr.Num(0)), expr.Ne(x, expr.Num(0))), false},
+	} {
+		r, m := NewChecker().SatModel(tc.f)
+		switch {
+		case r == Unsat && tc.sat:
+			t.Errorf("SatModel(%s) = unsat, but x = 1 satisfies it", tc.f)
+		case r == Sat && !exactFormula(tc.f, m):
+			t.Errorf("SatModel(%s) = sat with model %v, which does not satisfy it", tc.f, m)
+		}
+		if r := NewChecker().Sat(tc.f); r == Unsat && tc.sat {
+			t.Errorf("Sat(%s) = unsat, but x = 1 satisfies it", tc.f)
+		}
 	}
 }
