@@ -124,8 +124,10 @@ func (c *Checker) CheckTargets(ctx context.Context, p *Program, targets []Target
 		ctx = context.Background()
 	}
 	if len(targets) == 0 {
-		for _, th := range p.ThreadNames() {
-			for _, g := range p.Globals() {
+		threads, globals := p.ThreadNames(), p.Globals()
+		targets = make([]Target, 0, len(threads)*len(globals))
+		for _, th := range threads {
+			for _, g := range globals {
 				targets = append(targets, Target{Thread: th, Variable: g})
 			}
 		}
@@ -211,7 +213,9 @@ func (c *Checker) CheckTargets(ctx context.Context, p *Program, targets []Target
 				t := targets[i]
 				unitStart := time.Now()
 				uctx, usp := telemetry.StartSpan(bctx, "unit")
-				usp.Annotate("target", t.String())
+				if usp != nil { // only a trace reads the label
+					usp.Annotate("target", t.String())
+				}
 				var s *journal.Stream
 				if streams != nil {
 					s = streams[i]

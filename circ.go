@@ -44,7 +44,9 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 
+	"circ/internal/alias"
 	"circ/internal/cfa"
 	icirc "circ/internal/circ"
 	"circ/internal/dataflow"
@@ -154,9 +156,14 @@ var (
 	ErrUnknownThread = errors.New("unknown thread")
 )
 
-// Program is a parsed MiniNesC program.
+// Program is a parsed MiniNesC program. It is safe for concurrent use.
 type Program struct {
 	ast *lang.Program
+
+	// aliases is the whole-program points-to analysis every thread's CFA
+	// lowers pointers with, computed on the first CFA build.
+	aliasOnce sync.Once
+	aliases   *alias.Result
 }
 
 // Parse parses and semantically checks MiniNesC source text.
@@ -192,7 +199,8 @@ func (p *Program) Globals() []string {
 // CFA builds the control flow automaton of the named thread (empty name:
 // the single thread), with functions inlined.
 func (p *Program) CFA(thread string) (*cfa.CFA, error) {
-	return cfa.Build(p.ast, thread)
+	p.aliasOnce.Do(func() { p.aliases = alias.Analyze(p.ast) })
+	return cfa.BuildAliased(p.ast, thread, p.aliases)
 }
 
 // checkThread validates a non-empty thread name against the declared
@@ -459,23 +467,20 @@ type ArenaStats = expr.ArenaStats
 // CurrentArenaStats returns the arena statistics.
 func CurrentArenaStats() ArenaStats { return expr.Stats() }
 
-// dischargedCounters names each triage rule's counter in the
-// triage.discharged{reason=...} family, built once rather than per
-// discharged pair.
-var dischargedCounters = func() map[string]string {
-	m := make(map[string]string)
+// triageRule holds the strings a discharge by one triage rule emits:
+// its counter in the triage.discharged{reason=...} family and its
+// verdict reason, built once rather than per discharged pair.
+type triageRule struct {
+	counter, verdict string
+}
+
+var triageRules = func() map[string]triageRule {
+	m := make(map[string]triageRule)
 	for _, r := range []string{dataflow.ReasonThreadLocal, dataflow.ReasonReadOnly, dataflow.ReasonAtomicCovered, dataflow.ReasonFlagGuarded} {
-		m[r] = `triage.discharged{reason="` + r + `"}`
+		m[r] = triageRule{counter: `triage.discharged{reason="` + r + `"}`, verdict: "triage: " + r}
 	}
 	return m
 }()
-
-func dischargedCounter(reason string) string {
-	if n, ok := dischargedCounters[reason]; ok {
-		return n
-	}
-	return `triage.discharged{reason="` + reason + `"}`
-}
 
 // prepareUnit runs the static pre-analysis for one (thread CFA,
 // variable) unit: the triage rules first, read from the thread's static
@@ -493,15 +498,17 @@ func dischargedCounter(reason string) string {
 func (c *Checker) prepareUnit(g *cfa.CFA, facts *dataflow.ThreadFacts, variable string, s *journal.Stream, reg *telemetry.Registry) (*cfa.CFA, []expr.Expr, *Report) {
 	if c.triage {
 		if d, ok := facts.Triage(variable); ok {
-			byReason := dischargedCounter(d.Reason)
+			rule := triageRules[d.Reason]
 			reg.Counter("triage.discharged").Inc()
-			reg.Counter(byReason).Inc()
-			s.Emit(journal.Event{Type: journal.EvTriageVerdict, Verdict: "safe", Reason: d.Reason, Detail: d.Detail})
-			s.Emit(journal.Event{Type: journal.EvVerdict, Verdict: "safe", Reason: "triage: " + d.Reason})
+			reg.Counter(rule.counter).Inc()
+			if s != nil { // only a journal reads the evidence text
+				s.Emit(journal.Event{Type: journal.EvTriageVerdict, Verdict: "safe", Reason: d.Reason, Detail: d.Detail()})
+				s.Emit(journal.Event{Type: journal.EvVerdict, Verdict: "safe", Reason: rule.verdict})
+			}
 			return nil, nil, &Report{
 				Verdict: Safe,
 				Triage:  d.Reason,
-				Metrics: telemetry.Metrics{Counters: map[string]int64{"triage.discharged": 1, byReason: 1}},
+				Metrics: telemetry.Metrics{Counters: map[string]int64{"triage.discharged": 1, rule.counter: 1}},
 			}
 		}
 	}
@@ -720,7 +727,7 @@ func Flagguard(src string, thread string) (*FlagguardReport, error) {
 	for _, g := range p.Globals() {
 		if d, ok := facts.Triage(g); ok {
 			rep.Discharged[g] = d.Reason
-			rep.Details[g] = d.Detail
+			rep.Details[g] = d.Detail()
 		}
 	}
 	return rep, nil

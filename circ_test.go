@@ -1,12 +1,15 @@
 package circ
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"circ/internal/benchapps"
+	"circ/internal/cfa"
 	"circ/internal/explicit"
 )
 
@@ -96,6 +99,56 @@ func TestProgramAccessors(t *testing.T) {
 	c, err := p.CFA("Worker")
 	if err != nil || c.Name != "Worker" {
 		t.Fatalf("CFA: %v", err)
+	}
+}
+
+// TestProgramCFASharesAliases checks that a thread's CFA built through
+// Program.CFA, which analyses the program's aliases once and shares the
+// result across threads, serialises to the same bytes as one built by
+// cfa.Build, which analyses them afresh. It covers every thread of the
+// corpus models, the application model among them, and of a wide
+// program. Each program's threads are built concurrently, as concurrent
+// Check calls on one Program do.
+func TestProgramCFASharesAliases(t *testing.T) {
+	names, srcs := goldenCorpus(t)
+	names, srcs = append(names, "wide8"), append(srcs, benchapps.WideSource(8))
+	threads := 0
+	for i, src := range srcs {
+		p, err := Parse(src)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		ths := p.ThreadNames()
+		shared := make([]*cfa.CFA, len(ths))
+		var wg sync.WaitGroup
+		for j, th := range ths {
+			wg.Add(1)
+			go func(j int, th string) {
+				defer wg.Done()
+				c, err := p.CFA(th)
+				if err != nil {
+					t.Errorf("%s %s: %v", names[i], th, err)
+				}
+				shared[j] = c
+			}(j, th)
+		}
+		wg.Wait()
+		for j, th := range ths {
+			fresh, err := cfa.Build(p.AST(), th)
+			if err != nil {
+				t.Fatalf("%s %s: %v", names[i], th, err)
+			}
+			if shared[j] == nil {
+				continue // its build error is reported above
+			}
+			if !bytes.Equal(shared[j].AppendCanonical(nil), fresh.AppendCanonical(nil)) {
+				t.Errorf("%s %s: Program.CFA differs from cfa.Build:\n%s\nvs\n%s", names[i], th, shared[j], fresh)
+			}
+			threads++
+		}
+	}
+	if threads < 20 {
+		t.Fatalf("only %d threads compared", threads)
 	}
 }
 

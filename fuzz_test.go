@@ -8,6 +8,7 @@ import (
 	"circ/internal/benchapps"
 	"circ/internal/cfa"
 	icirc "circ/internal/circ"
+	"circ/internal/dataflow"
 	"circ/internal/explicit"
 	"circ/internal/lang"
 	"circ/internal/smt"
@@ -87,4 +88,42 @@ func TestFuzzCrossValidation(t *testing.T) {
 	if checked < 100 {
 		t.Fatalf("too few decided runs (%d) for the fuzz to be meaningful", checked)
 	}
+}
+
+// FuzzParse feeds arbitrary text through the parser and the static
+// stage every batch runs before the engine: each thread's CFA, built
+// through Program.CFA with the program's shared alias analysis, then the
+// thread's static facts, the triage of every global with its rendered
+// evidence, and, for the survivors, the cone-of-influence slice and its
+// seed predicates. Only parsing and CFA construction may reject an
+// input; nothing may panic. The seeds are the example programs and the
+// benchmark models.
+func FuzzParse(f *testing.F) {
+	_, srcs := goldenCorpus(f)
+	for _, src := range srcs {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		for _, th := range p.ThreadNames() {
+			c, err := p.CFA(th)
+			if err != nil {
+				continue
+			}
+			facts := dataflow.NewThreadFacts(c)
+			for _, g := range p.Globals() {
+				if d, ok := facts.Triage(g); ok {
+					if d.Detail() == "" {
+						t.Errorf("%s/%s: %s discharge without evidence", th, g, d.Reason)
+					}
+					continue
+				}
+				sliced, _ := dataflow.Slice(c, g)
+				dataflow.FlagGuard(sliced).SeedPredicates()
+			}
+		}
+	})
 }

@@ -72,23 +72,19 @@ thread App {
 }
 `
 
-// AppModelVars lists the protected variables of AppModel, whether each is
-// race-free, and whether verifying it exceeds the default state budget
-// (the counter-configuration space over the ~34-location context model is
-// the same scalability wall behind the paper's 20-minute rows).
+// AppModelVars lists the protected variables of AppModel and whether each
+// is race-free.
 func AppModelVars() []struct {
-	Name  string
-	Safe  bool
-	Heavy bool
+	Name string
+	Safe bool
 } {
 	return []struct {
-		Name  string
-		Safe  bool
-		Heavy bool
+		Name string
+		Safe bool
 	}{
-		{"txBuf", true, false},
-		{"seqNo", true, false},
-		{"rxBuf", true, true},
-		{"stats", true, true},
+		{"txBuf", true},
+		{"seqNo", true},
+		{"rxBuf", true},
+		{"stats", true},
 	}
 }

@@ -2,7 +2,6 @@ package benchapps
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"circ/internal/circ"
@@ -92,13 +91,9 @@ func TestAppModel(t *testing.T) {
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
-	heavy := os.Getenv("CIRC_FULL_APPMODEL") != ""
 	for _, v := range AppModelVars() {
 		v := v
 		t.Run(v.Name, func(t *testing.T) {
-			if v.Heavy && !heavy {
-				t.Skip("beyond the default state budget (same scalability envelope as the paper's 20-minute rows); set CIRC_FULL_APPMODEL=1 to run")
-			}
 			rep, err := circ.Check(context.Background(), c, v.Name, circ.Options{MaxStates: 20000000}, smt.NewChecker())
 			if err != nil {
 				t.Fatalf("check: %v", err)

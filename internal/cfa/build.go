@@ -12,6 +12,13 @@ import (
 // all function calls. If threadName is empty, the program's single thread
 // is used.
 func Build(prog *lang.Program, threadName string) (*CFA, error) {
+	return BuildAliased(prog, threadName, alias.Analyze(prog))
+}
+
+// BuildAliased is Build with the program's points-to sets supplied, so a
+// caller building several threads of one program analyses its aliases
+// once rather than once per thread. aliases must be alias.Analyze(prog).
+func BuildAliased(prog *lang.Program, threadName string, aliases *alias.Result) (*CFA, error) {
 	var th *lang.ThreadDecl
 	if threadName == "" {
 		if len(prog.Threads) != 1 {
@@ -27,7 +34,7 @@ func Build(prog *lang.Program, threadName string) (*CFA, error) {
 	b := &builder{
 		prog:    prog,
 		cfa:     &CFA{Name: th.Name},
-		aliases: alias.Analyze(prog),
+		aliases: aliases,
 		scope:   th.Name,
 	}
 	for _, g := range prog.Globals {

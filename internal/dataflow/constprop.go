@@ -46,8 +46,9 @@ func (f ConstFact) reached() bool { return f.Vals != nil }
 
 // ConstResult is the constant/copy-propagation solution for one CFA.
 type ConstResult struct {
-	// Vars enumerates the CFA's variables; index i of a fact corresponds
-	// to Vars[i].
+	// Vars enumerates the variables some edge of the CFA reads or writes;
+	// index i of a fact corresponds to Vars[i]. ConstAt reports every
+	// other variable as unknown.
 	Vars []string
 	// In[l] is the fact on entry to l. A nil fact marks l statically
 	// unreachable.

@@ -72,17 +72,30 @@ func Solve[F any](c *cfa.CFA, p Problem[F]) []F {
 	return facts
 }
 
-// varIndex assigns dense indices to a CFA's variables (globals then
-// locals, in declaration order) for per-variable fact vectors.
+// varIndex assigns dense indices to the variables some edge of a CFA
+// reads or writes (globals then locals, in declaration order) for
+// per-variable fact vectors. A variable no edge mentions is NAC at the
+// entry and no transfer changes it, so leaving it out changes no fact
+// about the others, and a thread's vectors stay as wide as its own code
+// however many globals the program declares.
 type varIndex struct {
 	names []string
 	idx   map[string]int
 }
 
 func indexVars(c *cfa.CFA) *varIndex {
-	v := &varIndex{idx: make(map[string]int, len(c.Globals)+len(c.Locals))}
+	mentioned := make(map[string]bool)
+	for _, e := range c.Edges {
+		if w := e.Writes(); w != "" {
+			mentioned[w] = true
+		}
+		for r := range e.Reads() {
+			mentioned[r] = true
+		}
+	}
+	v := &varIndex{idx: make(map[string]int, len(mentioned))}
 	add := func(name string) {
-		if _, ok := v.idx[name]; !ok {
+		if _, ok := v.idx[name]; !ok && mentioned[name] {
 			v.idx[name] = len(v.names)
 			v.names = append(v.names, name)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -14,8 +13,9 @@ import (
 )
 
 // refTriage is the per-pair triage ThreadFacts replaces: one pass over
-// the reachable edges for g alone, then a fresh flag-guard analysis.
-func refTriage(c *cfa.CFA, g string) (Discharge, bool) {
+// the reachable edges for g alone, then a fresh flag-guard analysis. It
+// returns the discharge's reason and detail text.
+func refTriage(c *cfa.CFA, g string) (reason, detail string, ok bool) {
 	reach := c.ReachableLocs()
 	var reads, writes, uncovered int
 	for _, e := range c.Edges {
@@ -39,75 +39,14 @@ func refTriage(c *cfa.CFA, g string) (Discharge, bool) {
 	}
 	switch {
 	case reads == 0 && writes == 0:
-		return Discharge{
-			Reason: ReasonThreadLocal,
-			Detail: fmt.Sprintf("no reachable edge of %s accesses %s", c.Name, g),
-		}, true
+		return ReasonThreadLocal, fmt.Sprintf("no reachable edge of %s accesses %s", c.Name, g), true
 	case writes == 0:
-		return Discharge{
-			Reason: ReasonReadOnly,
-			Detail: fmt.Sprintf("%s reads %s on %d edge(s) but never writes it", c.Name, g, reads),
-		}, true
+		return ReasonReadOnly, fmt.Sprintf("%s reads %s on %d edge(s) but never writes it", c.Name, g, reads), true
 	case uncovered == 0:
-		return Discharge{
-			Reason: ReasonAtomicCovered,
-			Detail: fmt.Sprintf("all %d access(es) to %s leave atomic locations", reads+writes, g),
-		}, true
+		return ReasonAtomicCovered, fmt.Sprintf("all %d access(es) to %s leave atomic locations", reads+writes, g), true
 	}
-	return FlagGuard(c).Discharge(g)
-}
-
-// wideSource is a program shaped like the wide benchmark workload: thread
-// templates that each own a busy flag, globals written under it, globals
-// written only atomically, read-only globals, and, on the first template,
-// one unprotected global.
-func wideSource(templates int) string {
-	var globals []string
-	var threads strings.Builder
-	for i := 0; i < templates; i++ {
-		flag := fmt.Sprintf("m%d_busy", i)
-		buf := []string{fmt.Sprintf("m%d_buf0", i), fmt.Sprintf("m%d_buf1", i)}
-		cnt := []string{fmt.Sprintf("m%d_cnt0", i), fmt.Sprintf("m%d_cnt1", i)}
-		cfg := []string{fmt.Sprintf("m%d_cfg0", i), fmt.Sprintf("m%d_cfg1", i)}
-		globals = append(append(append(append(globals, flag), buf...), cnt...), cfg...)
-		racy := ""
-		if i == 0 {
-			globals = append(globals, "m0_stat")
-			racy = "\n    } or {\n      m0_stat = m0_stat + 1;"
-		}
-		fmt.Fprintf(&threads, `
-thread T%[1]d {
-  local int old;
-  local int v;
-  while (1) {
-    choose {
-      atomic {
-        old = %[2]s;
-        if (%[2]s == 0) { %[2]s = 1; }
-      }
-      if (old == 0) {
-        %[3]s = %[3]s + 1;
-        %[4]s = %[4]s + 2;
-        %[2]s = 0;
-      }
-    } or {
-      atomic {
-        %[5]s = %[5]s + 3;
-        %[6]s = %[6]s + 4;
-      }
-    } or {
-      v = v + %[7]s;
-      v = v + %[8]s;%[9]s
-    }
-  }
-}
-`, i, flag, buf[0], buf[1], cnt[0], cnt[1], cfg[0], cfg[1], racy)
-	}
-	var b strings.Builder
-	for _, g := range globals {
-		fmt.Fprintf(&b, "global int %s;\n", g)
-	}
-	return b.String() + threads.String()
+	d, ok := FlagGuard(c).Discharge(g)
+	return d.Reason, d.Detail(), ok
 }
 
 // TestThreadFactsTriageMatchesPerPair checks that triage read from one
@@ -117,7 +56,7 @@ thread T%[1]d {
 // thread's globals are triaged from several goroutines sharing its facts,
 // as batch workers do.
 func TestThreadFactsTriageMatchesPerPair(t *testing.T) {
-	srcs := map[string]string{"appmodel": benchapps.AppModel, "wide": wideSource(4)}
+	srcs := map[string]string{"appmodel": benchapps.AppModel, "wide": benchapps.WideSource(4)}
 	apps := append(append(benchapps.Table1(), benchapps.Section6Races()...), benchapps.FalsePositiveSuite()...)
 	for _, a := range apps {
 		srcs[a.Key()] = a.Source
@@ -160,13 +99,13 @@ func TestThreadFactsTriageMatchesPerPair(t *testing.T) {
 			}
 			wg.Wait()
 			for i, gd := range p.Globals {
-				want, wantOK := refTriage(c, gd.Name)
-				if got[i] != want || ok[i] != wantOK {
-					t.Errorf("%s %s/%s: ThreadFacts (%+v, %v), per pair (%+v, %v)",
-						name, th.Name, gd.Name, got[i], ok[i], want, wantOK)
+				reason, detail, wantOK := refTriage(c, gd.Name)
+				if got[i].Reason != reason || got[i].Detail() != detail || ok[i] != wantOK {
+					t.Errorf("%s %s/%s: ThreadFacts (%s: %q, %v), per pair (%s: %q, %v)",
+						name, th.Name, gd.Name, got[i].Reason, got[i].Detail(), ok[i], reason, detail, wantOK)
 				}
 				pairs++
-				if wantOK && want.Reason == ReasonFlagGuarded {
+				if wantOK && reason == ReasonFlagGuarded {
 					flagGuarded++
 				}
 			}

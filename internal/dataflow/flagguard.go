@@ -410,30 +410,35 @@ type SeedPred struct {
 // proven guard facts as seed predicates.
 func FlagGuard(c *cfa.CFA) *FlagGuardResult {
 	r := &FlagGuardResult{c: c}
+	cands := atomicConstWrites(c)
+	if len(cands) == 0 {
+		return r
+	}
+	vars := indexVars(c)
+	isGlobal := make([]bool, len(vars.names))
+	for i, name := range vars.names {
+		isGlobal[i] = c.IsGlobal(name)
+	}
 	for _, f := range c.Globals {
-		if !hasAtomicConstWrite(c, f) {
+		if !cands[f] {
 			continue
 		}
 		for _, unlock := range comparedConsts(c, f) {
-			r.sols = append(r.sols, solveFlag(c, f, unlock))
+			r.sols = append(r.sols, solveFlag(c, vars, isGlobal, f, unlock))
 		}
 	}
 	return r
 }
 
-func solveFlag(c *cfa.CFA, flag string, unlock int64) *flagSolution {
-	vars := indexVars(c)
+func solveFlag(c *cfa.CFA, vars *varIndex, isGlobal []bool, flag string, unlock int64) *flagSolution {
 	p := &flagProblem{
 		cp:           &constProblem{vars: vars},
 		c:            c,
 		flag:         flag,
 		flagIdx:      vars.idx[flag],
 		unlock:       unlock,
-		isGlobal:     make([]bool, len(vars.names)),
+		isGlobal:     isGlobal,
 		acquireConst: map[int64]bool{},
-	}
-	for i, name := range vars.names {
-		p.isGlobal[i] = c.IsGlobal(name)
 	}
 	sol := &flagSolution{flag: flag, unlock: unlock, prob: p}
 	sol.in = Solve[guardFact](c, p)
@@ -446,18 +451,23 @@ func solveFlag(c *cfa.CFA, flag string, unlock int64) *flagSolution {
 	return sol
 }
 
-// hasAtomicConstWrite reports whether some edge writes a literal constant
-// to f from an atomic location — the minimum footprint of an acquire.
-func hasAtomicConstWrite(c *cfa.CFA, f string) bool {
+// atomicConstWrites collects, in one pass over the edges, the globals
+// some reachable edge writes a literal constant to from an atomic
+// location — the minimum footprint of an acquire.
+func atomicConstWrites(c *cfa.CFA) map[string]bool {
+	var out map[string]bool
 	for _, e := range c.Edges {
-		if e.Writes() != f || e.Op.Kind != cfa.OpAssign || !c.IsAtomic(e.Src) || !c.Reachable(e.Src) {
+		if e.Op.Kind != cfa.OpAssign || !c.IsGlobal(e.Op.LHS) || !c.IsAtomic(e.Src) || !c.Reachable(e.Src) {
 			continue
 		}
 		if _, ok := e.Op.RHS.(expr.Int); ok {
-			return true
+			if out == nil {
+				out = make(map[string]bool)
+			}
+			out[e.Op.LHS] = true
 		}
 	}
-	return false
+	return out
 }
 
 // comparedConsts collects the constants f is compared against by
@@ -520,11 +530,7 @@ func (r *FlagGuardResult) Discharge(g string) (Discharge, bool) {
 		if !ok {
 			continue
 		}
-		return Discharge{
-			Reason: ReasonFlagGuarded,
-			Detail: fmt.Sprintf("%d uncovered access(es) to %s owned under busy flag %s (unlocked=%d, locked=%v)",
-				uncovered, g, sol.flag, sol.unlock, sol.acquireConsts),
-		}, true
+		return Discharge{Reason: ReasonFlagGuarded, thread: r.c.Name, global: g, accesses: uncovered, sol: sol}, true
 	}
 	return Discharge{}, false
 }

@@ -1,6 +1,9 @@
 package dataflow
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"testing"
 
 	"circ/internal/benchapps"
@@ -202,5 +205,81 @@ func TestConstantPropagationNegatedGuardThroughCopy(t *testing.T) {
 	r := ConstantPropagation(c)
 	if r.Reached(3) {
 		t.Error("[flag==1] passed although !(old==1) with old==flag was assumed")
+	}
+}
+
+// ownership renders a flag-guard solution's per-location facts: the
+// ownership status and conditional-ownership witnesses by variable name,
+// with "-" for a location the guarded semantics leaves unreached.
+func ownership(sol *flagSolution) []string {
+	out := make([]string, len(sol.in))
+	for l, f := range sol.in {
+		if f.vals == nil {
+			out[l] = "-"
+			continue
+		}
+		s := fmt.Sprint(f.own)
+		for _, pr := range f.pairs {
+			s += fmt.Sprintf(" %s==%d", sol.prob.cp.vars.names[pr.w], pr.a)
+		}
+		out[l] = s
+	}
+	return out
+}
+
+// bytesPerRun is testing.AllocsPerRun for allocated bytes: the average
+// heap bytes one call of f allocates, measured at GOMAXPROCS 1 after a
+// warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestFlagGuardPaddingInvariance checks that the flag-guard analysis of a
+// thread costs and concludes in terms of the thread's own code: T0 of a
+// one-template wide program and of a 64-template one has the same code,
+// so it must get the same discharges, seed predicates and per-location
+// ownership, for about the same allocated bytes, however many globals
+// the other templates add to the program.
+func TestFlagGuardPaddingInvariance(t *testing.T) {
+	small := mustBuild(t, benchapps.WideSource(1), "T0")
+	wide := mustBuild(t, benchapps.WideSource(64), "T0")
+	if len(wide.Globals) <= len(small.Globals) || small.NumLocs() != wide.NumLocs() {
+		t.Fatalf("T0 should keep its code as globals grow: %d/%d globals, %d/%d locations",
+			len(small.Globals), len(wide.Globals), small.NumLocs(), wide.NumLocs())
+	}
+	rs, rw := FlagGuard(small), FlagGuard(wide)
+	for _, g := range small.Globals {
+		ds, oks := rs.Discharge(g)
+		dw, okw := rw.Discharge(g)
+		if ds.Reason != dw.Reason || ds.Detail() != dw.Detail() || oks != okw {
+			t.Errorf("Discharge(%s): 1 template (%s: %q, %v), 64 templates (%s: %q, %v)",
+				g, ds.Reason, ds.Detail(), oks, dw.Reason, dw.Detail(), okw)
+		}
+	}
+	if got, want := fmt.Sprint(rw.SeedPredicates()), fmt.Sprint(rs.SeedPredicates()); got != want {
+		t.Errorf("SeedPredicates: 64 templates %s, 1 template %s", got, want)
+	}
+	if len(rs.sols) == 0 || len(rs.sols) != len(rw.sols) {
+		t.Fatalf("flag candidates: %d at 1 template, %d at 64", len(rs.sols), len(rw.sols))
+	}
+	for i := range rs.sols {
+		if got, want := ownership(rw.sols[i]), ownership(rs.sols[i]); !slices.Equal(got, want) {
+			t.Errorf("candidate %s=%d ownership: 64 templates %v, 1 template %v",
+				rs.sols[i].flag, rs.sols[i].unlock, got, want)
+		}
+	}
+
+	bs := bytesPerRun(20, func() { FlagGuard(small) })
+	bw := bytesPerRun(20, func() { FlagGuard(wide) })
+	if bw > 1.25*bs {
+		t.Errorf("FlagGuard(T0) allocates %.0f B at 64 templates, %.0f B at 1: more than 1.25x", bw, bs)
 	}
 }

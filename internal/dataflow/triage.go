@@ -32,12 +32,32 @@ const (
 )
 
 // Discharge is a statically proved race-freedom verdict for one
-// (thread, global) pair.
+// (thread, global) pair. It keeps the evidence rather than its text:
+// most discharged pairs are counted and never explained, so Detail
+// renders the text only when asked.
 type Discharge struct {
 	// Reason is one of the Reason* constants.
 	Reason string
-	// Detail is a one-line human rendering of the evidence.
-	Detail string
+
+	thread, global string
+	accesses       int           // reads (read-only), accesses (atomic-covered) or uncovered accesses (flag-guarded)
+	sol            *flagSolution // flag-guarded only
+}
+
+// Detail is a one-line human rendering of the evidence.
+func (d Discharge) Detail() string {
+	switch d.Reason {
+	case ReasonThreadLocal:
+		return fmt.Sprintf("no reachable edge of %s accesses %s", d.thread, d.global)
+	case ReasonReadOnly:
+		return fmt.Sprintf("%s reads %s on %d edge(s) but never writes it", d.thread, d.global, d.accesses)
+	case ReasonAtomicCovered:
+		return fmt.Sprintf("all %d access(es) to %s leave atomic locations", d.accesses, d.global)
+	case ReasonFlagGuarded:
+		return fmt.Sprintf("%d uncovered access(es) to %s owned under busy flag %s (unlocked=%d, locked=%v)",
+			d.accesses, d.global, d.sol.flag, d.sol.unlock, d.sol.acquireConsts)
+	}
+	return ""
 }
 
 // CounterKey renders the reason as a telemetry counter suffix
@@ -125,20 +145,11 @@ func (f *ThreadFacts) Triage(g string) (Discharge, bool) {
 	n := f.access[g]
 	switch {
 	case n.reads == 0 && n.writes == 0:
-		return Discharge{
-			Reason: ReasonThreadLocal,
-			Detail: fmt.Sprintf("no reachable edge of %s accesses %s", f.c.Name, g),
-		}, true
+		return Discharge{Reason: ReasonThreadLocal, thread: f.c.Name, global: g}, true
 	case n.writes == 0:
-		return Discharge{
-			Reason: ReasonReadOnly,
-			Detail: fmt.Sprintf("%s reads %s on %d edge(s) but never writes it", f.c.Name, g, n.reads),
-		}, true
+		return Discharge{Reason: ReasonReadOnly, thread: f.c.Name, global: g, accesses: n.reads}, true
 	case n.uncovered == 0:
-		return Discharge{
-			Reason: ReasonAtomicCovered,
-			Detail: fmt.Sprintf("all %d access(es) to %s leave atomic locations", n.reads+n.writes, g),
-		}, true
+		return Discharge{Reason: ReasonAtomicCovered, thread: f.c.Name, global: g, accesses: n.reads + n.writes}, true
 	}
 	// The syntactic rules failed: some uncovered write exists. Run the
 	// flag-guard must-analysis before conceding the pair to the
