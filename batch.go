@@ -188,12 +188,7 @@ func (c *Checker) CheckTargets(ctx context.Context, p *Program, targets []Target
 	if c.journal != nil {
 		streams = make([]*journal.Stream, len(targets))
 		for i, t := range targets {
-			name := journalCase(t.Thread, t.Variable)
-			if len(targets) > 1 {
-				streams[i] = c.journal.StreamShared(name)
-			} else {
-				streams[i] = c.journal.Stream(name)
-			}
+			streams[i] = c.stream(journalCase(t.Thread, t.Variable), len(targets) > 1)
 			streams[i].Emit(journal.Event{Type: journal.EvCaseQueued})
 		}
 	}

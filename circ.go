@@ -242,6 +242,10 @@ type Checker struct {
 	solver      *smt.Checker
 	journal     *journal.Recorder
 	store       *store.Store
+	// sharedSolver is set on Derived Checkers, whose solver other
+	// Checkers use concurrently: their journals carry no per-phase
+	// solver deltas, which would count the other Checkers' work.
+	sharedSolver bool
 	// thread/variable are the default target of the package-level Check
 	// entry point, set with WithTarget.
 	thread   string
@@ -386,10 +390,13 @@ func NewChecker(opts ...Option) *Checker {
 // logger, tracer) may be overridden freely. Overriding the tracer
 // re-binds the shared solver's span sink to the new tracer (a cheap view
 // over the same verdict cache), which is how circd gives every job its
-// own flight-deck trace. Overriding the registry on a derived Checker is
-// not supported; attach it to the root Checker.
+// own flight-deck trace. Because the solver is shared, a derived
+// Checker's journal streams carry no smt_phase_stats events. Overriding
+// the registry on a derived Checker is not supported; attach it to the
+// root Checker.
 func (c *Checker) Derive(opts ...Option) *Checker {
 	d := *c
+	d.sharedSolver = true
 	for _, o := range opts {
 		o(&d)
 	}
@@ -563,11 +570,19 @@ func (c *Checker) Check(ctx context.Context, p *Program, thread, variable string
 	if c.tracer != nil {
 		ctx = telemetry.NewContext(ctx, c.tracer)
 	}
-	var s *journal.Stream
-	if c.journal != nil {
-		s = c.journal.Stream(journalCase(thread, variable))
-	}
+	s := c.stream(journalCase(thread, variable), false)
 	return c.checkUnit(ctx, g, dataflow.NewThreadFacts(g), variable, s, c.options(c.logger))
+}
+
+// stream opens the journal stream of one analysis (nil without a
+// journal). A stream whose analysis may share the SMT solver with
+// concurrently running ones — concurrent is set, or the Checker is
+// Derived — suppresses per-phase solver deltas.
+func (c *Checker) stream(name string, concurrent bool) *journal.Stream {
+	if concurrent || c.sharedSolver {
+		return c.journal.StreamShared(name)
+	}
+	return c.journal.Stream(name)
 }
 
 // journalCase names the journal case of one (thread, variable) analysis;

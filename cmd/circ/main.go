@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	circ -var x [-thread T] [-omega] [-k N] [-parallel N] [-v] [-baselines] prog.mn
+//	circ -var x [-thread T] [-omega] [-k N] [-v] [-all] [-verify] [-baseline B] prog.mn
 //
 // Static pre-analysis flags: -triage=off disables the triage stage
 // (read-only / atomic-covered / thread-local / flag-guarded discharges),
@@ -18,10 +18,9 @@
 // Observability flags: -trace out.json writes a Chrome trace_event
 // trace — the analysis span tree (open in chrome://tracing or Perfetto),
 // -metrics out.json writes the checker's metrics snapshot (the same one
-// expvar serves), -journal out.jsonl writes the structured
-// inference journal (one JSON event per line, byte-identical at any
-// -parallel), -report out.html renders a self-contained HTML race report,
-// and -pprof addr serves net/http/pprof plus expvar (live metrics at
+// expvar serves), -journal out.jsonl writes the structured inference
+// journal (one JSON event per line), -report out.html renders a
+// self-contained HTML race report, and -pprof addr serves net/http/pprof plus expvar (live metrics at
 // /debug/vars) and the live journal endpoints (/debug/circ/progress,
 // /debug/circ/events) for the duration of the run.
 //
@@ -93,9 +92,7 @@ func run(args []string) int {
 		thread    = fs.String("thread", "", "thread template (default: the single thread)")
 		omega     = fs.Bool("omega", false, "use the omega-CIRC variant (Section 5)")
 		k         = fs.Int("k", 1, "initial counter parameter")
-		parallel  = fs.Int("parallel", 0, "analysis worker pool size (0: GOMAXPROCS)")
 		verbose   = fs.Bool("v", false, "narrate every CIRC iteration")
-		baselines = fs.Bool("baselines", false, "also run the lockset and flow-based baselines")
 		all       = fs.Bool("all", false, "check every global variable (ignores -var)")
 		dotOut    = fs.String("dot", "", "write the thread CFA and (on safe) the inferred context ACFA as dot files with this prefix")
 		verify    = fs.Bool("verify", false, "independently re-check a safe verdict's certificate (Algorithm Check)")
@@ -143,7 +140,7 @@ func run(args []string) int {
 		return 3
 	}
 	opts := []circ.Option{
-		circ.WithK(*k), circ.WithOmega(*omega), circ.WithParallelism(*parallel),
+		circ.WithK(*k), circ.WithOmega(*omega),
 		circ.WithTriage(bool(triage)), circ.WithSlicing(bool(slice)),
 		circ.WithSeedPredicates(bool(seedPreds)),
 	}
@@ -182,7 +179,7 @@ func run(args []string) int {
 	worst := 0
 	var sections []journal.CaseSection
 	for _, v := range vars {
-		code, sec := checkOne(context.Background(), chk, prog, string(src), v, *thread, *verbose, *baselines, *dotOut, *verify)
+		code, sec := checkOne(context.Background(), chk, prog, string(src), v, *thread, *verbose, *dotOut, *verify)
 		if code > worst {
 			worst = code
 		}
@@ -321,7 +318,7 @@ func printBaselineComparison(src, thread, which string, vars []string, sections 
 	}
 }
 
-func checkOne(ctx context.Context, chk *circ.Checker, prog *circ.Program, src, varName, thread string, verbose, baselines bool, dotOut string, verify bool) (int, journal.CaseSection) {
+func checkOne(ctx context.Context, chk *circ.Checker, prog *circ.Program, src, varName, thread string, verbose bool, dotOut string, verify bool) (int, journal.CaseSection) {
 	rep, err := chk.Check(ctx, prog, thread, varName)
 	sec := prog.Section(circ.TargetReport{Target: circ.Target{Thread: thread, Variable: varName}, Report: rep, Err: err})
 	if err != nil {
@@ -390,26 +387,6 @@ func checkOne(ctx context.Context, chk *circ.Checker, prog *circ.Program, src, v
 		}
 		if acfaDump != nil && !write(dotOut+"."+varName+".acfa.dot", acfaDump.Dot()) {
 			return 3, sec
-		}
-	}
-
-	if baselines {
-		fmt.Println("--- baselines ---")
-		ls, err := circ.Lockset(src, thread, 3)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lockset:", err)
-		} else if ls.Racy(varName) {
-			fmt.Printf("lockset (Eraser): flags %q: %s\n", varName, ls.Warnings[varName])
-		} else {
-			fmt.Printf("lockset (Eraser): no warning on %q\n", varName)
-		}
-		fc, err := circ.Flowcheck(src, thread)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "flowcheck:", err)
-		} else if fc.Racy(varName) {
-			fmt.Printf("flowcheck (nesC): flags %q (%d non-atomic accesses)\n", varName, len(fc.Warnings))
-		} else {
-			fmt.Printf("flowcheck (nesC): no warning on %q\n", varName)
 		}
 	}
 

@@ -111,8 +111,15 @@ func TestRunDotOutput(t *testing.T) {
 
 func TestRunBaselines(t *testing.T) {
 	path := writeProg(t, safeSrc)
-	if code := run([]string{"-var", "x", "-baselines", path}); code != 0 {
+	if code := run([]string{"-var", "x", "-baseline", "all", path}); code != 0 {
 		t.Fatalf("exit = %d", code)
+	}
+	// -baselines duplicated -baseline and -parallel had no effect on a
+	// command that checks one pair at a time; both are gone.
+	for _, flag := range []string{"-baselines", "-parallel=2"} {
+		if code := run([]string{"-var", "x", flag, path}); code != 3 {
+			t.Fatalf("removed flag %s accepted: exit = %d", flag, code)
+		}
 	}
 }
 

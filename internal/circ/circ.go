@@ -19,7 +19,6 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
-	"time"
 
 	"circ/internal/acfa"
 	"circ/internal/bisim"
@@ -134,6 +133,9 @@ type Report struct {
 	TF []expr.Expr
 	// Rounds counts outer iterations.
 	Rounds int
+	// Iterations counts inner (context-weakening) iterations across all
+	// rounds.
+	Iterations int
 	// Triage, when non-empty, records that the verdict was discharged by
 	// the static triage stage without running CIRC at all: "read-only",
 	// "atomic-covered", "thread-local", or "flag-guarded". Triage reports
@@ -151,8 +153,8 @@ type Report struct {
 }
 
 // Summary renders the report as a one-line human-readable verdict with
-// its headline evidence, including the iteration count from the embedded
-// Metrics snapshot (no live checker needed).
+// its headline evidence. It reads only the report's analysis facts, never
+// its Metrics, so the same analysis always summarizes the same way.
 func (r *Report) Summary() string {
 	switch r.Verdict {
 	case Safe:
@@ -164,14 +166,14 @@ func (r *Report) Summary() string {
 			locs = r.FinalACFA.NumLocs()
 		}
 		return fmt.Sprintf("safe: race freedom proved (%d predicates, %d-location context, k=%d, %d rounds%s)",
-			len(r.Preds), locs, r.K, r.Rounds, r.metricsSuffix())
+			len(r.Preds), locs, r.K, r.Rounds, r.iterations())
 	case Unsafe:
 		steps := 0
 		if r.Race != nil {
 			steps = len(r.Race.Steps)
 		}
 		return fmt.Sprintf("unsafe: genuine race, %d-step interleaved trace (k=%d, %d rounds%s)",
-			steps, r.K, r.Rounds, r.metricsSuffix())
+			steps, r.K, r.Rounds, r.iterations())
 	}
 	reason := r.Reason
 	if reason == "" {
@@ -180,18 +182,13 @@ func (r *Report) Summary() string {
 	return "unknown: " + reason
 }
 
-// metricsSuffix renders the Metrics-sourced part of Summary; empty when
-// the report carries no snapshot (hand-built reports, old callers).
-func (r *Report) metricsSuffix() string {
-	iters := r.Metrics.Counter("circ.iterations")
-	if iters == 0 {
+// iterations renders Summary's iteration count; empty when the report
+// records none (hand-built reports).
+func (r *Report) iterations() string {
+	if r.Iterations == 0 {
 		return ""
 	}
-	s := fmt.Sprintf(", %d iterations", iters)
-	if h := r.Metrics.Histograms["refine.analyze"]; h.Count > 0 {
-		s += fmt.Sprintf(", refine p95 %s", h.Quantile(0.95).Round(100*time.Nanosecond))
-	}
-	return s
+	return fmt.Sprintf(", %d iterations", r.Iterations)
 }
 
 // Check runs CIRC on thread CFA c, verifying the absence of races on
@@ -314,6 +311,7 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 				return nil, fmt.Errorf("circ: analysis cancelled: %w", err)
 			}
 			cIters.Inc()
+			rep.Iterations++
 			j.Emit(journal.Event{
 				Type:  journal.EvIterationStart,
 				Round: round, Inner: inner, K: k, NumPreds: set.Len(),

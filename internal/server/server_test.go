@@ -300,7 +300,8 @@ func TestColdWarmResubmit(t *testing.T) {
 		if c.Thread != w.Thread || c.Variable != w.Variable {
 			t.Fatalf("result order drifted: %+v vs %+v", c, w)
 		}
-		if c.Verdict != w.Verdict || c.K != w.K || c.Preds != w.Preds || c.Rounds != w.Rounds {
+		if c.Verdict != w.Verdict || c.K != w.K || c.Preds != w.Preds || c.Rounds != w.Rounds ||
+			c.SeededPreds != w.SeededPreds || c.Summary != w.Summary {
 			t.Fatalf("%s/%s: verdict drifted cold %+v warm %+v", c.Thread, c.Variable, c, w)
 		}
 		if c.Triage != "" {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	icirc "circ/internal/circ"
 	"circ/internal/expr"
 )
 
@@ -14,44 +15,47 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if _, ok := s.Get(canon); ok {
 		t.Fatalf("empty store reported a hit")
 	}
-	e := &Entry{Canon: canon, Verdict: Safe, K: 2, Rounds: 3,
+	rep := &icirc.Report{Verdict: icirc.Safe, K: 2, Rounds: 3,
 		Preds: []expr.Expr{expr.Var{Name: "state"}}}
-	s.Put(e)
+	s.Put(canon, rep)
 	got, ok := s.Get(canon)
-	if !ok || got != e {
-		t.Fatalf("Get = %v, %v; want the stored entry", got, ok)
+	if !ok || got != rep {
+		t.Fatalf("Get = %v, %v; want the stored report", got, ok)
 	}
 	if st := s.Stats(); st.Entries != 1 || st.EntriesHighWater != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
-// A key hit whose canonical bytes differ must be a miss: lookups never
-// trust the hash alone.
+// A serialization differing from a stored one in a single byte misses:
+// the lookup is by the bytes themselves.
 func TestGetComparesCanonicalBytes(t *testing.T) {
 	s := New()
 	canon := []byte("payload-a")
-	s.Put(&Entry{Canon: canon, Verdict: Unsafe})
-	// Same key (we cannot forge a SHA-256 collision, so simulate the
-	// defensive comparison by mutating the stored entry's bytes).
-	k := KeyOf(canon)
-	sh := s.shard(k)
-	sh.mu.Lock()
-	sh.entries[k].Canon = []byte("payload-b")
-	sh.mu.Unlock()
-	if _, ok := s.Get(canon); ok {
-		t.Fatalf("hit despite canonical byte mismatch")
+	s.Put(canon, &icirc.Report{Verdict: icirc.Unsafe})
+	for i := range canon {
+		probe := append([]byte(nil), canon...)
+		probe[i] ^= 1
+		if _, ok := s.Get(probe); ok {
+			t.Fatalf("hit for %q, stored %q", probe, canon)
+		}
+	}
+	if _, ok := s.Get(canon[:len(canon)-1]); ok {
+		t.Fatalf("hit for a prefix of the stored serialization")
+	}
+	if _, ok := s.Get(canon); !ok {
+		t.Fatalf("exact serialization missed")
 	}
 }
 
 func TestOverwrite(t *testing.T) {
 	s := New()
 	canon := []byte("same-key")
-	s.Put(&Entry{Canon: canon, Verdict: Safe})
-	s.Put(&Entry{Canon: canon, Verdict: Unsafe, Reason: "revalidation failed"})
-	e, ok := s.Get(canon)
-	if !ok || e.Verdict != Unsafe {
-		t.Fatalf("overwrite not visible: %+v, %v", e, ok)
+	s.Put(canon, &icirc.Report{Verdict: icirc.Safe})
+	s.Put(canon, &icirc.Report{Verdict: icirc.Unsafe, Reason: "revalidation failed"})
+	rep, ok := s.Get(canon)
+	if !ok || rep.Verdict != icirc.Unsafe {
+		t.Fatalf("overwrite not visible: %+v, %v", rep, ok)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("Len = %d after overwrite, want 1", s.Len())
@@ -60,7 +64,7 @@ func TestOverwrite(t *testing.T) {
 
 func TestNilStoreIsNoOp(t *testing.T) {
 	var s *Store
-	s.Put(&Entry{Canon: []byte("x")})
+	s.Put([]byte("x"), &icirc.Report{})
 	if _, ok := s.Get([]byte("x")); ok {
 		t.Fatalf("nil store hit")
 	}
@@ -73,7 +77,7 @@ func TestLRUEviction(t *testing.T) {
 	s := NewLRU(3)
 	canon := func(i int) []byte { return []byte(fmt.Sprintf("entry-%d", i)) }
 	for i := 0; i < 5; i++ {
-		s.Put(&Entry{Canon: canon(i), Verdict: Safe})
+		s.Put(canon(i), &icirc.Report{Verdict: icirc.Safe})
 	}
 	st := s.Stats()
 	if st.Entries != 3 || st.Evictions != 2 {
@@ -96,13 +100,13 @@ func TestLRUGetRefreshesRecency(t *testing.T) {
 	s := NewLRU(3)
 	canon := func(i int) []byte { return []byte(fmt.Sprintf("entry-%d", i)) }
 	for i := 0; i < 3; i++ {
-		s.Put(&Entry{Canon: canon(i), Verdict: Safe})
+		s.Put(canon(i), &icirc.Report{Verdict: icirc.Safe})
 	}
 	// Touch 0: it becomes most recent, so the next overflow evicts 1.
 	if _, ok := s.Get(canon(0)); !ok {
 		t.Fatal("warm entry missing")
 	}
-	s.Put(&Entry{Canon: canon(3), Verdict: Safe})
+	s.Put(canon(3), &icirc.Report{Verdict: icirc.Safe})
 	if _, ok := s.Get(canon(1)); ok {
 		t.Fatal("entry 1 should have been the LRU victim")
 	}
@@ -114,8 +118,8 @@ func TestLRUGetRefreshesRecency(t *testing.T) {
 func TestLRUOverwriteDoesNotEvict(t *testing.T) {
 	s := NewLRU(2)
 	canon := []byte("same-key")
-	s.Put(&Entry{Canon: canon, Verdict: Safe})
-	s.Put(&Entry{Canon: canon, Verdict: Unsafe})
+	s.Put(canon, &icirc.Report{Verdict: icirc.Safe})
+	s.Put(canon, &icirc.Report{Verdict: icirc.Unsafe})
 	st := s.Stats()
 	if st.Entries != 1 || st.Evictions != 0 {
 		t.Fatalf("overwrite at cap miscounted: %+v", st)
@@ -124,7 +128,7 @@ func TestLRUOverwriteDoesNotEvict(t *testing.T) {
 
 func TestBytesAccounting(t *testing.T) {
 	s := New()
-	s.Put(&Entry{Canon: []byte("a-canonical-serialization"), Verdict: Safe,
+	s.Put([]byte("a-canonical-serialization"), &icirc.Report{Verdict: icirc.Safe,
 		Preds: []expr.Expr{expr.Var{Name: "x"}}})
 	st := s.Stats()
 	if st.Bytes <= 0 {
@@ -135,8 +139,8 @@ func TestBytesAccounting(t *testing.T) {
 	}
 	// Eviction gives bytes back but the watermark holds.
 	s2 := NewLRU(1)
-	s2.Put(&Entry{Canon: []byte("first")})
-	s2.Put(&Entry{Canon: []byte("second")})
+	s2.Put([]byte("first"), &icirc.Report{})
+	s2.Put([]byte("second"), &icirc.Report{})
 	st2 := s2.Stats()
 	if st2.Entries != 1 || st2.Evictions != 1 {
 		t.Fatalf("cap-1 stats = %+v", st2)
@@ -163,7 +167,7 @@ func TestConcurrentLRU(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				canon := []byte(fmt.Sprintf("unit-%d", i%50))
 				if _, ok := s.Get(canon); !ok {
-					s.Put(&Entry{Canon: canon, Verdict: Safe, K: i})
+					s.Put(canon, &icirc.Report{Verdict: icirc.Safe, K: i})
 				}
 			}
 		}(w)
@@ -188,7 +192,7 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				canon := []byte(fmt.Sprintf("unit-%d", i%50))
 				if _, ok := s.Get(canon); !ok {
-					s.Put(&Entry{Canon: canon, Verdict: Safe, K: i})
+					s.Put(canon, &icirc.Report{Verdict: icirc.Safe, K: i})
 				}
 			}
 		}(w)

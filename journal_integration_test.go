@@ -141,6 +141,45 @@ func TestJournalBatch(t *testing.T) {
 	}
 }
 
+// TestJournalDerivedNoSolverDeltas: a Derived Checker shares its solver
+// with every other Checker derived from the same root, so even its
+// single-target analyses journal no smt_phase_stats — those deltas would
+// count the other Checkers' queries. The root Checker's own single-target
+// journal still carries them.
+func TestJournalDerivedNoSolverDeltas(t *testing.T) {
+	p, err := Parse(tasSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	root := NewChecker(WithTriage(false), WithParallelism(1))
+	phaseStats := func(j *Journal) int { return countEvents(j, journal.EvSMTPhaseStats) }
+
+	j := NewJournal()
+	if _, err := root.Derive(WithJournal(j)).CheckTargets(ctx, p, []Target{{Thread: "Worker", Variable: "x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if n := phaseStats(j); n != 0 {
+		t.Errorf("derived single-target CheckTargets journaled %d smt_phase_stats", n)
+	}
+	j = NewJournal()
+	if _, err := root.Derive(WithJournal(j)).Check(ctx, p, "Worker", "state"); err != nil {
+		t.Fatal(err)
+	}
+	if n := phaseStats(j); n != 0 {
+		t.Errorf("derived Check journaled %d smt_phase_stats", n)
+	}
+
+	j = NewJournal()
+	own := NewChecker(WithTriage(false), WithParallelism(1), WithJournal(j))
+	if _, err := own.CheckTargets(ctx, p, []Target{{Thread: "Worker", Variable: "x"}}); err != nil {
+		t.Fatal(err)
+	}
+	if phaseStats(j) == 0 {
+		t.Error("single-target journal of an own-solver Checker has no smt_phase_stats")
+	}
+}
+
 // TestJournalCaseNaming pins the engine's case-name convention so CLI
 // report sections keep lining up with journal events.
 func TestJournalCaseNaming(t *testing.T) {

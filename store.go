@@ -17,24 +17,23 @@ import (
 // Certificate-store surface (implemented in internal/store): the
 // incremental re-checking layer behind the checker-as-a-service daemon.
 //
-// A CertStore is a content-addressed map from a canonical serialization
-// of (sliced thread CFA, race variable, engine configuration) to the
-// evidence of a previously computed verdict. Attach one with
-// WithCertStore and re-submitting an unchanged program costs a
-// certificate re-verification per target instead of a context-inference
-// run: Safe entries are re-proved with Algorithm Check
-// (VerifyCertificate), Unsafe entries re-establish their race by
+// A CertStore maps a canonical serialization of (sliced thread CFA, race
+// variable, engine configuration) to the engine's Report for that input.
+// Attach one with WithCertStore and re-submitting an unchanged program
+// costs a certificate re-verification per target instead of a
+// context-inference run: Safe reports are re-proved with Algorithm Check
+// (VerifyCertificate), Unsafe reports re-establish their race by
 // re-checking the stored trace formula's satisfiability, and Unknown
-// entries replay (sound because the engine is deterministic on identical
+// reports replay (sound because the engine is deterministic on identical
 // input). A store hit whose evidence fails re-validation falls back to a
-// full run and overwrites the entry.
+// full run and overwrites the entry. A warm report equals the cold one
+// apart from its Metrics, which describe the reuse.
 //
-// Store keys never rely on hashing alone: the full canonical
-// serialization is stored and compared byte-for-byte on every hit, so a
-// hash collision degrades to a miss, never a wrong verdict.
+// The serialization itself is the map key, so a hit means the bytes are
+// equal; no hash stands in for equality.
 type (
-	// CertStore is a concurrency-safe content-addressed certificate
-	// store, shared across any number of Checkers and requests.
+	// CertStore is a concurrency-safe certificate store, shared across
+	// any number of Checkers and requests.
 	CertStore = store.Store
 	// CertStoreStats snapshots what only the store knows: entry count,
 	// cap, evictions, footprint and watermarks. Store traffic is counted
@@ -58,28 +57,6 @@ func WithCertStore(st *CertStore) Option { return func(c *Checker) { c.store = s
 
 // CertStore returns the attached certificate store, or nil.
 func (c *Checker) CertStore() *CertStore { return c.store }
-
-// storeVerdict maps an engine verdict onto the store's own enumeration
-// (kept separate so the store package has no engine dependency).
-func storeVerdict(v Verdict) store.Verdict {
-	switch v {
-	case Safe:
-		return store.Safe
-	case Unsafe:
-		return store.Unsafe
-	}
-	return store.Unknown
-}
-
-func engineVerdict(v store.Verdict) Verdict {
-	switch v {
-	case store.Safe:
-		return Safe
-	case store.Unsafe:
-		return Unsafe
-	}
-	return Unknown
-}
 
 // storeCanon serializes everything that determines a unit's verdict: a
 // format version, the race variable, every verdict-affecting engine
@@ -111,27 +88,6 @@ func storeCanon(g *cfa.CFA, variable string, o icirc.Options) []byte {
 	return g.AppendCanonical(b)
 }
 
-// storeEntry assembles the store entry for a freshly computed report.
-// Reports that carry no replayable evidence (they should not occur) are
-// dropped rather than stored.
-func storeEntry(canon []byte, rep *Report) *store.Entry {
-	if rep.Verdict == Safe && rep.FinalACFA == nil {
-		return nil
-	}
-	return &store.Entry{
-		Canon:   canon,
-		Verdict: storeVerdict(rep.Verdict),
-		ACFA:    rep.FinalACFA,
-		Preds:   rep.Preds,
-		K:       rep.K,
-		Rounds:  rep.Rounds,
-		Race:    rep.Race,
-		Witness: rep.Witness,
-		TF:      rep.TF,
-		Reason:  rep.Reason,
-	}
-}
-
 // checkUnit runs one (thread CFA, variable) unit end to end: static
 // triage against the thread's facts, cone-of-influence slicing, then —
 // when a certificate store is attached — the incremental path (probe,
@@ -160,9 +116,9 @@ func (c *Checker) checkUnit(ctx context.Context, g *cfa.CFA, facts *dataflow.Thr
 		return icirc.Check(jctx, g, variable, o, c.solver)
 	}
 	canon := storeCanon(g, variable, o)
-	if ent, ok := c.store.Get(canon); ok {
+	if stored, ok := c.store.Get(canon); ok {
 		o.Metrics.Counter("store.hit").Inc()
-		if rep, err := c.reuseEntry(ctx, g, variable, ent, s, o.Metrics); rep != nil || err != nil {
+		if rep, err := c.reuse(ctx, g, variable, stored, s, o.Metrics); rep != nil || err != nil {
 			return rep, err
 		}
 		// Stored evidence no longer verified: fall through to a full run
@@ -172,32 +128,32 @@ func (c *Checker) checkUnit(ctx context.Context, g *cfa.CFA, facts *dataflow.Thr
 	}
 	rep, err := icirc.Check(jctx, g, variable, o, c.solver)
 	if err == nil {
-		if ent := storeEntry(canon, rep); ent != nil {
-			c.store.Put(ent)
-			o.Metrics.Counter("store.write").Inc()
-		}
+		kept := *rep
+		kept.Metrics = Metrics{}
+		c.store.Put(canon, &kept)
+		o.Metrics.Counter("store.write").Inc()
 	}
 	return rep, err
 }
 
-// reuseEntry re-establishes a stored verdict without running context
+// reuse re-establishes a stored verdict without running context
 // inference. It returns (nil, nil) when the stored evidence fails its
 // re-validation — the caller then runs the engine — and a non-nil error
 // only for infrastructure failures (e.g. context cancellation during
-// certificate re-verification).
+// certificate re-verification). The returned report is a copy of the
+// stored one whose Metrics is the reuse's own snapshot.
 //
 // Soundness: the store key matched byte-for-byte, so g is structurally
-// identical to the CFA the evidence was computed for. Safe evidence is
-// nevertheless re-proved with Algorithm Check and Unsafe evidence
+// identical to the CFA the stored report was computed for. Safe evidence
+// is nevertheless re-proved with Algorithm Check and Unsafe evidence
 // re-checked for satisfiability — the store is treated as untrusted
 // input, exactly like a certificate handed to VerifyCertificate.
-func (c *Checker) reuseEntry(ctx context.Context, g *cfa.CFA, variable string, ent *store.Entry, s *journal.Stream, reg *telemetry.Registry) (*Report, error) {
-	verdict := engineVerdict(ent.Verdict)
+func (c *Checker) reuse(ctx context.Context, g *cfa.CFA, variable string, stored *Report, s *journal.Stream, reg *telemetry.Registry) (*Report, error) {
 	unit := telemetry.ChildOf(reg)
 	var outcome string
-	switch verdict {
+	switch stored.Verdict {
 	case Safe:
-		err := icirc.VerifyCertificate(ctx, g, variable, ent.ACFA, ent.Preds, ent.K, c.solver)
+		err := icirc.VerifyCertificate(ctx, g, variable, stored.FinalACFA, stored.Preds, stored.K, c.solver)
 		if err != nil {
 			if ctx.Err() != nil {
 				return nil, err
@@ -207,8 +163,8 @@ func (c *Checker) reuseEntry(ctx context.Context, g *cfa.CFA, variable string, e
 		}
 		outcome = "certificate"
 	case Unsafe:
-		ids := make([]expr.ID, len(ent.TF))
-		for i, clause := range ent.TF {
+		ids := make([]expr.ID, len(stored.TF))
+		for i, clause := range stored.TF {
 			ids[i] = expr.Intern(clause)
 		}
 		if c.solver.SatID(expr.IDConj(ids...)) != smt.Sat {
@@ -224,32 +180,20 @@ func (c *Checker) reuseEntry(ctx context.Context, g *cfa.CFA, variable string, e
 	}
 	// unit is a child of reg: its counter passes the increment up.
 	unit.Counter("store.reused").Inc()
-	s.Emit(journal.Event{Type: journal.EvCertificateReused, Verdict: verdict.String(), Outcome: outcome})
-	// The verdict event is reconstructed from the stored evidence with
-	// exactly the fields the original inference run emitted, keeping warm
-	// and cold journals identical in verdict content.
+	verdict := stored.Verdict.String()
+	s.Emit(journal.Event{Type: journal.EvCertificateReused, Verdict: verdict, Outcome: outcome})
+	// The verdict event carries exactly the fields the original inference
+	// run emitted, keeping warm and cold journals identical in verdict
+	// content.
 	s.Emit(journal.Event{
 		Type:     journal.EvVerdict,
-		Verdict:  verdict.String(),
-		Reason:   ent.Reason,
-		K:        ent.K,
-		NumPreds: len(ent.Preds),
-		Rounds:   ent.Rounds,
+		Verdict:  verdict,
+		Reason:   stored.Reason,
+		K:        stored.K,
+		NumPreds: len(stored.Preds),
+		Rounds:   stored.Rounds,
 	})
-	rep := &Report{
-		Verdict: verdict,
-		Reason:  ent.Reason,
-		Preds:   ent.Preds,
-		K:       ent.K,
-		Rounds:  ent.Rounds,
-		Race:    ent.Race,
-		Witness: ent.Witness,
-		TF:      ent.TF,
-		Metrics: unit.Snapshot(),
-	}
-	if verdict == Safe {
-		rep.FinalACFA = ent.ACFA
-	}
-	rep.LastACFA = ent.ACFA
-	return rep, nil
+	rep := *stored
+	rep.Metrics = unit.Snapshot()
+	return &rep, nil
 }

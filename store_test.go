@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -347,5 +349,61 @@ func TestStoreKeyCoversEngineOptions(t *testing.T) {
 		if !isVerdict && changed {
 			t.Errorf("Options.%s is observability-only but changes the store key", name)
 		}
+	}
+}
+
+// TestWarmReportEqualsCold: a warm resubmit through one Checker returns
+// the stored report itself — every field equal to the cold report's
+// except Metrics, which describe the reuse — so the summary, seeded
+// predicate count and last context model a caller sees do not depend on
+// whether the verdict came from the store.
+func TestWarmReportEqualsCold(t *testing.T) {
+	cases := []struct {
+		name, file, thread, variable string
+		opts                         []Option
+		want                         Verdict
+		seeded                       bool
+	}{
+		{"racy", "racy.mn", "Worker", "x", nil, Unsafe, false},
+		{"testandset", "testandset.mn", "Worker", "x", nil, Safe, true},
+		{"splitphase", "splitphase.mn", "Dev", "rec_ptr", nil, Safe, true},
+		{"budget", "testandset.mn", "Worker", "x", []Option{WithBudgets(0, 0, 5)}, Unknown, false},
+	}
+	ctx := context.Background()
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, err := os.ReadFile(filepath.Join("examples", "programs", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := MustParse(t, string(src))
+			opts := append([]Option{WithCertStore(NewCertStore()), WithTriage(false)}, tc.opts...)
+			chk := NewChecker(opts...)
+			cold, err := chk.Check(ctx, p, tc.thread, tc.variable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm, err := chk.Check(ctx, p, tc.thread, tc.variable)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cold.Verdict != tc.want {
+				t.Fatalf("cold verdict = %v, want %v", cold.Verdict, tc.want)
+			}
+			if tc.seeded && cold.SeededPreds == 0 {
+				t.Fatalf("cold report seeded no predicates")
+			}
+			if warm.Metrics.Counter("store.reused") != 1 {
+				t.Fatalf("warm report not served from the store: %v", warm.Metrics.Counters)
+			}
+			if cs, ws := cold.Summary(), warm.Summary(); cs != ws {
+				t.Errorf("summary drifted:\ncold %s\nwarm %s", cs, ws)
+			}
+			c, w := *cold, *warm
+			c.Metrics, w.Metrics = Metrics{}, Metrics{}
+			if !reflect.DeepEqual(c, w) {
+				t.Errorf("warm report differs from cold:\ncold %+v\nwarm %+v", c, w)
+			}
+		})
 	}
 }
