@@ -269,20 +269,18 @@ type SMTStats struct {
 }
 
 // StoreStats describes the certificate store, including its LRU bound
-// and growth watermarks. Hits, Misses, Writes, Revalidations and
-// RevalidationFailures are the circ_store_{hit,miss,write,reused,
-// revalidation_failed}_total series of /metrics: store lookups that hit
-// and missed, entries written, hits whose verdict was re-established
-// from the certificate, and hits whose certificate failed
-// re-validation. HitRatio is Hits / (Hits + Misses).
+// and growth watermarks. Hits, Misses, Writes and Revalidations are the
+// circ_store_{hit,miss,write,reused}_total series of /metrics: store
+// lookups that hit and missed, entries written, and hits served from the
+// store (Revalidations keeps its /v1 name; every hit is served, so it
+// equals Hits). HitRatio is Hits / (Hits + Misses).
 type StoreStats struct {
-	Entries              int     `json:"entries"`
-	Hits                 int64   `json:"hits"`
-	Misses               int64   `json:"misses"`
-	Writes               int64   `json:"writes"`
-	Revalidations        int64   `json:"revalidations"`
-	RevalidationFailures int64   `json:"revalidation_failures"`
-	HitRatio             float64 `json:"hit_ratio"`
+	Entries       int     `json:"entries"`
+	Hits          int64   `json:"hits"`
+	Misses        int64   `json:"misses"`
+	Writes        int64   `json:"writes"`
+	Revalidations int64   `json:"revalidations"`
+	HitRatio      float64 `json:"hit_ratio"`
 	// Evictions counts entries dropped by the LRU cap; MaxEntries is the
 	// cap itself (0 = unbounded).
 	Evictions  int64 `json:"evictions"`

@@ -420,10 +420,9 @@ func (c *Checker) SMTStats() smt.CacheStats { return c.solver.Stats() }
 func (c *Checker) Metrics() *MetricsRegistry { return c.registry }
 
 // storeCounters are the engine's certificate-store counters: lookups that
-// hit and missed, entries written, verdicts re-established from a stored
-// certificate, and hits whose evidence failed re-validation. They are the
-// only record of store traffic.
-var storeCounters = []string{"store.hit", "store.miss", "store.write", "store.reused", "store.revalidation_failed"}
+// hit and missed, entries written, and reports replayed from the store.
+// They are the only record of store traffic.
+var storeCounters = []string{"store.hit", "store.miss", "store.write", "store.reused"}
 
 // Snapshot is the Checker's one metrics snapshot, every value read now:
 // the registry's counters, gauges and histograms; the shared SMT cache's

@@ -9,8 +9,8 @@
 //
 // One process holds the hash-consing arena, the shared SMT verdict
 // cache, and the content-addressed certificate store across requests, so
-// re-submitting an unchanged program re-establishes every verdict from
-// stored certificates instead of re-running context inference.
+// re-submitting an unchanged program replays every stored report instead
+// of re-running context inference.
 // -store-max-entries bounds the certificate store with LRU eviction
 // (0, the default, keeps it unbounded).
 //

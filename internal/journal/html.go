@@ -134,7 +134,7 @@ func renderTimeline(e Event) (timelineRow, bool) {
 		row.Detail = fmt.Sprintf("cone-of-influence slice: %d → %d locations, %d → %d edges",
 			e.LocsBefore, e.LocsAfter, e.EdgesBefore, e.EdgesAfter)
 	case EvCertificateReused:
-		row.Detail = fmt.Sprintf("certificate store hit: %s verdict re-established (%s)", e.Verdict, e.Outcome)
+		row.Detail = fmt.Sprintf("certificate store hit: stored %s report replayed", e.Verdict)
 	case EvSMTPhaseStats:
 		var parts []string
 		if e.Queries > 0 {

@@ -84,14 +84,13 @@ const (
 	EvCFASliced = "cfa_sliced"
 	// EvCertificateReused: the certificate store served this case — the
 	// target's sliced cone (plus checker configuration) matched a stored
-	// entry byte-for-byte and the stored evidence was independently
-	// re-established, so no context inference ran. Outcome names the
-	// re-validation performed: "certificate" (a Safe entry re-verified
-	// with Algorithm Check), "witness" (an Unsafe entry's race trace
-	// formula re-checked satisfiable), or "replay" (an Unknown entry
-	// replayed; sound because the engine is deterministic on identical
-	// input). A normal EvVerdict follows, byte-identical in content to
-	// the one the original inference run emitted.
+	// entry byte-for-byte, so the stored report was replayed and no
+	// context inference ran (sound because the engine is deterministic on
+	// identical input). Verdict is the stored report's. A normal
+	// EvVerdict follows, byte-identical in content to the one the
+	// original inference run emitted. Older journals also carry an
+	// outcome ("certificate", "witness" or "replay"), which Validate
+	// ignores.
 	EvCertificateReused = "certificate_reused"
 	// EvVerdict: the analysis concluded (verdict, reason, k, num_preds,
 	// rounds).
@@ -502,11 +501,6 @@ func validateEvent(e Event, lastSeq map[string]int64) error {
 			return fmt.Errorf("smt_phase_stats without phase")
 		}
 	case EvCertificateReused:
-		switch e.Outcome {
-		case "certificate", "witness", "replay":
-		default:
-			return fmt.Errorf("certificate_reused with outcome %q", e.Outcome)
-		}
 		switch e.Verdict {
 		case "safe", "unsafe", "unknown":
 		default:

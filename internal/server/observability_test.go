@@ -53,7 +53,6 @@ var deterministicSeries = []string{
 	"circ_store_miss_total",
 	"circ_store_write_total",
 	"circ_store_reused_total",
-	"circ_store_revalidation_failed_total",
 	"circ_store_evictions_total",
 	"circ_store_entries ",
 	"circ_store_max_entries ",
@@ -221,7 +220,6 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		"circ_store_miss_total":                st.Store.Misses,
 		"circ_store_write_total":               st.Store.Writes,
 		"circ_store_reused_total":              st.Store.Revalidations,
-		"circ_store_revalidation_failed_total": st.Store.RevalidationFailures,
 		"circ_store_evictions_total":           st.Store.Evictions,
 		"circ_store_max_entries":               int64(st.Store.MaxEntries),
 		"circ_store_bytes":                     st.Store.Bytes,

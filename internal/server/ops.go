@@ -196,11 +196,11 @@ p99 {{printf "%.3fs" .Lifetime.CheckLatency.P99Seconds}}.</p>
 <div class="panel">
 <table>
 <tr><th>entries</th><th>cap</th><th>bytes</th><th>hits</th><th>misses</th>
-<th>writes</th><th>evictions</th><th>reval fail</th><th>entries HW</th><th>bytes HW</th></tr>
+<th>writes</th><th>evictions</th><th>entries HW</th><th>bytes HW</th></tr>
 <tr><td class="num">{{.Store.Entries}}</td><td class="num">{{if .Store.MaxEntries}}{{.Store.MaxEntries}}{{else}}&infin;{{end}}</td>
 <td class="num">{{bytes .Store.Bytes}}</td><td class="num">{{.Store.Hits}}</td>
 <td class="num">{{.Store.Misses}}</td><td class="num">{{.Store.Writes}}</td>
-<td class="num">{{.Store.Evictions}}</td><td class="num">{{.Store.RevalidationFailures}}</td>
+<td class="num">{{.Store.Evictions}}</td>
 <td class="num">{{.Store.EntriesHighWater}}</td><td class="num">{{bytes .Store.BytesHighWater}}</td></tr>
 </table>
 </div>

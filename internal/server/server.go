@@ -3,8 +3,8 @@
 // wire protocol (see circ/api/v1). One daemon process holds the three
 // cross-request accelerators — the hash-consing arena, the shared SMT
 // verdict cache, and the content-addressed certificate store — so that
-// re-submitting a program costs certificate re-verification per target
-// instead of context inference.
+// re-submitting a program costs a store lookup per target instead of
+// context inference.
 //
 // Request flow: POST /v1/check parses and validates the submission,
 // registers a job, and returns 202 immediately; a bounded pool of worker
@@ -651,18 +651,17 @@ func (s *Server) statsOf(m circ.Metrics) apiv1.Stats {
 			HitRate:  ratio(c("smt.cache.hits"), c("smt.cache.misses")),
 		},
 		Store: apiv1.StoreStats{
-			Entries:              int(m.Gauge("store.entries")),
-			Hits:                 c("store.hit"),
-			Misses:               c("store.miss"),
-			Writes:               c("store.write"),
-			Revalidations:        c("store.reused"),
-			RevalidationFailures: c("store.revalidation_failed"),
-			HitRatio:             ratio(c("store.hit"), c("store.miss")),
-			Evictions:            c("store.evictions"),
-			MaxEntries:           int(m.Gauge("store.max_entries")),
-			Bytes:                m.Gauge("store.bytes"),
-			BytesHighWater:       m.Gauge("store.bytes_high_water"),
-			EntriesHighWater:     m.Gauge("store.entries_high_water"),
+			Entries:          int(m.Gauge("store.entries")),
+			Hits:             c("store.hit"),
+			Misses:           c("store.miss"),
+			Writes:           c("store.write"),
+			Revalidations:    c("store.reused"),
+			HitRatio:         ratio(c("store.hit"), c("store.miss")),
+			Evictions:        c("store.evictions"),
+			MaxEntries:       int(m.Gauge("store.max_entries")),
+			Bytes:            m.Gauge("store.bytes"),
+			BytesHighWater:   m.Gauge("store.bytes_high_water"),
+			EntriesHighWater: m.Gauge("store.entries_high_water"),
 		},
 		Triage:   triageStats(m),
 		Lifetime: lifetimeStats(m),

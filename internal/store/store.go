@@ -5,11 +5,8 @@
 //
 // The store is the daemon's memory between requests. When a program
 // revision is re-submitted, each target's sliced cone of influence is
-// re-serialized; an unchanged cone finds its previous report and the
-// verdict is re-established from the report's evidence (a Safe report's
-// certificate is re-verified with Algorithm Check, an Unsafe report's
-// race trace formula is re-checked for satisfiability) instead of
-// re-running context inference.
+// re-serialized; an unchanged cone finds its previous report, which the
+// checker replays instead of re-running context inference.
 //
 // The map key is the serialization itself, so a hit means the bytes are
 // equal: there is no hash whose collisions could stand in for equality.
@@ -88,8 +85,8 @@ func (s *Store) Get(canon []byte) (*icirc.Report, bool) {
 	return el.Value.(*entry).rep, true
 }
 
-// Put stores rep under canon, replacing any previous report (e.g. after
-// a failed revalidation). The watermarks are sampled after the insert;
+// Put stores rep under canon, replacing any previous report (two
+// concurrent misses on one key both write it). The watermarks are sampled after the insert;
 // on a capped store the least recently used entries are then evicted
 // until the store fits its bound again.
 func (s *Store) Put(canon []byte, rep *icirc.Report) {

@@ -9,7 +9,6 @@ import (
 	"circ/internal/dataflow"
 	"circ/internal/expr"
 	"circ/internal/journal"
-	"circ/internal/smt"
 	"circ/internal/store"
 	"circ/internal/telemetry"
 )
@@ -20,13 +19,11 @@ import (
 // A CertStore maps a canonical serialization of (sliced thread CFA, race
 // variable, engine configuration) to the engine's Report for that input.
 // Attach one with WithCertStore and re-submitting an unchanged program
-// costs a certificate re-verification per target instead of a
-// context-inference run: Safe reports are re-proved with Algorithm Check
-// (VerifyCertificate), Unsafe reports re-establish their race by
-// re-checking the stored trace formula's satisfiability, and Unknown
-// reports replay (sound because the engine is deterministic on identical
-// input). A store hit whose evidence fails re-validation falls back to a
-// full run and overwrites the entry. A warm report equals the cold one
+// replays the stored report per target instead of running context
+// inference. Replay is sound because the key holds every input the
+// engine reads, the engine is deterministic on identical input
+// (TestReportDeterministic), and the store lives in the process and is
+// never read back from outside it. A warm report equals the cold one
 // apart from its Metrics, which describe the reuse.
 //
 // The serialization itself is the map key, so a hit means the bytes are
@@ -90,8 +87,8 @@ func storeCanon(g *cfa.CFA, variable string, o icirc.Options) []byte {
 
 // checkUnit runs one (thread CFA, variable) unit end to end: static
 // triage against the thread's facts, cone-of-influence slicing, then —
-// when a certificate store is attached — the incremental path (probe,
-// re-validate, reuse) with a full CIRC run as the fallback and store
+// when a certificate store is attached — a store probe whose hit replays
+// the stored report, with a full CIRC run as the miss path and store
 // writer. It is the single analysis path shared by Checker.Check and
 // Checker.CheckAll.
 func (c *Checker) checkUnit(ctx context.Context, g *cfa.CFA, facts *dataflow.ThreadFacts, variable string, s *journal.Stream, o icirc.Options) (*Report, error) {
@@ -104,29 +101,20 @@ func (c *Checker) checkUnit(ctx context.Context, g *cfa.CFA, facts *dataflow.Thr
 	// different inference trajectories, so they must never share a
 	// certificate entry.
 	o.InitialPreds = append(append([]expr.Expr(nil), o.InitialPreds...), seeds...)
-	// The inference engine reads the journal stream from the context; the
-	// reuse path keeps it out of its re-validation runs (their internal
-	// events are not part of the case's canonical history) and emits its
-	// own events through s directly.
-	jctx := ctx
+	// The inference engine reads the journal stream from the context.
 	if s.Enabled() {
-		jctx = journal.NewContext(ctx, s)
+		ctx = journal.NewContext(ctx, s)
 	}
 	if c.store == nil {
-		return icirc.Check(jctx, g, variable, o, c.solver)
+		return icirc.Check(ctx, g, variable, o, c.solver)
 	}
 	canon := storeCanon(g, variable, o)
 	if stored, ok := c.store.Get(canon); ok {
 		o.Metrics.Counter("store.hit").Inc()
-		if rep, err := c.reuse(ctx, g, variable, stored, s, o.Metrics); rep != nil || err != nil {
-			return rep, err
-		}
-		// Stored evidence no longer verified: fall through to a full run
-		// (which overwrites the entry).
-	} else {
-		o.Metrics.Counter("store.miss").Inc()
+		return reuse(stored, s, o.Metrics), nil
 	}
-	rep, err := icirc.Check(jctx, g, variable, o, c.solver)
+	o.Metrics.Counter("store.miss").Inc()
+	rep, err := icirc.Check(ctx, g, variable, o, c.solver)
 	if err == nil {
 		kept := *rep
 		kept.Metrics = Metrics{}
@@ -136,52 +124,15 @@ func (c *Checker) checkUnit(ctx context.Context, g *cfa.CFA, facts *dataflow.Thr
 	return rep, err
 }
 
-// reuse re-establishes a stored verdict without running context
-// inference. It returns (nil, nil) when the stored evidence fails its
-// re-validation — the caller then runs the engine — and a non-nil error
-// only for infrastructure failures (e.g. context cancellation during
-// certificate re-verification). The returned report is a copy of the
-// stored one whose Metrics is the reuse's own snapshot.
-//
-// Soundness: the store key matched byte-for-byte, so g is structurally
-// identical to the CFA the stored report was computed for. Safe evidence
-// is nevertheless re-proved with Algorithm Check and Unsafe evidence
-// re-checked for satisfiability — the store is treated as untrusted
-// input, exactly like a certificate handed to VerifyCertificate.
-func (c *Checker) reuse(ctx context.Context, g *cfa.CFA, variable string, stored *Report, s *journal.Stream, reg *telemetry.Registry) (*Report, error) {
+// reuse serves a store hit without running context inference: it emits
+// the case's certificate_reused and verdict events and returns a copy of
+// the stored report whose Metrics is the reuse's own snapshot.
+func reuse(stored *Report, s *journal.Stream, reg *telemetry.Registry) *Report {
 	unit := telemetry.ChildOf(reg)
-	var outcome string
-	switch stored.Verdict {
-	case Safe:
-		err := icirc.VerifyCertificate(ctx, g, variable, stored.FinalACFA, stored.Preds, stored.K, c.solver)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, err
-			}
-			reg.Counter("store.revalidation_failed").Inc()
-			return nil, nil
-		}
-		outcome = "certificate"
-	case Unsafe:
-		ids := make([]expr.ID, len(stored.TF))
-		for i, clause := range stored.TF {
-			ids[i] = expr.Intern(clause)
-		}
-		if c.solver.SatID(expr.IDConj(ids...)) != smt.Sat {
-			reg.Counter("store.revalidation_failed").Inc()
-			return nil, nil
-		}
-		outcome = "witness"
-	default:
-		// Unknown: no independent evidence to re-check beyond the
-		// byte-identical input; the engine is deterministic, so the
-		// stored outcome is what a re-run would compute.
-		outcome = "replay"
-	}
 	// unit is a child of reg: its counter passes the increment up.
 	unit.Counter("store.reused").Inc()
 	verdict := stored.Verdict.String()
-	s.Emit(journal.Event{Type: journal.EvCertificateReused, Verdict: verdict, Outcome: outcome})
+	s.Emit(journal.Event{Type: journal.EvCertificateReused, Verdict: verdict})
 	// The verdict event carries exactly the fields the original inference
 	// run emitted, keeping warm and cold journals identical in verdict
 	// content.
@@ -195,5 +146,5 @@ func (c *Checker) reuse(ctx context.Context, g *cfa.CFA, variable string, stored
 	})
 	rep := *stored
 	rep.Metrics = unit.Snapshot()
-	return &rep, nil
+	return &rep
 }
