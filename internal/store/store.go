@@ -86,9 +86,9 @@ func (s *Store) Get(canon []byte) (*icirc.Report, bool) {
 }
 
 // Put stores rep under canon, replacing any previous report (two
-// concurrent misses on one key both write it). The watermarks are sampled after the insert;
-// on a capped store the least recently used entries are then evicted
-// until the store fits its bound again.
+// concurrent misses on one key both write it). The watermarks are
+// sampled after the insert; on a capped store the least recently used
+// entries are then evicted until the store fits its bound again.
 func (s *Store) Put(canon []byte, rep *icirc.Report) {
 	if s == nil || rep == nil || len(canon) == 0 {
 		return
