@@ -8,7 +8,7 @@
 // Endpoints (all rooted at the server):
 //
 //	POST /v1/check            CheckRequest  -> SubmitResponse (202)
-//	GET  /v1/jobs             -> JobList (completed-job ring; ?state=, ?limit=, ?offset=)
+//	GET  /v1/jobs             -> JobList (retained finished jobs; ?state=, ?limit=, ?offset=)
 //	GET  /v1/jobs/{id}        -> Job
 //	GET  /v1/jobs/{id}/events -> text/event-stream of journal events
 //	GET  /v1/jobs/{id}/report -> text/html flight-recorder report
@@ -161,8 +161,8 @@ type TargetResult struct {
 	Error string `json:"error,omitempty"`
 }
 
-// JobSummary is the compact flight-data record of one completed job,
-// retained in the daemon's bounded completed-job ring and listed by
+// JobSummary is the compact flight-data record of one finished job,
+// kept with the job while the daemon retains it and listed by
 // GET /v1/jobs.
 type JobSummary struct {
 	ID    string `json:"id"`
@@ -202,14 +202,15 @@ type JobSummary struct {
 	// behind the ops dashboard's watermark trend.
 	StoreBytes int64 `json:"store_bytes"`
 	ArenaBytes int64 `json:"arena_bytes"`
-	// TraceID is the job's W3C trace ID, correlating the ring record with
-	// logs, spans, and any caller-side distributed trace.
+	// TraceID is the job's W3C trace ID, correlating the finished-job
+	// record with logs, spans, and any caller-side distributed trace.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// JobList answers GET /v1/jobs: a page of the completed-job ring, newest
-// first. Total counts the ring's current entries after the state filter;
-// Evicted counts completed jobs that have already aged out of the ring.
+// JobList answers GET /v1/jobs: a page of the retained finished jobs,
+// newest finished first. Total counts the retained jobs after the state
+// filter; Evicted counts finished jobs already evicted beyond the
+// daemon's retention bound.
 type JobList struct {
 	Jobs    []JobSummary `json:"jobs"`
 	Total   int          `json:"total"`
@@ -269,18 +270,17 @@ type SMTStats struct {
 }
 
 // StoreStats describes the certificate store, including its LRU bound
-// and growth watermarks. Hits, Misses, Writes and Revalidations are the
-// circ_store_{hit,miss,write,reused}_total series of /metrics: store
-// lookups that hit and missed, entries written, and hits served from the
-// store (Revalidations keeps its /v1 name; every hit is served, so it
-// equals Hits). HitRatio is Hits / (Hits + Misses).
+// and growth watermarks. Hits, Misses and Writes are the
+// circ_store_{hit,miss,write}_total series of /metrics: store lookups
+// that hit and missed, and entries written. Every hit is served from the
+// store; LifetimeStats.CertificatesReused counts them as results.
+// HitRatio is Hits / (Hits + Misses).
 type StoreStats struct {
-	Entries       int     `json:"entries"`
-	Hits          int64   `json:"hits"`
-	Misses        int64   `json:"misses"`
-	Writes        int64   `json:"writes"`
-	Revalidations int64   `json:"revalidations"`
-	HitRatio      float64 `json:"hit_ratio"`
+	Entries  int     `json:"entries"`
+	Hits     int64   `json:"hits"`
+	Misses   int64   `json:"misses"`
+	Writes   int64   `json:"writes"`
+	HitRatio float64 `json:"hit_ratio"`
 	// Evictions counts entries dropped by the LRU cap; MaxEntries is the
 	// cap itself (0 = unbounded).
 	Evictions  int64 `json:"evictions"`

@@ -100,7 +100,7 @@ const (
 
 // Telemetry surface (implemented in internal/telemetry).
 //
-// Metrics is the serializable snapshot embedded in Report and BatchReport;
+// Metrics is the serializable snapshot embedded in BatchReport;
 // Tracer records hierarchical spans exportable as Chrome trace_event JSON
 // (chrome://tracing / Perfetto); MetricsRegistry is the live registry of
 // named counters, gauges, and duration histograms behind every snapshot.
@@ -414,9 +414,8 @@ func (c *Checker) Derive(opts ...Option) *Checker {
 func (c *Checker) SMTStats() smt.CacheStats { return c.solver.Stats() }
 
 // Metrics returns the Checker's live metrics registry, aggregating the
-// counters of every analysis run through it. Per-analysis snapshots are
-// embedded in each Report; Snapshot adds the counts the registry does not
-// hold.
+// counters of every analysis run through it. Snapshot adds the counts the
+// registry does not hold.
 func (c *Checker) Metrics() *MetricsRegistry { return c.registry }
 
 // storeCounters are the engine's certificate-store counters: lookups that
@@ -499,8 +498,7 @@ var triageRules = func() map[string]triageRule {
 // guard analysis found no candidate flags). Journal events and
 // telemetry counters are emitted through s and reg; discharge reasons
 // ride as a label on the triage.discharged{reason=...} counter family,
-// which /metrics exposes as circ_triage_discharged_total{reason=...}. A
-// discharged report's Metrics carry the same two counters, at 1.
+// which /metrics exposes as circ_triage_discharged_total{reason=...}.
 func (c *Checker) prepareUnit(g *cfa.CFA, facts *dataflow.ThreadFacts, variable string, s *journal.Stream, reg *telemetry.Registry) (*cfa.CFA, []expr.Expr, *Report) {
 	if c.triage {
 		if d, ok := facts.Triage(variable); ok {
@@ -511,11 +509,7 @@ func (c *Checker) prepareUnit(g *cfa.CFA, facts *dataflow.ThreadFacts, variable 
 				s.Emit(journal.Event{Type: journal.EvTriageVerdict, Verdict: "safe", Reason: d.Reason, Detail: d.Detail()})
 				s.Emit(journal.Event{Type: journal.EvVerdict, Verdict: "safe", Reason: rule.verdict})
 			}
-			return nil, nil, &Report{
-				Verdict: Safe,
-				Triage:  d.Reason,
-				Metrics: telemetry.Metrics{Counters: map[string]int64{"triage.discharged": 1, rule.counter: 1}},
-			}
+			return nil, nil, &Report{Verdict: Safe, Triage: d.Reason}
 		}
 	}
 	analysed := g

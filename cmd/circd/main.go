@@ -10,13 +10,15 @@
 // One process holds the hash-consing arena, the shared SMT verdict
 // cache, and the content-addressed certificate store across requests, so
 // re-submitting an unchanged program replays every stored report instead
-// of re-running context inference.
+// of re-running context inference. The daemon retains the last 256
+// finished jobs, in completion order, for polling and listing; queued
+// and running jobs are always retained.
 // -store-max-entries bounds the certificate store with LRU eviction
 // (0, the default, keeps it unbounded).
 //
 //	curl -s localhost:8723/v1/check -d '{"program": "..."}'   # 202 + job id
 //	curl -s localhost:8723/v1/jobs/j000001                    # poll
-//	curl -s localhost:8723/v1/jobs                            # completed-job ring
+//	curl -s localhost:8723/v1/jobs                            # finished jobs, newest first
 //	curl -s localhost:8723/v1/jobs/j000001/events             # live SSE journal
 //	curl -s localhost:8723/v1/jobs/j000001/trace              # Chrome trace_event JSON
 //	curl -s localhost:8723/v1/stats                           # cache telemetry

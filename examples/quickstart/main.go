@@ -73,8 +73,7 @@ func main() {
 	fmt.Printf("unprotected:  %s\n", rep.Verdict)
 	fmt.Printf("  interleaved trace (T0 = main thread):\n%s", rep.Race)
 
-	// Every Report embeds its own metrics snapshot, and the Checker's
-	// registry aggregates across both analyses above.
-	fmt.Printf("\nmetrics for the second analysis:\n%s", rep.Metrics.String())
+	// The Checker's registry aggregates the counters of every analysis
+	// above.
 	fmt.Printf("\nprocess-wide totals:\n%s", chk.Metrics().Snapshot().String())
 }

@@ -227,16 +227,6 @@ func (r *Result) PointsTo(scope, name string) []string {
 // Addr returns the abstract address of a global (0 if unknown).
 func (r *Result) Addr(global string) int64 { return r.addr[global] }
 
-// AddressTaken returns the sorted set of globals whose address is taken.
-func (r *Result) AddressTaken() []string {
-	out := make([]string, 0, len(r.addrTaken))
-	for g := range r.addrTaken {
-		out = append(out, g)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // SplitMangled recovers (scope, base) from a CFA builder mangled name
 // "f$v$3"; unmangled names return ("", name).
 func SplitMangled(name string) (scope, base string) {

@@ -29,9 +29,6 @@ thread T {
 	if len(pts) != 1 || pts[0] != "x" {
 		t.Fatalf("pts(p) = %v, want [x]", pts)
 	}
-	if got := r.AddressTaken(); len(got) != 1 || got[0] != "x" {
-		t.Fatalf("addrTaken = %v", got)
-	}
 	if r.Addr("x") != 1 || r.Addr("y") != 2 {
 		t.Fatalf("addresses: x=%d y=%d", r.Addr("x"), r.Addr("y"))
 	}

@@ -10,7 +10,6 @@ package cfa
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"circ/internal/expr"
@@ -198,13 +197,6 @@ func (c *CFA) Dot() string {
 	}
 	b.WriteString("}\n")
 	return b.String()
-}
-
-// SortedLocals returns a sorted copy of the locals.
-func (c *CFA) SortedLocals() []string {
-	out := append([]string(nil), c.Locals...)
-	sort.Strings(out)
-	return out
 }
 
 // New assembles a CFA from parts and finalises its derived structures

@@ -244,7 +244,4 @@ thread T { g = 1; }
 			t.Fatalf("empty edge render")
 		}
 	}
-	if len(c.SortedLocals()) != 0 {
-		t.Fatalf("unexpected locals")
-	}
 }

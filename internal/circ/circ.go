@@ -81,8 +81,7 @@ type Options struct {
 	// telemetry.NarrationLogger for the classic text rendering.
 	Logger *slog.Logger
 	// Metrics, when non-nil, aggregates this analysis's counters into a
-	// harness- or process-wide registry; the analysis additionally keeps a
-	// per-run child registry whose snapshot lands in Report.Metrics.
+	// harness- or process-wide registry.
 	Metrics *telemetry.Registry
 }
 
@@ -141,20 +140,19 @@ type Report struct {
 	// "atomic-covered", "thread-local", or "flag-guarded". Triage reports
 	// are always Safe and carry no context model or predicates.
 	Triage string
+	// Reused records that the report was replayed from a certificate
+	// store instead of computed by this run; every other field is the
+	// stored report's.
+	Reused bool
 	// SeededPreds counts the initial predicates the caller injected via
 	// Options.InitialPreds (e.g. exported by the static flag-guard
 	// analysis). Zero when inference started from the empty abstraction.
 	SeededPreds int
-	// Metrics snapshots this analysis's telemetry registry at the end of
-	// the run: iteration/refinement counters and reachability statistics,
-	// so the report is self-describing without a live checker. The shared
-	// SMT cache's counts are not per-report facts and are not included.
-	Metrics telemetry.Metrics
 }
 
 // Summary renders the report as a one-line human-readable verdict with
 // its headline evidence. It reads only the report's analysis facts, never
-// its Metrics, so the same analysis always summarizes the same way.
+// its provenance, so the same analysis always summarizes the same way.
 func (r *Report) Summary() string {
 	switch r.Verdict {
 	case Safe:
@@ -197,22 +195,18 @@ func (r *Report) iterations() string {
 // surfaces as a non-nil error wrapping ctx.Err().
 //
 // Check wraps the core loop with the per-analysis telemetry: a
-// "circ.check" root span (when ctx carries a telemetry.Tracer), a child
-// metrics registry aggregating into opts.Metrics when one is set, and the
-// Report.Metrics snapshot.
+// "circ.check" root span (when ctx carries a telemetry.Tracer) and the
+// final circ.k and circ.preds gauges on opts.Metrics.
 func Check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk smt.Solver) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	unit := telemetry.ChildOf(opts.Metrics)
-	opts.Metrics = unit
 	ctx, sp := telemetry.StartSpan(ctx, "circ.check")
 	sp.Annotate("variable", raceVar)
 	rep, err := check(ctx, c, raceVar, opts, chk)
 	if rep != nil {
-		unit.Gauge("circ.k").Set(int64(rep.K))
-		unit.Gauge("circ.preds").Set(int64(len(rep.Preds)))
-		rep.Metrics = unit.Snapshot()
+		opts.Metrics.Gauge("circ.k").Set(int64(rep.K))
+		opts.Metrics.Gauge("circ.preds").Set(int64(len(rep.Preds)))
 		sp.Annotate("verdict", rep.Verdict.String())
 		journal.FromContext(ctx).Emit(journal.Event{
 			Type:     journal.EvVerdict,

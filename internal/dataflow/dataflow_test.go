@@ -151,9 +151,3 @@ func TestTriageIgnoresUnreachableAccesses(t *testing.T) {
 		t.Fatalf("Triage = (%q, %v), want thread-local (the write is unreachable)", d.Reason, ok)
 	}
 }
-
-func TestCounterKey(t *testing.T) {
-	if got := CounterKey(ReasonAtomicCovered); got != "atomic_covered" {
-		t.Fatalf("CounterKey = %q", got)
-	}
-}

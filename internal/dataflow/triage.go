@@ -60,20 +60,6 @@ func (d Discharge) Detail() string {
 	return ""
 }
 
-// CounterKey renders the reason as a telemetry counter suffix
-// ("read-only" -> "read_only").
-func CounterKey(reason string) string {
-	out := make([]byte, len(reason))
-	for i := 0; i < len(reason); i++ {
-		if reason[i] == '-' {
-			out[i] = '_'
-		} else {
-			out[i] = reason[i]
-		}
-	}
-	return string(out)
-}
-
 // ThreadFacts holds the static facts of one thread template that triage
 // reads: how often each variable is read, written, and accessed from a
 // non-atomic location on the reachable edges, counted in one pass, and the

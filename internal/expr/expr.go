@@ -511,28 +511,6 @@ func Rename(e Expr, f func(string) string) Expr {
 	}
 }
 
-// IsTerm reports whether e is integer-valued.
-func IsTerm(e Expr) bool {
-	switch e.(type) {
-	case Int, Var, Bin:
-		return true
-	}
-	return false
-}
-
-// IsFormula reports whether e is boolean-valued.
-func IsFormula(e Expr) bool { return !IsTerm(e) }
-
-// IsAtom reports whether e is an atomic formula (a comparison or boolean
-// constant).
-func IsAtom(e Expr) bool {
-	switch e.(type) {
-	case Cmp, Bool:
-		return true
-	}
-	return false
-}
-
 // Atoms collects the distinct comparison atoms of formula f in first-seen
 // order.
 func Atoms(f Expr) []Expr {

@@ -367,21 +367,6 @@ func TestAtoms(t *testing.T) {
 	}
 }
 
-func TestIsTermIsFormulaIsAtom(t *testing.T) {
-	if !IsTerm(Add(V("x"), Num(1))) || IsTerm(Eq(V("x"), Num(1))) {
-		t.Fatalf("IsTerm broken")
-	}
-	if !IsFormula(TrueExpr) || IsFormula(V("x")) {
-		t.Fatalf("IsFormula broken")
-	}
-	if !IsAtom(Eq(V("x"), Num(1))) || !IsAtom(TrueExpr) {
-		t.Fatalf("IsAtom broken on atoms")
-	}
-	if IsAtom(Conj(Eq(V("x"), Num(1)), Eq(V("y"), Num(2)))) {
-		t.Fatalf("IsAtom true on conjunction")
-	}
-}
-
 func TestMentionsAny(t *testing.T) {
 	e := Eq(V("a"), V("b"))
 	if !MentionsAny(e, map[string]bool{"b": true}) {

@@ -633,9 +633,6 @@ func IDConj(xs ...ID) ID { return internNary(KindAnd, xs) }
 // IDDisj interns the canonical disjunction of xs.
 func IDDisj(xs ...ID) ID { return internNary(KindOr, xs) }
 
-// IDImplies interns a -> b as ¬a ∨ b.
-func IDImplies(a, b ID) ID { return IDDisj(InternNot(a), b) }
-
 // Intern canonicalises and interns expression e, returning its ID.
 // Structurally equal inputs — and many logically equal ones, thanks to
 // canonicalisation — share one ID, and Intern(FromID(id)) == id.

@@ -133,7 +133,7 @@ func TestTracePropagation(t *testing.T) {
 		t.Fatalf("stats.build = %+v", stats.Build)
 	}
 
-	// The job ring records the trace identity.
+	// The finished-job record carries the trace identity.
 	var list apiv1.JobList
 	getJSON(t, ts, "/v1/jobs", &list)
 	if len(list.Jobs) != 1 {
@@ -145,7 +145,7 @@ func TestTracePropagation(t *testing.T) {
 }
 
 // TestJobRingSMTSolveSeconds: a job that runs the solver records its
-// solve time in the ring, summed from the smt.solve spans of its own
+// solve time in its finished-job record, summed from the smt.solve spans of its own
 // trace.
 func TestJobRingSMTSolveSeconds(t *testing.T) {
 	_, ts := newTestServer(t)
@@ -191,7 +191,7 @@ func TestJobsPaginationEdges(t *testing.T) {
 	ack := submit(t, ts, apiv1.CheckRequest{Program: racySrc})
 	await(t, ts, ack.JobURL)
 
-	// Offset beyond the ring: empty page, total intact.
+	// Offset beyond the retained jobs: empty page, total intact.
 	getJSON(t, ts, "/v1/jobs?offset=50", &list)
 	if list.Total != 1 || len(list.Jobs) != 0 {
 		t.Fatalf("offset-beyond list = %+v", list)

@@ -61,7 +61,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // /v1/stats and the ops dashboard: the base checker's snapshot (its
 // registry, the SMT cache counts, the certificate store's figures and the
 // arena, all read now) plus what only the server owns — the job counts,
-// build identity, uptime and ring evictions.
+// build identity, uptime and finished-job evictions.
 func (s *Server) snapshotMetrics() telemetry.Metrics {
 	m := s.base.Snapshot()
 
@@ -79,7 +79,7 @@ func (s *Server) snapshotMetrics() telemetry.Metrics {
 	m.SetCounter(`jobs{outcome="failed"}`, failed)
 	m.SetCounter(`jobs{outcome="cancelled"}`, cancelled)
 	m.SetGauge("jobs.active", sub-done-failed-cancelled)
-	m.SetCounter("jobs.ring_evicted", s.ring.evicted())
+	m.SetCounter("jobs.ring_evicted", s.evicted.Load())
 
 	m.SetGauge("uptime_seconds", int64(time.Since(s.start).Seconds()))
 	return m

@@ -171,7 +171,7 @@ func TestMetricsWarmHitVisible(t *testing.T) {
 		t.Fatalf("circ_store_reused_total = %v, want the warm job's 2 targets", reused)
 	}
 	// The warm job ran zero CIRC iterations: every verdict came from the
-	// store, and the ring record proves it.
+	// store, and the finished-job record proves it.
 	var list apiv1.JobList
 	listBody, _ := get(t, ts.URL+"/v1/jobs?state=done")
 	if err := json.Unmarshal(listBody, &list); err != nil {
@@ -219,7 +219,6 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 		"circ_store_hit_total":                 st.Store.Hits,
 		"circ_store_miss_total":                st.Store.Misses,
 		"circ_store_write_total":               st.Store.Writes,
-		"circ_store_reused_total":              st.Store.Revalidations,
 		"circ_store_evictions_total":           st.Store.Evictions,
 		"circ_store_max_entries":               int64(st.Store.MaxEntries),
 		"circ_store_bytes":                     st.Store.Bytes,
@@ -240,9 +239,9 @@ func TestStatsAgreeWithMetrics(t *testing.T) {
 	if got := sampleValue(t, body, "circ_store_reused_total"); got != float64(st.Lifetime.CertificatesReused) {
 		t.Errorf("circ_store_reused_total = %v, lifetime.certificates_reused = %d", got, st.Lifetime.CertificatesReused)
 	}
-	if reused != 2 || st.Lifetime.CertificatesReused != reused || st.Store.Revalidations != reused {
-		t.Errorf("certificate_reused on %d results; lifetime.certificates_reused = %d, store.revalidations = %d",
-			reused, st.Lifetime.CertificatesReused, st.Store.Revalidations)
+	if reused != 2 || st.Lifetime.CertificatesReused != reused {
+		t.Errorf("certificate_reused on %d results; lifetime.certificates_reused = %d",
+			reused, st.Lifetime.CertificatesReused)
 	}
 }
 
@@ -263,13 +262,13 @@ func sampleValue(t *testing.T, body []byte, series string) float64 {
 	return 0
 }
 
-// TestJobsRing: GET /v1/jobs pages the completed-job ring newest first,
-// filters by state, evicts oldest records beyond the ring bound, and
-// rejects bad parameters.
+// TestJobsRing: GET /v1/jobs pages the retained finished jobs newest
+// first, filters by state, evicts the oldest beyond MaxJobs, and rejects
+// bad parameters.
 func TestJobsRing(t *testing.T) {
 	srv := New(Config{
 		Checker: circ.NewChecker(circ.WithCertStore(circ.NewCertStore()), circ.WithParallelism(1)),
-		JobRing: 2,
+		MaxJobs: 2,
 	})
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
@@ -290,7 +289,7 @@ func TestJobsRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	if list.Total != 2 || list.Evicted != 1 || len(list.Jobs) != 2 {
-		t.Fatalf("ring bound not enforced: total=%d evicted=%d jobs=%d",
+		t.Fatalf("retention bound not enforced: total=%d evicted=%d jobs=%d",
 			list.Total, list.Evicted, len(list.Jobs))
 	}
 	// Newest first: the first submitted job aged out.
@@ -299,7 +298,7 @@ func TestJobsRing(t *testing.T) {
 	}
 	for _, j := range list.Jobs {
 		if j.State != apiv1.StateDone || j.Targets != 1 || j.Unsafe != 1 {
-			t.Fatalf("ring record = %+v", j)
+			t.Fatalf("job record = %+v", j)
 		}
 	}
 
@@ -363,7 +362,7 @@ func TestMetricsConcurrentScrape(t *testing.T) {
 	wg.Wait()
 }
 
-// TestOpsDashboard: the dashboard renders the ring, quantiles, and
+// TestOpsDashboard: the dashboard renders the retained finished jobs, quantiles, and
 // watermarks without scripts.
 func TestOpsDashboard(t *testing.T) {
 	_, ts := newTestServer(t)

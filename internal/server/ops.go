@@ -10,7 +10,7 @@ import (
 )
 
 // opsModel is the dashboard template's root object: the daemon's live
-// stats, the completed-job ring, per-endpoint latency quantiles, and the
+// stats, the retained finished jobs, per-endpoint latency quantiles, and the
 // watermark trend sampled at each job completion. The stats and the
 // endpoint quantiles come from one metrics snapshot. Everything is computed
 // server-side; the page is plain HTML and CSS, no scripts, so it can be
@@ -19,7 +19,7 @@ type opsModel struct {
 	apiv1.Stats // the /v1/stats document
 	Uptime      string
 	Endpoints   []endpointRow
-	Ring        []ringRow
+	Finished    []jobRow
 	Evicted     int64
 	Trend       []trendBar
 }
@@ -34,9 +34,9 @@ type endpointRow struct {
 	InFlight int64
 }
 
-// ringRow is one completed job with a CSS latency bar (percent of the
+// jobRow is one finished job with a CSS latency bar (percent of the
 // slowest retained job).
-type ringRow struct {
+type jobRow struct {
 	apiv1.JobSummary
 	Elapsed  string
 	SMTSolve string
@@ -56,10 +56,11 @@ type trendBar struct {
 // handleOps renders the ops dashboard.
 func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 	snap := s.snapshotMetrics()
+	recs, evicted := s.finishedJobs()
 	m := opsModel{
 		Stats:   s.statsOf(snap),
 		Uptime:  time.Since(s.start).Round(time.Second).String(),
-		Evicted: s.ring.evicted(),
+		Evicted: evicted,
 	}
 
 	// Per-endpoint HTTP latency, from the middleware's histograms.
@@ -82,16 +83,15 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 
-	ring := s.ring.snapshot()
 	var maxElapsed float64
 	var maxStore, maxArena int64
-	for _, rec := range ring {
+	for _, rec := range recs {
 		maxElapsed = max(maxElapsed, rec.ElapsedSeconds)
 		maxStore = max(maxStore, rec.StoreBytes)
 		maxArena = max(maxArena, rec.ArenaBytes)
 	}
-	for _, rec := range ring {
-		row := ringRow{
+	for _, rec := range recs {
+		row := jobRow{
 			JobSummary: rec,
 			Elapsed:    time.Duration(rec.ElapsedSeconds * float64(time.Second)).Round(time.Millisecond).String(),
 			SMTSolve:   time.Duration(rec.SMTSolveSeconds * float64(time.Second)).Round(time.Millisecond).String(),
@@ -99,11 +99,11 @@ func (s *Server) handleOps(w http.ResponseWriter, r *http.Request) {
 		if maxElapsed > 0 {
 			row.BarPct = int(rec.ElapsedSeconds / maxElapsed * 100)
 		}
-		m.Ring = append(m.Ring, row)
+		m.Finished = append(m.Finished, row)
 	}
 	// The trend reads oldest→newest, left to right.
-	for i := len(ring) - 1; i >= 0; i-- {
-		rec := ring[i]
+	for i := len(recs) - 1; i >= 0; i-- {
+		rec := recs[i]
 		tb := trendBar{
 			ID:        rec.ID,
 			StoreText: fmtBytes(rec.StoreBytes),
@@ -212,12 +212,12 @@ SMT cache: {{.SMT.Hits}} hits, {{.SMT.Misses}} misses, {{.SMT.FastPath}} fast-pa
 (hit rate {{printf "%.0f%%" (mulf .SMT.HitRate 100.0)}}).</p>
 </div>
 
-<h2>Completed jobs (last {{len .Ring}}{{if .Evicted}}, {{.Evicted}} aged out{{end}})</h2>
+<h2>Completed jobs (last {{len .Finished}}{{if .Evicted}}, {{.Evicted}} aged out{{end}})</h2>
 <div class="panel">
 <table>
 <tr><th>job</th><th>state</th><th>targets</th><th>safe</th><th>unsafe</th><th>unknown</th>
 <th>errors</th><th>reused</th><th>iters</th><th>events</th><th>SMT</th><th>elapsed</th><th class="barcell">latency</th></tr>
-{{range .Ring}}
+{{range .Finished}}
 <tr><td>{{.ID}}</td><td><span class="verdict verdict-{{.State}}">{{.State}}</span></td>
 <td class="num">{{.Targets}}</td><td class="num">{{.Safe}}</td><td class="num">{{.Unsafe}}</td>
 <td class="num">{{.Unknown}}</td><td class="num">{{.Errors}}</td>

@@ -15,6 +15,12 @@
 // report from GET /v1/jobs/{id}/report, and read daemon-wide cache
 // telemetry from GET /v1/stats.
 //
+// Retention: every job is indexed by id from submission. A finished job
+// keeps its apiv1.JobSummary on itself and joins one completion-ordered
+// list, capped at Config.MaxJobs; the earliest-finished job beyond the
+// cap leaves both the list and the index. GET /v1/jobs and the ops
+// dashboard read that list. Queued and running jobs are never evicted.
+//
 // Shutdown is a drain: BeginDrain makes new submissions fail with 503
 // while in-flight and queued jobs run to completion and every GET
 // endpoint keeps answering, so clients can still collect their results.
@@ -54,12 +60,11 @@ type Config struct {
 	// JobTimeout is the default per-job wall-clock budget, applied when
 	// a request does not set options.timeout_seconds. Zero means 5m.
 	JobTimeout time.Duration
-	// MaxJobs bounds the number of finished jobs retained for polling;
-	// the oldest finished jobs are evicted beyond it. Zero means 256.
+	// MaxJobs bounds the number of finished jobs retained for polling
+	// and listed by GET /v1/jobs and the ops dashboard; the
+	// earliest-finished jobs are evicted beyond it. Queued and running
+	// jobs are always retained. Zero means 256.
 	MaxJobs int
-	// JobRing bounds the completed-job flight-data ring served by
-	// GET /v1/jobs and the ops dashboard. Zero means 64.
-	JobRing int
 	// Logger receives request and job lifecycle logs; nil discards.
 	Logger *slog.Logger
 }
@@ -72,7 +77,6 @@ type Server struct {
 	mux       *http.ServeMux
 	log       *slog.Logger
 	reg       *telemetry.Registry
-	ring      *jobRing
 	start     time.Time
 	sem       chan struct{}
 	wg        sync.WaitGroup
@@ -80,8 +84,9 @@ type Server struct {
 	flushOnce sync.Once
 	nextID    atomic.Int64
 	mu        sync.Mutex
-	jobs      map[string]*job
-	order     []string // insertion order, for eviction
+	jobs      map[string]*job // every retained job, by id
+	finished  []*job          // retained finished jobs, earliest-finished first
+	evicted   atomic.Int64    // finished jobs evicted from jobs and finished; written under mu
 	nJobs     [4]atomic.Int64
 }
 
@@ -111,6 +116,7 @@ type job struct {
 	elapsed time.Duration
 	results []apiv1.TargetResult
 	summary string
+	rec     apiv1.JobSummary // set once, at completion
 	batch   *circ.BatchReport
 	prog    *circ.Program
 	journal *circ.Journal
@@ -134,9 +140,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxJobs <= 0 {
 		cfg.MaxJobs = 256
 	}
-	if cfg.JobRing <= 0 {
-		cfg.JobRing = 64
-	}
 	log := cfg.Logger
 	if log == nil {
 		log = slog.New(discardHandler{})
@@ -151,7 +154,6 @@ func New(cfg Config) *Server {
 		mux:   http.NewServeMux(),
 		log:   log,
 		reg:   reg,
-		ring:  newJobRing(cfg.JobRing),
 		start: time.Now(),
 		sem:   make(chan struct{}, cfg.MaxConcurrent),
 		jobs:  make(map[string]*job),
@@ -258,8 +260,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Trace identity: join the caller's distributed trace when the submit
 	// carries a valid W3C traceparent header, mint a fresh one otherwise.
-	// Every span the job records, every slog line about it, and its ring
-	// record carry the resolved trace ID.
+	// Every span the job records, every slog line about it, and its
+	// finished-job record carry the resolved trace ID.
 	tc := telemetry.ContextFromTraceParent(r.Header.Get("traceparent"))
 	tr := telemetry.NewTracer()
 	tr.SetTraceContext(tc)
@@ -293,38 +295,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// register adds j to the index, evicting the oldest finished jobs beyond
-// the retention bound.
-func (s *Server) register(j *job) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.jobs[j.id] = j
-	s.order = append(s.order, j.id)
-	for len(s.jobs) > s.cfg.MaxJobs {
-		evicted := false
-		for i, id := range s.order {
-			old := s.jobs[id]
-			if old == nil {
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-			old.mu.Lock()
-			terminal := old.done != nil
-			old.mu.Unlock()
-			if terminal {
-				delete(s.jobs, id)
-				s.order = append(s.order[:i], s.order[i+1:]...)
-				evicted = true
-				break
-			}
-		}
-		if !evicted {
-			break // everything retained is still running
-		}
-	}
-}
-
 // run executes one job through the bounded worker pool.
 func (s *Server) run(j *job, chk *circ.Checker, targets []circ.Target, timeout time.Duration) {
 	defer s.wg.Done()
@@ -343,8 +313,8 @@ func (s *Server) run(j *job, chk *circ.Checker, targets []circ.Target, timeout t
 	s.complete(j, batch, err)
 }
 
-// complete records a job's outcome: the polled job state, the ring's
-// flight-data record, and the daemon's lifetime aggregates.
+// complete records a job's outcome: the polled job state, the job's
+// finished-job record, and the daemon's lifetime aggregates.
 func (s *Server) complete(j *job, batch *circ.BatchReport, err error) {
 	now := time.Now()
 	j.mu.Lock()
@@ -368,20 +338,21 @@ func (s *Server) complete(j *job, batch *circ.BatchReport, err error) {
 		j.results = resultsOf(j.prog, batch)
 		j.summary = batch.Summary()
 	}
-	rec := summarizeJob(j)
-	state, elapsed := j.state, j.elapsed
+	j.rec = summarizeJob(j)
+	// Sample the daemon's growth watermarks at completion: the finished
+	// jobs' records form the trend the ops dashboard renders.
+	if cs := s.base.CertStore(); cs != nil {
+		j.rec.StoreBytes = cs.Stats().Bytes
+	}
+	j.rec.ArenaBytes = expr.Stats().Bytes
+	// Retire before j.mu is released: a poll that sees the job finished
+	// finds it in GET /v1/jobs too.
+	s.retire(j)
+	rec, state, elapsed := j.rec, j.state, j.elapsed
 	j.mu.Unlock()
 
-	// Sample the daemon's growth watermarks at completion: the ring's
-	// records form the trend the ops dashboard renders.
-	if cs := s.base.CertStore(); cs != nil {
-		rec.StoreBytes = cs.Stats().Bytes
-	}
-	rec.ArenaBytes = expr.Stats().Bytes
-	s.ring.add(rec)
-
 	// Lifetime aggregates: per-job latency distribution and verdicts by
-	// class. These survive ring eviction; certificate reuse is the
+	// class. These survive job eviction; certificate reuse is the
 	// engine's store.reused counter.
 	s.reg.Histogram("jobs.latency").Observe(elapsed)
 	for class, n := range map[string]int{
@@ -506,7 +477,7 @@ func resultsOf(prog *circ.Program, b *circ.BatchReport) []apiv1.TargetResult {
 		tr.K = rep.K
 		tr.Preds = len(rep.Preds)
 		tr.Rounds = rep.Rounds
-		tr.CertificateReused = rep.Metrics.Counter("store.reused") > 0
+		tr.CertificateReused = rep.Reused
 		if rep.Race != nil {
 			tr.Race = rep.Race.String()
 			if rep.Witness != nil {
@@ -655,7 +626,6 @@ func (s *Server) statsOf(m circ.Metrics) apiv1.Stats {
 			Hits:             c("store.hit"),
 			Misses:           c("store.miss"),
 			Writes:           c("store.write"),
-			Revalidations:    c("store.reused"),
 			HitRatio:         ratio(c("store.hit"), c("store.miss")),
 			Evictions:        c("store.evictions"),
 			MaxEntries:       int(m.Gauge("store.max_entries")),

@@ -473,7 +473,8 @@ func TestDrain(t *testing.T) {
 }
 
 // TestJobEviction: finished jobs beyond the retention bound are evicted
-// oldest-first; running jobs are never evicted.
+// oldest-first, and the evicted job's URL answers 404. TestJobRetention
+// checks that queued and running jobs are never evicted.
 func TestJobEviction(t *testing.T) {
 	srv := New(Config{
 		Checker: circ.NewChecker(circ.WithCertStore(circ.NewCertStore()), circ.WithParallelism(1)),

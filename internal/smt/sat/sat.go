@@ -148,9 +148,6 @@ func (s *Solver) NewVar() int {
 	return s.nVars
 }
 
-// NumVars returns the number of allocated variables.
-func (s *Solver) NumVars() int { return s.nVars }
-
 func (s *Solver) value(l Lit) Value {
 	v := s.assign[l.Var()]
 	if l.Neg() {

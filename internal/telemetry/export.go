@@ -28,8 +28,9 @@ type traceEvent struct {
 
 // traceFile is the JSON object form of the trace_event format. OtherData
 // is ignored by viewers but carries the job's trace identity so a saved
-// trace remains correlatable with logs and the job ring, and the number
-// of spans dropped at the tracer's cap so a truncated trace says so.
+// trace remains correlatable with logs and the finished-job records, and
+// the number of spans dropped at the tracer's cap so a truncated trace
+// says so.
 type traceFile struct {
 	TraceEvents     []traceEvent      `json:"traceEvents"`
 	DisplayTimeUnit string            `json:"displayTimeUnit"`

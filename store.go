@@ -24,7 +24,7 @@ import (
 // engine reads, the engine is deterministic on identical input
 // (TestReportDeterministic), and the store lives in the process and is
 // never read back from outside it. A warm report equals the cold one
-// apart from its Metrics, which describe the reuse.
+// apart from Report.Reused, which marks the replay.
 //
 // The serialization itself is the map key, so a hit means the bytes are
 // equal; no hash stands in for equality.
@@ -116,21 +116,20 @@ func (c *Checker) checkUnit(ctx context.Context, g *cfa.CFA, facts *dataflow.Thr
 	o.Metrics.Counter("store.miss").Inc()
 	rep, err := icirc.Check(ctx, g, variable, o, c.solver)
 	if err == nil {
+		// The store keeps its own copy: a caller's edits to rep never
+		// reach a later hit.
 		kept := *rep
-		kept.Metrics = Metrics{}
 		c.store.Put(canon, &kept)
 		o.Metrics.Counter("store.write").Inc()
 	}
 	return rep, err
 }
 
-// reuse serves a store hit without running context inference: it emits
-// the case's certificate_reused and verdict events and returns a copy of
-// the stored report whose Metrics is the reuse's own snapshot.
+// reuse serves a store hit without running context inference: it counts
+// store.reused, emits the case's certificate_reused and verdict events
+// and returns a copy of the stored report marked Reused.
 func reuse(stored *Report, s *journal.Stream, reg *telemetry.Registry) *Report {
-	unit := telemetry.ChildOf(reg)
-	// unit is a child of reg: its counter passes the increment up.
-	unit.Counter("store.reused").Inc()
+	reg.Counter("store.reused").Inc()
 	verdict := stored.Verdict.String()
 	s.Emit(journal.Event{Type: journal.EvCertificateReused, Verdict: verdict})
 	// The verdict event carries exactly the fields the original inference
@@ -145,6 +144,6 @@ func reuse(stored *Report, s *journal.Stream, reg *telemetry.Registry) *Report {
 		Rounds:   stored.Rounds,
 	})
 	rep := *stored
-	rep.Metrics = unit.Snapshot()
+	rep.Reused = true
 	return &rep
 }

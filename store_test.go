@@ -177,7 +177,9 @@ func TestStoreReusedCountedOnce(t *testing.T) {
 		if r.Report == nil {
 			t.Fatalf("%s: %v", r.Target, r.Err)
 		}
-		reused += r.Report.Metrics.Counter("store.reused")
+		if r.Report.Reused {
+			reused++
+		}
 	}
 	if reused != int64(len(warm.Results)) || reused < 2 {
 		t.Fatalf("%d of %d warm results reused a certificate; want all (at least 2)", reused, len(warm.Results))
@@ -354,7 +356,7 @@ func TestStoreKeyCoversEngineOptions(t *testing.T) {
 
 // TestWarmReportEqualsCold: a warm resubmit through one Checker returns
 // the stored report itself — every field equal to the cold report's
-// except Metrics, which describe the reuse — so the summary, seeded
+// except Reused, which marks the replay — so the summary, seeded
 // predicate count and last context model a caller sees do not depend on
 // whether the verdict came from the store.
 func TestWarmReportEqualsCold(t *testing.T) {
@@ -393,16 +395,16 @@ func TestWarmReportEqualsCold(t *testing.T) {
 			if tc.seeded && cold.SeededPreds == 0 {
 				t.Fatalf("cold report seeded no predicates")
 			}
-			if warm.Metrics.Counter("store.reused") != 1 {
-				t.Fatalf("warm report not served from the store: %v", warm.Metrics.Counters)
+			if !warm.Reused {
+				t.Fatalf("warm report not served from the store")
 			}
 			if cs, ws := cold.Summary(), warm.Summary(); cs != ws {
 				t.Errorf("summary drifted:\ncold %s\nwarm %s", cs, ws)
 			}
-			c, w := *cold, *warm
-			c.Metrics, w.Metrics = Metrics{}, Metrics{}
-			if !reflect.DeepEqual(c, w) {
-				t.Errorf("warm report differs from cold:\ncold %+v\nwarm %+v", c, w)
+			w := *warm
+			w.Reused = false
+			if !reflect.DeepEqual(*cold, w) {
+				t.Errorf("warm report differs from cold:\ncold %+v\nwarm %+v", *cold, w)
 			}
 		})
 	}

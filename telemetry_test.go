@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -70,10 +71,11 @@ thread T {
 	}
 }
 
-// TestReportEmbedsMetrics: every Report carries its own metrics snapshot,
-// and Summary folds the iteration count out of it without consulting the
-// live checker. The shared SMT cache's lifetime counts are not the
-// report's own, so neither the snapshot nor the summary carries them.
+// TestReportEmbedsMetrics: an analysis's counters land in the Checker's
+// registry, which agrees with the report's own iteration count, and
+// Summary folds that count in without consulting the live checker. The
+// shared SMT cache's lifetime counts are not the report's own, so the
+// summary does not carry them.
 func TestReportEmbedsMetrics(t *testing.T) {
 	// Triage off so the engine actually iterates on tasSrc.
 	chk := NewChecker(WithTriage(false))
@@ -84,31 +86,22 @@ func TestReportEmbedsMetrics(t *testing.T) {
 	if rep.Verdict != Safe {
 		t.Fatalf("verdict = %v, want safe", rep.Verdict)
 	}
-	iters := rep.Metrics.Counter("circ.iterations")
-	if iters == 0 {
-		t.Fatalf("Report.Metrics has no circ.iterations counter: %v", rep.Metrics.Counters)
+	if rep.Iterations == 0 {
+		t.Fatal("report records no iterations")
 	}
-	if rep.Metrics.Counter("reach.states") == 0 {
-		t.Fatalf("Report.Metrics has no reach.states counter: %v", rep.Metrics.Counters)
+	total := chk.Metrics().Snapshot()
+	if got := total.Counter("circ.iterations"); got != int64(rep.Iterations) {
+		t.Fatalf("registry circ.iterations = %d, report says %d", got, rep.Iterations)
+	}
+	if total.Counter("reach.states") == 0 {
+		t.Fatalf("registry has no reach.states counter: %v", total.Counters)
 	}
 	sum := rep.Summary()
-	if want := fmt.Sprintf("%d iterations", iters); !strings.Contains(sum, want) {
+	if want := fmt.Sprintf("%d iterations", rep.Iterations); !strings.Contains(sum, want) {
 		t.Fatalf("Summary %q does not mention %q", sum, want)
 	}
 	if strings.Contains(sum, "smt hit rate") {
 		t.Fatalf("Summary %q reports the shared cache's hit rate as the report's", sum)
-	}
-	for name := range rep.Metrics.Gauges {
-		if strings.HasPrefix(name, "smt.") {
-			t.Fatalf("Report.Metrics carries shared solver gauge %s", name)
-		}
-	}
-	// The checker-level registry aggregates what the per-report snapshot
-	// recorded.
-	total := chk.Metrics().Snapshot()
-	if total.Counter("circ.iterations") < iters {
-		t.Fatalf("checker registry (%d iterations) lost the report's %d",
-			total.Counter("circ.iterations"), iters)
 	}
 }
 
@@ -153,9 +146,8 @@ func TestWithLogShim(t *testing.T) {
 }
 
 // TestDischargedReportMetrics pins what a statically discharged pair
-// records: its report's Metrics carry exactly the discharge counter and
-// the one of its rule, at 1, in the JSON the daemon serves, and the
-// batch counters sum them over the discharged pairs.
+// records: its report is exactly the verdict and the rule, with nothing
+// counted on it, and the batch counters sum the discharges per rule.
 func TestDischargedReportMetrics(t *testing.T) {
 	src := strings.Replace(tasSrc, "global int state;", "global int state;\nglobal int cfg;", 1)
 	src = strings.Replace(src, "local int old;", "local int old;\n  local int c;\n  c = cfg;", 1)
@@ -170,13 +162,8 @@ func TestDischargedReportMetrics(t *testing.T) {
 			t.Fatalf("%s: not discharged: %+v", r.Target, r)
 		}
 		byReason[rep.Triage]++
-		js, err := json.Marshal(rep.Metrics)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := `{"counters":{"triage.discharged":1,"triage.discharged{reason=\"` + rep.Triage + `\"}":1}}`
-		if string(js) != want {
-			t.Errorf("%s: Metrics = %s, want %s", r.Target, js, want)
+		if want := (Report{Verdict: Safe, Triage: rep.Triage}); !reflect.DeepEqual(*rep, want) {
+			t.Errorf("%s: report = %+v, want %+v", r.Target, *rep, want)
 		}
 	}
 	if len(byReason) < 2 {
