@@ -196,7 +196,7 @@ func (r *Report) iterations() string {
 //
 // Check wraps the core loop with the per-analysis telemetry: a
 // "circ.check" root span (when ctx carries a telemetry.Tracer) and the
-// final circ.k and circ.preds gauges on opts.Metrics.
+// verdict event on the journal stream.
 func Check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk smt.Solver) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -205,8 +205,6 @@ func Check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 	sp.Annotate("variable", raceVar)
 	rep, err := check(ctx, c, raceVar, opts, chk)
 	if rep != nil {
-		opts.Metrics.Gauge("circ.k").Set(int64(rep.K))
-		opts.Metrics.Gauge("circ.preds").Set(int64(len(rep.Preds)))
 		sp.Annotate("verdict", rep.Verdict.String())
 		journal.FromContext(ctx).Emit(journal.Event{
 			Type:     journal.EvVerdict,

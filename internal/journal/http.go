@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"time"
 )
@@ -51,19 +52,8 @@ func (r *Recorder) ServeEvents(w http.ResponseWriter, req *http.Request) {
 
 	replay, live, cancel := r.SubscribeFrom(0)
 	defer cancel()
-	write := func(e Event) bool {
-		data, err := json.Marshal(e)
-		if err != nil {
-			return false
-		}
-		if _, err := w.Write(append(append([]byte("data: "), data...), '\n', '\n')); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
-	}
 	for _, e := range replay {
-		if !write(e) {
+		if WriteSSE(w, e) != nil {
 			return
 		}
 	}
@@ -82,9 +72,26 @@ func (r *Recorder) ServeEvents(w http.ResponseWriter, req *http.Request) {
 			}
 			flusher.Flush()
 		case e := <-live:
-			if !write(e) {
+			if WriteSSE(w, e) != nil {
 				return
 			}
 		}
 	}
+}
+
+// WriteSSE writes e as one server-sent-event frame, "data: <json>" and a
+// blank line, and flushes w when it is an http.Flusher, so proxies and
+// buffering clients see each frame as it is written.
+func WriteSSE(w io.Writer, e Event) error {
+	data, err := json.Marshal(e)
+	if err != nil {
+		return err
+	}
+	if _, err := w.Write(append(append([]byte("data: "), data...), '\n', '\n')); err != nil {
+		return err
+	}
+	if f, ok := w.(http.Flusher); ok {
+		f.Flush()
+	}
+	return nil
 }

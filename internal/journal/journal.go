@@ -160,8 +160,6 @@ type Recorder struct {
 	mu      sync.Mutex
 	events  []Event
 	nextSeq map[string]int64 // per-case sequence counter
-	order   []string         // cases in first-seen order
-	cases   map[string]*CaseProgress
 	subs    map[int64]chan Event
 	nextSub int64
 	dropped int64 // events dropped from slow subscriber channels
@@ -171,7 +169,6 @@ type Recorder struct {
 func New() *Recorder {
 	return &Recorder{
 		nextSeq: make(map[string]int64),
-		cases:   make(map[string]*CaseProgress),
 		subs:    make(map[int64]chan Event),
 	}
 }
@@ -236,7 +233,6 @@ func (s *Stream) Emit(e Event) {
 	e.Seq = r.nextSeq[s.name]
 	r.nextSeq[s.name]++
 	r.events = append(r.events, e)
-	r.observe(e)
 	for _, ch := range r.subs {
 		select {
 		case ch <- e:
@@ -334,15 +330,8 @@ type ProgressSnapshot struct {
 	Cases   []CaseProgress `json:"cases"`
 }
 
-// observe folds one event into the per-case progress state. Caller holds
-// r.mu.
-func (r *Recorder) observe(e Event) {
-	cp, ok := r.cases[e.Case]
-	if !ok {
-		cp = &CaseProgress{Case: e.Case, State: "running"}
-		r.cases[e.Case] = cp
-		r.order = append(r.order, e.Case)
-	}
+// fold applies one event to its case's progress.
+func (cp *CaseProgress) fold(e *Event) {
 	cp.Events++
 	switch e.Type {
 	case EvCaseQueued:
@@ -367,7 +356,7 @@ func (r *Recorder) observe(e Event) {
 }
 
 // Progress returns the per-case progress in first-seen order, with
-// aggregate counts.
+// aggregate counts, folded from the recorded events in emission order.
 func (r *Recorder) Progress() ProgressSnapshot {
 	var snap ProgressSnapshot
 	if r == nil {
@@ -377,9 +366,18 @@ func (r *Recorder) Progress() ProgressSnapshot {
 	defer r.mu.Unlock()
 	snap.Events = int64(len(r.events))
 	snap.Dropped = r.dropped
-	for _, name := range r.order {
-		cp := *r.cases[name]
-		snap.Cases = append(snap.Cases, cp)
+	index := make(map[string]int) // case name -> its index in snap.Cases
+	for i := range r.events {
+		e := &r.events[i]
+		j, ok := index[e.Case]
+		if !ok {
+			j = len(snap.Cases)
+			index[e.Case] = j
+			snap.Cases = append(snap.Cases, CaseProgress{Case: e.Case, State: "running"})
+		}
+		snap.Cases[j].fold(e)
+	}
+	for _, cp := range snap.Cases {
 		switch cp.State {
 		case "queued":
 			snap.Queued++

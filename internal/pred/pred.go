@@ -638,9 +638,9 @@ func (a *Abstractor) Instrument(reg *telemetry.Registry) {
 // The per-predicate entailment queries phi ⊨ p (that is, unsat(phi ∧ ¬p))
 // all share phi, so they run through one incremental session: phi is
 // encoded once into a persistent solver and each literal is discharged
-// under an assumption, with theory lemmas and learned clauses retained
-// across the whole cube enumeration. Literals that appear in phi verbatim
-// collapse syntactically at intern time and never reach the solver.
+// under an assumption, with theory lemmas retained across the whole cube
+// enumeration. Literals that appear in phi verbatim collapse
+// syntactically at intern time and never reach the solver.
 func (a *Abstractor) Abstract(phi expr.Expr) *Cube {
 	a.cCalls.Inc()
 	id := expr.Intern(phi)

@@ -546,19 +546,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
-	flusher, _ := w.(http.Flusher)
 	for _, e := range j.journal.Events() {
-		data, err := json.Marshal(e)
-		if err != nil {
+		if journal.WriteSSE(w, e) != nil {
 			return
-		}
-		if _, err := w.Write(append(append([]byte("data: "), data...), '\n', '\n')); err != nil {
-			return
-		}
-		// Flush per event so proxies and buffering clients see frames as
-		// they are written, matching the live stream's behaviour.
-		if flusher != nil {
-			flusher.Flush()
 		}
 	}
 }

@@ -11,8 +11,8 @@ import (
 // fresh SAT instance per query, the session encodes phi once into one
 // persistent solver and discharges each conjunction under an assumption
 // literal, so Tseitin structure, theory atoms, the simplex tableau and
-// its last basis, theory blocking clauses, and CDCL-learned clauses are
-// all shared across the enumeration.
+// its last basis, and theory blocking clauses are all shared across the
+// enumeration.
 //
 // Determinism contract: SatConj(lit) returns exactly the verdict that
 // SatID(IDConj(phi, lit)) would, and stores it in the owning checker's

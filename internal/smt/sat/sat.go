@@ -1,7 +1,6 @@
-// Package sat implements a CDCL (conflict-driven clause learning) boolean
-// satisfiability solver with two-watched-literal propagation, 1-UIP clause
-// learning, VSIDS branching, Luby restarts, and solving under assumptions
-// (which yields failed-assumption sets used for unsat cores upstream).
+// Package sat implements a DPLL boolean satisfiability solver with
+// two-watched-literal propagation, chronological backtracking, and solving
+// under assumptions.
 package sat
 
 import (
@@ -59,10 +58,7 @@ func (v Value) neg() Value {
 }
 
 type clause struct {
-	lits    []Lit
-	learnt  bool
-	act     float64
-	deleted bool
+	lits []Lit
 }
 
 type watcher struct {
@@ -73,7 +69,8 @@ type watcher struct {
 // Status is the solver outcome.
 type Status int
 
-// Solver outcomes.
+// Solver outcomes. Solve is complete, so it never returns Unknown, the
+// zero Status.
 const (
 	Unknown Status = iota
 	Sat
@@ -90,32 +87,18 @@ func (s Status) String() string {
 	return "unknown"
 }
 
-// Solver is a CDCL SAT solver. The zero value is not usable; call New.
+// Solver is a DPLL SAT solver. The zero value is not usable; call New.
 type Solver struct {
 	nVars    int
-	clauses  []*clause
-	learnts  []*clause
 	watches  map[Lit][]watcher
 	assign   []Value // indexed by var
-	level    []int   // decision level of var
-	reason   []*clause
 	trail    []Lit
-	trailLim []int // trail indices at decision levels
+	trailLim []int  // trail indices at decision levels
+	flipped  []bool // by decision level: its decision is the second branch
 	qhead    int
 
-	activity []float64
-	varInc   float64
-	order    []int // lazy heap substitute: vars sorted on demand
-
-	seen      []bool
 	conflicts int64
-	// MaxConflicts bounds the search; 0 means no bound. When exceeded,
-	// Solve returns Unknown.
-	MaxConflicts int64
-
-	assumptions []Lit
-	failed      map[Lit]bool
-	model       []bool
+	model     []bool
 
 	okay bool // false once a top-level conflict is established
 }
@@ -124,7 +107,7 @@ type Solver struct {
 func New() *Solver {
 	return &Solver{
 		watches: make(map[Lit][]watcher),
-		varInc:  1.0,
+		assign:  []Value{Unassigned}, // index 0 is unused: assign indexes by var
 		okay:    true,
 	}
 }
@@ -133,18 +116,6 @@ func New() *Solver {
 func (s *Solver) NewVar() int {
 	s.nVars++
 	s.assign = append(s.assign, Unassigned)
-	s.level = append(s.level, 0)
-	s.reason = append(s.reason, nil)
-	s.activity = append(s.activity, 0)
-	s.seen = append(s.seen, false)
-	if s.nVars == 1 {
-		// index 0 is unused; grow once more so slices index by var.
-		s.assign = append(s.assign, Unassigned)
-		s.level = append(s.level, 0)
-		s.reason = append(s.reason, nil)
-		s.activity = append(s.activity, 0)
-		s.seen = append(s.seen, false)
-	}
 	return s.nVars
 }
 
@@ -191,61 +162,53 @@ func (s *Solver) AddClause(lits ...Lit) bool {
 		s.okay = false
 		return false
 	case 1:
-		s.uncheckedEnqueue(out[0], nil)
-		if s.propagate() != nil {
+		s.enqueue(out[0])
+		if !s.propagate() {
 			s.okay = false
 			return false
 		}
 		return true
 	}
 	c := &clause{lits: append([]Lit(nil), out...)}
-	s.clauses = append(s.clauses, c)
-	s.watchClause(c)
-	return true
-}
-
-func (s *Solver) watchClause(c *clause) {
 	s.watches[c.lits[0].Not()] = append(s.watches[c.lits[0].Not()], watcher{c, c.lits[1]})
 	s.watches[c.lits[1].Not()] = append(s.watches[c.lits[1].Not()], watcher{c, c.lits[0]})
+	return true
 }
 
 func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 
-func (s *Solver) uncheckedEnqueue(l Lit, from *clause) {
-	v := l.Var()
+func (s *Solver) enqueue(l Lit) {
 	if l.Neg() {
-		s.assign[v] = False
+		s.assign[l.Var()] = False
 	} else {
-		s.assign[v] = True
+		s.assign[l.Var()] = True
 	}
-	s.level[v] = s.decisionLevel()
-	s.reason[v] = from
 	s.trail = append(s.trail, l)
 }
 
-// propagate performs unit propagation; it returns a conflicting clause or
-// nil.
-func (s *Solver) propagate() *clause {
+// decide opens a new decision level and assigns l on it; flipped marks
+// the second branch of a decision.
+func (s *Solver) decide(l Lit, flipped bool) {
+	s.trailLim = append(s.trailLim, len(s.trail))
+	s.flipped = append(s.flipped, flipped)
+	s.enqueue(l)
+}
+
+// propagate performs unit propagation; it reports false on a conflict.
+func (s *Solver) propagate() bool {
 	for s.qhead < len(s.trail) {
 		p := s.trail[s.qhead]
 		s.qhead++
 		ws := s.watches[p]
 		kept := ws[:0]
-		var confl *clause
+		conflict := false
 		for i := 0; i < len(ws); i++ {
 			w := ws[i]
-			if confl != nil {
-				kept = append(kept, w)
-				continue
-			}
-			if s.value(w.blocker) == True {
+			if conflict || s.value(w.blocker) == True {
 				kept = append(kept, w)
 				continue
 			}
 			c := w.c
-			if c.deleted {
-				continue
-			}
 			// Ensure c.lits[0] is the other watched literal.
 			if c.lits[0] == p.Not() {
 				c.lits[0], c.lits[1] = c.lits[1], c.lits[0]
@@ -271,86 +234,18 @@ func (s *Solver) propagate() *clause {
 			// Clause is unit or conflicting.
 			kept = append(kept, watcher{c, first})
 			if s.value(first) == False {
-				confl = c
+				conflict = true
 				s.qhead = len(s.trail)
 			} else {
-				s.uncheckedEnqueue(first, c)
+				s.enqueue(first)
 			}
 		}
 		s.watches[p] = kept
-		if confl != nil {
-			return confl
+		if conflict {
+			return false
 		}
 	}
-	return nil
-}
-
-func (s *Solver) bumpVar(v int) {
-	s.activity[v] += s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
-		}
-		s.varInc *= 1e-100
-	}
-}
-
-func (s *Solver) decayVar() { s.varInc /= 0.95 }
-
-// analyze performs 1-UIP conflict analysis and returns the learnt clause
-// (with the asserting literal first) and the backtrack level.
-func (s *Solver) analyze(confl *clause) ([]Lit, int) {
-	learnt := []Lit{0} // slot for asserting literal
-	counter := 0
-	var p Lit = -1
-	idx := len(s.trail) - 1
-	for {
-		for _, q := range confl.lits {
-			if p != -1 && q == p {
-				continue
-			}
-			v := q.Var()
-			if !s.seen[v] && s.level[v] > 0 {
-				s.seen[v] = true
-				s.bumpVar(v)
-				if s.level[v] >= s.decisionLevel() {
-					counter++
-				} else {
-					learnt = append(learnt, q)
-				}
-			}
-		}
-		// Pick next literal to expand from trail.
-		for !s.seen[s.trail[idx].Var()] {
-			idx--
-		}
-		p = s.trail[idx]
-		idx--
-		v := p.Var()
-		s.seen[v] = false
-		counter--
-		if counter == 0 {
-			learnt[0] = p.Not()
-			break
-		}
-		confl = s.reason[v]
-	}
-	// Compute backtrack level: max level among learnt[1:].
-	btLevel := 0
-	if len(learnt) > 1 {
-		maxI := 1
-		for i := 2; i < len(learnt); i++ {
-			if s.level[learnt[i].Var()] > s.level[learnt[maxI].Var()] {
-				maxI = i
-			}
-		}
-		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
-		btLevel = s.level[learnt[1].Var()]
-	}
-	for _, l := range learnt {
-		s.seen[l.Var()] = false
-	}
-	return learnt, btLevel
+	return true
 }
 
 func (s *Solver) backtrackTo(level int) {
@@ -359,171 +254,79 @@ func (s *Solver) backtrackTo(level int) {
 	}
 	lim := s.trailLim[level]
 	for i := len(s.trail) - 1; i >= lim; i-- {
-		v := s.trail[i].Var()
-		s.assign[v] = Unassigned
-		s.reason[v] = nil
+		s.assign[s.trail[i].Var()] = Unassigned
 	}
 	s.trail = s.trail[:lim]
 	s.trailLim = s.trailLim[:level]
+	s.flipped = s.flipped[:level]
 	s.qhead = len(s.trail)
 }
 
-func (s *Solver) pickBranchVar() int {
-	best := -1
-	var bestAct float64 = -1
-	for v := 1; v <= s.nVars; v++ {
-		if s.assign[v] == Unassigned && s.activity[v] > bestAct {
-			best = v
-			bestAct = s.activity[v]
-		}
-	}
-	return best
-}
-
-// luby returns the i-th element (1-based) of the Luby restart sequence
-// 1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,...
-func luby(i int64) int64 {
-	for k := uint(1); ; k++ {
-		full := int64(1)<<k - 1
-		if i == full {
-			return 1 << (k - 1)
-		}
-		if i < full {
-			return luby(i - int64(1)<<(k-1) + 1)
-		}
-	}
-}
-
-// Solve determines satisfiability under the given assumptions. When the
-// result is Unsat, FailedAssumptions reports which assumptions were used.
+// Solve determines satisfiability under the given assumptions, which are
+// decided first, one per decision level. Branching takes the
+// lowest-numbered unassigned variable, false phase first; a conflict
+// backtracks chronologically to the latest decision not yet flipped and
+// flips it.
 func (s *Solver) Solve(assumptions ...Lit) Status {
 	if !s.okay {
-		s.failed = map[Lit]bool{}
 		return Unsat
 	}
-	s.assumptions = assumptions
-	s.failed = nil
 	defer s.backtrackTo(0)
 
-	var restarts int64
-	conflictBudget := int64(100) * luby(1)
-	var conflictsHere int64
-
 	for {
-		confl := s.propagate()
-		if confl != nil {
+		if !s.propagate() {
 			s.conflicts++
-			conflictsHere++
 			if s.decisionLevel() == 0 {
 				s.okay = false
-				s.failed = map[Lit]bool{}
 				return Unsat
 			}
-			learnt, btLevel := s.analyze(confl)
-			// Never backtrack past the assumption levels: if the asserting
-			// level is inside assumptions, conflict analysis below handles
-			// it when re-deciding.
-			s.backtrackTo(btLevel)
-			if len(learnt) == 1 {
-				s.backtrackTo(0)
-				s.uncheckedEnqueue(learnt[0], nil)
-			} else {
-				c := &clause{lits: learnt, learnt: true}
-				s.learnts = append(s.learnts, c)
-				s.watchClause(c)
-				s.uncheckedEnqueue(learnt[0], c)
+			level := s.decisionLevel()
+			for level > len(assumptions) && s.flipped[level-1] {
+				level--
 			}
-			s.decayVar()
+			if level <= len(assumptions) {
+				return Unsat // refuted under the assumptions
+			}
+			d := s.trail[s.trailLim[level-1]]
+			s.backtrackTo(level - 1)
+			s.decide(d.Not(), true)
 			continue
 		}
-		if s.MaxConflicts > 0 && s.conflicts > s.MaxConflicts {
-			return Unknown
-		}
-		if conflictsHere > conflictBudget {
-			// Restart (keep assumption decisions by replaying them).
-			conflictsHere = 0
-			restarts++
-			conflictBudget = int64(100) * luby(restarts+1)
-			s.backtrackTo(0)
-		}
 		// Assumptions as pseudo-decisions.
-		if s.decisionLevel() < len(s.assumptions) {
-			a := s.assumptions[s.decisionLevel()]
+		if s.decisionLevel() < len(assumptions) {
+			a := assumptions[s.decisionLevel()]
 			switch s.value(a) {
 			case True:
 				// Already satisfied: open a dummy level to keep indexing.
 				s.trailLim = append(s.trailLim, len(s.trail))
+				s.flipped = append(s.flipped, false)
 				continue
 			case False:
-				s.analyzeFinal(a.Not())
 				return Unsat
 			}
-			s.trailLim = append(s.trailLim, len(s.trail))
-			s.uncheckedEnqueue(a, nil)
+			s.decide(a, false)
 			continue
 		}
-		v := s.pickBranchVar()
-		if v == -1 {
+		v := 1
+		for v <= s.nVars && s.assign[v] != Unassigned {
+			v++
+		}
+		if v > s.nVars {
 			s.model = make([]bool, s.nVars+1)
 			for u := 1; u <= s.nVars; u++ {
 				s.model[u] = s.assign[u] == True
 			}
 			return Sat
 		}
-		s.trailLim = append(s.trailLim, len(s.trail))
 		// Phase: default false (negated) — tends to produce sparse models.
-		s.uncheckedEnqueue(MkLit(v, true), nil)
+		s.decide(MkLit(v, true), false)
 	}
-}
-
-// analyzeFinal computes the subset of assumptions implying literal p's
-// negation, populating s.failed.
-func (s *Solver) analyzeFinal(p Lit) {
-	s.failed = map[Lit]bool{p.Not(): true}
-	if s.decisionLevel() == 0 {
-		return
-	}
-	isAssump := make(map[int]Lit, len(s.assumptions))
-	for _, a := range s.assumptions {
-		isAssump[a.Var()] = a
-	}
-	seen := make(map[int]bool)
-	seen[p.Var()] = true
-	for i := len(s.trail) - 1; i >= s.trailLim[0]; i-- {
-		v := s.trail[i].Var()
-		if !seen[v] {
-			continue
-		}
-		if s.reason[v] == nil {
-			if a, ok := isAssump[v]; ok {
-				s.failed[a] = true
-			}
-		} else {
-			for _, l := range s.reason[v].lits {
-				if s.level[l.Var()] > 0 {
-					seen[l.Var()] = true
-				}
-			}
-		}
-		seen[v] = false
-	}
-}
-
-// FailedAssumptions returns the assumptions involved in the final conflict
-// of the last Unsat result from Solve (a subset of the assumptions passed).
-func (s *Solver) FailedAssumptions() []Lit {
-	out := make([]Lit, 0, len(s.failed))
-	for l := range s.failed {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // Model returns the satisfying assignment captured at the last Sat result.
 // Index by variable (1-based); unassigned variables read as false.
 func (s *Solver) Model() []bool { return s.model }
 
-// Conflicts returns the number of conflicts Solve has analysed over the
+// Conflicts returns the number of conflicts Solve has met over the
 // solver's lifetime, summed across calls.
 func (s *Solver) Conflicts() int64 { return s.conflicts }

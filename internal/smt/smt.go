@@ -1,6 +1,6 @@
 // Package smt implements a lazy DPLL(T) decision procedure for
 // quantifier-free formulas over linear integer arithmetic, built from the
-// CDCL SAT solver in smt/sat and the simplex core in smt/simplex.
+// DPLL SAT solver in smt/sat and the simplex core in smt/simplex.
 //
 // Nonlinear products are soundly over-approximated by abstracting them as
 // fresh integer variables with Ackermann functional-consistency lemmas.
@@ -54,7 +54,7 @@ func (r Result) String() string {
 type Stats struct {
 	Queries      int64 // top-level solves: cache misses and SatModel calls
 	TheoryChecks int64
-	SatConflicts int64 // CDCL conflicts across every SAT Solve call
+	SatConflicts int64 // SAT conflicts across every SAT Solve call
 }
 
 // Solver is the query interface *Checker implements. The analysis layers
@@ -381,10 +381,9 @@ func (c *cacheCore) solve(id expr.ID, wantModel bool) (Result, map[string]int64)
 
 // dpll is the lazy theory-refinement loop: SAT-solve (under optional
 // assumptions), theory-check the model's atoms, block the explained
-// conflict, repeat. Blocking clauses are theory-valid lemmas, so they —
-// and the solver's learned clauses — remain sound for later queries
-// against the same clause database, which is what makes incremental
-// sessions possible.
+// conflict, repeat. Blocking clauses are theory-valid lemmas, so they
+// remain sound for later queries against the same clause database, which
+// is what makes incremental sessions possible.
 func (c *cacheCore) dpll(q *query, assumptions []sat.Lit, wantModel bool) (Result, map[string]int64) {
 	for iter := 0; iter < maxLoops; iter++ {
 		conflicts := q.solver.Conflicts()

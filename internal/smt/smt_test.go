@@ -357,8 +357,8 @@ func TestSessionStatsCounted(t *testing.T) {
 
 // TestSatConflictsCounted: a query whose Boolean skeleton is
 // unsatisfiable — every assignment to its two theory atoms falsifies one
-// of the four clauses — is refuted by CDCL search, and the conflicts that
-// search analysed land in Stats.Solver.SatConflicts.
+// of the four clauses — is refuted by DPLL search, and the conflicts that
+// search met land in Stats.Solver.SatConflicts.
 func TestSatConflictsCounted(t *testing.T) {
 	a := expr.Eq(expr.V("x"), expr.Num(1))
 	b := expr.Eq(expr.V("y"), expr.Num(2))
