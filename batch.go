@@ -180,15 +180,12 @@ func (c *Checker) CheckTargets(ctx context.Context, p *Program, targets []Target
 	}
 	// Flight recorder: one stream per target, registered sequentially here
 	// so every case appears queued (in deterministic program order) before
-	// any worker starts. Multi-target batches share the SMT solver across
-	// concurrently-running units, so their streams suppress per-phase
-	// solver deltas — suppressed at every worker count, keeping the journal
-	// independent of the parallelism setting.
+	// any worker starts.
 	var streams []*journal.Stream
 	if c.journal != nil {
 		streams = make([]*journal.Stream, len(targets))
 		for i, t := range targets {
-			streams[i] = c.stream(journalCase(t.Thread, t.Variable), len(targets) > 1)
+			streams[i] = c.journal.Stream(journalCase(t.Thread, t.Variable))
 			streams[i].Emit(journal.Event{Type: journal.EvCaseQueued})
 		}
 	}

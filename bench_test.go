@@ -121,7 +121,8 @@ func BenchmarkFigure2to4_IterationARGs(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		a1, _ := bisim.Collapse(context.Background(), res.ARG, nil)
+		argA, locMap := res.ARG.ToACFA()
+		a1, _ := bisim.Collapse(context.Background(), argA, locMap, nil)
 		if a1.NumLocs() == 0 {
 			b.Fatal("empty quotient")
 		}
@@ -140,7 +141,8 @@ func BenchmarkFigure5_TraceFormula(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a1, mu := bisim.Collapse(context.Background(), res1.ARG, nil)
+	argA, locMap := res1.ARG.ToACFA()
+	a1, mu := bisim.Collapse(context.Background(), argA, locMap, nil)
 	res2, err := reach.ReachAndBuild(context.Background(), c, a1, abs, "x", reach.Options{K: 1})
 	if err != nil {
 		b.Fatal(err)

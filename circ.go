@@ -131,7 +131,7 @@ type (
 	// Journal is the structured inference flight recorder: one typed event
 	// per semantic step of the analysis (iterations, trace verdicts,
 	// predicate discoveries with their provenance, counter widenings,
-	// bisimulation collapses, per-phase solver work). Attach one with
+	// bisimulation collapses). Attach one with
 	// WithJournal, serialize it with Journal.WriteJSONL — the output is
 	// byte-identical at any parallelism — and render it with RenderHTML.
 	Journal = journal.Recorder
@@ -242,10 +242,6 @@ type Checker struct {
 	solver      *smt.Checker
 	journal     *journal.Recorder
 	store       *store.Store
-	// sharedSolver is set on Derived Checkers, whose solver other
-	// Checkers use concurrently: their journals carry no per-phase
-	// solver deltas, which would count the other Checkers' work.
-	sharedSolver bool
 	// thread/variable are the default target of the package-level Check
 	// entry point, set with WithTarget.
 	thread   string
@@ -390,13 +386,10 @@ func NewChecker(opts ...Option) *Checker {
 // logger, tracer) may be overridden freely. Overriding the tracer
 // re-binds the shared solver's span sink to the new tracer (a cheap view
 // over the same verdict cache), which is how circd gives every job its
-// own flight-deck trace. Because the solver is shared, a derived
-// Checker's journal streams carry no smt_phase_stats events. Overriding
-// the registry on a derived Checker is not supported; attach it to the
-// root Checker.
+// own flight-deck trace. Overriding the registry on a derived Checker is
+// not supported; attach it to the root Checker.
 func (c *Checker) Derive(opts ...Option) *Checker {
 	d := *c
-	d.sharedSolver = true
 	for _, o := range opts {
 		o(&d)
 	}
@@ -563,19 +556,8 @@ func (c *Checker) Check(ctx context.Context, p *Program, thread, variable string
 	if c.tracer != nil {
 		ctx = telemetry.NewContext(ctx, c.tracer)
 	}
-	s := c.stream(journalCase(thread, variable), false)
+	s := c.journal.Stream(journalCase(thread, variable))
 	return c.checkUnit(ctx, g, dataflow.NewThreadFacts(g), variable, s, c.options(c.logger))
-}
-
-// stream opens the journal stream of one analysis (nil without a
-// journal). A stream whose analysis may share the SMT solver with
-// concurrently running ones — concurrent is set, or the Checker is
-// Derived — suppresses per-phase solver deltas.
-func (c *Checker) stream(name string, concurrent bool) *journal.Stream {
-	if concurrent || c.sharedSolver {
-		return c.journal.StreamShared(name)
-	}
-	return c.journal.Stream(name)
 }
 
 // journalCase names the journal case of one (thread, variable) analysis;

@@ -10,83 +10,105 @@ import (
 	icirc "circ/internal/circ"
 	"circ/internal/dataflow"
 	"circ/internal/explicit"
-	"circ/internal/lang"
 	"circ/internal/smt"
 )
 
-// TestFuzzCrossValidation generates random programs and checks that CIRC's
-// verdict on races over variable g is consistent with exhaustive 2-thread
+// TestFuzzCrossValidation generates random programs and checks that the
+// verdicts on races over variable g are consistent with exhaustive
 // explicit-state checking:
 //
-//   - CIRC Safe  => no 2-thread race exists (soundness);
-//   - CIRC Unsafe => a race exists with 2 or 3 threads (trace realism).
+//   - Safe   => no 2-thread race exists (soundness);
+//   - Unsafe => a race exists with 2 or 3 threads (trace realism).
 //
+// Each program runs through two legs: the CIRC engine alone, and the
+// public Checker's default pipeline (triage, slicing, seeding, and one
+// certificate store shared by every program), so the static stages are
+// held to the oracle too. The generator emits no flag idioms, so the
+// flag-guarded triage rule and flag seeding are not exercised here.
 // Unknown verdicts (budget/refinement limits) are skipped.
 func TestFuzzCrossValidation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzzing is slow")
 	}
 	rng := rand.New(rand.NewSource(benchapps.RandomSeed))
-	checked, safeN, unsafeN, unknownN := 0, 0, 0, 0
+	pipeline := NewChecker(WithBudgets(12, 20, 40000), WithCertStore(NewCertStore()))
+	// The oracle's havoc domain must cover every constant the generator
+	// can compare against, or bounded havoc misses races that unbounded
+	// havoc (CIRC's semantics) makes real.
+	havoc := []int64{-1, 0, 1, 2, 3, 4}
+	engineN, pipelineN := map[string]int{}, map[string]int{}
 	for trial := 0; trial < 500; trial++ {
 		src := benchapps.RandomProgram(rng)
-		p, err := lang.Parse(src)
+		p, err := Parse(src)
 		if err != nil {
 			t.Fatalf("generator produced invalid program: %v\n%s", err, src)
 		}
-		c, err := cfa.Build(p, "")
+		c, err := cfa.Build(p.AST(), "")
 		if err != nil {
 			t.Fatalf("build: %v\n%s", err, src)
 		}
+		// The explicit searches run once per program, when a leg first
+		// needs them.
+		var ex2, ex3 *explicit.Result
+		var ex2Err, ex3Err error
+		judge := func(leg string, rep *Report) string {
+			if rep.Verdict == Unknown {
+				return "unknown"
+			}
+			if ex2 == nil && ex2Err == nil {
+				ex2, ex2Err = explicit.NewSymmetric(c, 2).CheckRaces("g", explicit.Options{MaxStates: 500000, ValueBound: 16, HavocDomain: havoc})
+			}
+			if ex2Err != nil {
+				// Bounded-value wrap differences can blow the explicit
+				// space; skip rather than fail.
+				return "unknown"
+			}
+			if rep.Verdict == Safe {
+				if ex2.Race {
+					t.Fatalf("SOUNDNESS (%s): safe (triage %q) but 2-thread race exists:\n%s\ntrace: %v", leg, rep.Triage, src, ex2.Trace)
+				}
+				return "safe"
+			}
+			if !ex2.Race {
+				if ex3 == nil && ex3Err == nil {
+					ex3, ex3Err = explicit.NewSymmetric(c, 3).CheckRaces("g", explicit.Options{MaxStates: 2000000, ValueBound: 16, HavocDomain: havoc})
+				}
+				// A 3-thread search the budget cannot decide does not
+				// count against the verdict.
+				if ex3Err == nil && !ex3.Race {
+					t.Fatalf("PRECISION (%s): unsafe but no 2-3 thread race found:\n%s\ntrace:\n%s", leg, src, rep.Race)
+				}
+			}
+			return "unsafe"
+		}
+
 		rep, err := icirc.Check(context.Background(), c, "g", icirc.Options{
 			MaxStates: 40000, MaxRounds: 12, MaxInner: 20,
 		}, smt.NewChecker())
 		if err != nil {
 			t.Fatalf("check: %v\n%s", err, src)
 		}
-		if rep.Verdict == icirc.Unknown {
-			unknownN++
-			continue
-		}
-		checked++
-		// The oracle's havoc domain must cover every constant the generator
-		// can compare against, or bounded havoc misses races that unbounded
-		// havoc (CIRC's semantics) makes real.
-		exOpts := explicit.Options{MaxStates: 500000, ValueBound: 16, HavocDomain: []int64{-1, 0, 1, 2, 3, 4}}
-		ex, err := explicit.NewSymmetric(c, 2).CheckRaces("g", exOpts)
+		engineN[judge("engine", rep)]++
+
+		rep, err = pipeline.Check(context.Background(), p, "", "g")
 		if err != nil {
-			// Bounded-value wrap differences can blow the explicit space;
-			// skip rather than fail.
-			unknownN++
-			continue
+			t.Fatalf("pipeline check: %v\n%s", err, src)
 		}
-		switch rep.Verdict {
-		case icirc.Safe:
-			safeN++
-			if ex.Race {
-				t.Fatalf("SOUNDNESS: CIRC safe but 2-thread race exists:\n%s\ntrace: %v", src, ex.Trace)
-			}
-		case icirc.Unsafe:
-			unsafeN++
-			found := ex.Race
-			if !found {
-				ex3Opts := explicit.Options{MaxStates: 2000000, ValueBound: 16, HavocDomain: []int64{-1, 0, 1, 2, 3, 4}}
-				ex3, err := explicit.NewSymmetric(c, 3).CheckRaces("g", ex3Opts)
-				if err == nil {
-					found = ex3.Race
-				} else {
-					// Can't decide with the budget; don't count against.
-					found = true
-				}
-			}
-			if !found {
-				t.Fatalf("PRECISION: CIRC unsafe but no 2-3 thread race found:\n%s\ntrace:\n%s", src, rep.Race)
-			}
+		outcome := judge("pipeline", rep)
+		if rep.Triage != "" && outcome == "safe" {
+			outcome = "triaged " + rep.Triage
 		}
+		if rep.Reused {
+			pipelineN["certificate reused"]++
+		}
+		pipelineN[outcome]++
 	}
-	t.Logf("fuzz: %d decided (%d safe, %d unsafe), %d skipped as unknown", checked, safeN, unsafeN, unknownN)
-	if checked < 100 {
-		t.Fatalf("too few decided runs (%d) for the fuzz to be meaningful", checked)
+	t.Logf("engine: %v", engineN)
+	t.Logf("pipeline: %v", pipelineN)
+	for leg, n := range map[string]map[string]int{"engine": engineN, "pipeline": pipelineN} {
+		if decided := 500 - n["unknown"]; decided < 100 {
+			t.Fatalf("%s: too few decided runs (%d) for the fuzz to be meaningful", leg, decided)
+		}
 	}
 }
 

@@ -15,19 +15,19 @@ import (
 	"circ/internal/acfa"
 	"circ/internal/journal"
 	"circ/internal/pred"
-	"circ/internal/reach"
 	"circ/internal/telemetry"
 )
 
-// Collapse minimises the ARG g into an ACFA context model. It returns the
-// quotient automaton and mu, the map from canonical ARG location ids to
-// quotient locations (needed by the refiner to concretise abstract paths).
-// reg, which may be nil, receives the quotient's size and duration
-// metrics; when ctx carries a journal stream, the quotient's shrinkage is
-// recorded as an acfa_collapsed event.
-func Collapse(ctx context.Context, g *reach.ARG, reg *telemetry.Registry) (*acfa.ACFA, map[int]acfa.Loc) {
+// Collapse minimises an ARG into an ACFA context model. argA and locMap
+// are the ARG's projection, as ARG.ToACFA returns them: its ACFA and the
+// map from canonical ARG location ids to argA's locations. Collapse
+// returns the quotient automaton and mu, the map from canonical ARG
+// location ids to quotient locations (needed by the refiner to concretise
+// abstract paths). reg, which may be nil, receives the quotient's size
+// and duration metrics; when ctx carries a journal stream, the quotient's
+// shrinkage is recorded as an acfa_collapsed event.
+func Collapse(ctx context.Context, argA *acfa.ACFA, locMap map[int]acfa.Loc, reg *telemetry.Registry) (*acfa.ACFA, map[int]acfa.Loc) {
 	start := time.Now()
-	argA, locMap := g.ToACFA()
 	quot, classOf := Quotient(argA)
 	mu := make(map[int]acfa.Loc, len(locMap))
 	for root, l := range locMap {

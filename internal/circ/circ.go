@@ -245,38 +245,6 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 	for _, p := range opts.InitialPreds {
 		j.Emit(journal.Event{Type: journal.EvPredicateDiscovered, Outcome: "seeded", Pred: p.String()})
 	}
-	// beginPhase opens a per-phase solver-work measurement for the journal
-	// and returns the closure that emits it. Full smt.Stats deltas are only
-	// attributable (and only deterministic) when this analysis has
-	// exclusive use of the solver; the reach phase passes cachedOnly,
-	// reporting just the cache-content growth.
-	var solver *smt.Checker
-	if j.ExclusiveSolver() {
-		solver, _ = chk.(*smt.Checker)
-	}
-	beginPhase := func(phase string, cachedOnly bool) func() {
-		if solver == nil {
-			return func() {}
-		}
-		before := solver.Stats()
-		sizeBefore := solver.CacheSize()
-		return func() {
-			after := solver.Stats()
-			e := journal.Event{
-				Type: journal.EvSMTPhaseStats, Phase: phase,
-				NewCached: int64(solver.CacheSize() - sizeBefore),
-			}
-			if !cachedOnly {
-				e.Queries = after.Solver.Queries - before.Solver.Queries
-				e.CacheHits = after.Hits - before.Hits
-				e.CacheMisses = after.Misses - before.Misses
-				e.TheoryChecks = after.Solver.TheoryChecks - before.Solver.TheoryChecks
-				e.SatConflicts = after.Solver.SatConflicts - before.Solver.SatConflicts
-			}
-			j.Emit(e)
-		}
-	}
-
 	// curSpan is the open per-iteration span; the deferred End covers the
 	// early-return paths (End is idempotent, and a nil span ignores it).
 	var curSpan *telemetry.Span
@@ -312,14 +280,12 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 			curSpan = isp
 			isp.Annotate("round", round)
 			isp.Annotate("inner", inner)
-			reachDone := beginPhase("reach", true)
 			res, err := reach.ReachAndBuild(ictx, c, A, abs, raceVar, reach.Options{
 				K:         k,
 				ExactSeed: opts.Omega,
 				MaxStates: opts.MaxStates,
 				Metrics:   opts.Metrics,
 			})
-			reachDone()
 			if err != nil {
 				if ctx.Err() != nil {
 					return nil, fmt.Errorf("circ: analysis cancelled: %w", ctx.Err())
@@ -356,7 +322,6 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 				anyIncK := false
 				var lastTF []expr.Expr
 				var lastErr error
-				refineDone := beginPhase("refine", false)
 				_, rsp := telemetry.StartSpan(ictx, "refine")
 				for _, trace := range res.Races {
 					out, err := refine.Refine(refine.Input{
@@ -373,7 +338,6 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 					switch out.Kind {
 					case refine.Real:
 						rsp.End()
-						refineDone()
 						if log != nil {
 							log.Info("   genuine race", "trace", out.Interleaving.String())
 						}
@@ -415,7 +379,6 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 					}
 				}
 				rsp.End()
-				refineDone()
 				switch {
 				case len(fresh) > 0:
 					if log != nil {
@@ -452,18 +415,14 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 			}
 
 			// No race reachable: guarantee check (CheckSim).
-			argACFA, _ := res.ARG.ToACFA()
+			argACFA, locMap := res.ARG.ToACFA()
 			_, ssp := telemetry.StartSpan(ictx, "simcheck")
-			simDone := beginPhase("simcheck", false)
 			guaranteed := simulates(argACFA, A)
-			simDone()
 			ssp.End()
 			if guaranteed {
 				if opts.Omega {
 					_, osp := telemetry.StartSpan(ictx, "goodloc")
-					glDone := beginPhase("goodloc", false)
-					ok, err := goodLocationCheck(ictx, c, res.ARG, k, abs, opts.Metrics)
-					glDone()
+					ok, err := goodLocationCheck(ictx, c, res.ARG, argACFA, locMap, k, abs, opts.Metrics)
 					osp.End()
 					if err != nil {
 						rep.Verdict = Unknown
@@ -495,9 +454,7 @@ func check(ctx context.Context, c *cfa.CFA, raceVar string, opts Options, chk sm
 			}
 			// Weaken the context: A := Collapse(G).
 			_, csp := telemetry.StartSpan(ictx, "collapse")
-			colDone := beginPhase("collapse", false)
-			A, mu = collapse(ictx, res.ARG, opts.Metrics)
-			colDone()
+			A, mu = collapse(ictx, argACFA, locMap, opts.Metrics)
 			csp.End()
 			rep.LastACFA = A
 			prevARG = res.ARG

@@ -10,7 +10,6 @@ import (
 	"circ/internal/cfa"
 	"circ/internal/lang"
 	"circ/internal/pred"
-	"circ/internal/reach"
 	"circ/internal/smt"
 	"circ/internal/telemetry"
 )
@@ -31,10 +30,9 @@ func (la *labelAgreement) implies(x, y *pred.Region) bool {
 }
 
 // collapse checks every pair of same-atomicity locations of the ARG's
-// ACFA, the pairs whose labels Quotient's initial partition separates or
+// ACFA a, the pairs whose labels Quotient's initial partition separates or
 // joins, and then collapses as the engine does.
-func (la *labelAgreement) collapse(ctx context.Context, g *reach.ARG, reg *telemetry.Registry) (*acfa.ACFA, map[int]acfa.Loc) {
-	a, _ := g.ToACFA()
+func (la *labelAgreement) collapse(ctx context.Context, a *acfa.ACFA, locMap map[int]acfa.Loc, reg *telemetry.Registry) (*acfa.ACFA, map[int]acfa.Loc) {
 	for x := 0; x < a.NumLocs(); x++ {
 		for y := x + 1; y < a.NumLocs(); y++ {
 			if a.IsAtomic(acfa.Loc(x)) != a.IsAtomic(acfa.Loc(y)) {
@@ -47,7 +45,7 @@ func (la *labelAgreement) collapse(ctx context.Context, g *reach.ARG, reg *telem
 			la.check("bisim", syn, sem, lx, ly)
 		}
 	}
-	return collapseEngine(ctx, g, reg)
+	return collapseEngine(ctx, a, locMap, reg)
 }
 
 // simulates checks every same-atomicity pair simrel's initial relation

@@ -32,12 +32,13 @@ import (
 // can never both occupy the critical-section locations), without which the
 // check would fail spuriously and k would diverge.
 //
-// abs is the round's Abstractor: g ranges over its predicate set, and the
-// context reach shares its post memo with the round's ReachAndBuild runs.
-func goodLocationCheck(ctx context.Context, c *cfa.CFA, g *reach.ARG, k int, abs *pred.Abstractor, reg *telemetry.Registry) (bool, error) {
+// argA and locMap are g's projection (ARG.ToACFA). abs is the round's
+// Abstractor: g ranges over its predicate set, and the context reach
+// shares its post memo with the round's ReachAndBuild runs.
+func goodLocationCheck(ctx context.Context, c *cfa.CFA, g *reach.ARG, argA *acfa.ACFA, locMap map[int]acfa.Loc, k int, abs *pred.Abstractor, reg *telemetry.Registry) (bool, error) {
 	chk := abs.Chk
 	// Re-collapse the final ARG so locations and classes line up.
-	quot, muq := collapse(ctx, g, reg)
+	quot, muq := collapse(ctx, argA, locMap, reg)
 	if quot.IsEmpty() {
 		return true, nil // a do-nothing context trivially generalises
 	}

@@ -7,7 +7,7 @@ import (
 
 // valKind classifies one variable's abstract value in the flat
 // constant/copy lattice.
-type valKind int
+type valKind uint8
 
 const (
 	// valNAC ("not a constant") is the lattice top: the variable may hold
@@ -16,7 +16,7 @@ const (
 	valNAC valKind = iota
 	// valConst is a known integer constant.
 	valConst
-	// valCopy means "same value as variable Src" (copy propagation).
+	// valCopy means "same value as variable Vars[Src]" (copy propagation).
 	valCopy
 	// valNe means "provably not equal to N" — established by passing a
 	// negated guard (assume [!(x==c)] / assume [x != c]). It sits between
@@ -24,11 +24,13 @@ const (
 	valNe
 )
 
-// Value is one variable's abstract value.
+// Value is one variable's abstract value. It is 16 bytes: a fact holds
+// one per variable and the flag-guard analysis clones facts on every
+// transfer.
 type Value struct {
 	Kind valKind
-	N    int64  // valConst, valNe
-	Src  string // valCopy
+	Src  int32 // valCopy: the source variable's index in ConstResult.Vars
+	N    int64 // valConst, valNe
 }
 
 func (v Value) eq(w Value) bool { return v.Kind == w.Kind && v.N == w.N && v.Src == w.Src }
@@ -149,7 +151,7 @@ func (p *constProblem) assign(vals []Value, x string, v Value) {
 		return
 	}
 	for j := range vals {
-		if vals[j].Kind == valCopy && vals[j].Src == x {
+		if vals[j].Kind == valCopy && int(vals[j].Src) == i {
 			vals[j] = Value{Kind: valNAC}
 		}
 	}
@@ -174,7 +176,7 @@ func (p *constProblem) eval(e expr.Expr, vals []Value) Value {
 			// is never itself a copy; propagate it as the copy value.
 			return v
 		default:
-			return Value{Kind: valCopy, Src: e.Name}
+			return Value{Kind: valCopy, Src: int32(i)}
 		}
 	case expr.Bin:
 		x, y := p.eval(e.X, vals), p.eval(e.Y, vals)
@@ -213,7 +215,7 @@ func (p *constProblem) evalStore(e expr.Expr, vals []Value) Value {
 		if w := vals[i]; w.Kind == valCopy {
 			return w // collapse chains: a copy of a copy copies the root
 		}
-		return Value{Kind: valCopy, Src: v.Name}
+		return Value{Kind: valCopy, Src: int32(i)}
 	}
 	return p.eval(e, vals)
 }
@@ -311,11 +313,9 @@ func (p *constProblem) evalPred(e expr.Expr, vals []Value) predVal {
 func (p *constProblem) abs(e expr.Expr, vals []Value) Value {
 	v := p.eval(e, vals)
 	if v.Kind == valCopy {
-		if i, ok := p.vars.idx[v.Src]; ok {
-			switch w := vals[i]; w.Kind {
-			case valConst, valNe:
-				return w
-			}
+		switch w := vals[v.Src]; w.Kind {
+		case valConst, valNe:
+			return w
 		}
 	}
 	return v
@@ -382,20 +382,18 @@ func (p *constProblem) pin(vals []Value, x string, v Value) {
 	if !ok {
 		return
 	}
-	src := ""
+	src := int32(-1)
 	if vals[i].Kind == valCopy {
 		src = vals[i].Src
 	}
 	for j := range vals {
-		if vals[j].Kind == valCopy && (vals[j].Src == x || (src != "" && vals[j].Src == src)) {
+		if vals[j].Kind == valCopy && (int(vals[j].Src) == i || vals[j].Src == src) {
 			vals[j] = v
 		}
 	}
 	vals[i] = v
-	if src != "" {
-		if k, ok := p.vars.idx[src]; ok {
-			vals[k] = v
-		}
+	if src >= 0 {
+		vals[src] = v
 	}
 }
 

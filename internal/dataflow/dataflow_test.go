@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"testing"
+	"unsafe"
 
 	"circ/internal/cfa"
 	"circ/internal/expr"
@@ -149,5 +150,13 @@ func TestTriageIgnoresUnreachableAccesses(t *testing.T) {
 	d, ok := Triage(c, "g")
 	if !ok || d.Reason != ReasonThreadLocal {
 		t.Fatalf("Triage = (%q, %v), want thread-local (the write is unreachable)", d.Reason, ok)
+	}
+}
+
+// TestValueSize: a fact holds one Value per variable and the flag-guard
+// analysis clones whole facts, so a Value stays 16 bytes.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 16 {
+		t.Fatalf("Value is %d bytes, want 16", n)
 	}
 }

@@ -193,9 +193,7 @@ func (p *flagProblem) synthPairs(ownVals, noVals []Value) []condPair {
 func (p *flagProblem) constIdx(vals []Value, i int) (int64, bool) {
 	v := vals[i]
 	if v.Kind == valCopy {
-		if j, ok := p.cp.vars.idx[v.Src]; ok {
-			v = vals[j]
-		}
+		v = vals[v.Src]
 	}
 	return v.IsConst()
 }
@@ -204,9 +202,7 @@ func (p *flagProblem) constIdx(vals []Value, i int) (int64, bool) {
 func (p *flagProblem) neIdx(vals []Value, i int, a int64) bool {
 	v := vals[i]
 	if v.Kind == valCopy {
-		if j, ok := p.cp.vars.idx[v.Src]; ok {
-			v = vals[j]
-		}
+		v = vals[v.Src]
 	}
 	switch v.Kind {
 	case valConst:
@@ -368,7 +364,7 @@ func (p *flagProblem) scrub(vals []Value) {
 				vals[i] = Value{Kind: valNAC}
 			}
 		case valCopy:
-			if j, ok := p.cp.vars.idx[vals[i].Src]; ok && (p.isGlobal[i] || p.isGlobal[j]) {
+			if p.isGlobal[i] || p.isGlobal[vals[i].Src] {
 				vals[i] = Value{Kind: valNAC}
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"html/template"
 	"io"
-	"strings"
 )
 
 // HTMLData is everything RenderHTML needs: the per-case result sections
@@ -135,24 +134,6 @@ func renderTimeline(e Event) (timelineRow, bool) {
 			e.LocsBefore, e.LocsAfter, e.EdgesBefore, e.EdgesAfter)
 	case EvCertificateReused:
 		row.Detail = fmt.Sprintf("certificate store hit: stored %s report replayed", e.Verdict)
-	case EvSMTPhaseStats:
-		var parts []string
-		if e.Queries > 0 {
-			parts = append(parts, fmt.Sprintf("%d solves", e.Queries))
-		}
-		if e.CacheHits+e.CacheMisses > 0 {
-			parts = append(parts, fmt.Sprintf("%d hits / %d misses", e.CacheHits, e.CacheMisses))
-		}
-		if e.TheoryChecks > 0 {
-			parts = append(parts, fmt.Sprintf("%d theory checks", e.TheoryChecks))
-		}
-		if e.NewCached > 0 {
-			parts = append(parts, fmt.Sprintf("%d new cached formulas", e.NewCached))
-		}
-		if len(parts) == 0 {
-			parts = append(parts, "no solver work")
-		}
-		row.Detail = fmt.Sprintf("smt [%s]: %s", e.Phase, strings.Join(parts, ", "))
 	case EvVerdict:
 		row.Detail = fmt.Sprintf("verdict: %s", e.Verdict)
 		if e.Reason != "" {

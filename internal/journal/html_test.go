@@ -42,7 +42,6 @@ func reportFixture() HTMLData {
 			{Seq: 3, Case: "Worker/x", Type: EvTraceAnalyzed, Outcome: "real", TraceLen: 4, Steps: 6},
 			{Seq: 4, Case: "Worker/x", Type: EvVerdict, Verdict: "unsafe", K: 1, Rounds: 1},
 			{Seq: 0, Case: "Worker/y", Type: EvIterationStart, Round: 1, Inner: 1, K: 1},
-			{Seq: 1, Case: "Worker/y", Type: EvSMTPhaseStats, Phase: "reach", NewCached: 12},
 			{Seq: 2, Case: "Worker/y", Type: EvPredicateDiscovered, Outcome: "mined",
 				Pred: "old == state", Round: 1, Inner: 1,
 				Trace: "T1: old = state\nT1: if state != 0 <taken>\n",

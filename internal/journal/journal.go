@@ -22,9 +22,10 @@
 // pure function of the analysed program. Events() and WriteJSONL order
 // events by (case, seq), which makes the serialized journal byte-identical
 // at any -parallel setting — the same scheme that keeps the sharded
-// post-cache merge deterministic. Scheduling-dependent solver counters are
-// confined to smt_phase_stats events, which are only emitted where they
-// too are deterministic (see EvSMTPhaseStats).
+// post-cache merge deterministic. The journal records why the engine
+// decided; solver work, which depends on scheduling and on what a shared
+// solver cache already holds, is counted by the metrics registries and
+// timed by trace spans instead.
 package journal
 
 import (
@@ -65,14 +66,6 @@ const (
 	// EvACFACollapsed: the weak-bisimulation quotient shrank the ARG
 	// projection into a new context model (locs_before/locs_after).
 	EvACFACollapsed = "acfa_collapsed"
-	// EvSMTPhaseStats: solver-work deltas for one engine phase. Sequential
-	// phases (refine, simcheck, collapse, goodloc) carry the full
-	// smt.Stats delta; the reach phase carries only new_cached (the
-	// cache-content delta). The event is suppressed entirely when the solver is
-	// shared with concurrently-running analyses (batch mode), where no
-	// delta is attributable. These rules keep the journal byte-identical
-	// at any parallelism.
-	EvSMTPhaseStats = "smt_phase_stats"
 	// EvTriageVerdict: the static triage stage discharged the case before
 	// CIRC ran (verdict is always "safe"; reason names the discharge
 	// rule: read-only, atomic-covered, or thread-local). A normal
@@ -135,15 +128,6 @@ type Event struct {
 	EdgesBefore int `json:"edges_before,omitempty"`
 	EdgesAfter  int `json:"edges_after,omitempty"`
 
-	// smt_phase_stats.
-	Phase        string `json:"phase,omitempty"`
-	Queries      int64  `json:"queries,omitempty"`
-	CacheHits    int64  `json:"cache_hits,omitempty"`
-	CacheMisses  int64  `json:"cache_misses,omitempty"`
-	TheoryChecks int64  `json:"theory_checks,omitempty"`
-	SatConflicts int64  `json:"sat_conflicts,omitempty"`
-	NewCached    int64  `json:"new_cached,omitempty"`
-
 	// verdict, case_done.
 	Verdict string `json:"verdict,omitempty"`
 	Reason  string `json:"reason,omitempty"`
@@ -183,36 +167,19 @@ func (r *Recorder) Stream(caseName string) *Stream {
 	if r == nil {
 		return nil
 	}
-	return &Stream{rec: r, name: caseName, exclusive: true}
-}
-
-// StreamShared is Stream for an analysis whose SMT solver is shared with
-// concurrently-running analyses (a batch unit): per-phase solver deltas
-// are unattributable there, so smt_phase_stats events are suppressed.
-func (r *Recorder) StreamShared(caseName string) *Stream {
-	s := r.Stream(caseName)
-	if s != nil {
-		s.exclusive = false
-	}
-	return s
+	return &Stream{rec: r, name: caseName}
 }
 
 // Stream is a per-case event source: it stamps each emitted event with the
 // case name and the next sequence number. A nil Stream ignores Emit.
 type Stream struct {
-	rec       *Recorder
-	name      string
-	exclusive bool
+	rec  *Recorder
+	name string
 }
 
 // Enabled reports whether emitted events are recorded; call it before
 // assembling an expensive payload (trace renderings, core atoms).
 func (s *Stream) Enabled() bool { return s != nil }
-
-// ExclusiveSolver reports whether the analysis behind this stream has
-// exclusive use of its SMT solver while it runs, i.e. whether per-phase
-// solver deltas are attributable and smt_phase_stats may be emitted.
-func (s *Stream) ExclusiveSolver() bool { return s != nil && s.exclusive }
 
 // Case returns the stream's case name; "" on a nil stream.
 func (s *Stream) Case() string {
@@ -416,6 +383,12 @@ func (r *Recorder) SubscribeFrom(buf int) (replay []Event, ch <-chan Event, canc
 	}
 }
 
+// legacySMTPhaseStats is the type of the per-phase solver-work events
+// older journals carry. The metrics registries and trace spans account
+// for solver work, so the engine no longer emits these; Validate accepts
+// them without field checks so older journals still validate.
+const legacySMTPhaseStats = "smt_phase_stats"
+
 // Validate checks a JSONL journal against the event schema: every line
 // must parse as an Event with a known type, its required per-type fields
 // present, and per-case sequence numbers strictly increasing. It returns
@@ -494,10 +467,7 @@ func validateEvent(e Event, lastSeq map[string]int64) error {
 			return fmt.Errorf("cfa_sliced grew: locs %d -> %d, edges %d -> %d",
 				e.LocsBefore, e.LocsAfter, e.EdgesBefore, e.EdgesAfter)
 		}
-	case EvSMTPhaseStats:
-		if e.Phase == "" {
-			return fmt.Errorf("smt_phase_stats without phase")
-		}
+	case legacySMTPhaseStats:
 	case EvCertificateReused:
 		switch e.Verdict {
 		case "safe", "unsafe", "unknown":

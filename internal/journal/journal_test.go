@@ -20,9 +20,6 @@ func TestNilRecorderIsNoOp(t *testing.T) {
 	if s.Enabled() {
 		t.Fatal("nil stream reports Enabled")
 	}
-	if s.ExclusiveSolver() {
-		t.Fatal("nil stream reports ExclusiveSolver")
-	}
 	if s.Case() != "" {
 		t.Fatalf("nil stream Case = %q", s.Case())
 	}
@@ -195,7 +192,6 @@ func TestValidateRejections(t *testing.T) {
 		{"mined without trace", `{"seq":0,"type":"predicate_discovered","pred":"x == 0","outcome":"mined"}`},
 		{"growing collapse", `{"seq":0,"type":"acfa_collapsed","locs_before":2,"locs_after":5}`},
 		{"iteration coords", `{"seq":0,"type":"iteration_start","round":0,"inner":0}`},
-		{"phase missing", `{"seq":0,"type":"smt_phase_stats"}`},
 		{"not json", `{"seq":`},
 	}
 	for _, tc := range bad {
@@ -206,9 +202,10 @@ func TestValidateRejections(t *testing.T) {
 	ok := `{"seq":0,"case":"a","type":"case_queued"}
 {"seq":1,"case":"a","type":"iteration_start","round":1,"inner":1}
 {"seq":2,"case":"a","type":"predicate_discovered","pred":"x == 0","outcome":"seeded"}
-{"seq":3,"case":"a","type":"verdict","verdict":"unknown"}
+{"seq":3,"case":"a","type":"smt_phase_stats"}
+{"seq":4,"case":"a","type":"verdict","verdict":"unknown"}
 `
-	if n, err := Validate(strings.NewReader(ok)); err != nil || n != 4 {
+	if n, err := Validate(strings.NewReader(ok)); err != nil || n != 5 {
 		t.Fatalf("Validate(ok) = (%d, %v)", n, err)
 	}
 }
@@ -226,15 +223,5 @@ func TestContextCarriage(t *testing.T) {
 	ctx = NewContext(ctx, s)
 	if got := FromContext(ctx); got != s {
 		t.Fatalf("FromContext = %v, want %v", got, s)
-	}
-}
-
-func TestStreamSharedSuppressesExclusive(t *testing.T) {
-	r := New()
-	if !r.Stream("a").ExclusiveSolver() {
-		t.Fatal("Stream not exclusive")
-	}
-	if r.StreamShared("a").ExclusiveSolver() {
-		t.Fatal("StreamShared reports exclusive solver")
 	}
 }

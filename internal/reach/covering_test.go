@@ -96,8 +96,12 @@ func compareCovering(t *testing.T, name string, c *cfa.CFA, a *acfa.ACFA, abs *p
 			t.Fatalf("%s: covering keeps %d %s, want %d:\n got: %q\nwant: %q", name, len(x.got), x.what, len(x.want), x.got, x.want)
 		}
 	}
-	ca, _ := bisim.Collapse(context.Background(), cov.arg, nil)
-	fa, _ := bisim.Collapse(context.Background(), full.arg, nil)
+	collapse := func(g *reach.ARG) *acfa.ACFA {
+		argA, locMap := g.ToACFA()
+		a, _ := bisim.Collapse(context.Background(), argA, locMap, nil)
+		return a
+	}
+	ca, fa := collapse(cov.arg), collapse(full.arg)
 	if !simrel.Simulates(ca, fa) || !simrel.Simulates(fa, ca) {
 		t.Fatalf("%s: the collapsed ACFAs do not simulate each other:\ncovering:\n%s\nexhaustive:\n%s", name, ca, fa)
 	}

@@ -83,7 +83,8 @@ func TestPostMemoAcrossRuns(t *testing.T) {
 			if i == 2 {
 				return b.String(), posts, a, abs
 			}
-			if a, _ = bisim.Collapse(context.Background(), res.ARG, nil); a.IsEmpty() {
+			argA, locMap := res.ARG.ToACFA()
+			if a, _ = bisim.Collapse(context.Background(), argA, locMap, nil); a.IsEmpty() {
 				t.Fatal("collapsed context is empty; the next run would take no context move")
 			}
 		}

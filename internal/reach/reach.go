@@ -386,7 +386,6 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 		numStates++
 		e.nStates++
 		if numStates > e.opts.maxStates() {
-			e.drain(i + 1)
 			return nil, fmt.Errorf("reach: state budget exceeded (%d states)", e.opts.maxStates())
 		}
 		if isRace {
@@ -395,7 +394,6 @@ func (e *explorer) run(ctx context.Context) (*Result, error) {
 			if len(races) >= e.opts.maxRaces() {
 				// Enough counterexamples for this refinement round; the
 				// ARG is partial but unused on the error path.
-				e.drain(i + 1)
 				return &Result{Races: races, ARG: e.arg, NumStates: numStates}, nil
 			}
 		}
@@ -485,24 +483,6 @@ func (e *explorer) keep(s slot) {
 		e.heads[s.ts] = int32(e.slots.n)
 	}
 	e.slots.add(s)
-}
-
-// drain expands the kept but unmerged states after an early break (state
-// budget or race cap), in order, and discards the results; killed slots
-// stay unexpanded, as the full run would leave them. The journal's
-// smt_phase_stats new_cached counts the solver cache entries the reach
-// phase adds, so it depends on which states were expanded; the drain
-// makes that every live state in the worklist, and dropping it would
-// change the journal's bytes.
-func (e *explorer) drain(from int) {
-	for i := from; i < e.slots.n; i++ {
-		sl := e.slots.at(i)
-		if sl.next == killed {
-			continue
-		}
-		m, _ := e.expand(int(sl.ts), int(sl.ctx))
-		e.isRace(int(sl.ts), int(sl.ctx), m)
-	}
 }
 
 // seed builds the ARG and the initial exploration state's slot.

@@ -462,9 +462,9 @@ func (f *fixtureParts) run(t *testing.T, extra func(*Options)) *Result {
 }
 
 // TestRaceCapDeterminism: hitting the race cap (the early-break path,
-// which drains the unmerged states) stops at exactly the cap, and a rerun
-// over the now-warm solver cache and post memo yields the same races and
-// state count.
+// which leaves the unmerged states unexpanded) stops at exactly the cap,
+// and a rerun over the now-warm solver cache and post memo yields the
+// same races and state count.
 func TestRaceCapDeterminism(t *testing.T) {
 	f := tasFixture(t)
 	capped := func(o *Options) { o.MaxRaces = 2 }

@@ -199,7 +199,8 @@ thread Worker {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a1, mu := bisim.Collapse(context.Background(), res1.ARG, nil)
+	argA, locMap := res1.ARG.ToACFA()
+	a1, mu := bisim.Collapse(context.Background(), argA, locMap, nil)
 	res2, err := reach.ReachAndBuild(context.Background(), c, a1, abs, "x", reach.Options{K: 1})
 	if err != nil {
 		t.Fatal(err)

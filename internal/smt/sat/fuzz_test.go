@@ -41,7 +41,7 @@ next:
 }
 
 // FuzzSAT checks Solve against a brute-force oracle on a CNF over at most
-// 10 variables under fuzzed assumptions: the status, and on Sat that the
+// 10 variables under fuzzed assumptions: the answer, and on sat that the
 // model satisfies every clause and assumption. It then adds one clause,
 // as the DPLL(T) loop adds a blocking clause after a refuted model, and
 // checks the second Solve the same way.
@@ -50,7 +50,7 @@ next:
 // (b%24), each clause as a length (b%4) and that many literals, the
 // assumption count (b%4) and its literals, then the added clause. A
 // literal byte b names variable 1 + b%n, negated when (b/n)%2 is 1.
-// After a Sat answer the added clause blocks the model on the variables
+// After a sat answer the added clause blocks the model on the variables
 // v whose bit (v-1)%8 is set in a mask byte (on all of them when the
 // mask is 0); otherwise it is read like any other clause.
 func FuzzSAT(f *testing.F) {
@@ -85,16 +85,12 @@ func FuzzSAT(f *testing.F) {
 			s.AddClause(cl...)
 		}
 		assumptions := lits(r.next() % 4)
-		solve := func(stage string) Status {
+		solve := func(stage string) bool {
 			got := s.Solve(assumptions...)
-			want := Unsat
-			if bruteSat(n, cnf, assumptions) {
-				want = Sat
-			}
-			if got != want {
+			if want := bruteSat(n, cnf, assumptions); got != want {
 				t.Fatalf("%s: Solve(%v) on %v = %v, want %v", stage, assumptions, cnf, got, want)
 			}
-			if got == Sat {
+			if got {
 				m := s.Model()
 				for _, a := range assumptions {
 					if m[a.Var()] == a.Neg() {
@@ -114,7 +110,7 @@ func FuzzSAT(f *testing.F) {
 			return got
 		}
 		var block []Lit
-		if solve("first solve") == Sat {
+		if solve("first solve") {
 			m, mask := s.Model(), r.next()
 			for v := 1; v <= n; v++ {
 				if mask&(1<<((v-1)%8)) != 0 || mask == 0 {

@@ -66,27 +66,6 @@ type watcher struct {
 	blocker Lit
 }
 
-// Status is the solver outcome.
-type Status int
-
-// Solver outcomes. Solve is complete, so it never returns Unknown, the
-// zero Status.
-const (
-	Unknown Status = iota
-	Sat
-	Unsat
-)
-
-func (s Status) String() string {
-	switch s {
-	case Sat:
-		return "sat"
-	case Unsat:
-		return "unsat"
-	}
-	return "unknown"
-}
-
 // Solver is a DPLL SAT solver. The zero value is not usable; call New.
 type Solver struct {
 	nVars    int
@@ -266,10 +245,11 @@ func (s *Solver) backtrackTo(level int) {
 // decided first, one per decision level. Branching takes the
 // lowest-numbered unassigned variable, false phase first; a conflict
 // backtracks chronologically to the latest decision not yet flipped and
-// flips it.
-func (s *Solver) Solve(assumptions ...Lit) Status {
+// flips it. Solve is complete: it reports whether the clauses are
+// satisfiable under the assumptions.
+func (s *Solver) Solve(assumptions ...Lit) bool {
 	if !s.okay {
-		return Unsat
+		return false
 	}
 	defer s.backtrackTo(0)
 
@@ -278,14 +258,14 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			s.conflicts++
 			if s.decisionLevel() == 0 {
 				s.okay = false
-				return Unsat
+				return false
 			}
 			level := s.decisionLevel()
 			for level > len(assumptions) && s.flipped[level-1] {
 				level--
 			}
 			if level <= len(assumptions) {
-				return Unsat // refuted under the assumptions
+				return false // refuted under the assumptions
 			}
 			d := s.trail[s.trailLim[level-1]]
 			s.backtrackTo(level - 1)
@@ -302,7 +282,7 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 				s.flipped = append(s.flipped, false)
 				continue
 			case False:
-				return Unsat
+				return false
 			}
 			s.decide(a, false)
 			continue
@@ -316,15 +296,15 @@ func (s *Solver) Solve(assumptions ...Lit) Status {
 			for u := 1; u <= s.nVars; u++ {
 				s.model[u] = s.assign[u] == True
 			}
-			return Sat
+			return true
 		}
 		// Phase: default false (negated) — tends to produce sparse models.
 		s.decide(MkLit(v, true), false)
 	}
 }
 
-// Model returns the satisfying assignment captured at the last Sat result.
-// Index by variable (1-based); unassigned variables read as false.
+// Model returns the satisfying assignment captured at the last satisfiable
+// Solve. Index by variable (1-based); unassigned variables read as false.
 func (s *Solver) Model() []bool { return s.model }
 
 // Conflicts returns the number of conflicts Solve has met over the

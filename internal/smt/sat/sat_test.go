@@ -8,8 +8,8 @@ import (
 
 func TestEmptySolverIsSat(t *testing.T) {
 	s := New()
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("empty solver: got %v, want sat", got)
+	if !s.Solve() {
+		t.Fatal("empty solver: unsat, want sat")
 	}
 }
 
@@ -19,8 +19,8 @@ func TestUnitPropagation(t *testing.T) {
 	b := s.NewVar()
 	s.AddClause(MkLit(a, false))
 	s.AddClause(MkLit(a, true), MkLit(b, false))
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("got %v, want sat", got)
+	if !s.Solve() {
+		t.Fatal("unsat, want sat")
 	}
 	m := s.Model()
 	if !m[a] || !m[b] {
@@ -35,8 +35,8 @@ func TestSimpleUnsat(t *testing.T) {
 	if ok := s.AddClause(MkLit(a, true)); ok {
 		t.Fatalf("AddClause of contradicting unit returned true")
 	}
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("got %v, want unsat", got)
+	if s.Solve() {
+		t.Fatal("sat, want unsat")
 	}
 }
 
@@ -59,8 +59,8 @@ func TestPigeonhole3Into2(t *testing.T) {
 			}
 		}
 	}
-	if got := s.Solve(); got != Unsat {
-		t.Fatalf("pigeonhole: got %v, want unsat", got)
+	if s.Solve() {
+		t.Fatal("pigeonhole: sat, want unsat")
 	}
 }
 
@@ -88,8 +88,8 @@ func TestPigeonhole4Into4Sat(t *testing.T) {
 			}
 		}
 	}
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("got %v, want sat", got)
+	if !s.Solve() {
+		t.Fatal("unsat, want sat")
 	}
 	// Verify the model is a valid assignment.
 	m := s.Model()
@@ -115,12 +115,12 @@ func TestAssumptionsAndFailedSet(t *testing.T) {
 	s.AddClause(MkLit(a, true), MkLit(b, false))
 	s.AddClause(MkLit(b, true), MkLit(c, true))
 	// Assume a and c: contradiction through the chain.
-	if got := s.Solve(MkLit(a, false), MkLit(c, false)); got != Unsat {
-		t.Fatalf("got %v, want unsat under assumptions", got)
+	if s.Solve(MkLit(a, false), MkLit(c, false)) {
+		t.Fatal("sat, want unsat under assumptions")
 	}
 	// Without assumptions it must still be satisfiable.
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("got %v, want sat without assumptions", got)
+	if !s.Solve() {
+		t.Fatal("unsat, want sat without assumptions")
 	}
 }
 
@@ -143,7 +143,7 @@ func TestModelSatisfiesAllClauses(t *testing.T) {
 			clauses = append(clauses, cl)
 			s.AddClause(cl...)
 		}
-		if s.Solve() != Sat {
+		if !s.Solve() {
 			continue // low density but can still be unsat; skip
 		}
 		m := s.Model()
@@ -168,8 +168,8 @@ func TestTautologyAndDuplicates(t *testing.T) {
 	b := s.NewVar()
 	s.AddClause(MkLit(a, false), MkLit(a, true)) // tautology, dropped
 	s.AddClause(MkLit(b, false), MkLit(b, false))
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("got %v, want sat", got)
+	if !s.Solve() {
+		t.Fatal("unsat, want sat")
 	}
 	if !s.Model()[b] {
 		t.Fatalf("b not forced true by duplicate-literal unit clause")
@@ -190,8 +190,8 @@ func TestManyRestartStress(t *testing.T) {
 		s.AddClause(MkLit(vars[i], false), MkLit(vars[i+1], false))
 		s.AddClause(MkLit(vars[i], true), MkLit(vars[i+1], true))
 	}
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("alternating chain: got %v, want sat", got)
+	if !s.Solve() {
+		t.Fatal("alternating chain: unsat, want sat")
 	}
 	m := s.Model()
 	for i := 0; i+1 < n; i++ {
@@ -202,8 +202,8 @@ func TestManyRestartStress(t *testing.T) {
 	// Pin the two ends to equal values with even distance: unsat when the
 	// chain length forces alternation parity.
 	s.AddClause(MkLit(vars[0], false))
-	if got := s.Solve(MkLit(vars[1], false)); got != Unsat {
-		t.Fatalf("got %v, want unsat (adjacent equal)", got)
+	if s.Solve(MkLit(vars[1], false)) {
+		t.Fatal("sat, want unsat (adjacent equal)")
 	}
 }
 
@@ -216,7 +216,7 @@ func ExampleSolver() {
 	fmt.Println(s.Solve())
 	fmt.Println(s.Model()[y])
 	// Output:
-	// sat
+	// true
 	// true
 }
 
@@ -245,7 +245,7 @@ func BenchmarkPigeonhole5(b *testing.B) {
 				}
 			}
 		}
-		if s.Solve() != Unsat {
+		if s.Solve() {
 			b.Fatal("pigeonhole should be unsat")
 		}
 	}

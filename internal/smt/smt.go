@@ -387,13 +387,10 @@ func (c *cacheCore) solve(id expr.ID, wantModel bool) (Result, map[string]int64)
 func (c *cacheCore) dpll(q *query, assumptions []sat.Lit, wantModel bool) (Result, map[string]int64) {
 	for iter := 0; iter < maxLoops; iter++ {
 		conflicts := q.solver.Conflicts()
-		st := q.solver.Solve(assumptions...)
+		ok := q.solver.Solve(assumptions...)
 		c.satConflicts.Add(q.solver.Conflicts() - conflicts)
-		switch st {
-		case sat.Unsat:
+		if !ok {
 			return Unsat, nil
-		case sat.Unknown:
-			return Unknown, nil
 		}
 		c.theoryChecks.Add(1)
 		model := q.solver.Model()

@@ -89,10 +89,8 @@ func TestJournalAccountsForPredicates(t *testing.T) {
 	}
 }
 
-// TestJournalBatch covers the CheckAll lifecycle events and the
-// shared-solver suppression rule: multi-target batches must not emit
-// smt_phase_stats (per-phase solver deltas are unattributable there), so
-// batch journals stay independent of the worker count.
+// TestJournalBatch covers the CheckAll lifecycle events and requires the
+// batch journal to be independent of the worker count.
 func TestJournalBatch(t *testing.T) {
 	run := func(parallel int) []byte {
 		p, err := Parse(tasSrc)
@@ -110,9 +108,6 @@ func TestJournalBatch(t *testing.T) {
 		}
 		perCase := map[string]map[string]int{}
 		for _, e := range j.Events() {
-			if e.Type == journal.EvSMTPhaseStats {
-				t.Errorf("multi-target batch emitted smt_phase_stats: %+v", e)
-			}
 			if perCase[e.Case] == nil {
 				perCase[e.Case] = map[string]int{}
 			}
@@ -138,45 +133,6 @@ func TestJournalBatch(t *testing.T) {
 	par := run(4)
 	if !bytes.Equal(seq, par) {
 		t.Fatalf("batch journal differs between 1 and 4 workers:\n--- 1 worker ---\n%s--- 4 workers ---\n%s", seq, par)
-	}
-}
-
-// TestJournalDerivedNoSolverDeltas: a Derived Checker shares its solver
-// with every other Checker derived from the same root, so even its
-// single-target analyses journal no smt_phase_stats — those deltas would
-// count the other Checkers' queries. The root Checker's own single-target
-// journal still carries them.
-func TestJournalDerivedNoSolverDeltas(t *testing.T) {
-	p, err := Parse(tasSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	root := NewChecker(WithTriage(false), WithParallelism(1))
-	phaseStats := func(j *Journal) int { return countEvents(j, journal.EvSMTPhaseStats) }
-
-	j := NewJournal()
-	if _, err := root.Derive(WithJournal(j)).CheckTargets(ctx, p, []Target{{Thread: "Worker", Variable: "x"}}); err != nil {
-		t.Fatal(err)
-	}
-	if n := phaseStats(j); n != 0 {
-		t.Errorf("derived single-target CheckTargets journaled %d smt_phase_stats", n)
-	}
-	j = NewJournal()
-	if _, err := root.Derive(WithJournal(j)).Check(ctx, p, "Worker", "state"); err != nil {
-		t.Fatal(err)
-	}
-	if n := phaseStats(j); n != 0 {
-		t.Errorf("derived Check journaled %d smt_phase_stats", n)
-	}
-
-	j = NewJournal()
-	own := NewChecker(WithTriage(false), WithParallelism(1), WithJournal(j))
-	if _, err := own.CheckTargets(ctx, p, []Target{{Thread: "Worker", Variable: "x"}}); err != nil {
-		t.Fatal(err)
-	}
-	if phaseStats(j) == 0 {
-		t.Error("single-target journal of an own-solver Checker has no smt_phase_stats")
 	}
 }
 
