@@ -635,12 +635,9 @@ func (a *Abstractor) Instrument(reg *telemetry.Registry) {
 // strongest cube implied by phi. It returns nil when phi is unsatisfiable
 // (abstract bottom).
 //
-// The per-predicate entailment queries phi ⊨ p (that is, unsat(phi ∧ ¬p))
-// all share phi, so they run through one incremental session: phi is
-// encoded once into a persistent solver and each literal is discharged
-// under an assumption, with theory lemmas retained across the whole cube
-// enumeration. Literals that appear in phi verbatim collapse
-// syntactically at intern time and never reach the solver.
+// Each predicate p costs at most two cached queries, phi ∧ ¬p (unsat
+// means phi ⊨ p) and then phi ∧ p. Literals that appear in phi verbatim
+// collapse syntactically at intern time and never reach the solver.
 func (a *Abstractor) Abstract(phi expr.Expr) *Cube {
 	a.cCalls.Inc()
 	id := expr.Intern(phi)
@@ -648,12 +645,11 @@ func (a *Abstractor) Abstract(phi expr.Expr) *Cube {
 		a.cBottom.Inc()
 		return nil
 	}
-	sess := a.Chk.NewSession(id)
 	c := TopCube(a.Set)
 	for i := 0; i < a.Set.Len(); i++ {
-		if sess.SatConj(a.Set.NegIDAt(i)) == smt.Unsat {
+		if a.Chk.SatID(expr.IDConj(id, a.Set.NegIDAt(i))) == smt.Unsat {
 			c.assign(i, True)
-		} else if sess.SatConj(a.Set.IDAt(i)) == smt.Unsat {
+		} else if a.Chk.SatID(expr.IDConj(id, a.Set.IDAt(i))) == smt.Unsat {
 			c.assign(i, False)
 		}
 	}

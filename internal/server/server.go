@@ -32,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -450,7 +451,12 @@ func requestOptions(o *apiv1.Options, maxParallelism int) ([]circ.Option, time.D
 	if o.TimeoutSeconds < 0 {
 		return nil, 0, fmt.Errorf("options.timeout_seconds: must be non-negative")
 	}
-	return opts, time.Duration(o.TimeoutSeconds * float64(time.Second)), nil
+	// A float64 at or above 2^63 does not convert to a Duration.
+	ns := o.TimeoutSeconds * float64(time.Second)
+	if ns >= math.MaxInt64 {
+		return nil, 0, fmt.Errorf("options.timeout_seconds: %g exceeds the largest timeout, %d", o.TimeoutSeconds, int64(math.MaxInt64/time.Second))
+	}
+	return opts, time.Duration(ns), nil
 }
 
 // resultsOf maps a batch report onto the wire results.

@@ -521,6 +521,9 @@ func TestRequestOptionsValidation(t *testing.T) {
 	if _, _, err := requestOptions(&apiv1.Options{TimeoutSeconds: -1}, 1); err == nil {
 		t.Fatalf("negative timeout accepted")
 	}
+	if _, _, err := requestOptions(&apiv1.Options{TimeoutSeconds: 1e10}, 1); err == nil {
+		t.Fatalf("timeout beyond the largest Duration accepted")
+	}
 	if _, _, err := requestOptions(&apiv1.Options{K: circ.MaxK + 1}, 1); err == nil {
 		t.Fatalf("k above circ.MaxK accepted")
 	}

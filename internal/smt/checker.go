@@ -163,11 +163,8 @@ func (c *Checker) Stats() CacheStats {
 	}
 }
 
-// CacheSize returns the number of distinct formulas with cached verdicts.
-// Unlike the hit/miss split — which depends on how concurrent callers
-// interleave on uncached formulas — the cache *content* is a
-// deterministic function of the queries the analysis issues, so size
-// deltas are safe to journal.
+// CacheSize returns the number of distinct formulas with cached
+// verdicts, read by AddMetrics for the smt.cache.size gauge.
 func (c *Checker) CacheSize() int {
 	n := 0
 	for i := range c.core.shards {
@@ -182,8 +179,6 @@ func (c *Checker) CacheSize() int {
 // AddMetrics reads the cache and solver counters into a metrics
 // snapshot being taken: hits, misses, fast-path answers, solver queries,
 // theory checks and SAT conflicts as counters, the cache size as a gauge.
-// Queries issued through incremental Sessions land in the same counters
-// as direct SatID calls.
 func (c *Checker) AddMetrics(m *telemetry.Metrics) {
 	st := c.Stats()
 	m.SetCounter("smt.cache.hits", st.Hits)
@@ -318,13 +313,6 @@ func (c *Checker) UnsatCore(parts []expr.Expr) (core []int, ok bool) {
 		}
 	}
 	return cur, true
-}
-
-// NewSession opens an incremental session for conjunctions with phi. The
-// session itself is single-goroutine, but it reads and populates the
-// shared sharded cache, so concurrent sessions still share verdicts.
-func (c *Checker) NewSession(phi expr.ID) *Session {
-	return &Session{chk: c, phi: phi}
 }
 
 var _ Solver = (*Checker)(nil)

@@ -129,40 +129,3 @@ func TestCheckerDerivedOps(t *testing.T) {
 		}
 	}
 }
-
-// conflictPhi returns a φ whose cube enumeration forces theory conflicts:
-// (x >= 5 || x <= 0). Asserting a cube like 1 <= x <= 4 makes every
-// boolean model theory-infeasible, so the DPLL(T) loop learns blocking
-// lemmas inside the session's persistent solver.
-func conflictPhi() expr.ID {
-	x := expr.V("x")
-	return expr.Intern(expr.Disj(expr.Ge(x, expr.Num(5)), expr.Le(x, expr.Num(0))))
-}
-
-func cubeLit(lo, hi int64) expr.ID {
-	x := expr.V("x")
-	return expr.Intern(expr.Conj(expr.Ge(x, expr.Num(lo)), expr.Le(x, expr.Num(hi))))
-}
-
-// TestSessionVerdictsMatchFresh: two interleaved sessions over one φ,
-// sharing the verdict cache and each carrying its own learned theory
-// lemmas, agree with a fresh Checker (a from-scratch solve) on every
-// query.
-func TestSessionVerdictsMatchFresh(t *testing.T) {
-	c := NewChecker()
-	phi := conflictPhi()
-	cubes := [][2]int64{{1, 4}, {6, 9}, {2, 3}, {-5, -1}, {0, 0}, {5, 5}, {4, 5}, {1, 1}}
-	s1, s2 := c.NewSession(phi), c.NewSession(phi)
-	for i, cb := range cubes {
-		lit := cubeLit(cb[0], cb[1])
-		s := s1
-		if i%2 == 1 {
-			s = s2
-		}
-		got := s.SatConj(lit)
-		want := NewChecker().SatID(expr.IDConj(phi, lit))
-		if got != want {
-			t.Fatalf("cube [%d,%d]: session %v, fresh %v", cb[0], cb[1], got, want)
-		}
-	}
-}

@@ -124,8 +124,9 @@ const (
 // FuzzSMT decodes bytes into formulas over at most three integer
 // variables, each boxed in [-4,4] by explicit bounds, with atoms
 // Σ cᵢ·xᵢ ⋈ k (cᵢ in [-3,3], ⋈ one of = ≠ ≤ <) under ∧ ∨ ¬. Each formula
-// is decided from scratch with SatModel, and again through one
-// incremental Session over the box that the formulas share. A Sat answer
+// is decided with SatModel, and again with SatID on the conjunction of
+// the box's ID and the formula's, the query shape of the abstract post,
+// whose root conjunction the solver asserts child by child. A Sat answer
 // must come with a model that satisfies the formula, an Unsat answer must
 // agree with brute force over the box, and Unknown is a failure: every
 // formula of this fragment is decidable within the solver's budgets.
@@ -164,7 +165,6 @@ func FuzzSMT(f *testing.F) {
 			box = append(box, expr.Ge(v, expr.Num(-fuzzBox)), expr.Le(v, expr.Num(fuzzBox)))
 		}
 		boxed := expr.Conj(box...)
-		sess := NewChecker().NewSession(expr.Intern(boxed))
 		for n := 1 + r.next()%3; n > 0; n-- {
 			g := r.node(0)
 			phi := expr.Conj(boxed, g)
@@ -182,8 +182,8 @@ func FuzzSMT(f *testing.F) {
 					t.Fatalf("SatModel(%s) = unsat, but a point of the box satisfies it", phi)
 				}
 			}
-			if got := sess.SatConj(expr.Intern(g)); got != res {
-				t.Fatalf("session SatConj(%s) = %v, from scratch %v", g, got, res)
+			if got := NewChecker().SatID(expr.IDConj(expr.Intern(boxed), expr.Intern(g))); got != res {
+				t.Fatalf("SatID(box ∧ %s) = %v, SatModel %v", g, got, res)
 			}
 		}
 	})

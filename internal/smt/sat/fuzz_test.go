@@ -16,16 +16,11 @@ func (r *cnfReader) next() int {
 }
 
 // bruteSat reports whether some assignment to variables 1..n satisfies
-// every clause of cnf and every assumption.
-func bruteSat(n int, cnf [][]Lit, assumptions []Lit) bool {
+// every clause of cnf.
+func bruteSat(n int, cnf [][]Lit) bool {
 	holds := func(bits int, l Lit) bool { return (bits>>(l.Var()-1))&1 == 1 != l.Neg() }
 next:
 	for bits := 0; bits < 1<<n; bits++ {
-		for _, a := range assumptions {
-			if !holds(bits, a) {
-				continue next
-			}
-		}
 	clauses:
 		for _, cl := range cnf {
 			for _, l := range cl {
@@ -41,28 +36,25 @@ next:
 }
 
 // FuzzSAT checks Solve against a brute-force oracle on a CNF over at most
-// 10 variables under fuzzed assumptions: the answer, and on sat that the
-// model satisfies every clause and assumption. It then adds one clause,
-// as the DPLL(T) loop adds a blocking clause after a refuted model, and
-// checks the second Solve the same way.
+// 10 variables: the answer, and on sat that the model satisfies every
+// clause. It then adds one clause, as the DPLL(T) loop adds a blocking
+// clause after a refuted model, and checks the second Solve the same way.
 //
 // Input layout: the variable count (1 + b%10), the clause count
-// (b%24), each clause as a length (b%4) and that many literals, the
-// assumption count (b%4) and its literals, then the added clause. A
-// literal byte b names variable 1 + b%n, negated when (b/n)%2 is 1.
-// After a sat answer the added clause blocks the model on the variables
-// v whose bit (v-1)%8 is set in a mask byte (on all of them when the
-// mask is 0); otherwise it is read like any other clause.
+// (b%24), each clause as a length (b%4) and that many literals, then the
+// added clause. A literal byte b names variable 1 + b%n, negated when
+// (b/n)%2 is 1. After a sat answer the added clause blocks the model on
+// the variables v whose bit (v-1)%8 is set in a mask byte (on all of
+// them when the mask is 0); otherwise it is read like any other clause.
 func FuzzSAT(f *testing.F) {
 	f.Add([]byte{})
 	// (a ∨ b) ∧ (¬a ∨ b) ∧ (a ∨ ¬b) ∧ (¬a ∨ ¬b): unsat only by search.
 	f.Add([]byte{1, 4, 2, 0, 1, 2, 2, 1, 2, 0, 3, 2, 2, 3, 0})
-	// a → b, b → ¬c under the assumptions a and c: unsat, then sat
-	// without them.
-	f.Add([]byte{2, 2, 2, 3, 1, 2, 4, 5, 2, 0, 2, 1, 2})
-	// Three free variables under the assumption ¬b; the model is blocked
-	// on all of them.
-	f.Add([]byte{2, 0, 1, 4, 0})
+	// a → b, b → ¬c and a: sat with c false; the model is then blocked
+	// on c alone, which adds c and makes it unsat.
+	f.Add([]byte{2, 3, 2, 3, 1, 2, 4, 5, 1, 0, 4})
+	// Three free variables; the model is blocked on all of them.
+	f.Add([]byte{2, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := cnfReader{data: data}
 		n := 1 + r.next()%10
@@ -84,19 +76,13 @@ func FuzzSAT(f *testing.F) {
 			cnf = append(cnf, cl)
 			s.AddClause(cl...)
 		}
-		assumptions := lits(r.next() % 4)
 		solve := func(stage string) bool {
-			got := s.Solve(assumptions...)
-			if want := bruteSat(n, cnf, assumptions); got != want {
-				t.Fatalf("%s: Solve(%v) on %v = %v, want %v", stage, assumptions, cnf, got, want)
+			got := s.Solve()
+			if want := bruteSat(n, cnf); got != want {
+				t.Fatalf("%s: Solve() on %v = %v, want %v", stage, cnf, got, want)
 			}
 			if got {
 				m := s.Model()
-				for _, a := range assumptions {
-					if m[a.Var()] == a.Neg() {
-						t.Fatalf("%s: model %v falsifies assumption %v", stage, m, a)
-					}
-				}
 				for _, cl := range cnf {
 					ok := false
 					for _, l := range cl {
@@ -121,7 +107,7 @@ func FuzzSAT(f *testing.F) {
 			block = lits(r.next() % 4)
 		}
 		cnf = append(cnf, block)
-		if !s.AddClause(block...) && bruteSat(n, cnf, nil) {
+		if !s.AddClause(block...) && bruteSat(n, cnf) {
 			t.Fatalf("AddClause(%v) reported unsat, but %v is satisfiable", block, cnf)
 		}
 		solve("after AddClause")

@@ -1,6 +1,5 @@
 // Package sat implements a DPLL boolean satisfiability solver with
-// two-watched-literal propagation, chronological backtracking, and solving
-// under assumptions.
+// two-watched-literal propagation and chronological backtracking.
 package sat
 
 import (
@@ -79,7 +78,7 @@ type Solver struct {
 	conflicts int64
 	model     []bool
 
-	okay bool // false once a top-level conflict is established
+	okay bool // false once the clauses are known to be unsatisfiable
 }
 
 // New returns an empty solver.
@@ -241,13 +240,12 @@ func (s *Solver) backtrackTo(level int) {
 	s.qhead = len(s.trail)
 }
 
-// Solve determines satisfiability under the given assumptions, which are
-// decided first, one per decision level. Branching takes the
-// lowest-numbered unassigned variable, false phase first; a conflict
-// backtracks chronologically to the latest decision not yet flipped and
-// flips it. Solve is complete: it reports whether the clauses are
-// satisfiable under the assumptions.
-func (s *Solver) Solve(assumptions ...Lit) bool {
+// Solve determines satisfiability of the clauses added so far.
+// Branching takes the lowest-numbered unassigned variable, false phase
+// first; a conflict backtracks chronologically to the latest decision not
+// yet flipped and flips it, and with none left the clauses are
+// unsatisfiable. Solve is complete.
+func (s *Solver) Solve() bool {
 	if !s.okay {
 		return false
 	}
@@ -256,35 +254,17 @@ func (s *Solver) Solve(assumptions ...Lit) bool {
 	for {
 		if !s.propagate() {
 			s.conflicts++
-			if s.decisionLevel() == 0 {
-				s.okay = false
-				return false
-			}
 			level := s.decisionLevel()
-			for level > len(assumptions) && s.flipped[level-1] {
+			for level > 0 && s.flipped[level-1] {
 				level--
 			}
-			if level <= len(assumptions) {
-				return false // refuted under the assumptions
+			if level == 0 {
+				s.okay = false
+				return false
 			}
 			d := s.trail[s.trailLim[level-1]]
 			s.backtrackTo(level - 1)
 			s.decide(d.Not(), true)
-			continue
-		}
-		// Assumptions as pseudo-decisions.
-		if s.decisionLevel() < len(assumptions) {
-			a := assumptions[s.decisionLevel()]
-			switch s.value(a) {
-			case True:
-				// Already satisfied: open a dummy level to keep indexing.
-				s.trailLim = append(s.trailLim, len(s.trail))
-				s.flipped = append(s.flipped, false)
-				continue
-			case False:
-				return false
-			}
-			s.decide(a, false)
 			continue
 		}
 		v := 1

@@ -106,7 +106,7 @@ func TestPigeonhole4Into4Sat(t *testing.T) {
 	}
 }
 
-func TestAssumptionsAndFailedSet(t *testing.T) {
+func TestImplicationChain(t *testing.T) {
 	s := New()
 	a := s.NewVar()
 	b := s.NewVar()
@@ -114,13 +114,14 @@ func TestAssumptionsAndFailedSet(t *testing.T) {
 	// a -> b, b -> !c
 	s.AddClause(MkLit(a, true), MkLit(b, false))
 	s.AddClause(MkLit(b, true), MkLit(c, true))
-	// Assume a and c: contradiction through the chain.
-	if s.Solve(MkLit(a, false), MkLit(c, false)) {
-		t.Fatal("sat, want unsat under assumptions")
-	}
-	// Without assumptions it must still be satisfiable.
 	if !s.Solve() {
-		t.Fatal("unsat, want sat without assumptions")
+		t.Fatal("unsat, want sat")
+	}
+	// a and c: contradiction through the chain.
+	s.AddClause(MkLit(a, false))
+	s.AddClause(MkLit(c, false))
+	if s.Solve() {
+		t.Fatal("sat, want unsat with a and c")
 	}
 }
 
@@ -177,8 +178,8 @@ func TestTautologyAndDuplicates(t *testing.T) {
 }
 
 func TestManyRestartStress(t *testing.T) {
-	// A chain of xor-ish constraints: propagation alone decides it, and an
-	// assumption that breaks the chain is refuted.
+	// A chain of xor-ish constraints: propagation alone decides it, and a
+	// unit clause that breaks the chain is refuted.
 	s := New()
 	n := 40
 	vars := make([]int, n)
@@ -202,7 +203,8 @@ func TestManyRestartStress(t *testing.T) {
 	// Pin the two ends to equal values with even distance: unsat when the
 	// chain length forces alternation parity.
 	s.AddClause(MkLit(vars[0], false))
-	if s.Solve(MkLit(vars[1], false)) {
+	s.AddClause(MkLit(vars[1], false))
+	if s.Solve() {
 		t.Fatal("sat, want unsat (adjacent equal)")
 	}
 }

@@ -75,11 +75,6 @@ type Solver interface {
 	Implies(a, b expr.Expr) bool
 	// UnsatCore returns a minimal unsatisfiable subset of parts.
 	UnsatCore(parts []expr.Expr) (core []int, ok bool)
-	// NewSession opens an incremental solving session for conjunctions of
-	// phi with varying literals (the predicate-abstraction cube loop).
-	// Verdicts and cache contents are identical to issuing the equivalent
-	// SatID(IDConj(phi, lit)) calls, just cheaper.
-	NewSession(phi expr.ID) *Session
 }
 
 // Solver budgets. They bound Unknown, so they are fixed: a cached
@@ -248,8 +243,8 @@ func (q *query) addCols(lin *expr.Lin) {
 }
 
 // encodeID Tseitin-encodes the interned formula id and returns its
-// literal. The memo is keyed by ID, so re-encoding shared structure (and,
-// in incremental sessions, whole repeated queries) is a map hit.
+// literal. The memo is keyed by ID, so re-encoding shared structure is a
+// map hit.
 func (q *query) encodeID(id expr.ID) (sat.Lit, error) {
 	if l, ok := q.enc[id]; ok {
 		return l, nil
@@ -331,11 +326,9 @@ func (q *query) ackermannLemmas() []expr.Expr {
 // addAckermann encodes and asserts functional-consistency lemmas for all
 // abstracted nonlinear products. Lemmas reference abstraction names
 // created during encoding, and encoding them may abstract further
-// products, so it iterates to a fixpoint. Re-asserting an already-known
-// lemma is a no-op (the encoder memo returns the same unit literal), so
-// incremental sessions call this after every new encode. It returns
-// ok=false when the clause database became unsatisfiable and a non-nil
-// error when a lemma failed to encode.
+// products, so it iterates to a fixpoint. It returns ok=false when the
+// clause database became unsatisfiable and a non-nil error when a lemma
+// failed to encode.
 func (q *query) addAckermann() (bool, error) {
 	done := 0
 	for done < len(q.nlList) {
@@ -354,7 +347,11 @@ func (q *query) addAckermann() (bool, error) {
 	return true, nil
 }
 
-// solve runs the lazy DPLL(T) loop on a fresh solver instance.
+// solve runs the lazy DPLL(T) loop on a fresh solver instance. A root
+// conjunction is asserted child by child as unit clauses rather than
+// through a Tseitin variable, so a conjunction of literals reaches the
+// theory after unit propagation alone; children are encoded in order,
+// so atom ids are those of encoding the whole root.
 func (c *cacheCore) solve(id expr.ID, wantModel bool) (Result, map[string]int64) {
 	c.queries.Add(1)
 	if v, ok := expr.IDBoolValue(id); ok {
@@ -364,30 +361,39 @@ func (c *cacheCore) solve(id expr.ID, wantModel bool) (Result, map[string]int64)
 		return Unsat, nil
 	}
 	q := newQuery()
-	root, err := q.encodeID(id)
-	if err != nil {
-		return Unknown, nil
+	view := expr.IDView(id)
+	roots := view.Kids
+	if view.Kind != expr.KindAnd {
+		roots = []expr.ID{id}
 	}
-	if !q.solver.AddClause(root) {
-		return Unsat, nil
+	units := make([]sat.Lit, len(roots))
+	for i, r := range roots {
+		l, err := q.encodeID(r)
+		if err != nil {
+			return Unknown, nil
+		}
+		units[i] = l
+	}
+	for _, l := range units {
+		if !q.solver.AddClause(l) {
+			return Unsat, nil
+		}
 	}
 	if ok, err := q.addAckermann(); err != nil {
 		return Unknown, nil
 	} else if !ok {
 		return Unsat, nil
 	}
-	return c.dpll(q, nil, wantModel)
+	return c.dpll(q, wantModel)
 }
 
-// dpll is the lazy theory-refinement loop: SAT-solve (under optional
-// assumptions), theory-check the model's atoms, block the explained
-// conflict, repeat. Blocking clauses are theory-valid lemmas, so they
-// remain sound for later queries against the same clause database, which
-// is what makes incremental sessions possible.
-func (c *cacheCore) dpll(q *query, assumptions []sat.Lit, wantModel bool) (Result, map[string]int64) {
+// dpll is the lazy theory-refinement loop: SAT-solve, theory-check the
+// model's atoms, block the explained conflict, repeat. Blocking clauses
+// are theory-valid lemmas, so adding one removes no model of the query.
+func (c *cacheCore) dpll(q *query, wantModel bool) (Result, map[string]int64) {
 	for iter := 0; iter < maxLoops; iter++ {
 		conflicts := q.solver.Conflicts()
-		ok := q.solver.Solve(assumptions...)
+		ok := q.solver.Solve()
 		c.satConflicts.Add(q.solver.Conflicts() - conflicts)
 		if !ok {
 			return Unsat, nil

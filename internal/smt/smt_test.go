@@ -314,47 +314,6 @@ func BenchmarkImplicationQueries(b *testing.B) {
 	}
 }
 
-// TestSessionStatsCounted asserts that incremental assumption queries
-// contribute to Stats.Queries exactly like from-scratch solves — including
-// on the baseBad short-circuit path, where phi alone is unsatisfiable and
-// every SatConj answers Unsat without touching the SAT solver.
-func TestSessionStatsCounted(t *testing.T) {
-	x := expr.V("x")
-	lits := []expr.ID{
-		expr.Intern(expr.Eq(x, expr.Num(1))),
-		expr.Intern(expr.Eq(x, expr.Num(2))),
-	}
-
-	c := NewChecker()
-	sess := c.NewSession(expr.Intern(expr.Ge(x, expr.Num(0))))
-	before := c.Stats().Solver.Queries
-	if r := sess.SatConj(lits[0]); r != Sat {
-		t.Fatalf("SatConj = %v, want Sat", r)
-	}
-	if got := c.Stats().Solver.Queries - before; got != 1 {
-		t.Errorf("session query counted %d times, want 1", got)
-	}
-
-	// Unsatisfiable phi: every conjunction answers Unsat (whether refuted
-	// up front or per query), and each SatConj is still one top-level
-	// query that must be counted.
-	bad := NewChecker()
-	badPhi := expr.IDConj(
-		expr.Intern(expr.Lt(x, expr.Num(0))),
-		expr.Intern(expr.Gt(x, expr.Num(0))),
-	)
-	bsess := bad.NewSession(badPhi)
-	before = bad.Stats().Solver.Queries
-	for _, l := range lits {
-		if r := bsess.SatConj(l); r != Unsat {
-			t.Fatalf("SatConj under unsat phi = %v, want Unsat", r)
-		}
-	}
-	if got := bad.Stats().Solver.Queries - before; got != 2 {
-		t.Errorf("baseBad session queries counted %d times, want 2", got)
-	}
-}
-
 // TestSatConflictsCounted: a query whose Boolean skeleton is
 // unsatisfiable — every assignment to its two theory atoms falsifies one
 // of the four clauses — is refuted by DPLL search, and the conflicts that
