@@ -302,13 +302,14 @@ func TestLinOperations(t *testing.T) {
 	}
 	l.AddVar("y", 3)
 	l.Const = 4
-	m := l.Clone()
+	m := NewLin()
+	m.AddLin(l, 1)
 	m.Scale(-2)
 	if m.Coeffs["y"] != -6 || m.Const != -8 {
 		t.Fatalf("Scale: %v", m)
 	}
 	if l.Coeffs["y"] != 3 {
-		t.Fatalf("Clone aliased: %v", l)
+		t.Fatalf("AddLin aliased: %v", l)
 	}
 	l.AddLin(m, 1)
 	if l.Coeffs["y"] != -3 || l.Const != -4 {

@@ -58,15 +58,6 @@ func absU(a int64) uint64 {
 // NewLin returns the zero linear form.
 func NewLin() *Lin { return &Lin{Coeffs: make(map[string]int64)} }
 
-// Clone returns a deep copy.
-func (l *Lin) Clone() *Lin {
-	out := &Lin{Coeffs: make(map[string]int64, len(l.Coeffs)), Const: l.Const}
-	for k, v := range l.Coeffs {
-		out.Coeffs[k] = v
-	}
-	return out
-}
-
 // AddVar adds c·v to the form.
 func (l *Lin) AddVar(v string, c int64) error {
 	n, err := add(l.Coeffs[v], c)

@@ -1,6 +1,7 @@
 package smt
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,14 +17,16 @@ import (
 const numShards = 64
 
 type cacheShard struct {
-	mu sync.RWMutex
-	m  map[expr.ID]Result
+	mu    sync.RWMutex
+	m     map[expr.ID]Result
+	atoms map[expr.ID]*linAtom // comparison normal forms, made on first use
 }
 
-// cacheCore owns the state every view of one Checker shares: the verdict
-// cache shards and the counters. The DPLL(T) solve path (smt.go) hangs
-// off it too; it keeps only per-call state and bumps the counters with
-// atomics, so concurrent goroutines share one core. The counters are the
+// cacheCore owns the state every view of one Checker shares: the shards
+// of the verdict cache and of the comparison-form memo, and the
+// counters. The DPLL(T) solve path (smt.go) hangs off it too; it keeps
+// only per-call state and bumps the counters with atomics, so
+// concurrent goroutines share one core. The counters are the
 // only record of cache and solver work: metrics snapshots read them
 // through AddMetrics.
 type cacheCore struct {
@@ -36,6 +39,10 @@ type cacheCore struct {
 	queries      atomic.Int64
 	theoryChecks atomic.Int64
 	satConflicts atomic.Int64
+
+	// forceSAT sends every query through the SAT layer, for tests that
+	// compare it with the literal path.
+	forceSAT bool
 }
 
 // Checker is the memoising SMT front door, safe for concurrent use.
@@ -225,6 +232,34 @@ func (c *Checker) cached(id expr.ID) (Result, bool) {
 	return r, ok
 }
 
+// linAtom returns the normal form of comparison id, memoised for the
+// Checker's lifetime. The form of a comparison with a product of
+// non-constant terms is not kept: it is marked nonlinear.
+func (c *cacheCore) linAtom(id expr.ID) *linAtom {
+	sh := &c.shards[uint32(id)%numShards]
+	sh.mu.RLock()
+	a, ok := sh.atoms[id]
+	sh.mu.RUnlock()
+	if ok {
+		return a
+	}
+	nonlinear := false
+	a = normalize(expr.FromID(id).(expr.Cmp), func(expr.Expr) string {
+		nonlinear = true
+		return "$nl"
+	})
+	if nonlinear {
+		a = &linAtom{nonlinear: true}
+	}
+	sh.mu.Lock()
+	if sh.atoms == nil {
+		sh.atoms = make(map[expr.ID]*linAtom)
+	}
+	sh.atoms[id] = a
+	sh.mu.Unlock()
+	return a
+}
+
 // store caches the verdict for id.
 func (c *Checker) store(id expr.ID, r Result) {
 	sh := c.shard(id)
@@ -240,27 +275,43 @@ func (c *Checker) store(id expr.ID, r Result) {
 // formula built by the interning constructors, or obtained from FromID),
 // the lookup allocates nothing.
 func (c *Checker) Sat(f expr.Expr) Result {
+	return c.SatID(internID(f))
+}
+
+// internID returns f's interned ID, without re-interning a formula in
+// canonical form.
+func internID(f expr.Expr) expr.ID {
 	if id, ok := expr.LookupID(f); ok {
-		return c.SatID(id)
+		return id
 	}
-	return c.SatID(expr.Intern(f))
+	return expr.Intern(f)
 }
 
 // SatID reports the satisfiability of the interned formula id. This is
 // the hot path: a constant check, one shard RLock, and a map probe.
 func (c *Checker) SatID(id expr.ID) Result {
+	r, _ := c.satWhy(id)
+	return r
+}
+
+// satWhy is SatID that also returns the explanation of an Unsat verdict
+// the literal path computed: root children of id whose conjunction is
+// unsatisfiable. It is nil for every other answer, cached ones included.
+func (c *Checker) satWhy(id expr.ID) (Result, []expr.ID) {
 	if r, ok := c.constant(id); ok {
-		return r
+		return r, nil
 	}
 	if r, ok := c.cached(id); ok {
-		return r
+		return r, nil
 	}
+	var why []expr.ID
 	r := c.instrumented(id, func() Result {
-		r, _ := c.core.solve(id, false)
+		r, _, w := c.core.solve(id, false)
+		why = w
 		return r
 	})
 	c.store(id, r)
-	return r
+	return r, why
 }
 
 // SatModel reports satisfiability and, when Sat, an integer model. Models
@@ -269,7 +320,7 @@ func (c *Checker) SatModel(f expr.Expr) (Result, map[string]int64) {
 	id := expr.Intern(f)
 	var m map[string]int64
 	r := c.instrumented(id, func() Result {
-		r, vals := c.core.solve(id, true)
+		r, vals, _ := c.core.solve(id, true)
 		m = vals
 		return r
 	})
@@ -284,21 +335,34 @@ func (c *Checker) Implies(a, b expr.Expr) bool {
 
 // UnsatCore returns the indices of a minimal (irreducible) subset of parts
 // whose conjunction is unsatisfiable, by deletion-based minimisation
-// through the cache. ok is false when the conjunction is satisfiable or
-// unknown.
+// through the cache: in index order, each part is dropped when the parts
+// still kept are unsatisfiable without it. ok is false when the
+// conjunction is satisfiable or unknown.
+//
+// A trial is not solved while the parts it keeps include every conjunct
+// of the latest explanation, the unsatisfiable subset a solve of an
+// earlier trial named (satWhy). Such a trial is refuted before any
+// integer split, so solving it would find it Unsat, and the part is
+// dropped as solving would drop it: the core is the one solving every
+// trial finds. This is clause-set refinement, as in MUS extractors.
 func (c *Checker) UnsatCore(parts []expr.Expr) (core []int, ok bool) {
+	ids := make([]expr.ID, len(parts))
 	all := make([]int, len(parts))
-	for i := range parts {
-		all[i] = i
+	for i, p := range parts {
+		ids[i], all[i] = internID(p), i
 	}
-	conj := func(idx []int) expr.Expr {
-		fs := make([]expr.Expr, len(idx))
-		for i, j := range idx {
-			fs[i] = parts[j]
+	// IDConj of the parts' IDs is the ID Intern gives their conjunction,
+	// so a trial shares its cache entry with Sat(expr.Conj(...)).
+	kids := make([]expr.ID, 0, len(parts))
+	sat := func(idx []int) (Result, []expr.ID) {
+		kids = kids[:0]
+		for _, j := range idx {
+			kids = append(kids, ids[j])
 		}
-		return expr.Conj(fs...)
+		return c.satWhy(expr.IDConj(kids...))
 	}
-	if c.Sat(conj(all)) != Unsat {
+	res, why := sat(all)
+	if res != Unsat {
 		return nil, false
 	}
 	cur := all
@@ -306,13 +370,34 @@ func (c *Checker) UnsatCore(parts []expr.Expr) (core []int, ok bool) {
 		trial := make([]int, 0, len(cur)-1)
 		trial = append(trial, cur[:i]...)
 		trial = append(trial, cur[i+1:]...)
-		if c.Sat(conj(trial)) == Unsat {
+		r := Unsat
+		if !keeps(ids, trial, why) {
+			var w []expr.ID
+			if r, w = sat(trial); w != nil {
+				why = w
+			}
+		}
+		if r == Unsat {
 			cur = trial
 		} else {
 			i++
 		}
 	}
 	return cur, true
+}
+
+// keeps reports whether the parts idx of ids include every child of a
+// non-nil explanation why.
+func keeps(ids []expr.ID, idx []int, why []expr.ID) bool {
+	if why == nil {
+		return false
+	}
+	for _, e := range why {
+		if !slices.ContainsFunc(idx, func(j int) bool { return ids[j] == e }) {
+			return false
+		}
+	}
+	return true
 }
 
 var _ Solver = (*Checker)(nil)

@@ -1,6 +1,8 @@
 package smt
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"circ/internal/expr"
@@ -130,6 +132,9 @@ const (
 // must come with a model that satisfies the formula, an Unsat answer must
 // agree with brute force over the box, and Unknown is a failure: every
 // formula of this fragment is decidable within the solver's budgets.
+// Both queries are asked again of a Checker that forces the SAT layer:
+// on a conjunction of comparisons, which the default Checker decides on
+// the tableau alone, the verdicts and the models must be the same.
 func FuzzSMT(f *testing.F) {
 	f.Add([]byte{})
 	// x in [0,4] and x ≠ 0, …, 4 (TestDisequalitySplitDeep), and the
@@ -182,9 +187,97 @@ func FuzzSMT(f *testing.F) {
 					t.Fatalf("SatModel(%s) = unsat, but a point of the box satisfies it", phi)
 				}
 			}
-			if got := NewChecker().SatID(expr.IDConj(expr.Intern(boxed), expr.Intern(g))); got != res {
+			if viaSAT, satModel := newSATChecker().SatModel(phi); viaSAT != res || !maps.Equal(satModel, model) {
+				t.Fatalf("SatModel(%s) = %v %v, through the SAT layer %v %v", phi, res, model, viaSAT, satModel)
+			}
+			id := expr.IDConj(expr.Intern(boxed), expr.Intern(g))
+			if got := NewChecker().SatID(id); got != res {
 				t.Fatalf("SatID(box ∧ %s) = %v, SatModel %v", g, got, res)
 			}
+			if got := newSATChecker().SatID(id); got != res {
+				t.Fatalf("SatID(box ∧ %s) through the SAT layer = %v, SatModel %v", g, got, res)
+			}
+		}
+	})
+}
+
+// deletionCore is UnsatCore as it was before explanations: the same
+// greedy deletion, solving every trial. It is FuzzUnsatCore's oracle.
+func deletionCore(c *Checker, parts []expr.Expr) ([]int, bool) {
+	all := make([]int, len(parts))
+	for i := range parts {
+		all[i] = i
+	}
+	conj := func(idx []int) expr.Expr {
+		fs := make([]expr.Expr, len(idx))
+		for i, j := range idx {
+			fs[i] = parts[j]
+		}
+		return expr.Conj(fs...)
+	}
+	if c.Sat(conj(all)) != Unsat {
+		return nil, false
+	}
+	cur := all
+	for i := 0; i < len(cur); {
+		trial := make([]int, 0, len(cur)-1)
+		trial = append(trial, cur[:i]...)
+		trial = append(trial, cur[i+1:]...)
+		if c.Sat(conj(trial)) == Unsat {
+			cur = trial
+		} else {
+			i++
+		}
+	}
+	return cur, true
+}
+
+// FuzzUnsatCore decodes bytes into a list of comparisons over at most
+// three unbounded integer variables: a variable-count byte, a
+// length byte (two to nine parts), then per part a byte choosing a new
+// FuzzSMT atom (= ≠ ≤ <) or the complement of an earlier part. UnsatCore,
+// which skips the trials its explanations decide, must return the core
+// deletionCore finds by solving every trial.
+func FuzzUnsatCore(f *testing.F) {
+	f.Add([]byte{})
+	// x ≤ 5, y = 2, -y < -7, -x ≤ 0 (TestUnsatCoreMinimal), then the
+	// same with y ≠ 2, the complement of y = 2, appended.
+	minimal := []byte{1, 2,
+		0, 4, 3, relLe, 5 + 12,
+		0, 3, 4, relEq, 2 + 12,
+		0, 3, 2, relLt, -7 + 12,
+		0, 2, 3, relLe, 12}
+	f.Add(minimal)
+	complement := append([]byte{1, 3}, minimal[2:]...)
+	f.Add(append(complement, 3, 1))
+	// x ≠ 0, -x ≤ 0, x ≤ 1, x ≠ 1: a disequality split refutes it.
+	f.Add([]byte{0, 2,
+		0, 4, relNe, 12,
+		0, 2, relLe, 12,
+		0, 4, relLe, 1 + 12,
+		0, 4, relNe, 1 + 12})
+	// 3x + 3z = 11, -x + 3y - 3z = -12, -3x - 3y - 3z = -12: branch and
+	// bound refutes the three, while the two pairs holding the first are
+	// unknown within the budgets, so the core keeps all three. Taking an
+	// explanation from a split conflict would drop the second.
+	f.Add([]byte("2100B0000A0"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := formulaReader{data: data}
+		for _, n := range []string{"x", "y", "z"}[:1+r.next()%3] {
+			r.vars = append(r.vars, expr.V(n))
+		}
+		parts := make([]expr.Expr, 2+r.next()%8)
+		for i := range parts {
+			if sel := r.next(); sel%4 == 3 && i > 0 {
+				parts[i] = expr.Negate(parts[r.next()%i])
+			} else {
+				parts[i] = r.atom()
+			}
+		}
+		want, wantOK := deletionCore(NewChecker(), parts)
+		got, ok := NewChecker().UnsatCore(parts)
+		if ok != wantOK || !slices.Equal(got, want) {
+			t.Fatalf("UnsatCore(%v) = %v %v, solving every trial %v %v", parts, got, ok, want, wantOK)
 		}
 	})
 }
