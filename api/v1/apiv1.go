@@ -52,12 +52,13 @@ type Target struct {
 // "daemon default", so a partial object is always valid.
 type Options struct {
 	// K is the initial counter parameter of the context model, at most
-	// 254 (circ.MaxK); a larger one is an invalid request.
+	// 254 (circ.MaxK); a larger or negative one is an invalid request.
 	K int `json:"k,omitempty"`
 	// Omega selects the omega-CIRC variant (counter widening to ω).
 	Omega bool `json:"omega,omitempty"`
 	// Parallelism bounds the job's worker pool, which checks targets
-	// concurrently; capped at the daemon's own parallelism.
+	// concurrently; capped at the daemon's own parallelism. A negative
+	// one is an invalid request.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Triage disables ("off") or forces ("on") the static triage stage.
 	// Empty keeps the default (on).
@@ -70,7 +71,7 @@ type Options struct {
 	// the default (on).
 	SeedPreds string `json:"seed_preds,omitempty"`
 	// MaxRounds, MaxInner and MaxStates bound the inference; zero keeps
-	// the engine defaults.
+	// the engine defaults, and a negative bound is an invalid request.
 	MaxRounds int `json:"max_rounds,omitempty"`
 	MaxInner  int `json:"max_inner,omitempty"`
 	MaxStates int `json:"max_states,omitempty"`

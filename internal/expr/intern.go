@@ -666,83 +666,3 @@ func Intern(e Expr) ID {
 		panic(fmt.Sprintf("expr: unknown node %T", e))
 	}
 }
-
-// LookupID returns the ID of e without inserting anything: it succeeds
-// exactly when e is already in canonical interned form (for example a
-// tree obtained from FromID). It allocates nothing on success, which
-// keeps Sat-style cache hits on interned formulas allocation-free.
-func LookupID(e Expr) (ID, bool) {
-	ar.mu.RLock()
-	id, ok := lookupLocked(e)
-	ar.mu.RUnlock()
-	return id, ok
-}
-
-func lookupLocked(e Expr) (ID, bool) {
-	switch g := e.(type) {
-	case Int:
-		id, ok := ar.ints[g.Value]
-		return id, ok
-	case Var:
-		id, ok := ar.vars[g.Name]
-		return id, ok
-	case Bool:
-		return BoolID(g.Value), true
-	case Bin:
-		var kids [2]ID
-		var ok bool
-		if kids[0], ok = lookupLocked(g.X); !ok {
-			return NoID, false
-		}
-		if kids[1], ok = lookupLocked(g.Y); !ok {
-			return NoID, false
-		}
-		h := ar.compositeHash(KindBin, int8(g.Op), kids[:])
-		id := ar.findLocked(h, KindBin, int8(g.Op), kids[:])
-		return id, id != NoID
-	case Cmp:
-		var kids [2]ID
-		var ok bool
-		if kids[0], ok = lookupLocked(g.X); !ok {
-			return NoID, false
-		}
-		if kids[1], ok = lookupLocked(g.Y); !ok {
-			return NoID, false
-		}
-		h := ar.compositeHash(KindCmp, int8(g.Op), kids[:])
-		id := ar.findLocked(h, KindCmp, int8(g.Op), kids[:])
-		return id, id != NoID
-	case Not:
-		var kids [1]ID
-		var ok bool
-		if kids[0], ok = lookupLocked(g.X); !ok {
-			return NoID, false
-		}
-		h := ar.compositeHash(KindNot, 0, kids[:])
-		id := ar.findLocked(h, KindNot, 0, kids[:])
-		return id, id != NoID
-	case And:
-		return lookupNaryLocked(KindAnd, g.Xs)
-	case Or:
-		return lookupNaryLocked(KindOr, g.Xs)
-	}
-	return NoID, false
-}
-
-func lookupNaryLocked(kind Kind, xs []Expr) (ID, bool) {
-	var buf [16]ID
-	kids := buf[:0]
-	if len(xs) > len(buf) {
-		kids = make([]ID, 0, len(xs))
-	}
-	for _, x := range xs {
-		id, ok := lookupLocked(x)
-		if !ok {
-			return NoID, false
-		}
-		kids = append(kids, id)
-	}
-	h := ar.compositeHash(kind, 0, kids)
-	id := ar.findLocked(h, kind, 0, kids)
-	return id, id != NoID
-}

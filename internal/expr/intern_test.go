@@ -84,14 +84,10 @@ func checkInternProperties(t *testing.T, f Expr) {
 	if id2 := Intern(f); id2 != id {
 		t.Fatalf("Intern not idempotent: %v then %v for %s", id, id2, f.Key())
 	}
-	// Round-trip: the canonical representative reinterns to the same ID,
-	// and LookupID finds it without inserting.
+	// Round-trip: the canonical representative reinterns to the same ID.
 	rep := FromID(id)
 	if id2 := Intern(rep); id2 != id {
 		t.Fatalf("Intern(FromID(id)) = %v, want %v for %s", id2, id, f.Key())
-	}
-	if got, ok := LookupID(rep); !ok || got != id {
-		t.Fatalf("LookupID(FromID(%v)) = %v, %v", id, got, ok)
 	}
 	// The canonical form is logically equivalent to the input: under any
 	// total environment both evaluate identically.
@@ -144,6 +140,7 @@ func TestInternProperties(t *testing.T) {
 		pos := 0
 		f := genExpr(data, &pos, 3)
 		checkInternProperties(t, f)
+		checkPostIdentities(t, f, genRenaming(data, &pos), genExpr(data, &pos, 2))
 	}
 }
 
@@ -213,11 +210,52 @@ func FuzzIntern(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{250, 7, 42, 1, 99, 3, 18, 200, 5, 5, 5, 5, 61, 62, 63})
+	f.Add([]byte{3, 2, 1, 0, 7, 4, 1, 9, 1, 3, 0, 2, 5, 8, 4, 1, 2, 6, 3, 1, 1, 2, 4, 7, 5, 2, 9, 3, 1, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		e := genExpr(data, &pos, 3)
 		checkInternProperties(t, e)
+		checkPostIdentities(t, e, genRenaming(data, &pos), genExpr(data, &pos, 2))
 	})
+}
+
+// genRenaming builds a variable renaming from a byte stream: each of
+// genExpr's variables is kept, mapped to its pre-state name (as an
+// abstract post renames a havocked variable), or mapped to one of the
+// variables, itself included.
+func genRenaming(data []byte, pos *int) map[string]Expr {
+	vars := []string{"x", "y", "z", "lock", "n"}
+	m := map[string]Expr{}
+	for _, v := range vars {
+		var b byte
+		if *pos < len(data) {
+			b = data[*pos]
+			*pos++
+		}
+		switch b % 3 {
+		case 1:
+			m[v] = V(v + "%old")
+		case 2:
+			m[v] = V(vars[int(b/3)%len(vars)])
+		}
+	}
+	return m
+}
+
+// checkPostIdentities asserts the two identities that let an abstract
+// post be built on IDs and still equal the interned tree: a renamed
+// negative literal is the negation of the renamed predicate, and the ID
+// conjunction of two formulas is the interned tree conjunction.
+func checkPostIdentities(t *testing.T, e Expr, m map[string]Expr, o Expr) {
+	t.Helper()
+	if a, b := InternNot(Intern(Subst(e, m))), Intern(Subst(Negate(e), m)); a != b {
+		t.Fatalf("InternNot(Intern(Subst(e, m))) = %s, Intern(Subst(Negate(e), m)) = %s for e = %s, m = %v",
+			IDKey(a), IDKey(b), e.Key(), m)
+	}
+	if a, b := IDConj(Intern(e), Intern(o)), Intern(Conj(e, o)); a != b {
+		t.Fatalf("IDConj(Intern(a), Intern(b)) = %s, Intern(Conj(a, b)) = %s for a = %s, b = %s",
+			IDKey(a), IDKey(b), e.Key(), o.Key())
+	}
 }
 
 func TestArenaStats(t *testing.T) {

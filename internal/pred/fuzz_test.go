@@ -53,7 +53,7 @@ func FuzzLabelImplication(f *testing.F) {
 			if r.next()%2 == 0 {
 				phi = expr.Conj(phi, r.atom())
 			}
-			if c := abs.Abstract(phi); c != nil {
+			if c := abs.Abstract(expr.Intern(phi)); c != nil {
 				cubes = append(cubes, c)
 			}
 		}

@@ -21,7 +21,7 @@ func solvedInitialCube(set *pred.Set, vars []string) *pred.Cube {
 	for i, v := range vars {
 		parts[i] = expr.Eq(expr.V(v), expr.Num(0))
 	}
-	return pred.NewAbstractor(smt.NewChecker(), set).Abstract(expr.Conj(parts...))
+	return pred.NewAbstractor(smt.NewChecker(), set).Abstract(expr.Intern(expr.Conj(parts...)))
 }
 
 // checkInitialCube asserts that InitialCube equals the solver's cube and

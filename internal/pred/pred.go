@@ -11,6 +11,7 @@ package pred
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -592,6 +593,11 @@ type Abstractor struct {
 	posts map[postKey]*Cube
 	// havocs interns havoc sets by their comma-joined names.
 	havocs map[string]int32
+	// renamed[h][i] is the ID of predicate i with the variables of havoc
+	// set h renamed to their pre-state names, NoID until a post first
+	// needs it. The Set is fixed for the Abstractor's life, so an entry
+	// never goes stale.
+	renamed [][]expr.ID
 
 	// Telemetry counters, attached with Instrument; nil handles are
 	// no-ops, so an uninstrumented abstractor pays only nil checks.
@@ -611,8 +617,8 @@ type postKey struct {
 }
 
 // Havoc is a sorted havoc set interned in one Abstractor, so that a
-// context move's memo key compares it by a small id. Build it once per
-// ACFA edge with Abstractor.Havoc.
+// context move's memo key and the rename memo compare it by a small id.
+// Build it once per ACFA edge with Abstractor.Havoc.
 type Havoc struct {
 	id   int32
 	vars []string
@@ -631,25 +637,24 @@ func (a *Abstractor) Instrument(reg *telemetry.Registry) {
 	a.cBottom = reg.Counter("pred.abstract.bottom")
 }
 
-// Abstract computes the cartesian abstraction of formula phi: the
-// strongest cube implied by phi. It returns nil when phi is unsatisfiable
-// (abstract bottom).
+// Abstract computes the cartesian abstraction of the interned formula
+// phi: the strongest cube implied by phi. It returns nil when phi is
+// unsatisfiable (abstract bottom).
 //
 // Each predicate p costs at most two cached queries, phi ∧ ¬p (unsat
 // means phi ⊨ p) and then phi ∧ p. Literals that appear in phi verbatim
 // collapse syntactically at intern time and never reach the solver.
-func (a *Abstractor) Abstract(phi expr.Expr) *Cube {
+func (a *Abstractor) Abstract(phi expr.ID) *Cube {
 	a.cCalls.Inc()
-	id := expr.Intern(phi)
-	if a.Chk.SatID(id) == smt.Unsat {
+	if a.Chk.SatID(phi) == smt.Unsat {
 		a.cBottom.Inc()
 		return nil
 	}
 	c := TopCube(a.Set)
 	for i := 0; i < a.Set.Len(); i++ {
-		if a.Chk.SatID(expr.IDConj(id, a.Set.NegIDAt(i))) == smt.Unsat {
+		if a.Chk.SatID(expr.IDConj(phi, a.Set.NegIDAt(i))) == smt.Unsat {
 			c.assign(i, True)
-		} else if a.Chk.SatID(expr.IDConj(id, a.Set.IDAt(i))) == smt.Unsat {
+		} else if a.Chk.SatID(expr.IDConj(phi, a.Set.IDAt(i))) == smt.Unsat {
 			c.assign(i, False)
 		}
 	}
@@ -661,50 +666,67 @@ func (a *Abstractor) Abstract(phi expr.Expr) *Cube {
 // character cannot appear in source identifiers.
 func oldName(v string) string { return v + "%old" }
 
-// PostAssign computes the abstract successor of cube c under x := rhs.
-// Returns nil for abstract bottom.
-func (a *Abstractor) PostAssign(c *Cube, x string, rhs expr.Expr) *Cube {
-	old := expr.V(oldName(x))
-	phi := expr.SubstVar(c.Formula(), x, old)
-	eq := expr.Eq(expr.V(x), expr.SubstVar(rhs, x, old))
-	return a.Abstract(expr.Conj(phi, eq))
-}
-
-// PostAssume computes the abstract successor of cube c under assume(p).
-// Returns nil when the guarded state is unsatisfiable.
-func (a *Abstractor) PostAssume(c *Cube, p expr.Expr) *Cube {
-	return a.Abstract(expr.Conj(c.Formula(), p))
-}
-
-// PostHavoc computes the abstract successor of cube c after the variables
-// in ys receive arbitrary values, constrained by target (the label of the
-// destination abstract location).
-func (a *Abstractor) PostHavoc(c *Cube, ys []string, target expr.Expr) *Cube {
-	phi := c.Formula()
-	m := make(map[string]expr.Expr, len(ys))
-	for _, y := range ys {
-		m[y] = expr.V(oldName(y))
+// post returns the strongest postcondition of cube c under a step that
+// havocs h and then assumes extra: the conjunction of c's decided
+// literals, each renamed by rename, with extra.
+func (a *Abstractor) post(c *Cube, h Havoc, extra expr.ID) expr.ID {
+	var buf [16]expr.ID
+	ids := append(buf[:0], extra)
+	t, f := c.halves()
+	for k := range t {
+		for w := t[k]; w != 0; w &= w - 1 {
+			ids = append(ids, a.rename(h, 64*k+bits.TrailingZeros64(w)))
+		}
+		for w := f[k]; w != 0; w &= w - 1 {
+			ids = append(ids, expr.InternNot(a.rename(h, 64*k+bits.TrailingZeros64(w))))
+		}
 	}
-	phi = expr.Subst(phi, m)
-	return a.Abstract(expr.Conj(phi, target))
+	return expr.IDConj(ids...)
 }
+
+// rename returns the ID of predicate i with every variable of h renamed
+// to its pre-state name, from the rename memo.
+func (a *Abstractor) rename(h Havoc, i int) expr.ID {
+	row := a.renamed[h.id]
+	if row[i] == expr.NoID {
+		m := make(map[string]expr.Expr, len(h.vars))
+		for _, y := range h.vars {
+			m[y] = expr.V(oldName(y))
+		}
+		row[i] = expr.Intern(expr.Subst(a.Set.At(i), m))
+	}
+	return row[i]
+}
+
+// postBuilt sees the formula of each post a memo miss builds, with the
+// source cube and the operation: the CFA edge, or the havoc set and
+// target cube of a context move. It is a variable so that a test can
+// check every post the engine builds against a reference.
+var postBuilt = func(c *Cube, e *cfa.Edge, ys []string, target *Cube, phi expr.ID) {}
 
 // EdgePost returns the abstract successor of cube c along CFA edge e (nil
 // for bottom) from the memo, computing it on a miss; hit reports a memo
-// hit.
+// hit. An assignment x := rhs havocs x and assumes x = rhs[x ↦ x%old],
+// a havoc havocs its variable, and an assume assumes its guard.
 func (a *Abstractor) EdgePost(c *Cube, e *cfa.Edge) (next *Cube, hit bool) {
 	key := postKey{src: c.FormulaID(), edge: e}
 	if next, ok := a.posts[key]; ok {
 		return next, true
 	}
-	switch e.Op.Kind {
+	var ys []string
+	extra := expr.BoolID(true)
+	switch x := e.Op.LHS; e.Op.Kind {
 	case cfa.OpAssign:
-		next = a.PostAssign(c, e.Op.LHS, e.Op.RHS)
+		ys = []string{x}
+		extra = expr.Intern(expr.Eq(expr.V(x), expr.SubstVar(e.Op.RHS, x, expr.V(oldName(x)))))
 	case cfa.OpAssume:
-		next = a.PostAssume(c, e.Op.Pred)
+		extra = expr.Intern(e.Op.Pred)
 	case cfa.OpHavoc:
-		next = a.PostHavoc(c, []string{e.Op.LHS}, expr.TrueExpr)
+		ys = []string{x}
 	}
+	phi := a.post(c, a.Havoc(ys), extra)
+	postBuilt(c, e, nil, nil, phi)
+	next = a.Abstract(phi)
 	a.posts[key] = next
 	return next, false
 }
@@ -716,6 +738,7 @@ func (a *Abstractor) Havoc(ys []string) Havoc {
 	if !ok {
 		id = int32(len(a.havocs))
 		a.havocs[name] = id
+		a.renamed = append(a.renamed, make([]expr.ID, a.Set.Len()))
 	}
 	return Havoc{id: id, vars: ys}
 }
@@ -728,7 +751,9 @@ func (a *Abstractor) EnvPost(c *Cube, h Havoc, target *Cube) (next *Cube, hit bo
 	if next, ok := a.posts[key]; ok {
 		return next, true
 	}
-	next = a.PostHavoc(c, h.vars, target.Formula())
+	phi := a.post(c, h, key.target)
+	postBuilt(c, nil, h.vars, target, phi)
+	next = a.Abstract(phi)
 	a.posts[key] = next
 	return next, false
 }
@@ -751,7 +776,7 @@ func (a *Abstractor) InitialCube(vars []string) *Cube {
 	for i, v := range vars {
 		parts[i] = expr.Eq(expr.V(v), expr.Num(0))
 	}
-	cube := a.Abstract(expr.Conj(parts...))
+	cube := a.Abstract(expr.Intern(expr.Conj(parts...)))
 	if cube == nil {
 		panic(fmt.Sprintf("pred: initial state unsatisfiable for vars %v", vars))
 	}

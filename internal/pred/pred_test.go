@@ -3,6 +3,7 @@ package pred
 import (
 	"testing"
 
+	"circ/internal/cfa"
 	"circ/internal/expr"
 	"circ/internal/smt"
 )
@@ -116,18 +117,18 @@ func TestRegionBasics(t *testing.T) {
 func TestAbstractStrongestCube(t *testing.T) {
 	x := expr.V("x")
 	a := newAbs(t, expr.Eq(x, expr.Num(3)), expr.Gt(x, expr.Num(0)), expr.Lt(x, expr.Num(0)))
-	c := a.Abstract(expr.Eq(x, expr.Num(3)))
+	c := a.Abstract(expr.Intern(expr.Eq(x, expr.Num(3))))
 	if c == nil {
 		t.Fatalf("bottom for satisfiable formula")
 	}
 	if c.TV(0) != True || c.TV(1) != True || c.TV(2) != False {
 		t.Fatalf("cube = %s", c.Key())
 	}
-	if a.Abstract(expr.FalseExpr) != nil {
+	if a.Abstract(expr.BoolID(false)) != nil {
 		t.Fatalf("Abstract(false) should be bottom")
 	}
 	// Unconstrained formula leaves everything unknown.
-	c2 := a.Abstract(expr.TrueExpr)
+	c2 := a.Abstract(expr.BoolID(true))
 	if c2.Key() != "???" {
 		t.Fatalf("Abstract(true) = %s", c2.Key())
 	}
@@ -147,7 +148,7 @@ func TestAbstractIsSound(t *testing.T) {
 		expr.Conj(expr.Lt(x, expr.Num(0)), expr.Eq(y, x)),
 	}
 	for _, phi := range phis {
-		c := a.Abstract(phi)
+		c := a.Abstract(expr.Intern(phi))
 		if c == nil {
 			t.Fatalf("bottom for %v", phi)
 		}
@@ -157,18 +158,24 @@ func TestAbstractIsSound(t *testing.T) {
 	}
 }
 
+// edgePost returns the post of c along a CFA edge with operation op.
+func edgePost(a *Abstractor, c *Cube, op cfa.Op) *Cube {
+	next, _ := a.EdgePost(c, &cfa.Edge{Op: op})
+	return next
+}
+
 func TestPostAssign(t *testing.T) {
 	x := expr.V("x")
 	y := expr.V("y")
 	a := newAbs(t, expr.Eq(x, expr.Num(1)), expr.Eq(y, expr.Num(1)))
 	// From x==1 (y unknown), execute y := x. Expect y==1 and x==1.
-	c0 := a.Abstract(expr.Eq(x, expr.Num(1)))
-	c1 := a.PostAssign(c0, "y", x)
+	c0 := a.Abstract(expr.Intern(expr.Eq(x, expr.Num(1))))
+	c1 := edgePost(a, c0, cfa.Op{Kind: cfa.OpAssign, LHS: "y", RHS: x})
 	if c1 == nil || c1.TV(0) != True || c1.TV(1) != True {
 		t.Fatalf("post = %v", c1)
 	}
 	// Self-referential update: x := x + 1 from x==1 gives x != 1.
-	c2 := a.PostAssign(c0, "x", expr.Add(x, expr.Num(1)))
+	c2 := edgePost(a, c0, cfa.Op{Kind: cfa.OpAssign, LHS: "x", RHS: expr.Add(x, expr.Num(1))})
 	if c2 == nil || c2.TV(0) != False {
 		t.Fatalf("post x:=x+1 = %v", c2)
 	}
@@ -178,12 +185,12 @@ func TestPostAssume(t *testing.T) {
 	x := expr.V("x")
 	a := newAbs(t, expr.Eq(x, expr.Num(0)))
 	top := TopCube(a.Set)
-	c := a.PostAssume(top, expr.Eq(x, expr.Num(0)))
+	c := edgePost(a, top, cfa.Op{Kind: cfa.OpAssume, Pred: expr.Eq(x, expr.Num(0))})
 	if c == nil || c.TV(0) != True {
 		t.Fatalf("assume post = %v", c)
 	}
-	c0 := a.Abstract(expr.Eq(x, expr.Num(0)))
-	if a.PostAssume(c0, expr.Ne(x, expr.Num(0))) != nil {
+	c0 := a.Abstract(expr.Intern(expr.Eq(x, expr.Num(0))))
+	if edgePost(a, c0, cfa.Op{Kind: cfa.OpAssume, Pred: expr.Ne(x, expr.Num(0))}) != nil {
 		t.Fatalf("contradictory assume should be bottom")
 	}
 }
@@ -192,20 +199,31 @@ func TestPostHavoc(t *testing.T) {
 	x := expr.V("x")
 	y := expr.V("y")
 	a := newAbs(t, expr.Eq(x, expr.Num(0)), expr.Eq(y, expr.Num(0)))
-	c0 := a.Abstract(expr.Conj(expr.Eq(x, expr.Num(0)), expr.Eq(y, expr.Num(0))))
+	c0 := a.Abstract(expr.Intern(expr.Conj(expr.Eq(x, expr.Num(0)), expr.Eq(y, expr.Num(0)))))
+	// The target cubes: x != 0, and the top cube.
+	xNonZero := NewCube(a.Set, map[int]TV{0: False})
+	envPost := func(ys []string, target *Cube) *Cube {
+		next, _ := a.EnvPost(c0, a.Havoc(ys), target)
+		return next
+	}
 	// Havoc x constrained to x != 0: y's knowledge survives, x flips.
-	c1 := a.PostHavoc(c0, []string{"x"}, expr.Ne(x, expr.Num(0)))
+	c1 := envPost([]string{"x"}, xNonZero)
 	if c1 == nil || c1.TV(0) != False || c1.TV(1) != True {
 		t.Fatalf("havoc post = %v", c1)
 	}
-	// Havoc with unsatisfiable target is bottom.
-	if a.PostHavoc(c0, []string{"x"}, expr.FalseExpr) != nil {
+	// Havoc with a target the unhavocked y contradicts is bottom.
+	if envPost([]string{"x"}, NewCube(a.Set, map[int]TV{1: False})) != nil {
 		t.Fatalf("bottom expected")
 	}
 	// Havoc everything with true target loses all knowledge.
-	c2 := a.PostHavoc(c0, []string{"x", "y"}, expr.TrueExpr)
+	c2 := envPost([]string{"x", "y"}, TopCube(a.Set))
 	if c2 == nil || c2.Key() != "??" {
 		t.Fatalf("total havoc = %v", c2)
+	}
+	// A CFA havoc edge on x keeps y's knowledge and loses x's.
+	c3 := edgePost(a, c0, cfa.Op{Kind: cfa.OpHavoc, LHS: "x"})
+	if c3 == nil || c3.Key() != "?T" {
+		t.Fatalf("havoc edge post = %v", c3)
 	}
 }
 

@@ -406,6 +406,14 @@ func requestOptions(o *apiv1.Options, maxParallelism int) ([]circ.Option, time.D
 	if o == nil {
 		return nil, 0, nil
 	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"k", o.K}, {"parallelism", o.Parallelism}, {"max_rounds", o.MaxRounds}, {"max_inner", o.MaxInner}, {"max_states", o.MaxStates}} {
+		if f.v < 0 {
+			return nil, 0, fmt.Errorf("options.%s: must be non-negative", f.name)
+		}
+	}
 	var opts []circ.Option
 	if o.K > circ.MaxK {
 		return nil, 0, fmt.Errorf("options.k: %d exceeds the largest counter parameter, %d", o.K, circ.MaxK)

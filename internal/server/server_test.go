@@ -521,6 +521,17 @@ func TestRequestOptionsValidation(t *testing.T) {
 	if _, _, err := requestOptions(&apiv1.Options{TimeoutSeconds: -1}, 1); err == nil {
 		t.Fatalf("negative timeout accepted")
 	}
+	for name, o := range map[string]apiv1.Options{
+		"k":           {K: -1},
+		"parallelism": {Parallelism: -1},
+		"max_rounds":  {MaxRounds: -1},
+		"max_inner":   {MaxInner: -1},
+		"max_states":  {MaxStates: -1},
+	} {
+		if _, _, err := requestOptions(&o, 1); err == nil {
+			t.Errorf("negative %s accepted", name)
+		}
+	}
 	if _, _, err := requestOptions(&apiv1.Options{TimeoutSeconds: 1e10}, 1); err == nil {
 		t.Fatalf("timeout beyond the largest Duration accepted")
 	}

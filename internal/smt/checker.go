@@ -271,20 +271,9 @@ func (c *Checker) store(id expr.ID, r Result) {
 // Sat reports the satisfiability of formula f, consulting the shared
 // cache first. Interning canonicalises f (a superset of Simplify), so
 // logically-trivial formulas resolve without touching the cache or the
-// solver. If f is already in canonical interned form (for example a
-// formula built by the interning constructors, or obtained from FromID),
-// the lookup allocates nothing.
+// solver.
 func (c *Checker) Sat(f expr.Expr) Result {
-	return c.SatID(internID(f))
-}
-
-// internID returns f's interned ID, without re-interning a formula in
-// canonical form.
-func internID(f expr.Expr) expr.ID {
-	if id, ok := expr.LookupID(f); ok {
-		return id
-	}
-	return expr.Intern(f)
+	return c.SatID(expr.Intern(f))
 }
 
 // SatID reports the satisfiability of the interned formula id. This is
@@ -349,7 +338,7 @@ func (c *Checker) UnsatCore(parts []expr.Expr) (core []int, ok bool) {
 	ids := make([]expr.ID, len(parts))
 	all := make([]int, len(parts))
 	for i, p := range parts {
-		ids[i], all[i] = internID(p), i
+		ids[i], all[i] = expr.Intern(p), i
 	}
 	// IDConj of the parts' IDs is the ID Intern gives their conjunction,
 	// so a trial shares its cache entry with Sat(expr.Conj(...)).
